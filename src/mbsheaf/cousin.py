@@ -80,7 +80,7 @@ def stalk_complex(E, m):
         for I, n in dst:
             row_off[(I, n)] = off
             off += E.dims[n]
-        rows = [[0] * dims[deg] for _ in range(dims[deg + 1])]
+        rows = [[] for _ in range(dims[deg + 1])]
         for I1, n1 in src:
             for alpha in I0:
                 if alpha in I1:
@@ -90,11 +90,9 @@ def stalk_complex(E, m):
                 sign = _insert_sign(I1, alpha)
                 block = E.dprime[(n1, n2)]
                 ro, co = row_off[(I2, n2)], col_off[(I1, n1)]
-                for i, row in enumerate(block.rows):
-                    for j, x in enumerate(row):
-                        if x:
-                            rows[ro + i][co + j] += sign * x
-        diffs[deg] = RationalMatrix(tuple(tuple(rw) for rw in rows), dims[deg])
+                for i, row in enumerate(block.sparse_rows):
+                    rows[ro + i].extend([(co + j, sign * x) for j, x in row])
+        diffs[deg] = RationalMatrix.from_sparse(rows, dims[deg])
     for deg in diffs:
         nxt = diffs.get(deg + 1)
         if nxt is not None and not (nxt @ diffs[deg]).is_zero():

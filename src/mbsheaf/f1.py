@@ -24,10 +24,10 @@ class E1Sheaf(MixedBruhatSheaf):
         poset = self.poset
         act = poset.complex.action
         e = poset.elements[m]
-        rows = [[0] * e.orbit_size for _ in range(e.orbit_size)]
+        rows = [()] * e.orbit_size
         for k, (c, d) in enumerate(e.points):
-            rows[e.point_index[(act[w][c], act[w][d])]][k] = 1
-        return RationalMatrix(tuple(tuple(r) for r in rows))
+            rows[e.point_index[(act[w][c], act[w][d])]] = ((k, 1),)
+        return RationalMatrix.from_sparse(rows, e.orbit_size)
 
 
 def build_e1(poset):
@@ -37,17 +37,13 @@ def build_e1(poset):
     dsecond = {}
     for m in range(len(poset.elements)):
         for _s, n in poset.cov_prime[m]:
-            pi = poset.pi_map(m, n)
-            rows = [[0] * dims[m] for _ in range(dims[n])]
-            for src, dst in enumerate(pi):
-                rows[dst][src] = 1
-            dprime[(m, n)] = RationalMatrix(tuple(tuple(r) for r in rows))
+            rows = [[] for _ in range(dims[n])]
+            for src, dst in enumerate(poset.pi_map(m, n)):
+                rows[dst].append((src, 1))
+            dprime[(m, n)] = RationalMatrix.from_sparse(rows, dims[m])
         for _s, n in poset.cov_second[m]:
-            pi = poset.pi_map(m, n)
-            rows = [[0] * dims[n] for _ in range(dims[m])]
-            for src, dst in enumerate(pi):
-                rows[src][dst] = 1
-            dsecond[(m, n)] = RationalMatrix(tuple(tuple(r) for r in rows))
+            dsecond[(m, n)] = RationalMatrix.from_sparse(
+                [((dst, 1),) for dst in poset.pi_map(m, n)], dims[n])
     return E1Sheaf(poset, dims, dprime, dsecond)
 
 
@@ -93,12 +89,11 @@ class WRepresentation:
         for cls in self.datum.conjugacy_classes():
             rep = cls[0]
             mat = self.evaluate(rep)
-            out[rep] = sum(mat.rows[i][i] for i in range(self.dim))
+            out[rep] = mat.trace()
         return out
 
     def trace(self, w):
-        mat = self.evaluate(w)
-        return sum(mat.rows[i][i] for i in range(self.dim))
+        return self.evaluate(w).trace()
 
 
 def _standard_tableaux(shape):
@@ -190,10 +185,10 @@ def _specht(datum, shape):
     gen_mats = []
     for s in range(datum.rank):
         perm = {s + 1: s + 2, s + 2: s + 1}
-        rows = [[0] * len(tabloids) for _ in range(len(tabloids))]
+        rows = [()] * len(tabloids)
         for i, t in enumerate(tabloids):
-            rows[tab_index[apply_perm(perm, t)]][i] = 1
-        big = RationalMatrix(tuple(tuple(r) for r in rows))
+            rows[tab_index[apply_perm(perm, t)]] = ((i, 1),)
+        big = RationalMatrix.from_sparse(rows, len(tabloids))
         gen_mats.append(basis.solve(big @ basis))
     return gen_mats
 
@@ -243,11 +238,10 @@ def _partitions(n, maxpart=None):
 # -- multiplicity sheaves -------------------------------------------------------
 
 def _kron(a, b):
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append(tuple(x * y for x in ra for y in rb))
-    return RationalMatrix(tuple(rows), a.ncols * b.ncols)
+    bn = b.ncols
+    rows = [[(ja * bn + jb, x * y) for ja, x in ra for jb, y in rb]
+            for ra in a.sparse_rows for rb in b.sparse_rows]
+    return RationalMatrix.from_sparse(rows, a.ncols * bn)
 
 
 def pair_stabilizer(poset, m):

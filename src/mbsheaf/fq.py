@@ -183,15 +183,6 @@ def composition_of_subset(members, n):
     return tuple(parts)
 
 
-def subset_of_composition(comp):
-    members = []
-    pos = 0
-    for part in comp:
-        members.extend(range(pos, pos + part - 1))
-        pos += part
-    return tuple(members)
-
-
 class FqContext:
     """Cached flag enumeration and orbit tables for one (n, q)."""
 
@@ -522,10 +513,7 @@ def build_eq(n, q, poset=None, allow_large=False, ctx=None):
         hor_maps.append(tuple(hmap))
         dims.append(len(ctx.flags(hor_comp)))
         point_index.append({p: k for k, p in enumerate(points)})
-        rows = [[0] * dims[m] for _ in points]
-        for k, x in enumerate(hmap):
-            rows[k][x] = 1
-        embeddings.append(RationalMatrix(tuple(tuple(r) for r in rows), dims[m]))
+        embeddings.append(RationalMatrix.from_sparse([((x, 1),) for x in hmap], dims[m]))
     dprime = {}
     dsecond = {}
     for m in range(nelem):
@@ -535,32 +523,31 @@ def build_eq(n, q, poset=None, allow_large=False, ctx=None):
             # pullback along the flag coarsening of the readings
             hm, hn = hor_comps[m], hor_comps[nn]
             hn_index = ctx.flag_index(hn)
-            rows = [[0] * dims[nn] for _ in range(dims[m])]
-            for x, flag in enumerate(ctx.flags(hm)):
-                rows[x][hn_index[ctx.coarsen_flag(flag, hn)]] = 1
-            dsecond[(m, nn)] = RationalMatrix(tuple(tuple(r) for r in rows), dims[nn])
+            rows = [((hn_index[ctx.coarsen_flag(flag, hn)], 1),) for flag in ctx.flags(hm)]
+            dsecond[(m, nn)] = RationalMatrix.from_sparse(rows, dims[nn])
         for _s, nn in poset.cov_prime[m]:
             en = poset.elements[nn]
             comp_i_n = composition_of_subset(set(en.typeIJ[0]), n)
             fi_n_index = ctx.flag_index(comp_i_n)
             fi_m = ctx.flags(comp_i_m)
-            acc = [[0] * dims[m] for _ in orbit_tables[nn]]
+            # acc[o][x]: how many points of m over target point o read x
+            acc = [{} for _ in orbit_tables[nn]]
             for k, (a, b) in enumerate(orbit_tables[m]):
                 target = (fi_n_index[ctx.coarsen_flag(fi_m[a], comp_i_n)], b)
-                acc[point_index[nn][target]][hor_maps[m][k]] += 1
+                counts = acc[point_index[nn][target]]
+                x = hor_maps[m][k]
+                counts[x] = counts.get(x, 0) + 1
             # factor through the reading of the target: fiberwise constancy
-            rows = [[None] * dims[m] for _ in range(dims[nn])]
-            for o, vals in enumerate(acc):
+            rows = [None] * dims[nn]
+            for o, counts in enumerate(acc):
                 y = hor_maps[nn][o]
-                for x, v in enumerate(vals):
-                    if rows[y][x] is None:
-                        rows[y][x] = v
-                    elif rows[y][x] != v:
-                        raise AssertionError(
-                            "pushforward of a pulled-back function is not pulled back")
-            dprime[(m, nn)] = RationalMatrix(
-                tuple(tuple(v if v is not None else 0 for v in r) for r in rows),
-                dims[m])
+                if rows[y] is None:
+                    rows[y] = counts
+                elif rows[y] != counts:
+                    raise AssertionError(
+                        "pushforward of a pulled-back function is not pulled back")
+            dprime[(m, nn)] = RationalMatrix.from_sparse(
+                [r.items() if r is not None else () for r in rows], dims[m])
     return FqMBS(poset, dims, dprime, dsecond, ctx, tuple(orbit_tables),
                  tuple(hor_comps), tuple(hor_maps), tuple(embeddings))
 
@@ -579,9 +566,11 @@ def hecke_generators(n, q):
         comp = composition_of_subset({alpha}, n)
         cindex = ctx.flag_index(comp)
         images = [cindex[ctx.coarsen_flag(f, comp)] for f in flags]
-        rows = [[(1 if images[x] == images[y] else 0) - (1 if x == y else 0)
-                 for y in range(len(flags))] for x in range(len(flags))]
-        out.append(RationalMatrix(tuple(tuple(r) for r in rows)))
+        fibres = {}
+        for y, image in enumerate(images):
+            fibres.setdefault(image, []).append(y)
+        rows = [[(y, 1) for y in fibres[images[x]] if y != x] for x in range(len(flags))]
+        out.append(RationalMatrix.from_sparse(rows, len(flags)))
     return out
 
 

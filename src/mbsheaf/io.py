@@ -35,7 +35,7 @@ def _parse_xi_id(poset, ident, path):
         c = poset.complex.face(tuple(int(ch) for ch in li), int(lw))
         d = poset.complex.face(tuple(int(ch) for ch in ri), int(rw))
         return poset.xi_orbit(c, d).index
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, IndexError) as exc:
         raise ParseError(f"{path}: bad cell id {ident!r}") from exc
 
 
@@ -71,15 +71,24 @@ def xi_dump(poset):
 
 
 def matrix_to_json(mat):
-    return [[fraction_to_str(x) for x in row] for row in mat.rows]
+    out = []
+    for sparse in mat.sparse_rows:
+        row = ["0/1"] * mat.ncols
+        for j, x in sparse:
+            row[j] = fraction_to_str(x)
+        out.append(row)
+    return out
 
 
 def matrix_from_json(rows, nrows, ncols, path):
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+    if (not isinstance(rows, list) or len(rows) != nrows
+            or any(not isinstance(r, list) or len(r) != ncols for r in rows)):
         raise ParseError(f"{path}: matrix shape must be {nrows}x{ncols}")
+    if not all(isinstance(x, str) for row in rows for x in row):
+        raise ParseError(f"{path}: matrix entries must be \"num/den\" strings")
     try:
-        return RationalMatrix(tuple(tuple(fraction_from_str(x) for x in row)
-                                    for row in rows), ncols)
+        return RationalMatrix.from_sparse(
+            [[(j, fraction_from_str(x)) for j, x in enumerate(row)] for row in rows], ncols)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: bad rational entry") from exc
 
@@ -135,24 +144,40 @@ def mbs_from_json(doc, poset=None):
     dims = [None] * len(poset.elements)
     for ident, d in dims_doc.items():
         m = _parse_xi_id(poset, ident, "$.dims")
-        if not isinstance(d, int) or d < 0:
+        if type(d) is not int or d < 0:
             raise ParseError(f"$.dims.{ident}: must be a nonnegative integer")
         dims[m] = d
     if any(d is None for d in dims):
         raise ParseError("$.dims: missing cells")
-    dprime = {}
-    for k, entry in enumerate(doc.get("dprime", ())):
-        path = f"$.dprime[{k}]"
-        m = _parse_xi_id(poset, entry["from"], path)
-        n = _parse_xi_id(poset, entry["to"], path)
-        dprime[(m, n)] = matrix_from_json(entry["matrix"], dims[n], dims[m], path)
-    dsecond = {}
-    for k, entry in enumerate(doc.get("dsecond", ())):
-        path = f"$.dsecond[{k}]"
-        m = _parse_xi_id(poset, entry["from"], path)
-        n = _parse_xi_id(poset, entry["to"], path)
-        dsecond[(m, n)] = matrix_from_json(entry["matrix"], dims[m], dims[n], path)
+    dprime = _maps_from_json(doc, "dprime", poset, dims)
+    dsecond = _maps_from_json(doc, "dsecond", poset, dims)
     return MixedBruhatSheaf(poset, dims, dprime, dsecond)
+
+
+def _maps_from_json(doc, key, poset, dims):
+    """The covering matrices listed under doc[key], by (from, to) cell index.
+
+    A dprime matrix maps E(from) -> E(to), a dsecond matrix E(to) -> E(from).
+    """
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"$.{key}: must be a list")
+    maps = {}
+    for k, entry in enumerate(entries):
+        path = f"$.{key}[{k}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: must be an object")
+        for field in ("from", "to", "matrix"):
+            if field not in entry:
+                raise ParseError(f"{path}: missing {field!r}")
+        for field in ("from", "to"):
+            if not isinstance(entry[field], str):
+                raise ParseError(f"{path}.{field}: must be a cell id string")
+        m = _parse_xi_id(poset, entry["from"], path)
+        n = _parse_xi_id(poset, entry["to"], path)
+        src, dst = (m, n) if key == "dprime" else (n, m)
+        maps[(m, n)] = matrix_from_json(entry["matrix"], dims[dst], dims[src], path)
+    return maps
 
 
 def dumps(doc):

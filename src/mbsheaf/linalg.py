@@ -1,8 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, with sparse storage.
 
 Entries are Python ints or Fractions (a Fraction with denominator 1 is
 demoted to int so that the common all-integer case stays in fast int
 arithmetic).  Everything is immutable; no floating point anywhere.
+
+A RationalMatrix stores only its nonzero entries.  Row i is a tuple of
+(column, value) pairs sorted by column, and every empty row is the one
+shared ``()``.  The pushforward and pullback maps of the function sheaves
+have at most one nonzero per column, so products and sums touch few
+entries, and a row holding a single 1 takes the other factor's row
+object as it is.  ``sparse_rows`` is the storage itself.  ``rows`` is a
+dense tuple-of-tuples view for output and for callers that want dense
+rows; it is built on every access and never kept, so only the sparse
+copy stays alive.  Elimination (rref and what rests on it) runs on dense
+scratch lists and returns sparse matrices.
 """
 
 from __future__ import annotations
@@ -18,29 +29,92 @@ def _norm(x):
     return x
 
 
+def _sparse_row(row):
+    """Sorted (column, value) pairs of the nonzero entries of a dense row."""
+    return tuple([(j, _norm(x)) for j, x in enumerate(row) if x])
+
+
+def _merge(r, s):
+    """Sum of two sparse rows."""
+    if not s:
+        return r
+    if not r:
+        return s
+    if r[-1][0] < s[0][0]:
+        return r + s
+    if s[-1][0] < r[0][0]:
+        return s + r
+    out = []
+    i = k = 0
+    nr, ns = len(r), len(s)
+    while i < nr and k < ns:
+        a, b = r[i], s[k]
+        if a[0] < b[0]:
+            out.append(a)
+            i += 1
+        elif a[0] > b[0]:
+            out.append(b)
+            k += 1
+        else:
+            x = _norm(a[1] + b[1])
+            if x:
+                out.append((a[0], x))
+            i += 1
+            k += 1
+    out.extend(r[i:])
+    out.extend(s[k:])
+    return tuple(out)
+
+
+def _collect(pairs):
+    """Sort a list of (column, value) pairs into a sparse row, adding up repeats."""
+    pairs.sort()
+    out = []
+    last = None
+    for p in pairs:
+        if p[0] == last:
+            x = _norm(out[-1][1] + p[1])
+            if x:
+                out[-1] = (last, x)
+            else:
+                out.pop()
+                last = None
+        else:
+            out.append(p)
+            last = p[0]
+    return tuple(out)
+
+
+def _neg_row(r):
+    return tuple([(j, -x) for j, x in r])
+
+
+def _right_block(rows, offset):
+    """The columns >= offset of sparse rows, renumbered from 0."""
+    return tuple([tuple([(j - offset, x) for j, x in r if j >= offset]) for r in rows])
+
+
 _IDENTITY_CACHE = {}
 _ZEROS_CACHE = {}
 
 
 class RationalMatrix:
-    """Immutable matrix of exact rationals, rows-of-tuples storage."""
+    """Immutable matrix of exact rationals; sparse rows of (column, value) pairs."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("sparse_rows", "nrows", "ncols")
 
-    def __init__(self, rows, ncols=None, _normalized=False):
-        if _normalized:
-            rows = tuple(rows)
-        else:
-            rows = tuple(tuple(_norm(x) for x in r) for r in rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
+    def __init__(self, rows, ncols=None):
+        """Matrix from dense rows (sequences of equal length)."""
+        rows = [tuple(r) for r in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged rows")
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "ncols", ncols)
+        _set_rows(self, tuple([_sparse_row(r) for r in rows]))
+        _set_nrows(self, len(rows))
+        _set_ncols(self, ncols)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
@@ -48,11 +122,25 @@ class RationalMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_sparse(cls, rows, ncols):
+        """Matrix from rows of (column, value) pairs in any order.
+
+        Pairs at the same column of a row add up, and zero entries are
+        dropped.  Raises ValueError on a column outside range(ncols).
+        """
+        out = []
+        for row in rows:
+            row = _collect([(j, _norm(x)) for j, x in row if x])
+            if row and (row[0][0] < 0 or row[-1][0] >= ncols):
+                raise ValueError(f"column index out of range for {ncols} columns")
+            out.append(row)
+        return _make(tuple(out), len(out), ncols)
+
+    @classmethod
     def identity(cls, n):
         got = _IDENTITY_CACHE.get(n)
         if got is None:
-            got = cls(tuple(tuple(1 if i == j else 0 for j in range(n))
-                            for i in range(n)), n, _normalized=True)
+            got = _make(tuple(((i, 1),) for i in range(n)), n, n)
             _IDENTITY_CACHE[n] = got
         return got
 
@@ -60,7 +148,7 @@ class RationalMatrix:
     def zeros(cls, nrows, ncols):
         got = _ZEROS_CACHE.get((nrows, ncols))
         if got is None:
-            got = cls(tuple((0,) * ncols for _ in range(nrows)), ncols, _normalized=True)
+            got = _make(((),) * nrows, nrows, ncols)
             _ZEROS_CACHE[(nrows, ncols)] = got
         return got
 
@@ -69,7 +157,15 @@ class RationalMatrix:
         cols = list(cols)
         if cols:
             nrows = len(cols[0])
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows or 0)), len(cols))
+        nrows = nrows or 0
+        rows = [[] for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            if len(col) != nrows:
+                raise ValueError("ragged columns")
+            for i, x in enumerate(col):
+                if x:
+                    rows[i].append((j, _norm(x)))
+        return _make(tuple(map(tuple, rows)), nrows, len(cols))
 
     # -- basic structure ---------------------------------------------------
 
@@ -77,84 +173,98 @@ class RationalMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self):
+        """Dense view: a tuple of row tuples, built anew on each access."""
+        nc = self.ncols
+        out = []
+        for r in self.sparse_rows:
+            row = [0] * nc
+            for j, x in r:
+                row[j] = x
+            out.append(tuple(row))
+        return tuple(out)
+
     def __eq__(self, other):
-        return (isinstance(other, RationalMatrix) and self.shape == other.shape
-                and self.rows == other.rows)
+        return (isinstance(other, RationalMatrix) and self.nrows == other.nrows
+                and self.ncols == other.ncols and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.shape, self.rows))
+        return hash((self.nrows, self.ncols, self.sparse_rows))
 
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
     def is_zero(self):
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(self.sparse_rows)
 
     def is_square(self):
         return self.nrows == self.ncols
 
     def column(self, j):
-        return tuple(r[j] for r in self.rows)
+        if not 0 <= j < self.ncols:
+            raise IndexError("column index out of range")
+        return tuple(dict(r).get(j, 0) for r in self.sparse_rows)
+
+    def trace(self):
+        """Sum of the diagonal entries."""
+        return sum(x for i, r in enumerate(self.sparse_rows) for j, x in r if j == i)
 
     def transpose(self):
-        if not self.rows:   # 0 x c transposes to c x 0
-            return RationalMatrix(((),) * self.ncols, 0, _normalized=True)
-        return RationalMatrix(tuple(zip(*self.rows)), self.nrows, _normalized=True)
+        cols = [[] for _ in range(self.ncols)]
+        for i, r in enumerate(self.sparse_rows):
+            for j, x in r:
+                cols[j].append((i, x))
+        return _make(tuple(map(tuple, cols)), self.ncols, self.nrows)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in +")
-        return RationalMatrix(
-            tuple(tuple(_norm(a + b) for a, b in zip(r, s))
-                  for r, s in zip(self.rows, other.rows)),
-            self.ncols, _normalized=True)
+        return _make(tuple(map(_merge, self.sparse_rows, other.sparse_rows)),
+                     self.nrows, self.ncols)
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in -")
-        return RationalMatrix(
-            tuple(tuple(_norm(a - b) for a, b in zip(r, s))
-                  for r, s in zip(self.rows, other.rows)),
-            self.ncols, _normalized=True)
+        return _make(tuple([_merge(r, _neg_row(s))
+                            for r, s in zip(self.sparse_rows, other.sparse_rows)]),
+                     self.nrows, self.ncols)
 
     def __neg__(self):
-        return RationalMatrix(tuple(tuple(-a for a in r) for r in self.rows),
-                              self.ncols, _normalized=True)
+        return _make(tuple(map(_neg_row, self.sparse_rows)), self.nrows, self.ncols)
 
     def scale(self, c):
-        return RationalMatrix(tuple(tuple(_norm(c * a) for a in r) for r in self.rows), self.ncols)
+        c = _norm(c)
+        if not c:
+            return RationalMatrix.zeros(self.nrows, self.ncols)
+        return _make(tuple([tuple([(j, _norm(c * x)) for j, x in r]) for r in self.sparse_rows]),
+                     self.nrows, self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in @: {self.shape} x {other.shape}")
-        # zero-skipping row combination; fast for the sparse 0/1 matrices
-        # that pushforward/pullback maps produce
-        brows = other.rows
-        p = other.ncols
+        brows = other.sparse_rows
         out = []
-        for arow in self.rows:
-            acc = [0] * p
-            for k, a in enumerate(arow):
-                if a:
-                    brow = brows[k]
-                    if a == 1:
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] += b
-                    else:
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] += a * b
-            out.append(tuple(x if type(x) is int else _norm(x) for x in acc))
-        return RationalMatrix(tuple(out), p, _normalized=True)
+        for arow in self.sparse_rows:
+            if len(arow) == 1 and arow[0][1] == 1:
+                out.append(brows[arow[0][0]])
+                continue
+            pairs = []
+            for k, a in arow:
+                if a == 1:
+                    pairs += brows[k]
+                else:
+                    pairs += [(j, _norm(a * b)) for j, b in brows[k]]
+            out.append(_collect(pairs))
+        return _make(tuple(out), self.nrows, other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product (vec as a sequence)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(_norm(sum(a * v for a, v in zip(r, vec) if a and v)) for r in self.rows)
+        return tuple(_norm(sum(x * vec[j] for j, x in r)) for r in self.sparse_rows)
 
     # -- elimination -------------------------------------------------------
 
@@ -173,19 +283,26 @@ class RationalMatrix:
             if sel is None:
                 continue
             m[prow], m[sel] = m[sel], m[prow]
-            pv = m[prow][col]
+            pivot_row = m[prow]
+            pv = pivot_row[col]
             if pv != 1:
                 inv = Fraction(1, 1) / pv
-                m[prow] = [_norm(x * inv) for x in m[prow]]
+                for j in range(col, nc):
+                    if pivot_row[j]:
+                        pivot_row[j] = _norm(pivot_row[j] * inv)
+            nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
             for i in range(nr):
-                if i != prow and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [_norm(a - f * b) for a, b in zip(m[i], m[prow])]
+                row = m[i]
+                f = row[col]
+                if f and i != prow:
+                    for j, b in nonzero:
+                        row[j] = _norm(row[j] - f * b)
             pivots.append(col)
             prow += 1
             if prow == nr:
                 break
-        return RationalMatrix(tuple(tuple(r) for r in m), nc), tuple(pivots)
+        red = tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in m])
+        return _make(red, nr, nc), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -197,13 +314,12 @@ class RationalMatrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = RationalMatrix(
-            tuple(self.rows[i] + tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            2 * n)
+        aug = _make(tuple([r + ((n + i, 1),) for i, r in enumerate(self.sparse_rows)]),
+                    n, 2 * n)
         red, pivots = aug.rref()
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
             raise ValueError("matrix is singular")
-        return RationalMatrix(tuple(r[n:] for r in red.rows), n)
+        return _make(_right_block(red.sparse_rows, n), n, n)
 
     def solve(self, rhs):
         """Solve self @ X = rhs exactly; raises ValueError if inconsistent.
@@ -214,21 +330,31 @@ class RationalMatrix:
         if rhs.nrows != self.nrows:
             raise ValueError("rhs row count mismatch")
         nc = self.ncols
-        aug = RationalMatrix(
-            tuple(a + b for a, b in zip(self.rows, rhs.rows)), nc + rhs.ncols)
+        aug = _make(tuple([r + tuple([(nc + j, x) for j, x in s])
+                           for r, s in zip(self.sparse_rows, rhs.sparse_rows)]),
+                    self.nrows, nc + rhs.ncols)
         red, pivots = aug.rref()
         lead = [p for p in pivots if p < nc]
         if len(lead) != nc:
             raise ValueError("matrix does not have full column rank")
         if any(p >= nc for p in pivots):
             raise ValueError("inconsistent system")
-        sol = [[0] * rhs.ncols for _ in range(nc)]
-        for i, p in enumerate(lead):
-            sol[p] = list(red.rows[i][nc:])
-        return RationalMatrix(tuple(tuple(r) for r in sol), rhs.ncols)
+        # the pivots are exactly 0..nc-1, so row i of red solves for unknown i
+        return _make(_right_block(red.sparse_rows[:nc], nc), nc, rhs.ncols)
 
-    def kernel_dim(self):
-        return self.ncols - self.rank()
+
+_set_rows = RationalMatrix.sparse_rows.__set__
+_set_nrows = RationalMatrix.nrows.__set__
+_set_ncols = RationalMatrix.ncols.__set__
+
+
+def _make(sparse_rows, nrows, ncols):
+    """A matrix around rows already in canonical sparse form."""
+    mat = object.__new__(RationalMatrix)
+    _set_rows(mat, sparse_rows)
+    _set_nrows(mat, nrows)
+    _set_ncols(mat, ncols)
+    return mat
 
 
 class Span:

@@ -18,6 +18,10 @@ class PathDependenceError(RuntimeError):
     """Two covering chains between the same cells compose differently."""
 
 
+class OpenLoopError(RuntimeError):
+    """A cell path meant to be a loop ends away from its start."""
+
+
 class MixedBruhatSheaf:
     """Dimensions per cell plus covering matrices for both orders."""
 
@@ -400,15 +404,24 @@ def standard_loops(poset):
             continue
         seen_flats.add(flat)
         adj = [c for c in chambers if cx.face_leq(p, c)]
-        c, cp = adj[0], adj[1]
-        loop = [poset.xi_orbit(p, c).index,
-                poset.xi_orbit(c, c).index,
-                poset.xi_orbit(c, p).index,
-                poset.xi_orbit(c, cp).index,
-                poset.xi_orbit(p, cp).index]
-        assert loop[0] == loop[-1]
-        loops.append(loop)
+        loops.append(_wall_loop(poset, p, adj[0], adj[1]))
     return loops
+
+
+def _wall_loop(poset, p, c, cp):
+    """The cell path W(P,C) -> W(C,C) -> W(C,P) -> W(C,C') -> W(P,C').
+
+    It closes when C and C' are the chambers on the two sides of the wall
+    P; a path that does not close raises OpenLoopError.
+    """
+    loop = [poset.xi_orbit(p, c).index,
+            poset.xi_orbit(c, c).index,
+            poset.xi_orbit(c, p).index,
+            poset.xi_orbit(c, cp).index,
+            poset.xi_orbit(p, cp).index]
+    if loop[0] != loop[-1]:
+        raise OpenLoopError(f"path around wall {p!r} ends at cell {loop[-1]}, not {loop[0]}")
+    return loop
 
 
 # -- subobjects --------------------------------------------------------------------

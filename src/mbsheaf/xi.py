@@ -280,9 +280,6 @@ class XiPoset:
 
     # -- stratifications ----------------------------------------------------------
 
-    def flat_orbit(self, m):
-        return self.elements[m].flat
-
     def _classes_from_edges(self, edges):
         parent = list(range(len(self.elements)))
 

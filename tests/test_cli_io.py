@@ -1,6 +1,7 @@
 """CLI behavior, canonical formats, determinism, and round-trips."""
 
 import json
+import re
 
 import pytest
 
@@ -138,6 +139,45 @@ def test_cli_check_parse_error(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["check", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _drop_from(doc):
+    del doc["dprime"][0]["from"]
+
+
+def _int_from(doc):
+    doc["dsecond"][0]["from"] = 3
+
+
+def _drop_matrix(doc):
+    del doc["dsecond"][0]["matrix"]
+
+
+def _entry_not_object(doc):
+    doc["dprime"][0] = ["not", "an", "object"]
+
+
+def _bool_dim(doc):
+    doc["dims"][next(iter(doc["dims"]))] = True
+
+
+@pytest.mark.parametrize("corrupt,where", [
+    (_drop_from, r"\$\.dprime\[0\]: missing 'from'"),
+    (_int_from, r"\$\.dsecond\[0\]\.from: must be a cell id string"),
+    (_drop_matrix, r"\$\.dsecond\[0\]: missing 'matrix'"),
+    (_entry_not_object, r"\$\.dprime\[0\]: must be an object"),
+    (_bool_dim, r"\$\.dims\..*: must be a nonnegative integer"),
+], ids=["missing-from", "non-string-from", "missing-matrix", "entry-not-object", "bool-dim"])
+def test_cli_check_malformed_sheaf_exits_2(tmp_path, capsys, corrupt, where):
+    path = tmp_path / "e1_a1.json"
+    assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(where, err)
 
 
 def test_cli_poly_hecke_orbits(capsys):

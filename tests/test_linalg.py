@@ -84,6 +84,15 @@ def test_empty_shapes():
     assert RationalMatrix.identity(0).inverse().shape == (0, 0)
 
 
+def test_from_sparse_sums_repeats_and_checks_columns():
+    m = RationalMatrix.from_sparse([[(1, 1), (0, 2), (1, Fraction(1, 2)), (0, -2)], []], 2)
+    assert m.rows == ((0, Fraction(3, 2)), (0, 0))
+    assert m.sparse_rows == (((1, Fraction(3, 2)),), ())
+    for bad in ([[(2, 1)]], [[(-1, 1)]]):
+        with pytest.raises(ValueError):
+            RationalMatrix.from_sparse(bad, 2)
+
+
 def test_fraction_strings():
     assert fraction_to_str(Fraction(-3, 6)) == "-1/2"
     assert fraction_to_str(5) == "5/1"

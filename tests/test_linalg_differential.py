@@ -1,0 +1,225 @@
+"""The sparse RationalMatrix against the dense reference on random exact matrices.
+
+Every operation runs on the same inputs in both implementations and must
+give the same dense rows, the same entry types (an integer-valued Fraction
+is an int) and the same ValueError messages.  Inputs mix ints, Fractions
+and negatives, favour zeros, and include the empty shapes 0 x n and n x 0.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_reference import RationalMatrix as Dense
+from mbsheaf.linalg import RationalMatrix as Sparse
+
+EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+)
+sizes = st.integers(0, 5)
+
+
+def dense_rows(nrows, ncols):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    """(rows, ncols) of a random matrix; shapes drawn unless given."""
+    nrows = draw(sizes) if nrows is None else nrows
+    ncols = draw(sizes) if ncols is None else ncols
+    return draw(dense_rows(nrows, ncols)), ncols
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices, half of them made invertible by a dominant diagonal."""
+    n = draw(sizes)
+    rows, _ = draw(matrices(n, n))
+    if draw(st.booleans()):
+        rows = [[x if i != j else 1 + sum(abs(y) for y in row) for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return rows, n
+
+
+def both(m):
+    rows, ncols = m
+    return Sparse(rows, ncols), Dense(rows, ncols)
+
+
+def check_canonical(s):
+    """The sparse storage invariants: sorted columns, no zeros, shared empty rows."""
+    assert len(s.sparse_rows) == s.nrows
+    for row in s.sparse_rows:
+        if not row:
+            assert row is tuple()  # the one shared empty tuple
+        cols = [j for j, _x in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= j < s.ncols for j in cols)
+        for _j, x in row:
+            assert x != 0
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def same(s, d):
+    check_canonical(s)
+    assert s.shape == d.shape
+    assert s.rows == d.rows
+    assert [[type(x) for x in r] for r in s.rows] == [[type(x) for x in r] for r in d.rows]
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        same(got[1], want[1])
+
+
+@st.composite
+def products(draw):
+    n, k, p = draw(sizes), draw(sizes), draw(sizes)
+    return draw(matrices(n, k)), draw(matrices(k, p))
+
+
+@st.composite
+def same_shape_pairs(draw):
+    a = draw(matrices())
+    nrows, ncols = len(a[0]), a[1]
+    b = draw(st.one_of(st.just(a), matrices(nrows, ncols)))
+    return a, b
+
+
+@EXAMPLES
+@given(matrices())
+def test_construction_and_rows(m):
+    s, d = both(m)
+    same(s, d)
+
+
+@EXAMPLES
+@given(matrices())
+def test_from_sparse_splits_and_shuffles(m):
+    rows, ncols = m
+    sparse = []
+    for i, row in enumerate(rows):
+        pairs = []
+        for j, x in enumerate(row):
+            if x:
+                part = Fraction(i + j + 1, 3)
+                pairs += [(j, x - part), (j, part)]
+        sparse.append(pairs[::-1])
+    same(Sparse.from_sparse(sparse, ncols), Dense(rows, ncols))
+
+
+@EXAMPLES
+@given(matrices())
+def test_from_columns(m):
+    rows, ncols = m
+    cols = [tuple(r[j] for r in rows) for j in range(ncols)]
+    same(Sparse.from_columns(cols, len(rows)), Dense.from_columns(cols, len(rows)))
+
+
+@EXAMPLES
+@given(products())
+def test_matmul(pair):
+    (sa, da), (sb, db) = both(pair[0]), both(pair[1])
+    same(sa @ sb, da @ db)
+
+
+@EXAMPLES
+@given(same_shape_pairs())
+def test_add_sub(pair):
+    (sa, da), (sb, db) = both(pair[0]), both(pair[1])
+    same(sa + sb, da + db)
+    same(sa - sb, da - db)
+
+
+@EXAMPLES
+@given(matrices(), entries)
+def test_neg_and_scale(m, c):
+    s, d = both(m)
+    same(-s, -d)
+    same(s.scale(c), d.scale(c))
+
+
+@EXAMPLES
+@given(matrices())
+def test_transpose_and_column(m):
+    s, d = both(m)
+    same(s.transpose(), d.transpose())
+    for j in range(s.ncols):
+        assert s.column(j) == d.column(j)
+
+
+@EXAMPLES
+@given(matrices().flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    entries, min_size=m[1], max_size=m[1]))))
+def test_apply(args):
+    m, vec = args
+    s, d = both(m)
+    got, want = s.apply(vec), d.apply(vec)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@EXAMPLES
+@given(same_shape_pairs(), matrices())
+def test_eq_and_hash(pair, other):
+    (sa, da), (sb, db) = both(pair[0]), both(pair[1])
+    so, do = both(other)
+    assert (sa == sb) == (da == db)
+    assert (sa == so) == (da == do)
+    if sa == sb:
+        assert hash(sa) == hash(sb)
+    assert sa.is_zero() == da.is_zero()
+
+
+@EXAMPLES
+@given(matrices())
+def test_rref_and_rank(m):
+    s, d = both(m)
+    (sred, spiv), (dred, dpiv) = s.rref(), d.rref()
+    same(sred, dred)
+    assert spiv == dpiv
+    assert s.rank() == d.rank()
+
+
+@EXAMPLES
+@given(square_matrices())
+def test_inverse(m):
+    s, d = both(m)
+    same_outcome(outcome(Sparse.inverse, s), outcome(Dense.inverse, d))
+    assert s.is_invertible() == d.is_invertible()
+
+
+@st.composite
+def systems(draw):
+    """(a, rhs) with rhs = a @ x half of the time, so that many systems are consistent."""
+    n, k, p = draw(sizes), draw(sizes), draw(sizes)
+    a = draw(matrices(n, k))
+    if draw(st.booleans()):
+        x = draw(matrices(k, p))
+        rhs = Dense(*a) @ Dense(*x)
+        return a, (rhs.rows, p)
+    return a, draw(matrices(n, p))
+
+
+@EXAMPLES
+@given(systems())
+def test_solve(system):
+    (sa, da), (sr, dr) = both(system[0]), both(system[1])
+    same_outcome(outcome(Sparse.solve, sa, sr), outcome(Dense.solve, da, dr))

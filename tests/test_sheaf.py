@@ -6,8 +6,8 @@ from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import (
-    bicube, check_mbs, compose_prime, compose_second, dual, generated_sub,
-    is_simple, monodromy, phi_psi, standard_loops, transport,
+    OpenLoopError, _wall_loop, bicube, check_mbs, compose_prime, compose_second, dual,
+    generated_sub, is_simple, monodromy, phi_psi, standard_loops, transport,
 )
 from mbsheaf.xi import enumerate_xi
 
@@ -173,6 +173,18 @@ def test_a1_loop_monodromy_is_swap(xi_a1, e1_a1):
     swap = RationalMatrix(((0, 1), (1, 0)))
     assert mono == swap or mono == swap.scale(-1)
     assert mono == swap
+
+
+def test_wall_loop_raises_when_open(xi_a2):
+    cx = xi_a2.complex
+    wall = next(f for f in cx.faces if cx.face_dim(f) == 1)
+    chambers = [f for f in cx.faces if f.type_I == ()]
+    c, cp = [ch for ch in chambers if cx.face_leq(wall, ch)]
+    far = next(ch for ch in chambers if not cx.face_leq(wall, ch))
+    loop = _wall_loop(xi_a2, wall, c, cp)
+    assert loop[0] == loop[-1]
+    with pytest.raises(OpenLoopError):
+        _wall_loop(xi_a2, wall, c, far)
 
 
 def test_transport_rejects_bad_paths(xi_a1, e1_a1):
