@@ -13,11 +13,14 @@ from .cousin import (
     SignConventionError, constructibility_check, coperversity_check, support_check,
 )
 from .f1 import build_e1, build_e1v, rep_catalog
-from .fq import ResourceError, b_invariant_sub, build_eq, hecke_generators, orbit_point_checks
+from .fq import (
+    FibrewiseConstancyError, ResourceError, b_invariant_sub, build_eq, hecke_generators,
+    orbit_point_checks,
+)
 from .io import ParseError, check_dump, dumps, loads, mbs_from_json, mbs_to_json, poly_dump, xi_dump
 from .linalg import RationalMatrix
-from .orbitpoly import orbit_poly, property_suite, validate_counts
-from .sheaf import check_mbs
+from .orbitpoly import HorVerMismatchError, orbit_poly, property_suite, validate_counts
+from .sheaf import PathDependenceError, check_mbs
 from .xi import enumerate_xi
 
 
@@ -199,7 +202,8 @@ def main(argv=None):
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SignConventionError as exc:
+    except (SignConventionError, FibrewiseConstancyError, PathDependenceError,
+            HorVerMismatchError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -1,30 +1,38 @@
 """Type-A geometry over a prime field: flags, relative position, and E_q.
 
-Flags are chains of row-echelon subspaces of F_p^n; the relative position
-of two flags is the contingency matrix of graded intersection dimensions,
-which matches the orbit labels of the 2-sided complex for the type A datum
-of rank n-1.  E_q carries functions on the flag space of the horizontal
-reading of each cell; pullback maps come from flag coarsening, pushforward
-maps are computed on orbit points and factored back through the reading,
-verifying on the way that pushforwards of pulled-back functions stay pulled
-back.
+Every subspace of F_p^n is indexed once, and meet, join and dimension are
+tabulated by index (``mbsheaf.subspaces``); a flag is a chain of subspaces
+and also the tuple of their indices.  The relative position of two flags
+is the contingency matrix of graded intersection dimensions, which matches
+the orbit labels of the 2-sided complex for the type A datum of rank n-1.
+Relative position, the Hor-reading refinement, flag coarsening and the
+Borel action are all table lookups; no elimination runs per flag pair.
+E_q carries functions on the flag space of the horizontal reading of each
+cell; pullback maps come from flag coarsening, pushforward maps are
+computed on orbit points and factored back through the reading, verifying
+on the way that pushforwards of pulled-back functions stay pulled back.
+E_q(4, 2), total dimension 69,561, builds without the ``allow_large`` gate:
+4.9 s at 179 MB peak RSS (one run, 2-vCPU VM, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .coxeter import UnsupportedTypeError, build_coxeter
 from .linalg import RationalMatrix
 from .sheaf import MixedBruhatSheaf
+from .subspaces import (  # noqa: F401  (rref_fp, in_span_fp, nullspace_fp re-exported)
+    ResourceError, Subspace, SubspaceLattice, in_span_fp, nullspace_fp, rref_fp,
+)
 from .xi import enumerate_xi
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-class ResourceError(RuntimeError):
-    """Enumeration would exceed the configured size guard."""
+class FibrewiseConstancyError(RuntimeError):
+    """A pushforward of a pulled-back function is not pulled back."""
 
 
 class FqField:
@@ -39,80 +47,6 @@ class FqField:
 
     def __repr__(self):
         return f"FqField({self.p})"
-
-
-# -- F_p row-space arithmetic ---------------------------------------------------
-
-def rref_fp(rows, p):
-    """Reduced row echelon form over F_p; returns the tuple of nonzero rows."""
-    m = [list(r) for r in rows]
-    if not m:
-        return ()
-    ncols = len(m[0])
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(prow, len(m)):
-            if m[i][col] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[prow], m[sel] = m[sel], m[prow]
-        inv = pow(m[prow][col], p - 2, p)
-        m[prow] = [(x * inv) % p for x in m[prow]]
-        for i in range(len(m)):
-            if i != prow and m[i][col] % p:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[prow])]
-        prow += 1
-        if prow == len(m):
-            break
-    return tuple(tuple(r) for r in m[:prow] if any(r))
-
-
-def in_span_fp(vec, echelon, p):
-    v = list(vec)
-    for row in echelon:
-        piv = next(j for j, x in enumerate(row) if x)
-        if v[piv]:
-            f = v[piv]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return not any(v)
-
-
-def nullspace_fp(rows, p, ncols):
-    """Basis of the right kernel of the matrix over F_p."""
-    ech = rref_fp(rows, p)
-    pivots = [next(j for j, x in enumerate(r) if x) for r in ech]
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, piv in zip(ech, pivots):
-            v[piv] = (-row[f]) % p
-        basis.append(tuple(v))
-    return basis
-
-
-class Subspace:
-    """Row space in canonical reduced echelon form."""
-
-    __slots__ = ("echelon", "dim")
-
-    def __init__(self, echelon):
-        self.echelon = echelon
-        self.dim = len(echelon)
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and self.echelon == other.echelon
-
-    def __hash__(self):
-        return hash(self.echelon)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim})"
 
 
 class Flag:
@@ -183,8 +117,34 @@ def composition_of_subset(members, n):
     return tuple(parts)
 
 
+def _entries(dims, width):
+    """Contingency entries from the row-major table of dim(V_i cap W_j)."""
+    rows = []
+    above = (0,) * (width + 1)
+    for i in range(0, len(dims), width):
+        here = (0,) + dims[i:i + width]
+        rows.append(tuple([here[j] - above[j] - here[j - 1] + above[j - 1]
+                           for j in range(1, width + 1)]))
+        above = here
+    return tuple(rows)
+
+
 class FqContext:
-    """Cached flag enumeration and orbit tables for one (n, q)."""
+    """Flags of F_q^n for one (n, q), computed on the lattice of its subspaces.
+
+    ``lattice`` (built on first use) indexes every subspace of F_q^n once
+    and tabulates meet, join and dimension by index.  ``chains(comp)`` gives
+    each flag of ``flags(comp)`` as the tuple of its subspace indices, in
+    the same order, and ``chain_index(comp)`` inverts it.  On chains,
+    relative position is dimension lookups of ``meet[x][y]``, the
+    Hor-reading refinement is ``join[base][meet[x][y]]`` steps, coarsening
+    keeps the indices at the coarser type's dimensions, and a matrix acts
+    through a table from subspace index to subspace index; no elimination
+    runs per flag or flag pair.  The Flag-level methods wrap these.  At
+    (n, q) = (4, 2) the lattice has 67 subspaces, and ``build_eq(4, 2)``
+    runs without ``allow_large`` in 4.9 s at 179 MB peak RSS (one run,
+    2-vCPU VM, Python 3.11.7).
+    """
 
     def __init__(self, n, q, max_flags=10 ** 6):
         if n > 4:
@@ -193,54 +153,41 @@ class FqContext:
         self.field = FqField(q)
         self.q = q
         self.max_flags = max_flags
-        self._subspaces = {}
         self._flags = {}
         self._flag_index = {}
+        self._chains = {}
+        self._chain_index = {}
+        self._projections = {}
         self._buckets = {}
+
+    @cached_property
+    def lattice(self):
+        return SubspaceLattice(self.n, self.q)
 
     # -- enumeration ---------------------------------------------------------
 
     def subspaces(self, d):
-        got = self._subspaces.get(d)
-        if got is None:
-            n, p = self.n, self.q
-            out = []
-            for pivots in itertools.combinations(range(n), d):
-                free_pos = [(i, j) for i in range(d) for j in range(n)
-                            if j > pivots[i] and j not in pivots]
-                for values in itertools.product(range(p), repeat=len(free_pos)):
-                    rows = [[0] * n for _ in range(d)]
-                    for i, piv in enumerate(pivots):
-                        rows[i][piv] = 1
-                    for (i, j), v in zip(free_pos, values):
-                        rows[i][j] = v
-                    out.append(Subspace(tuple(tuple(r) for r in rows)))
-            out.sort(key=lambda s: s.echelon)
-            got = tuple(out)
-            self._subspaces[d] = got
-        return got
+        lat = self.lattice
+        return lat.spaces[lat.start[d]:lat.start[d + 1]]
 
     def flags(self, composition):
         got = self._flags.get(composition)
         if got is None:
             if sum(composition) != self.n or any(c <= 0 for c in composition):
                 raise ValueError(f"{composition} is not a composition of {self.n}")
+            lat = self.lattice
             chains = [()]
-            dim = 0
-            for part in composition:
-                dim += part
-                bigger = self.subspaces(dim)
+            for dim in itertools.accumulate(composition):
                 new = []
                 for chain in chains:
-                    for s in bigger:
-                        if chain and not all(in_span_fp(v, s.echelon, self.q)
-                                             for v in chain[-1].echelon):
+                    for s in range(lat.start[dim], lat.start[dim + 1]):
+                        if chain and lat.meet[chain[-1]][s] != chain[-1]:
                             continue
                         new.append(chain + (s,))
                         if len(new) > self.max_flags:
                             raise ResourceError("flag enumeration guard exceeded")
                 chains = new
-            got = tuple(Flag(c) for c in chains)
+            got = tuple(self.flag_of(c) for c in chains)
             self._flags[composition] = got
             self._flag_index[composition] = {f: i for i, f in enumerate(got)}
         return got
@@ -249,75 +196,82 @@ class FqContext:
         self.flags(composition)
         return self._flag_index[composition]
 
-    # -- relative position ------------------------------------------------------
+    def chains(self, composition):
+        """The flags of flags(composition), in its order, as subspace-index tuples."""
+        got = self._chains.get(composition)
+        if got is None:
+            got = tuple(self.chain_of(f) for f in self.flags(composition))
+            self._chains[composition] = got
+            self._chain_index[composition] = {c: i for i, c in enumerate(got)}
+        return got
 
-    def intersection_dim(self, a, b):
-        return a.dim + b.dim - len(rref_fp(a.echelon + b.echelon, self.q))
+    def chain_index(self, composition):
+        self.chains(composition)
+        return self._chain_index[composition]
+
+    def chain_of(self, flag):
+        index = self.lattice.index
+        return tuple(index[s] for s in flag.chain)
+
+    def flag_of(self, chain):
+        spaces = self.lattice.spaces
+        return Flag(tuple(spaces[x] for x in chain))
+
+    # -- the algorithms, on chains of subspace indices ---------------------------
+
+    def refine(self, x, y):
+        """The Hor-reading chain: V_{i-1} + (V_i cap V'_j) in row-major order."""
+        meet, join, dim = self.lattice.meet, self.lattice.join, self.lattice.dim
+        out = []
+        top = 0
+        prev = 0
+        for xi in x:
+            base = prev
+            row = meet[xi]
+            for yj in y:
+                base = join[base][row[yj]]
+                if dim[base] > top:
+                    out.append(base)
+                    top = dim[base]
+            prev = xi
+        return tuple(out)
+
+    def coarsen(self, chain, dst_composition):
+        """Keep the subspaces at the cumulative dimensions of the coarser type."""
+        dim = self.lattice.dim
+        by_dim = {dim[s]: s for s in chain}
+        return tuple(by_dim[c] for c in itertools.accumulate(dst_composition))
+
+    def projection(self, src, dst):
+        """Position in flags(src) -> position of its coarsening in flags(dst)."""
+        key = (src, dst)
+        got = self._projections.get(key)
+        if got is None:
+            index = self.chain_index(dst)
+            got = tuple(index[self.coarsen(c, dst)] for c in self.chains(src))
+            self._projections[key] = got
+        return got
+
+    # -- Flag-level wrappers ---------------------------------------------------------
 
     def relative_position(self, f, g):
         """Contingency matrix of graded intersections; rows follow the first flag."""
-        dims = {}
-        for i in range(len(f.chain) + 1):
-            for j in range(len(g.chain) + 1):
-                if i == 0 or j == 0:
-                    dims[(i, j)] = 0
-                else:
-                    dims[(i, j)] = self.intersection_dim(f.chain[i - 1], g.chain[j - 1])
-        rows = []
-        for i in range(1, len(f.chain) + 1):
-            rows.append(tuple(dims[(i, j)] - dims[(i - 1, j)] - dims[(i, j - 1)]
-                              + dims[(i - 1, j - 1)]
-                              for j in range(1, len(g.chain) + 1)))
-        return ContingencyMatrix(rows)
-
-    def intersection_basis(self, a, b):
-        """Echelon basis of the intersection of two row spaces."""
-        reduced = []
-        for v in a.echelon:
-            w = list(v)
-            for row in b.echelon:
-                piv = next(j for j, x in enumerate(row) if x)
-                if w[piv]:
-                    fac = w[piv]
-                    w = [(x - fac * y) % self.q for x, y in zip(w, row)]
-            reduced.append(tuple(w))
-        combos = nullspace_fp(tuple(zip(*reduced)), self.q, len(a.echelon))
-        vecs = []
-        for lam in combos:
-            v = [0] * self.n
-            for c, row in zip(lam, a.echelon):
-                if c:
-                    v = [(x + c * y) % self.q for x, y in zip(v, row)]
-            vecs.append(tuple(v))
-        return rref_fp(vecs, self.q)
+        meet_dim = self.lattice.meet_dim
+        x, y = self.chain_of(f), self.chain_of(g)
+        return ContingencyMatrix(_entries(tuple([meet_dim[a][b] for a in x for b in y]), len(y)))
 
     def refinement_flag(self, f, g):
         """The Hor-reading flag: V_{i-1} + (V_i cap V'_j) in row-major order."""
-        chain = []
-        prev_rows = ()
-        prev_dim = 0
-        for i in range(1, len(f.chain) + 1):
-            vi = f.chain[i - 1]
-            base = prev_rows
-            for j in range(1, len(g.chain) + 1):
-                inter = self.intersection_basis(vi, g.chain[j - 1])
-                rows = rref_fp(base + inter, self.q)
-                if len(rows) > prev_dim:
-                    chain.append(Subspace(rows))
-                    prev_dim = len(rows)
-                base = rows
-            prev_rows = f.chain[i - 1].echelon
-        return Flag(chain)
+        return self.flag_of(self.refine(self.chain_of(f), self.chain_of(g)))
 
     def coarsen_flag(self, flag, dst_composition):
         """Keep the subspaces at the cumulative dimensions of the coarser type."""
-        cums = []
-        acc = 0
-        for part in dst_composition:
-            acc += part
-            cums.append(acc)
-        by_dim = {s.dim: s for s in flag.chain}
-        return Flag(tuple(by_dim[c] for c in cums))
+        return self.flag_of(self.coarsen(self.chain_of(flag), dst_composition))
+
+    def act_flag(self, g, flag):
+        """The image of a flag under the invertible matrix g."""
+        table = self.lattice.image_table(g)
+        return self.flag_of(tuple(table[x] for x in self.chain_of(flag)))
 
     # -- orbits --------------------------------------------------------------------
 
@@ -326,14 +280,21 @@ class FqContext:
         key = (comp_i, comp_j)
         got = self._buckets.get(key)
         if got is None:
-            fi = self.flags(comp_i)
-            fj = self.flags(comp_j)
+            xs, ys = self.chains(comp_i), self.chains(comp_j)
+            meet_dim = self.lattice.meet_dim
+            # bucket by the graded intersection dimensions, which determine
+            # the relative position; convert each distinct key once
             buckets = {}
-            for a, f in enumerate(fi):
-                for b, g in enumerate(fj):
-                    buckets.setdefault(self.relative_position(f, g).entries,
-                                       []).append((a, b))
-            got = {k: tuple(v) for k, v in buckets.items()}
+            for a, x in enumerate(xs):
+                rows = [meet_dim[xi] for xi in x]
+                for b, y in enumerate(ys):
+                    dims = tuple([r[yj] for r in rows for yj in y])
+                    bucket = buckets.get(dims)
+                    if bucket is None:
+                        buckets[dims] = [(a, b)]
+                    else:
+                        bucket.append((a, b))
+            got = {_entries(k, len(comp_j)): tuple(v) for k, v in buckets.items()}
             self._buckets[key] = got
         return got
 
@@ -478,64 +439,62 @@ class PointCheckReport:
         return "PASS" if self.ok else f"FAIL ({len(self.failures)} of {self.checked})"
 
 
+def _cell_compositions(poset, n):
+    """Per cell: the compositions of its two face types and of its Hor reading."""
+    return [(composition_of_subset(set(e.typeIJ[0]), n),
+             composition_of_subset(set(e.typeIJ[1]), n),
+             composition_of_subset(set(e.hor), n)) for e in poset.elements]
+
+
 def build_eq(n, q, poset=None, allow_large=False, ctx=None):
-    """The function sheaf on F_q-points of the type A orbit diagram."""
+    """The function sheaf on F_q-points of the type A orbit diagram.
+
+    Sizes up to (4, 2) build without ``allow_large``: E_q(4, 2) has total
+    dimension 69,561.  Raises FibrewiseConstancyError if a pushforward of a
+    pulled-back function is not pulled back.
+    """
     if q not in (2, 3):
         raise UnsupportedTypeError("build_eq supports q in {2, 3}")
-    if n > 3 and not allow_large:
-        raise ResourceError("n = 4 is gated behind allow_large=True")
+    if (n > 4 or (n == 4 and q > 2)) and not allow_large:
+        raise ResourceError(f"E_q({n}, {q}) is gated behind allow_large=True")
     if poset is None:
         poset = enumerate_xi(build_coxeter("A", n - 1))
     if ctx is None:
         ctx = FqContext(n, q)
     nelem = len(poset.elements)
+    comps = _cell_compositions(poset, n)
     orbit_tables = []
-    hor_comps = []
     hor_maps = []
     embeddings = []
     dims = []
     point_index = []
+    refine = ctx.refine
     for m in range(nelem):
-        e = poset.elements[m]
+        comp_i, comp_j, hor_comp = comps[m]
         points = ctx.orbit_points(poset, m)
-        comp_i = composition_of_subset(set(e.typeIJ[0]), n)
-        comp_j = composition_of_subset(set(e.typeIJ[1]), n)
-        hor_comp = composition_of_subset(set(e.hor), n)
-        fi = ctx.flags(comp_i)
-        fj = ctx.flags(comp_j)
-        hindex = ctx.flag_index(hor_comp)
-        hmap = []
-        for (a, b) in points:
-            refined = ctx.refinement_flag(fi[a], fj[b])
-            hmap.append(hindex[refined])    # lands in F_Hor: exact type check
+        xs, ys = ctx.chains(comp_i), ctx.chains(comp_j)
+        hindex = ctx.chain_index(hor_comp)
+        hmap = tuple(hindex[refine(xs[a], ys[b])]    # lands in F_Hor: exact type check
+                     for a, b in points)
         orbit_tables.append(points)
-        hor_comps.append(hor_comp)
-        hor_maps.append(tuple(hmap))
+        hor_maps.append(hmap)
         dims.append(len(ctx.flags(hor_comp)))
         point_index.append({p: k for k, p in enumerate(points)})
         embeddings.append(RationalMatrix.from_sparse([((x, 1),) for x in hmap], dims[m]))
     dprime = {}
     dsecond = {}
     for m in range(nelem):
-        em = poset.elements[m]
-        comp_i_m = composition_of_subset(set(em.typeIJ[0]), n)
         for _s, nn in poset.cov_second[m]:
             # pullback along the flag coarsening of the readings
-            hm, hn = hor_comps[m], hor_comps[nn]
-            hn_index = ctx.flag_index(hn)
-            rows = [((hn_index[ctx.coarsen_flag(flag, hn)], 1),) for flag in ctx.flags(hm)]
-            dsecond[(m, nn)] = RationalMatrix.from_sparse(rows, dims[nn])
+            proj = ctx.projection(comps[m][2], comps[nn][2])
+            dsecond[(m, nn)] = RationalMatrix.from_sparse([((y, 1),) for y in proj], dims[nn])
         for _s, nn in poset.cov_prime[m]:
-            en = poset.elements[nn]
-            comp_i_n = composition_of_subset(set(en.typeIJ[0]), n)
-            fi_n_index = ctx.flag_index(comp_i_n)
-            fi_m = ctx.flags(comp_i_m)
+            proj = ctx.projection(comps[m][0], comps[nn][0])
+            targets = point_index[nn]
             # acc[o][x]: how many points of m over target point o read x
             acc = [{} for _ in orbit_tables[nn]]
-            for k, (a, b) in enumerate(orbit_tables[m]):
-                target = (fi_n_index[ctx.coarsen_flag(fi_m[a], comp_i_n)], b)
-                counts = acc[point_index[nn][target]]
-                x = hor_maps[m][k]
+            for (a, b), x in zip(orbit_tables[m], hor_maps[m]):
+                counts = acc[targets[(proj[a], b)]]
                 counts[x] = counts.get(x, 0) + 1
             # factor through the reading of the target: fiberwise constancy
             rows = [None] * dims[nn]
@@ -544,12 +503,16 @@ def build_eq(n, q, poset=None, allow_large=False, ctx=None):
                 if rows[y] is None:
                     rows[y] = counts
                 elif rows[y] != counts:
-                    raise AssertionError(
-                        "pushforward of a pulled-back function is not pulled back")
+                    from .io import xi_id    # io stays out of `import mbsheaf`
+                    raise FibrewiseConstancyError(
+                        f"pushforward {xi_id(poset, m)} -> {xi_id(poset, nn)} of a "
+                        f"pulled-back function is not pulled back: two points of "
+                        f"{xi_id(poset, nn)} reading flag {y} receive the reading counts "
+                        f"{sorted(rows[y].items())} and {sorted(counts.items())}")
             dprime[(m, nn)] = RationalMatrix.from_sparse(
                 [r.items() if r is not None else () for r in rows], dims[m])
     return FqMBS(poset, dims, dprime, dsecond, ctx, tuple(orbit_tables),
-                 tuple(hor_comps), tuple(hor_maps), tuple(embeddings))
+                 tuple(c[2] for c in comps), tuple(hor_maps), tuple(embeddings))
 
 
 # -- Hecke generators ---------------------------------------------------------------
@@ -560,17 +523,15 @@ def hecke_generators(n, q):
         raise UnsupportedTypeError("hecke_generators supports n <= 4, q in {2, 3}")
     ctx = FqContext(n, q)
     full = (1,) * n
-    flags = ctx.flags(full)
+    size = len(ctx.flags(full))
     out = []
     for alpha in range(n - 1):
-        comp = composition_of_subset({alpha}, n)
-        cindex = ctx.flag_index(comp)
-        images = [cindex[ctx.coarsen_flag(f, comp)] for f in flags]
+        images = ctx.projection(full, composition_of_subset({alpha}, n))
         fibres = {}
         for y, image in enumerate(images):
             fibres.setdefault(image, []).append(y)
-        rows = [[(y, 1) for y in fibres[images[x]] if y != x] for x in range(len(flags))]
-        out.append(RationalMatrix.from_sparse(rows, len(flags)))
+        rows = [[(y, 1) for y in fibres[images[x]] if y != x] for x in range(size)]
+        out.append(RationalMatrix.from_sparse(rows, size))
     return out
 
 
@@ -591,39 +552,25 @@ def _borel_generators(n, p):
     return gens
 
 
-def act_flag(g, flag, p):
-    chain = []
-    for s in flag.chain:
-        rows = [tuple(sum(g[i][k] * v[k] for k in range(len(v))) % p
-                      for i in range(len(v)))
-                for v in s.echelon]
-        chain.append(Subspace(rref_fp(rows, p)))
-    return Flag(chain)
-
-
 def borel_orbits(ctx, composition):
     """Partition of the flag list into orbits of the standard Borel subgroup."""
-    flags = ctx.flags(composition)
-    index = ctx.flag_index(composition)
-    gens = _borel_generators(ctx.n, ctx.q)
-    seen = [False] * len(flags)
+    chains = ctx.chains(composition)
+    index = ctx.chain_index(composition)
+    tables = [ctx.lattice.image_table(g) for g in _borel_generators(ctx.n, ctx.q)]
+    moves = [[index[tuple(t[x] for x in c)] for c in chains] for t in tables]
+    seen = [False] * len(chains)
     orbits = []
-    for start in range(len(flags)):
+    for start in range(len(chains)):
         if seen[start]:
             continue
-        orbit = {start}
-        frontier = [start]
+        orbit = [start]
         seen[start] = True
-        while frontier:
-            new = []
-            for k in frontier:
-                for g in gens:
-                    img = index[act_flag(g, flags[k], ctx.q)]
-                    if not seen[img]:
-                        seen[img] = True
-                        orbit.add(img)
-                        new.append(img)
-            frontier = new
+        for k in orbit:
+            for move in moves:
+                img = move[k]
+                if not seen[img]:
+                    seen[img] = True
+                    orbit.append(img)
         orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
 
@@ -631,15 +578,16 @@ def borel_orbits(ctx, composition):
 def b_invariant_sub(E):
     """The subsheaf of Borel-invariant functions on each reading's flag space."""
     poset = E.poset
-    ctx = E.ctx
+    orbits_of = {c: borel_orbits(E.ctx, c) for c in set(E.hor_compositions)}
     bases = []
     dims = []
     for m in range(len(poset.elements)):
-        orbits = borel_orbits(ctx, E.hor_compositions[m])
-        cols = []
-        for orbit in orbits:
-            cols.append(tuple(1 if x in orbit else 0 for x in range(E.dims[m])))
-        bases.append(RationalMatrix.from_columns(cols, E.dims[m]))
+        orbits = orbits_of[E.hor_compositions[m]]
+        rows = [None] * E.dims[m]
+        for o, orbit in enumerate(orbits):
+            for x in orbit:
+                rows[x] = ((o, 1),)
+        bases.append(RationalMatrix.from_sparse(rows, len(orbits)))
         dims.append(len(orbits))
     dprime = {}
     dsecond = {}
@@ -662,24 +610,16 @@ def orbit_point_checks(n, q, poset=None):
     if poset is None:
         poset = enumerate_xi(build_coxeter("A", n - 1))
     ctx = FqContext(n, q)
+    comps = _cell_compositions(poset, n)
     failures = []
     checked = 0
     points = [ctx.orbit_points(poset, m) for m in range(len(poset.elements))]
     pindex = [{p: k for k, p in enumerate(pts)} for pts in points]
 
     def point_map(m, nn):
-        em, en = poset.elements[m], poset.elements[nn]
-        ci = composition_of_subset(set(em.typeIJ[0]), n)
-        cj = composition_of_subset(set(em.typeIJ[1]), n)
-        ti = composition_of_subset(set(en.typeIJ[0]), n)
-        tj = composition_of_subset(set(en.typeIJ[1]), n)
-        fi, fj = ctx.flags(ci), ctx.flags(cj)
-        idx_i, idx_j = ctx.flag_index(ti), ctx.flag_index(tj)
-        out = []
-        for (a, b) in points[m]:
-            out.append(pindex[nn][(idx_i[ctx.coarsen_flag(fi[a], ti)],
-                                   idx_j[ctx.coarsen_flag(fj[b], tj)])])
-        return out
+        proj_i = ctx.projection(comps[m][0], comps[nn][0])
+        proj_j = ctx.projection(comps[m][1], comps[nn][1])
+        return [pindex[nn][(proj_i[a], proj_j[b])] for a, b in points[m]]
 
     from .sheaf import _prime_ups, _second_ups
     pups = _prime_ups(poset)

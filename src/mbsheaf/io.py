@@ -2,8 +2,10 @@
 
 Every emitter builds plain dicts in a fixed key and entry order, so
 serializing twice gives byte-identical output and parse/emit round-trips
-are the identity on bytes.  Rationals travel as "num/den" strings with a
-positive denominator.
+are the identity on bytes.  Rationals travel as "num/den" strings in
+lowest terms with a positive denominator.  The parser accepts nothing
+else: a rational in any other spelling, or two covering matrices for the
+same pair of cells, is a ParseError naming its JSON path.
 """
 
 from __future__ import annotations
@@ -81,16 +83,28 @@ def matrix_to_json(mat):
 
 
 def matrix_from_json(rows, nrows, ncols, path):
+    """Parse a matrix of canonical "num/den" strings.
+
+    Only the form fraction_to_str emits is accepted (lowest terms, positive
+    denominator, no sign, space or underscore beyond a leading minus), so
+    every accepted file emits back byte for byte.
+    """
     if (not isinstance(rows, list) or len(rows) != nrows
             or any(not isinstance(r, list) or len(r) != ncols for r in rows)):
         raise ParseError(f"{path}: matrix shape must be {nrows}x{ncols}")
     if not all(isinstance(x, str) for row in rows for x in row):
         raise ParseError(f"{path}: matrix entries must be \"num/den\" strings")
-    try:
-        return RationalMatrix.from_sparse(
-            [[(j, fraction_from_str(x)) for j, x in enumerate(row)] for row in rows], ncols)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: bad rational entry") from exc
+    values = {}
+    for text in dict.fromkeys(x for row in rows for x in row):
+        try:
+            values[text] = x = fraction_from_str(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{path}: bad rational entry") from exc
+        if fraction_to_str(x) != text:
+            raise ParseError(f"{path}.matrix: {text!r} is not canonical;"
+                             f" write {fraction_to_str(x)!r}")
+    return RationalMatrix.from_sparse(
+        [[(j, values[x]) for j, x in enumerate(row)] for row in rows], ncols)
 
 
 def mbs_to_json(E, include_action=False):
@@ -163,6 +177,7 @@ def _maps_from_json(doc, key, poset, dims):
     if not isinstance(entries, list):
         raise ParseError(f"$.{key}: must be a list")
     maps = {}
+    first = {}
     for k, entry in enumerate(entries):
         path = f"$.{key}[{k}]"
         if not isinstance(entry, dict):
@@ -175,6 +190,9 @@ def _maps_from_json(doc, key, poset, dims):
                 raise ParseError(f"{path}.{field}: must be a cell id string")
         m = _parse_xi_id(poset, entry["from"], path)
         n = _parse_xi_id(poset, entry["to"], path)
+        if (m, n) in first:
+            raise ParseError(f"{path}: duplicate of {first[(m, n)]} (same from and to cells)")
+        first[(m, n)] = path
         src, dst = (m, n) if key == "dprime" else (n, m)
         maps[(m, n)] = matrix_from_json(entry["matrix"], dims[dst], dims[src], path)
     return maps

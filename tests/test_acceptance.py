@@ -21,6 +21,7 @@ from mbsheaf.sheaf import bicube, check_mbs, monodromy, phi_psi, standard_loops
 from mbsheaf.xi import enumerate_xi
 
 _POSETS = {}
+_EQ = {}
 
 
 def poset_for(label, rank):
@@ -28,6 +29,12 @@ def poset_for(label, rank):
     if key not in _POSETS:
         _POSETS[key] = enumerate_xi(build_coxeter(label, rank))
     return _POSETS[key]
+
+
+def eq_for(n, q):
+    if (n, q) not in _EQ:
+        _EQ[(n, q)] = build_eq(n, q, poset=poset_for("A", n - 1))
+    return _EQ[(n, q)]
 
 
 def report_line(number, label, elapsed, budget=None):
@@ -105,13 +112,12 @@ def test_criterion_03_e1_axioms():
 
 def test_criterion_04_eq_axioms():
     t0 = time.time()
-    for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        eq = build_eq(n, q, poset=poset_for("A", n - 1))
-        report = check_mbs(eq)
+    for n, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        report = check_mbs(eq_for(n, q))
         assert report.ok, f"({n},{q}): {report.summary()}"
     elapsed = time.time() - t0
     assert elapsed < 300.0
-    report_line(4, "check_mbs(E_q) empty for (2,2), (2,3), (3,2), (3,3)", elapsed, 300.0)
+    report_line(4, "check_mbs(E_q) empty for (2,2), (2,3), (3,2), (3,3), (4,2)", elapsed, 300.0)
 
 
 def test_criterion_05_three_way_anodyne():
@@ -145,14 +151,14 @@ def test_criterion_06_hecke_relations():
 
 def test_criterion_07_borel_invariant_dims():
     t0 = time.time()
-    xi = poset_for("A", 2)
-    for q in (2, 3):
-        eq = build_eq(3, q, poset=xi)
-        sub = b_invariant_sub(eq)
+    for n, q in [(3, 2), (3, 3), (4, 2)]:
+        xi = poset_for("A", n - 1)
+        sub = b_invariant_sub(eq_for(n, q))
         for m, e in enumerate(xi.elements):
             assert sub.dims[m] == e.orbit_size
     elapsed = time.time() - t0
-    report_line(7, "B_q-invariant subsheaf dims equal dim E_1 (n = 3, q = 2, 3)", elapsed)
+    report_line(7, "B_q-invariant subsheaf dims equal dim E_1 (n = 3, q = 2, 3; n = 4, q = 2)",
+                elapsed)
 
 
 def test_criterion_08_cousin_suite():

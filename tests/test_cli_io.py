@@ -5,12 +5,14 @@ import re
 
 import pytest
 
+from mbsheaf import cli, fq, orbitpoly
 from mbsheaf.cli import main
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
 from mbsheaf.io import ParseError, dumps, loads, mbs_from_json, mbs_to_json, xi_dump
-from mbsheaf.sheaf import check_mbs
+from mbsheaf.sheaf import PathDependenceError, check_mbs
 from mbsheaf.xi import enumerate_xi
+from test_fq import MisreadContext
 
 
 @pytest.fixture(scope="module")
@@ -161,13 +163,33 @@ def _bool_dim(doc):
     doc["dims"][next(iter(doc["dims"]))] = True
 
 
+def _duplicate(key):
+    def corrupt(doc):
+        doc[key].append(json.loads(json.dumps(doc[key][0])))
+    return corrupt
+
+
+def _rational(text):
+    def corrupt(doc):
+        doc["dprime"][0]["matrix"][0][0] = text
+    return corrupt
+
+
+NON_CANONICAL = ["2/4", "2/2", "1/-2", " 1/2", "1_0/1"]
+
+
 @pytest.mark.parametrize("corrupt,where", [
     (_drop_from, r"\$\.dprime\[0\]: missing 'from'"),
     (_int_from, r"\$\.dsecond\[0\]\.from: must be a cell id string"),
     (_drop_matrix, r"\$\.dsecond\[0\]: missing 'matrix'"),
     (_entry_not_object, r"\$\.dprime\[0\]: must be an object"),
     (_bool_dim, r"\$\.dims\..*: must be a nonnegative integer"),
-], ids=["missing-from", "non-string-from", "missing-matrix", "entry-not-object", "bool-dim"])
+    (_duplicate("dprime"), r"\$\.dprime\[3\]: duplicate of \$\.dprime\[0\]"),
+    (_duplicate("dsecond"), r"\$\.dsecond\[3\]: duplicate of \$\.dsecond\[0\]"),
+] + [(_rational(text), r"\$\.dprime\[0\]\.matrix: .* is not canonical")
+     for text in NON_CANONICAL],
+    ids=["missing-from", "non-string-from", "missing-matrix", "entry-not-object", "bool-dim",
+         "duplicate-dprime", "duplicate-dsecond"] + [f"rational-{t!r}" for t in NON_CANONICAL])
 def test_cli_check_malformed_sheaf_exits_2(tmp_path, capsys, corrupt, where):
     path = tmp_path / "e1_a1.json"
     assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0
@@ -186,6 +208,36 @@ def test_cli_poly_hecke_orbits(capsys):
     assert main(["orbits", "2", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+def _misread_flags(monkeypatch, tmp_path):
+    monkeypatch.setattr(fq, "FqContext", MisreadContext)
+    return ["example", "eq", "2", "2"]
+
+
+def _path_dependent_check(monkeypatch, tmp_path):
+    def check_mbs(sheaf):
+        raise PathDependenceError(("prime", 0, 1))
+    monkeypatch.setattr(cli, "check_mbs", check_mbs)
+    path = tmp_path / "e1_a1.json"
+    assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0
+    return ["check", str(path)]
+
+
+def _hor_ver_mismatch(monkeypatch, tmp_path):
+    poincare = orbitpoly.poincare_poly
+    monkeypatch.setattr(orbitpoly, "poincare_poly",
+                        lambda datum, members: poincare(datum, members).shift(sum(members)))
+    return ["poly", "--type", "A", "--rank", "2"]
+
+
+@pytest.mark.parametrize("setup", [_misread_flags, _path_dependent_check, _hor_ver_mismatch],
+                         ids=["fibrewise-constancy", "path-dependence", "hor-ver-mismatch"])
+def test_cli_verification_error_exits_1(monkeypatch, tmp_path, capsys, setup):
+    argv = setup(monkeypatch, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("verification failure: ")
 
 
 def test_cli_usage_error_exit_2():

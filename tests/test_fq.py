@@ -7,7 +7,7 @@ import pytest
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1
 from mbsheaf.fq import (
-    FqContext, ResourceError, act_flag, b_invariant_sub, borel_orbits, build_eq,
+    FibrewiseConstancyError, FqContext, ResourceError, b_invariant_sub, borel_orbits, build_eq,
     composition_of_subset, contingency_to_xi, hecke_generators, orbit_point_checks,
     rref_fp, xi_to_contingency,
 )
@@ -58,6 +58,12 @@ def test_flag_guard():
     ctx = FqContext(3, 2, max_flags=5)
     with pytest.raises(ResourceError):
         ctx.flags((1, 1, 1))
+
+
+def test_subspace_table_guard():
+    # F_7^4 has 3,652 subspaces, past what the meet and join tables hold
+    with pytest.raises(ResourceError):
+        FqContext(4, 7).flags((4,))
 
 
 def test_rref_canonical():
@@ -195,7 +201,22 @@ def test_eq_dims_a1(xi_a1):
 
 def test_eq_gate():
     with pytest.raises(ResourceError):
-        build_eq(4, 2)
+        build_eq(4, 3)
+    assert build_eq(4, 2).total_dim == 69561
+
+
+class MisreadContext(FqContext):
+    """Moves the reading of some generic flag pairs to another full flag."""
+
+    def refine(self, x, y):
+        got = super().refine(x, y)
+        full = self.chains((1,) * self.n)
+        return full[1] if got == full[0] and x != y else got
+
+
+def test_build_eq_rejects_readings_that_do_not_factor():
+    with pytest.raises(FibrewiseConstancyError, match=r"pushforward .* is not pulled back"):
+        build_eq(2, 2, ctx=MisreadContext(2, 2))
 
 
 def test_eq_point_counts_match_e1_shape(xi_a2):
@@ -222,8 +243,8 @@ def test_eq_reading_equivariance_gl3f2(xi_a2):
     for f, g in pairs:
         base = ctx.refinement_flag(f, g)
         for mat in gl:
-            lhs = ctx.refinement_flag(act_flag(mat, f, 2), act_flag(mat, g, 2))
-            assert lhs == act_flag(mat, base, 2)
+            lhs = ctx.refinement_flag(ctx.act_flag(mat, f), ctx.act_flag(mat, g))
+            assert lhs == ctx.act_flag(mat, base)
 
 
 def test_intertwiner_between_associated_faces_invertible(xi_a2):
