@@ -3,7 +3,9 @@
 build_e1 carries the space of functions on each orbit, with pushforward
 along the point projections in the first order and pullback in the second.
 build_e1v cuts out the W-invariants of E_1 tensor V for an explicit
-representation V; dimensions match invariants under the pair stabilizers.
+representation V by Frobenius reciprocity: on an orbit W/H,
+(Fun(W/H) tensor V)^W = V^H, so each cell's basis is built from values at
+its base point, and E_1's maps tensor 1_V are solved in those bases.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .coxeter import UnsupportedTypeError
 from .linalg import RationalMatrix, column_space_basis
-from .sheaf import MixedBruhatSheaf
+from .sheaf import MixedBruhatSheaf, subsheaf
 
 
 class E1Sheaf(MixedBruhatSheaf):
@@ -263,30 +265,24 @@ def invariant_dim(rep, subgroup):
 
 
 def build_e1v(poset, rep):
-    """The invariants (E_1 tensor V)^W with explicit projector-image bases."""
-    e1 = build_e1(poset)
-    order = poset.datum.order
+    """The invariants (E_1 tensor V)^W, each basis built at the base point.
+
+    An invariant is fixed by its value at x0 = e.points[0], so the columns
+    (x0, i) of the projector P = (1/|W|) sum_w A_w tensor rho(w), namely
+    (1/|W|) sum_w e_{w.x0} tensor rho(w) e_i, summed here over W, span P's
+    image.  They are P's first dim V columns: P's pivot columns are theirs.
+    """
+    order, act, dim = poset.datum.order, poset.complex.action, rep.dim
     bases = []
-    dims = []
-    for m in range(len(poset.elements)):
-        big = RationalMatrix.zeros(e1.dims[m] * rep.dim, e1.dims[m] * rep.dim)
+    for e in poset.elements:
+        c, d = e.points[0]
+        rows = [[] for _ in range(e.orbit_size * dim)]
         for w in range(order):
-            big = big + _kron(e1.action_matrix(w, m), rep.evaluate(w))
-        proj = big.scale(Fraction(1, order))
-        cols = column_space_basis(proj)
-        basis = RationalMatrix.from_columns(cols, e1.dims[m] * rep.dim)
-        bases.append(basis)
-        dims.append(len(cols))
-    ident_v = RationalMatrix.identity(rep.dim)
-    dprime = {}
-    dsecond = {}
-    for m in range(len(poset.elements)):
-        for _s, n in poset.cov_prime[m]:
-            big = _kron(e1.dprime[(m, n)], ident_v)
-            dprime[(m, n)] = bases[n].solve(big @ bases[m])
-        for _s, n in poset.cov_second[m]:
-            big = _kron(e1.dsecond[(m, n)], ident_v)
-            dsecond[(m, n)] = bases[m].solve(big @ bases[n])
-    sheaf = MixedBruhatSheaf(poset, dims, dprime, dsecond)
-    sheaf.bases = bases
-    return sheaf
+            off = e.point_index[(act[w][c], act[w][d])] * dim
+            for r, row in enumerate(rep.evaluate(w).sparse_rows):
+                rows[off + r] += row
+        x0_cols = RationalMatrix.from_sparse(rows, dim).scale(Fraction(1, order))
+        bases.append(RationalMatrix.from_columns(column_space_basis(x0_cols),
+                                                 e.orbit_size * dim))
+    ident_v = RationalMatrix.identity(dim)
+    return subsheaf(build_e1(poset), bases, lambda mat: _kron(mat, ident_v))

@@ -22,7 +22,7 @@ from functools import cached_property, cmp_to_key
 
 from .coxeter import UnsupportedTypeError, build_coxeter
 from .linalg import RationalMatrix
-from .sheaf import MixedBruhatSheaf
+from .sheaf import MixedBruhatSheaf, subsheaf
 from .subspaces import (  # noqa: F401  (rref_fp, in_span_fp, nullspace_fp re-exported)
     ResourceError, Subspace, SubspaceLattice, in_span_fp, nullspace_fp, rref_fp,
 )
@@ -580,7 +580,6 @@ def b_invariant_sub(E):
     poset = E.poset
     orbits_of = {c: borel_orbits(E.ctx, c) for c in set(E.hor_compositions)}
     bases = []
-    dims = []
     for m in range(len(poset.elements)):
         orbits = orbits_of[E.hor_compositions[m]]
         rows = [None] * E.dims[m]
@@ -588,17 +587,7 @@ def b_invariant_sub(E):
             for x in orbit:
                 rows[x] = ((o, 1),)
         bases.append(RationalMatrix.from_sparse(rows, len(orbits)))
-        dims.append(len(orbits))
-    dprime = {}
-    dsecond = {}
-    for m in range(len(poset.elements)):
-        for _s, nn in poset.cov_prime[m]:
-            dprime[(m, nn)] = bases[nn].solve(E.dprime[(m, nn)] @ bases[m])
-        for _s, nn in poset.cov_second[m]:
-            dsecond[(m, nn)] = bases[m].solve(E.dsecond[(m, nn)] @ bases[nn])
-    sub = MixedBruhatSheaf(poset, dims, dprime, dsecond)
-    sub.bases = bases
-    return sub
+    return subsheaf(E, bases)
 
 
 # -- point-level geometry -------------------------------------------------------------

@@ -4,8 +4,9 @@ Every emitter builds plain dicts in a fixed key and entry order, so
 serializing twice gives byte-identical output and parse/emit round-trips
 are the identity on bytes.  Rationals travel as "num/den" strings in
 lowest terms with a positive denominator.  The parser accepts nothing
-else: a rational in any other spelling, or two covering matrices for the
-same pair of cells, is a ParseError naming its JSON path.
+else: a rational in any other spelling, two covering matrices for the same
+pair of cells, or a matrix on a pair that is not a covering, is a
+ParseError naming its JSON path.
 """
 
 from __future__ import annotations
@@ -171,11 +172,13 @@ def mbs_from_json(doc, poset=None):
 def _maps_from_json(doc, key, poset, dims):
     """The covering matrices listed under doc[key], by (from, to) cell index.
 
-    A dprime matrix maps E(from) -> E(to), a dsecond matrix E(to) -> E(from).
+    A dprime matrix maps E(from) -> E(to), a dsecond matrix E(to) -> E(from),
+    and from must cover to in that order.
     """
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise ParseError(f"$.{key}: must be a list")
+    covers = poset.cov_prime if key == "dprime" else poset.cov_second
     maps = {}
     first = {}
     for k, entry in enumerate(entries):
@@ -190,6 +193,8 @@ def _maps_from_json(doc, key, poset, dims):
                 raise ParseError(f"{path}.{field}: must be a cell id string")
         m = _parse_xi_id(poset, entry["from"], path)
         n = _parse_xi_id(poset, entry["to"], path)
+        if all(t != n for _s, t in covers[m]):
+            raise ParseError(f"{path}: not a {key} covering: {entry['from']} -> {entry['to']}")
         if (m, n) in first:
             raise ParseError(f"{path}: duplicate of {first[(m, n)]} (same from and to cells)")
         first[(m, n)] = path

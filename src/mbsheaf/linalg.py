@@ -5,15 +5,16 @@ demoted to int so that the common all-integer case stays in fast int
 arithmetic).  Everything is immutable; no floating point anywhere.
 
 A RationalMatrix stores only its nonzero entries.  Row i is a tuple of
-(column, value) pairs sorted by column, and every empty row is the one
-shared ``()``.  The pushforward and pullback maps of the function sheaves
-have at most one nonzero per column, so products and sums touch few
-entries, and a row holding a single 1 takes the other factor's row
-object as it is.  ``sparse_rows`` is the storage itself.  ``rows`` is a
-dense tuple-of-tuples view for output and for callers that want dense
-rows; it is built on every access and never kept, so only the sparse
-copy stays alive.  Elimination (rref and what rests on it) runs on dense
-scratch lists and returns sparse matrices.
+(column, value) pairs sorted by column, and every empty row is the one shared
+``()``.  The pushforward and pullback maps of the function sheaves have at most
+one nonzero per column, so products and sums touch few entries, and a row
+holding a single 1 takes the other factor's row object as it is.
+``sparse_rows`` is the storage itself.  ``rows`` is a dense tuple-of-tuples
+view for output and for callers that want dense rows; it is built on every
+access and never kept, so only the sparse copy stays alive.  Elimination (rref
+and what rests on it) runs on dense scratch lists and returns sparse matrices;
+``solver`` factors a system once, then costs one product and one exact check
+per right-hand side.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ def _neg_row(r):
     return tuple([(j, -x) for j, x in r])
 
 
-def _right_block(rows, offset):
-    """The columns >= offset of sparse rows, renumbered from 0."""
-    return tuple([tuple([(j - offset, x) for j, x in r if j >= offset]) for r in rows])
-
-
 _IDENTITY_CACHE = {}
 _ZEROS_CACHE = {}
 
@@ -155,9 +151,7 @@ class RationalMatrix:
     @classmethod
     def from_columns(cls, cols, nrows=None):
         cols = list(cols)
-        if cols:
-            nrows = len(cols[0])
-        nrows = nrows or 0
+        nrows = len(cols[0]) if cols else nrows or 0
         rows = [[] for _ in range(nrows)]
         for j, col in enumerate(cols):
             if len(col) != nrows:
@@ -319,28 +313,34 @@ class RationalMatrix:
         red, pivots = aug.rref()
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
             raise ValueError("matrix is singular")
-        return _make(_right_block(red.sparse_rows, n), n, n)
+        return _make(tuple([tuple([(j - n, x) for j, x in r if j >= n])
+                            for r in red.sparse_rows]), n, n)
+
+    def solver(self):
+        """Factor self once; the returned rhs -> X solves self @ X == rhs exactly.
+
+        The transpose's rref pivots pick ncols independent rows, whose square block
+        is inverted here; a call returns inv @ rhs[rows] after checking self @ X == rhs
+        and raises the ValueErrors of an augmented rref, in the same order.
+        """
+        rows = self.transpose().rref()[1]
+        if len(rows) == self.ncols:
+            inv = _make(tuple([self.sparse_rows[i] for i in rows]), len(rows), len(rows)).inverse()
+
+        def solve(rhs):
+            if rhs.nrows != self.nrows:
+                raise ValueError("rhs row count mismatch")
+            if len(rows) != self.ncols:
+                raise ValueError("matrix does not have full column rank")
+            x = inv @ _make(tuple([rhs.sparse_rows[i] for i in rows]), len(rows), rhs.ncols)
+            if self @ x != rhs:
+                raise ValueError("inconsistent system")
+            return x
+        return solve
 
     def solve(self, rhs):
-        """Solve self @ X = rhs exactly; raises ValueError if inconsistent.
-
-        self must have full column rank (unique solution); rhs is a
-        RationalMatrix with matching row count.
-        """
-        if rhs.nrows != self.nrows:
-            raise ValueError("rhs row count mismatch")
-        nc = self.ncols
-        aug = _make(tuple([r + tuple([(nc + j, x) for j, x in s])
-                           for r, s in zip(self.sparse_rows, rhs.sparse_rows)]),
-                    self.nrows, nc + rhs.ncols)
-        red, pivots = aug.rref()
-        lead = [p for p in pivots if p < nc]
-        if len(lead) != nc:
-            raise ValueError("matrix does not have full column rank")
-        if any(p >= nc for p in pivots):
-            raise ValueError("inconsistent system")
-        # the pivots are exactly 0..nc-1, so row i of red solves for unknown i
-        return _make(_right_block(red.sparse_rows[:nc], nc), nc, rhs.ncols)
+        """Solve self @ X = rhs exactly: ``self.solver()(rhs)``."""
+        return self.solver()(rhs)
 
 
 _set_rows = RationalMatrix.sparse_rows.__set__

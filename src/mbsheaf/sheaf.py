@@ -459,16 +459,27 @@ def generated_sub(E, seeds):
             for row in list(spans[src].rows):
                 if spans[dst].add(mat.apply(row)):
                     changed = True
-    dims = [s.dim for s in spans]
-    bases = [s.basis_matrix() for s in spans]
+    return subsheaf(E, [s.basis_matrix() for s in spans])
+
+
+def subsheaf(E, bases, lift=None):
+    """The subsheaf whose stalk at cell m is the column span of bases[m] (kept as .bases).
+
+    Each covering map of E (through lift, if given) is applied to its source
+    basis and solved against its target basis, which is factored once; the
+    solves are exact, so a span that a map does not preserve raises ValueError.
+    """
+    poset = E.poset
+    solve = [b.solver() for b in bases]
+    lift = lift or (lambda mat: mat)
     dprime = {}
     dsecond = {}
     for m in range(len(poset.elements)):
         for _s, n in poset.cov_prime[m]:
-            dprime[(m, n)] = bases[n].solve(E.dprime[(m, n)] @ bases[m])
+            dprime[(m, n)] = solve[n](lift(E.dprime[(m, n)]) @ bases[m])
         for _s, n in poset.cov_second[m]:
-            dsecond[(m, n)] = bases[m].solve(E.dsecond[(m, n)] @ bases[n])
-    sub = E.copy_with(dims, dprime, dsecond)
+            dsecond[(m, n)] = solve[m](lift(E.dsecond[(m, n)]) @ bases[n])
+    sub = MixedBruhatSheaf(poset, [b.ncols for b in bases], dprime, dsecond)
     sub.bases = bases
     return sub
 

@@ -1,5 +1,6 @@
 """CLI behavior, canonical formats, determinism, and round-trips."""
 
+import hashlib
 import json
 import re
 
@@ -110,6 +111,24 @@ def test_cli_example_e1v_sign(tmp_path):
     assert sorted(doc["dims"].values()) == [0, 1, 1, 1, 1]
 
 
+# sha256 of `mbsheaf example e1v REP --type T --rank R`, recorded from the
+# averaging-projector construction; the base-point construction must keep them.
+E1V_DUMP_SHA256 = [
+    ("A", 2, "specht:2,1", "f6fb24d10b22a3bc5785ed1f2d1c203db581e87623d9867bd81ff85ca8f28758"),
+    ("B", 2, "reflection", "2e9bf3375f434d731a58baef7535a592703adbc69ee8c947fcf79fff40a81da0"),
+    ("G", 2, "reflection*sign", "a6d5cb7d34281cab6b680bf35e2bfc4930c89f1be4a57aeaeb37640042a89ed6"),
+]
+
+
+@pytest.mark.parametrize("label,rank,rep,digest", E1V_DUMP_SHA256,
+                         ids=[f"{t}{r}-{rep}" for t, r, rep, _d in E1V_DUMP_SHA256])
+def test_cli_example_e1v_dump_digest(tmp_path, label, rank, rep, digest):
+    path = tmp_path / "e1v.json"
+    assert main(["example", "e1v", rep, "--type", label, "--rank", str(rank),
+                 "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_cli_example_colon_form(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -175,6 +194,18 @@ def _rational(text):
     return corrupt
 
 
+def _self_covering(doc):
+    size = doc["dims"][":0|:0"]
+    doc["dprime"].append({"from": ":0|:0", "to": ":0|:0", "matrix": [
+        ["1/1" if i == j else "0/1" for j in range(size)] for i in range(size)]})
+
+
+def _reversed_dsecond(doc):
+    entry = doc["dsecond"][0]
+    doc["dsecond"][0] = {"from": entry["to"], "to": entry["from"],
+                         "matrix": [list(col) for col in zip(*entry["matrix"])]}
+
+
 NON_CANONICAL = ["2/4", "2/2", "1/-2", " 1/2", "1_0/1"]
 
 
@@ -186,10 +217,13 @@ NON_CANONICAL = ["2/4", "2/2", "1/-2", " 1/2", "1_0/1"]
     (_bool_dim, r"\$\.dims\..*: must be a nonnegative integer"),
     (_duplicate("dprime"), r"\$\.dprime\[3\]: duplicate of \$\.dprime\[0\]"),
     (_duplicate("dsecond"), r"\$\.dsecond\[3\]: duplicate of \$\.dsecond\[0\]"),
+    (_self_covering, r"\$\.dprime\[3\]: not a dprime covering: :0\|:0 -> :0\|:0"),
+    (_reversed_dsecond, r"\$\.dsecond\[0\]: not a dsecond covering: "),
 ] + [(_rational(text), r"\$\.dprime\[0\]\.matrix: .* is not canonical")
      for text in NON_CANONICAL],
     ids=["missing-from", "non-string-from", "missing-matrix", "entry-not-object", "bool-dim",
-         "duplicate-dprime", "duplicate-dsecond"] + [f"rational-{t!r}" for t in NON_CANONICAL])
+         "duplicate-dprime", "duplicate-dsecond", "non-covering-dprime",
+         "non-covering-dsecond"] + [f"rational-{t!r}" for t in NON_CANONICAL])
 def test_cli_check_malformed_sheaf_exits_2(tmp_path, capsys, corrupt, where):
     path = tmp_path / "e1_a1.json"
     assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0

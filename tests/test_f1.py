@@ -77,7 +77,7 @@ def test_specht_identifications():
     assert std.character() == refl.character()
 
 
-@pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2)])
+@pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
 def test_e1v_dims_three_ways(label, rank):
     datum = build_coxeter(label, rank)
     poset = enumerate_xi(datum)
@@ -107,7 +107,7 @@ def test_e1v_sign_a1_dims():
     assert sorted(dims) == [0, 1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2)])
+@pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
 def test_check_mbs_e1v_catalog(label, rank):
     from mbsheaf.sheaf import dual
     datum = build_coxeter(label, rank)
@@ -118,6 +118,16 @@ def test_check_mbs_e1v_catalog(label, rank):
         report = check_mbs(sheaf)
         assert report.ok, f"{name}: {report.summary()}"
         assert check_mbs(dual(sheaf)).ok
+
+
+@pytest.mark.parametrize("name", ["reflection", "specht:2,2"])
+def test_e1v_a3_dims_and_axioms(name):
+    poset = enumerate_xi(build_coxeter("A", 3))
+    rep = rep_catalog(poset.datum, name)
+    sheaf = build_e1v(poset, rep)
+    assert list(sheaf.dims) == burnside_dims(poset, rep)
+    report = check_mbs(sheaf)
+    assert report.ok, f"{name}: {report.summary()}"
 
 
 @pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2)])

@@ -223,3 +223,44 @@ def systems(draw):
 def test_solve(system):
     (sa, da), (sr, dr) = both(system[0]), both(system[1])
     same_outcome(outcome(Sparse.solve, sa, sr), outcome(Dense.solve, da, dr))
+
+
+@st.composite
+def factored_systems(draw):
+    """(a, [rhs, ...]): several right-hand sides for one matrix.
+
+    A third of the matrices get a repeated column (no full column rank).
+    Each rhs is a @ x (consistent), a @ x plus one unit entry (often
+    inconsistent), random, or one row too long.
+    """
+    n, k = draw(sizes), draw(sizes)
+    rows, _ = draw(matrices(n, k))
+    if k and draw(st.integers(0, 2)) == 0:
+        j = draw(st.integers(0, k - 1))
+        rows = [r + [r[j]] for r in rows]
+        k += 1
+    a = Dense(rows, k)
+    rhss = []
+    for kind in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)):
+        p = draw(sizes)
+        if kind == 3:
+            rhss.append(draw(matrices(n + 1, p)))
+        elif kind == 2:
+            rhss.append(draw(matrices(n, p)))
+        else:
+            b = [list(r) for r in (a @ Dense(*draw(matrices(k, p)))).rows]
+            if kind == 1 and n and p:
+                b[draw(st.integers(0, n - 1))][draw(st.integers(0, p - 1))] += 1
+            rhss.append((b, p))
+    return (rows, k), rhss
+
+
+@EXAMPLES
+@given(factored_systems())
+def test_solver_factored_once(system):
+    m, rhss = system
+    sa, da = both(m)
+    solve = sa.solver()
+    for rhs in rhss:
+        sr, dr = both(rhs)
+        same_outcome(outcome(solve, sr), outcome(Dense.solve, da, dr))
