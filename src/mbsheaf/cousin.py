@@ -14,6 +14,7 @@ import itertools
 
 from .linalg import RationalMatrix
 from .sheaf import dual
+from .xi import PRIME
 
 
 class SignConventionError(RuntimeError):
@@ -41,7 +42,11 @@ class StalkComplex:
 
     def cohomology_profile(self):
         """Nonzero cohomology as a sorted tuple of (degree, dimension)."""
-        return tuple(sorted((d, h) for d, h in self.cohomology.items() if h))
+        return _profile(self.cohomology)
+
+
+def _profile(cohomology):
+    return tuple(sorted((d, h) for d, h in cohomology.items() if h))
 
 
 def stalk_complex(E, m):
@@ -59,7 +64,7 @@ def stalk_complex(E, m):
         blocks = []
         for I in subs:
             for n in poset.blocks.get((I, J), ()):
-                if poset.phi_prime(n, I0) == m:
+                if poset.phi(n, PRIME, I0) == m:
                     blocks.append((I, n))
         labels[deg] = tuple(blocks)
     dims = {deg: sum(E.dims[n] for _I, n in blocks) for deg, blocks in labels.items()}
@@ -86,7 +91,7 @@ def stalk_complex(E, m):
                 if alpha in I1:
                     continue
                 I2 = tuple(sorted(I1 + (alpha,)))
-                n2 = poset.phi_prime(n1, I2)
+                n2 = poset.phi(n1, PRIME, I2)
                 sign = _insert_sign(I1, alpha)
                 block = E.dprime[(n1, n2)]
                 ro, co = row_off[(I2, n2)], col_off[(I1, n1)]
@@ -105,6 +110,19 @@ def stalk_complex(E, m):
         cohomology[deg] = dim - rank_out - rank_in
     degrees = tuple(sorted(dims))
     return StalkComplex(m, degrees, labels, dims, diffs, cohomology)
+
+
+def _stalk_cohomology(E, m):
+    """(dims, cohomology) of the stalk complex at m, built once per sheaf.
+
+    The differentials are not kept.  A complex with d^2 != 0 is never
+    stored, so every check that reaches it raises SignConventionError.
+    """
+    got = E._stalks.get(m)
+    if got is None:
+        sc = stalk_complex(E, m)
+        got = E._stalks[m] = (sc.dims, sc.cohomology)
+    return got
 
 
 class PerversityReport:
@@ -132,10 +150,10 @@ def support_check(E):
     """
     entries = []
     for m in range(len(E.poset.elements)):
-        sc = stalk_complex(E, m)
+        dims, cohomology = _stalk_cohomology(E, m)
         stratum_dim = E.poset.elements[m].flat.dim
-        for deg, h in sorted(sc.cohomology.items()):
-            if sc.dims[deg] == 0:
+        for deg, h in sorted(cohomology.items()):
+            if dims[deg] == 0:
                 continue
             entries.append((m, deg, h, stratum_dim, h == 0 or stratum_dim <= -deg))
     return PerversityReport(entries)
@@ -150,7 +168,7 @@ def constructibility_check(E):
     """Stalk cohomology profiles must be constant along every flat class."""
     profiles = {}
     for m in range(len(E.poset.elements)):
-        profiles[m] = stalk_complex(E, m).cohomology_profile()
+        profiles[m] = _profile(_stalk_cohomology(E, m)[1])
     s0, _s1, _tau = E.poset.stratification_classes()
     entries = []
     for cls in s0:

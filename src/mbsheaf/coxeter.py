@@ -67,6 +67,19 @@ class GroupElement:
         return f"GroupElement(len={self.length})"
 
 
+def _simple_reflections(cartan):
+    """Integer matrices of the simple reflections on the root lattice.
+
+    s_i(alpha_j) = alpha_j - a[i][j] alpha_i: the identity except row i,
+    which is -a[i][j] off the diagonal and -1 on it.
+    """
+    rank = len(cartan)
+    return [tuple(tuple(1 if j == k else 0 for j in range(rank)) if k != i
+                  else tuple(-cartan[i][j] if j != i else -1 for j in range(rank))
+                  for k in range(rank))
+            for i in range(rank)]
+
+
 def _mat_mul(a, b):
     n = len(a)
     bt = tuple(zip(*b))
@@ -99,26 +112,13 @@ class CoxeterDatum:
 
     # -- group enumeration ---------------------------------------------—
 
-    def _gen_mats(self):
-        mats = []
-        for i in range(self.rank):
-            rows = []
-            for k in range(self.rank):
-                if k != i:
-                    rows.append(tuple(1 if j == k else 0 for j in range(self.rank)))
-                else:
-                    rows.append(tuple(-self.cartan[i][j] if j != i else -1
-                                      for j in range(self.rank)))
-            mats.append(tuple(rows))
-        return mats
-
     def length_of(self, mat):
         return sum(1 for a in self.positive_roots if _root_sign(_mat_apply(mat, a)) < 0)
 
     @property
     def elements(self):
         if self._elements is None:
-            gens = self._gen_mats()
+            gens = _simple_reflections(self.cartan)
             ident = tuple(tuple(1 if i == j else 0 for j in range(self.rank))
                           for i in range(self.rank))
             seen = {ident}
@@ -144,7 +144,7 @@ class CoxeterDatum:
         elems = self.elements
         n = len(elems)
         index = {g.mat: i for i, g in enumerate(elems)}
-        gens = self._gen_mats()
+        gens = _simple_reflections(self.cartan)
         gen_idx = tuple(index[g] for g in gens)
         right = [tuple(index[_mat_mul(elems[i].mat, g)] for g in gens) for i in range(n)]
         left = [tuple(index[_mat_mul(g, elems[i].mat)] for i in range(n)) for g in gens]
@@ -262,15 +262,7 @@ class CoxeterDatum:
 def build_coxeter(type_label, rank):
     """Construct the root datum for one of the supported (type, rank) pairs."""
     cartan = cartan_matrix(type_label, rank)
-    gens = []
-    for i in range(rank):
-        rows = []
-        for k in range(rank):
-            if k != i:
-                rows.append(tuple(1 if j == k else 0 for j in range(rank)))
-            else:
-                rows.append(tuple(-cartan[i][j] if j != i else -1 for j in range(rank)))
-        gens.append(tuple(rows))
+    gens = _simple_reflections(cartan)
     roots = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
     frontier = set(roots)
     while frontier:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coxeter import UnsupportedTypeError
+from .coxeter import UnsupportedTypeError, _simple_reflections
 from .linalg import RationalMatrix, column_space_basis
 from .sheaf import MixedBruhatSheaf, subsheaf
+from .xi import PRIME, SECOND
 
 
 class E1Sheaf(MixedBruhatSheaf):
@@ -38,12 +39,12 @@ def build_e1(poset):
     dprime = {}
     dsecond = {}
     for m in range(len(poset.elements)):
-        for _s, n in poset.cov_prime[m]:
+        for _s, n in poset.cov[PRIME][m]:
             rows = [[] for _ in range(dims[n])]
             for src, dst in enumerate(poset.pi_map(m, n)):
                 rows[dst].append((src, 1))
             dprime[(m, n)] = RationalMatrix.from_sparse(rows, dims[m])
-        for _s, n in poset.cov_second[m]:
+        for _s, n in poset.cov[SECOND][m]:
             dsecond[(m, n)] = RationalMatrix.from_sparse(
                 [((dst, 1),) for dst in poset.pi_map(m, n)], dims[n])
     return E1Sheaf(poset, dims, dprime, dsecond)
@@ -204,9 +205,9 @@ def rep_catalog(datum, name):
     elif key == "sign":
         gens = [RationalMatrix(((-1,),)) for _ in range(datum.rank)]
     elif key == "reflection":
-        gens = [RationalMatrix(g) for g in datum._gen_mats()]
+        gens = [RationalMatrix(g) for g in _simple_reflections(datum.cartan)]
     elif key in ("reflection*sign", "reflection-sign", "reflection_sign"):
-        gens = [RationalMatrix(g).scale(-1) for g in datum._gen_mats()]
+        gens = [RationalMatrix(g).scale(-1) for g in _simple_reflections(datum.cartan)]
     elif key.startswith("specht:") or key.startswith("specht("):
         if datum.type_label != "A":
             raise UnsupportedTypeError("Specht modules require a type A datum")

@@ -22,11 +22,12 @@ from functools import cached_property, cmp_to_key
 
 from .coxeter import UnsupportedTypeError, build_coxeter
 from .linalg import RationalMatrix
+from .orbitpoly import CheckReport
 from .sheaf import MixedBruhatSheaf, subsheaf
 from .subspaces import (  # noqa: F401  (rref_fp, in_span_fp, nullspace_fp re-exported)
     ResourceError, Subspace, SubspaceLattice, in_span_fp, nullspace_fp, rref_fp,
 )
-from .xi import enumerate_xi
+from .xi import PRIME, SECOND, enumerate_xi
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -426,19 +427,6 @@ class FqMBS(MixedBruhatSheaf):
         self.embeddings = embeddings                # element -> pullback matrix
 
 
-class PointCheckReport:
-    def __init__(self, failures, checked):
-        self.failures = tuple(failures)
-        self.checked = checked
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def summary(self):
-        return "PASS" if self.ok else f"FAIL ({len(self.failures)} of {self.checked})"
-
-
 def _cell_compositions(poset, n):
     """Per cell: the compositions of its two face types and of its Hor reading."""
     return [(composition_of_subset(set(e.typeIJ[0]), n),
@@ -484,11 +472,11 @@ def build_eq(n, q, poset=None, allow_large=False, ctx=None):
     dprime = {}
     dsecond = {}
     for m in range(nelem):
-        for _s, nn in poset.cov_second[m]:
+        for _s, nn in poset.cov[SECOND][m]:
             # pullback along the flag coarsening of the readings
             proj = ctx.projection(comps[m][2], comps[nn][2])
             dsecond[(m, nn)] = RationalMatrix.from_sparse([((y, 1),) for y in proj], dims[nn])
-        for _s, nn in poset.cov_prime[m]:
+        for _s, nn in poset.cov[PRIME][m]:
             proj = ctx.projection(comps[m][0], comps[nn][0])
             targets = point_index[nn]
             # acc[o][x]: how many points of m over target point o read x
@@ -610,9 +598,8 @@ def orbit_point_checks(n, q, poset=None):
         proj_j = ctx.projection(comps[m][1], comps[nn][1])
         return [pindex[nn][(proj_i[a], proj_j[b])] for a, b in points[m]]
 
-    from .sheaf import _prime_ups, _second_ups
-    pups = _prime_ups(poset)
-    sups = _second_ups(poset)
+    pups = poset.ups(PRIME)
+    sups = poset.ups(SECOND)
     for np_ in range(len(poset.elements)):
         for mp in pups[np_]:
             map_mp = point_map(mp, np_)
@@ -648,4 +635,4 @@ def orbit_point_checks(n, q, poset=None):
             ok = size == 1
         if not ok:
             failures.append(("anodyne-fibers", m, nn))
-    return PointCheckReport(failures, checked)
+    return CheckReport(failures, checked)

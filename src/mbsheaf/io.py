@@ -16,7 +16,9 @@ import json
 from .coxeter import build_coxeter
 from .linalg import RationalMatrix, fraction_from_str, fraction_to_str
 from .sheaf import MixedBruhatSheaf
-from .xi import enumerate_xi
+from .xi import PRIME, SECOND, arrow, enumerate_xi
+
+MAP_KEYS = ("dprime", "dsecond")    # the file key of each side's covering matrices
 
 
 class ParseError(ValueError):
@@ -111,20 +113,14 @@ def matrix_from_json(rows, nrows, ncols, path):
 def mbs_to_json(E, include_action=False):
     poset = E.poset
     dims = {xi_id(poset, m): E.dims[m] for m in range(len(poset.elements))}
-    dprime = []
-    for (m, n) in sorted(E.dprime):
-        dprime.append({"from": xi_id(poset, m), "to": xi_id(poset, n),
-                       "matrix": matrix_to_json(E.dprime[(m, n)])})
-    dsecond = []
-    for (m, n) in sorted(E.dsecond):
-        dsecond.append({"from": xi_id(poset, m), "to": xi_id(poset, n),
-                        "matrix": matrix_to_json(E.dsecond[(m, n)])})
     doc = {
         "datum": {"type": poset.datum.type_label, "rank": poset.datum.rank},
         "dims": dims,
-        "dprime": dprime,
-        "dsecond": dsecond,
     }
+    for side, key in enumerate(MAP_KEYS):
+        doc[key] = [{"from": xi_id(poset, m), "to": xi_id(poset, n),
+                     "matrix": matrix_to_json(mat)}
+                    for (m, n), mat in sorted(E.maps(side).items())]
     if include_action:
         # point permutations per group element, for sheaves carrying an action
         act = poset.complex.action
@@ -164,21 +160,21 @@ def mbs_from_json(doc, poset=None):
         dims[m] = d
     if any(d is None for d in dims):
         raise ParseError("$.dims: missing cells")
-    dprime = _maps_from_json(doc, "dprime", poset, dims)
-    dsecond = _maps_from_json(doc, "dsecond", poset, dims)
-    return MixedBruhatSheaf(poset, dims, dprime, dsecond)
+    return MixedBruhatSheaf(poset, dims, _maps_from_json(doc, PRIME, poset, dims),
+                            _maps_from_json(doc, SECOND, poset, dims))
 
 
-def _maps_from_json(doc, key, poset, dims):
-    """The covering matrices listed under doc[key], by (from, to) cell index.
+def _maps_from_json(doc, side, poset, dims):
+    """The covering matrices of one side, listed under its key, by (from, to) cell index.
 
     A dprime matrix maps E(from) -> E(to), a dsecond matrix E(to) -> E(from),
     and from must cover to in that order.
     """
+    key = MAP_KEYS[side]
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise ParseError(f"$.{key}: must be a list")
-    covers = poset.cov_prime if key == "dprime" else poset.cov_second
+    covers = poset.cov[side]
     maps = {}
     first = {}
     for k, entry in enumerate(entries):
@@ -198,7 +194,7 @@ def _maps_from_json(doc, key, poset, dims):
         if (m, n) in first:
             raise ParseError(f"{path}: duplicate of {first[(m, n)]} (same from and to cells)")
         first[(m, n)] = path
-        src, dst = (m, n) if key == "dprime" else (n, m)
+        src, dst = arrow(side, m, n)
         maps[(m, n)] = matrix_from_json(entry["matrix"], dims[dst], dims[src], path)
     return maps
 

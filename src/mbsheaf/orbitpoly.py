@@ -57,7 +57,9 @@ def orbit_poly(poset, m):
     return via_hor
 
 
-class PolyReport:
+class CheckReport:
+    """Failures among `checked` laws: the polynomial laws or the point checks."""
+
     def __init__(self, failures, checked):
         self.failures = tuple(failures)
         self.checked = checked
@@ -97,7 +99,7 @@ def property_suite(poset):
         gap = dim_orbit(poset, m) - dim_orbit(poset, n)
         if gap < 0 or polys[m] != polys[n].shift(gap):
             failures.append(((m, n), "anodyne pair violates the q-power relation"))
-    return PolyReport(failures, checked)
+    return CheckReport(failures, checked)
 
 
 def validate_counts(poset, q, allow_large=False):
@@ -116,4 +118,4 @@ def validate_counts(poset, q, allow_large=False):
         got = len(ctx.orbit_points(poset, m))
         if expected != got:
             failures.append((m, expected, got))
-    return PolyReport(failures, len(poset.elements))
+    return CheckReport(failures, len(poset.elements))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import RationalMatrix, Span
-from .xi import OrderError
+from .xi import PRIME, SECOND, SIDE_NAMES, OrderError, arrow
 
 
 class PathDependenceError(RuntimeError):
@@ -30,8 +30,8 @@ class MixedBruhatSheaf:
         self.dims = tuple(dims)
         self.dprime = dict(dprime)      # (m, n) with m >=' n covering: E(m) -> E(n)
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
-        self._cp = {}
-        self._cs = {}
+        self._composites = ({}, {})     # per side: (m, n) -> chain-checked composite
+        self._stalks = {}               # cell -> (dims, cohomology) of its stalk complex
 
     @property
     def total_dim(self):
@@ -40,41 +40,40 @@ class MixedBruhatSheaf:
     def copy_with(self, dims, dprime, dsecond):
         return MixedBruhatSheaf(self.poset, dims, dprime, dsecond)
 
+    def maps(self, side):
+        """The covering matrices of one side: dprime for PRIME, dsecond for SECOND."""
+        return (self.dprime, self.dsecond)[side]
 
-def compose_prime(E, m, n):
-    """Composite matrix E(m) -> E(n) for m >=' n.
+
+def _compose(E, side, m, n):
+    """Composite matrix along m >= n on `side`: E(m) -> E(n) or E(n) -> E(m).
 
     All maximal covering chains are compared on first use; disagreement
     raises PathDependenceError (a transitivity violation).
     """
     if m == n:
         return RationalMatrix.identity(E.dims[m])
-    key = (m, n)
-    got = E._cp.get(key)
+    cache = E._composites[side]
+    got = cache.get((m, n))
     if got is None:
-        if not E.poset.leq_prime(n, m):
-            raise OrderError("compose_prime requires m >=' n")
-        prods = _all_chain_products_prime(E, m, n)
+        if not E.poset.leq_side(side, n, m):
+            order = ">=" + "'" * (side + 1)
+            raise OrderError(f"compose_{SIDE_NAMES[side]} requires m {order} n")
+        prods = _all_chain_products(E, side, m, n)
         if any(p != prods[0] for p in prods[1:]):
-            raise PathDependenceError(("prime", m, n))
-        got = E._cp[key] = prods[0]
+            raise PathDependenceError((SIDE_NAMES[side], m, n))
+        got = cache[(m, n)] = prods[0]
     return got
+
+
+def compose_prime(E, m, n):
+    """Composite matrix E(m) -> E(n) for m >=' n."""
+    return _compose(E, PRIME, m, n)
 
 
 def compose_second(E, m, n):
-    """Composite matrix E(n) -> E(m) for m >='' n, chain-checked like compose_prime."""
-    if m == n:
-        return RationalMatrix.identity(E.dims[m])
-    key = (m, n)
-    got = E._cs.get(key)
-    if got is None:
-        if not E.poset.leq_second(n, m):
-            raise OrderError("compose_second requires m >='' n")
-        prods = _all_chain_products_second(E, m, n)
-        if any(p != prods[0] for p in prods[1:]):
-            raise PathDependenceError(("second", m, n))
-        got = E._cs[key] = prods[0]
-    return got
+    """Composite matrix E(n) -> E(m) for m >='' n."""
+    return _compose(E, SECOND, m, n)
 
 
 class MbsReport:
@@ -104,65 +103,32 @@ class MbsReport:
         return f"MbsReport({self.summary()})"
 
 
-def _all_chain_products_prime(E, m, n):
-    """Products over every maximal covering chain m ->' n (permutations of steps)."""
-    poset = E.poset
-    added = tuple(sorted(set(poset.elements[n].typeIJ[0])
-                         - set(poset.elements[m].typeIJ[0])))
-    out = []
-    for perm in itertools.permutations(added):
-        cur = m
-        mat = RationalMatrix.identity(E.dims[m])
-        for s in perm:
-            nxt = poset.phi_prime(
-                cur, tuple(sorted(set(poset.elements[cur].typeIJ[0]) | {s})))
-            mat = E.dprime[(cur, nxt)] @ mat
-            cur = nxt
-        out.append(mat)
-    return out
+def _all_chain_products(E, side, m, n):
+    """Products over every maximal covering chain from m down to n on `side`.
 
-
-def _all_chain_products_second(E, m, n):
-    poset = E.poset
-    added = tuple(sorted(set(poset.elements[n].typeIJ[1])
-                         - set(poset.elements[m].typeIJ[1])))
+    The chains are the permutations of the added generators.  A dprime map
+    runs down the chain, so its product takes the steps in chain order; a
+    dsecond map runs up it, so its product takes them in reverse.
+    """
+    poset, maps = E.poset, E.maps(side)
+    added = tuple(sorted(set(poset.elements[n].typeIJ[side])
+                         - set(poset.elements[m].typeIJ[side])))
     out = []
     for perm in itertools.permutations(added):
         steps = []
         cur = m
         for s in perm:
-            nxt = poset.phi_second(
-                cur, tuple(sorted(set(poset.elements[cur].typeIJ[1]) | {s})))
-            steps.append((cur, nxt))
+            nxt = poset.phi(cur, side,
+                            tuple(sorted(set(poset.elements[cur].typeIJ[side]) | {s})))
+            steps.append(maps[(cur, nxt)])
             cur = nxt
-        mat = RationalMatrix.identity(E.dims[cur])
-        for a, b in reversed(steps):
-            mat = E.dsecond[(a, b)] @ mat
+        if side == SECOND:
+            steps.reverse()
+        mat = RationalMatrix.identity(E.dims[arrow(side, m, n)[0]])
+        for step in steps:
+            mat = step @ mat
         out.append(mat)
     return out
-
-
-def _prime_ups(poset):
-    """ups[n] = all m with m >=' n (including m = n)."""
-    from .faces import subsets_sorted
-    ups = [[] for _ in poset.elements]
-    subsets = subsets_sorted(poset.datum.rank)
-    for m, e in enumerate(poset.elements):
-        for I2 in subsets:
-            if set(e.typeIJ[0]) <= set(I2):
-                ups[poset.phi_prime(m, I2)].append(m)
-    return ups
-
-
-def _second_ups(poset):
-    from .faces import subsets_sorted
-    ups = [[] for _ in poset.elements]
-    subsets = subsets_sorted(poset.datum.rank)
-    for m, e in enumerate(poset.elements):
-        for J2 in subsets:
-            if set(e.typeIJ[1]) <= set(J2):
-                ups[poset.phi_second(m, J2)].append(m)
-    return ups
 
 
 def check_mbs(E):
@@ -172,42 +138,34 @@ def check_mbs(E):
     rep = MbsReport()
 
     # shapes on every covering relation
-    for m in range(len(poset.elements)):
-        for _s, n in poset.cov_prime[m]:
-            mat = E.dprime.get((m, n))
-            if mat is None or mat.shape != (E.dims[n], E.dims[m]):
-                rep.shape.append(("prime", m, n, "missing or misshaped matrix"))
-        for _s, n in poset.cov_second[m]:
-            mat = E.dsecond.get((m, n))
-            if mat is None or mat.shape != (E.dims[m], E.dims[n]):
-                rep.shape.append(("second", m, n, "missing or misshaped matrix"))
+    for side, m, n in poset.coverings():
+        mat = E.maps(side).get((m, n))
+        src, dst = arrow(side, m, n)
+        if mat is None or mat.shape != (E.dims[dst], E.dims[src]):
+            rep.shape.append((SIDE_NAMES[side], m, n, "missing or misshaped matrix"))
     if rep.shape:
         return rep
 
-    # MBS1: path independence of composites, both orders
+    # MBS1: path independence of composites, both orders; the entry points
+    # are looked up per call, so rebinding compose_prime/compose_second works
+    compose = (compose_prime, compose_second)
     rank = poset.datum.rank
     for m, e in enumerate(poset.elements):
-        I, J = e.typeIJ
-        for I2 in subsets_sorted(rank):
-            if not set(I) < set(I2) or len(I2) - len(I) < 2:
-                continue
-            try:
-                compose_prime(E, m, poset.phi_prime(m, I2))
-            except PathDependenceError as exc:
-                rep.mbs1.append(exc.args[0])
-        for J2 in subsets_sorted(rank):
-            if not set(J) < set(J2) or len(J2) - len(J) < 2:
-                continue
-            try:
-                compose_second(E, m, poset.phi_second(m, J2))
-            except PathDependenceError as exc:
-                rep.mbs1.append(exc.args[0])
+        for side in (PRIME, SECOND):
+            K = e.typeIJ[side]
+            for K2 in subsets_sorted(rank):
+                if not set(K) < set(K2) or len(K2) - len(K) < 2:
+                    continue
+                try:
+                    compose[side](E, m, poset.phi(m, side, K2))
+                except PathDependenceError as exc:
+                    rep.mbs1.append(exc.args[0])
     if rep.mbs1:
         return rep
 
     # MBS2: the supremum sum over every configuration m' >=' n' <='' n
-    pups = _prime_ups(poset)
-    sups = _second_ups(poset)
+    pups = poset.ups(PRIME)
+    sups = poset.ups(SECOND)
     for np_ in range(len(poset.elements)):
         for mp in pups[np_]:
             d_prime = compose_prime(E, mp, np_)
@@ -222,32 +180,22 @@ def check_mbs(E):
                     rep.mbs2.append((mp, np_, n))
 
     # MBS3: anodyne coverings must be invertible
-    for m in range(len(poset.elements)):
-        for _s, n in poset.cov_prime[m]:
-            if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
-                mat = E.dprime[(m, n)]
-                if not (mat.is_square() and mat.is_invertible()):
-                    rep.mbs3.append(("prime", m, n))
-        for _s, n in poset.cov_second[m]:
-            if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
-                mat = E.dsecond[(m, n)]
-                if not (mat.is_square() and mat.is_invertible()):
-                    rep.mbs3.append(("second", m, n))
+    for side, m, n in poset.coverings():
+        if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
+            mat = E.maps(side)[(m, n)]
+            if not (mat.is_square() and mat.is_invertible()):
+                rep.mbs3.append((SIDE_NAMES[side], m, n))
     return rep
 
 
 def dual(E):
     """The twisted dual: spaces at the coordinate swap, transposed matrices."""
-    poset = E.poset
-    dims = [E.dims[poset.tau(m)] for m in range(len(poset.elements))]
-    dprime = {}
-    dsecond = {}
-    for m in range(len(poset.elements)):
-        for _s, n in poset.cov_prime[m]:
-            dprime[(m, n)] = E.dsecond[(poset.tau(m), poset.tau(n))].transpose()
-        for _s, n in poset.cov_second[m]:
-            dsecond[(m, n)] = E.dprime[(poset.tau(m), poset.tau(n))].transpose()
-    return E.copy_with(dims, dprime, dsecond)
+    tau = E.poset.tau
+    dims = [E.dims[tau(m)] for m in range(len(E.poset.elements))]
+    maps = ({}, {})
+    for side, m, n in E.poset.coverings():
+        maps[side][(m, n)] = E.maps(1 - side)[(tau(m), tau(n))].transpose()
+    return E.copy_with(dims, *maps)
 
 
 class BicubeData:
@@ -344,40 +292,41 @@ def phi_psi(E):
 # -- local system transport ------------------------------------------------------
 
 def validate_path(poset, path):
-    """Check a cell path: one stratum, consecutive pure anodyne steps."""
+    """Check a cell path: one stratum, consecutive pure anodyne steps.
+
+    Returns (side, hi, lo) per step: the step runs up from lo to hi or
+    down from hi to lo, with hi >= lo on that side.
+    """
     if len(path) < 1:
         raise ValueError("empty path")
     flat = poset.elements[path[0]].flat
     for m in path:
         if poset.elements[m].flat != flat:
             raise ValueError("path leaves its stratum")
+    steps = []
     for a, b in zip(path, path[1:]):
-        up_p = poset.leq_prime(a, b)
-        up_s = poset.leq_second(a, b)
-        dn_p = poset.leq_prime(b, a)
-        dn_s = poset.leq_second(b, a)
-        if not (up_p or up_s or dn_p or dn_s):
+        step = next(((side, hi, lo) for hi, lo in ((b, a), (a, b)) for side in (PRIME, SECOND)
+                     if poset.leq_side(side, lo, hi)), None)
+        if step is None:
             raise ValueError(f"step {a} -> {b} is not a pure <=' or <='' step")
-        hi, lo = (b, a) if (up_p or up_s) else (a, b)
-        if poset.elements[hi].orbit_size != poset.elements[lo].orbit_size:
+        if poset.elements[step[1]].orbit_size != poset.elements[step[2]].orbit_size:
             raise ValueError(f"step {a} -> {b} is not anodyne")
+        steps.append(step)
+    return steps
 
 
 def transport(E, path):
-    """Ordered product of generalization maps along an anodyne cell path."""
-    poset = E.poset
-    validate_path(poset, path)
+    """Ordered product of generalization maps along an anodyne cell path.
+
+    A PRIME map runs hi -> lo and a SECOND map lo -> hi, so a step against
+    its map's direction takes the inverse.
+    """
+    steps = validate_path(E.poset, path)
     mat = RationalMatrix.identity(E.dims[path[0]])
-    for a, b in zip(path, path[1:]):
-        if poset.leq_prime(a, b):
-            step = compose_prime(E, b, a).inverse()
-        elif poset.leq_second(a, b):
-            step = compose_second(E, b, a)
-        elif poset.leq_prime(b, a):
-            step = compose_prime(E, a, b)
-        else:
-            step = compose_second(E, a, b).inverse()
-        mat = step @ mat
+    compose = (compose_prime, compose_second)
+    for (side, hi, lo), a in zip(steps, path):
+        step = compose[side](E, hi, lo)
+        mat = (step.inverse() if arrow(side, hi, lo)[0] != a else step) @ mat
     return mat
 
 
@@ -439,19 +388,13 @@ def generated_sub(E, seeds):
         for v in vecs:
             spans[m].add(v)
     moves = []
-    for m in range(len(poset.elements)):
-        for _s, n in poset.cov_prime[m]:
-            mat = E.dprime[(m, n)]
-            moves.append((m, n, mat))
-            if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
-                    and mat.is_invertible()):
-                moves.append((n, m, mat.inverse()))
-        for _s, n in poset.cov_second[m]:
-            mat = E.dsecond[(m, n)]
-            moves.append((n, m, mat))
-            if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
-                    and mat.is_invertible()):
-                moves.append((m, n, mat.inverse()))
+    for side, m, n in poset.coverings():
+        mat = E.maps(side)[(m, n)]
+        src, dst = arrow(side, m, n)
+        moves.append((src, dst, mat))
+        if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
+                and mat.is_invertible()):
+            moves.append((dst, src, mat.inverse()))
     changed = True
     while changed:
         changed = False
@@ -469,17 +412,13 @@ def subsheaf(E, bases, lift=None):
     basis and solved against its target basis, which is factored once; the
     solves are exact, so a span that a map does not preserve raises ValueError.
     """
-    poset = E.poset
     solve = [b.solver() for b in bases]
     lift = lift or (lambda mat: mat)
-    dprime = {}
-    dsecond = {}
-    for m in range(len(poset.elements)):
-        for _s, n in poset.cov_prime[m]:
-            dprime[(m, n)] = solve[n](lift(E.dprime[(m, n)]) @ bases[m])
-        for _s, n in poset.cov_second[m]:
-            dsecond[(m, n)] = solve[m](lift(E.dsecond[(m, n)]) @ bases[n])
-    sub = MixedBruhatSheaf(poset, [b.ncols for b in bases], dprime, dsecond)
+    maps = ({}, {})
+    for side, m, n in E.poset.coverings():
+        src, dst = arrow(side, m, n)
+        maps[side][(m, n)] = solve[dst](lift(E.maps(side)[(m, n)]) @ bases[src])
+    sub = MixedBruhatSheaf(E.poset, [b.ncols for b in bases], *maps)
     sub.bases = bases
     return sub
 

@@ -7,11 +7,25 @@ coordinate (its type set grows), the vertical order >='' contracts the
 second.  A comparability m >= n is anodyne when both cells lie in the same
 stratum of the discriminantal stratification, equivalently when the orbit
 sizes agree.
+
+Every order-dependent routine takes a side: PRIME (0) is >=' and contracts
+coordinate 0, SECOND (1) is >='' and contracts coordinate 1, and the
+coordinate swap tau exchanges them.  A sheaf is covariant along PRIME and
+contravariant along SECOND: for a covering m > n, its PRIME map runs
+E(m) -> E(n) and its SECOND map runs E(n) -> E(m) (see ``arrow``).
 """
 
 from __future__ import annotations
 
 from .faces import FaceComplex, subsets_sorted
+
+PRIME, SECOND = 0, 1
+SIDE_NAMES = ("prime", "second")
+
+
+def arrow(side, m, n):
+    """(source, target) of the map of a covering m > n on a side."""
+    return (m, n) if side == PRIME else (n, m)
 
 
 class OrderError(ValueError):
@@ -95,7 +109,6 @@ class XiPoset:
     def _build_structure(self):
         cx = self.complex
         rank = self.datum.rank
-        full = tuple(range(rank))
         flat_registry = {}
         self.flats = []
         for e in self.elements:
@@ -115,23 +128,13 @@ class XiPoset:
                 self.flats.append(flat)
             e.flat = flat_registry[canon]
         # covering relations: one-generator contractions in each coordinate
-        self.cov_prime = []       # per element: tuple of (s, target index)
-        self.cov_second = []
+        self.cov = ([], [])       # per side, per element: tuple of (s, target index)
         for e in self.elements:
-            I, J = e.typeIJ
-            c, d = e.pair
-            covp = []
-            for s in range(rank):
-                if s not in I:
-                    I2 = tuple(sorted(I + (s,)))
-                    covp.append((s, self.pair_to_elem[(cx.coarsen(c.index, I2), d.index)]))
-            covs = []
-            for s in range(rank):
-                if s not in J:
-                    J2 = tuple(sorted(J + (s,)))
-                    covs.append((s, self.pair_to_elem[(c.index, cx.coarsen(d.index, J2))]))
-            self.cov_prime.append(tuple(covp))
-            self.cov_second.append(tuple(covs))
+            for side in (PRIME, SECOND):
+                K = e.typeIJ[side]
+                self.cov[side].append(tuple(
+                    (s, self.phi(e.index, side, tuple(sorted(K + (s,)))))
+                    for s in range(rank) if s not in K))
 
     def _flat_canonical(self, root_set):
         """W-minimal representative of the orbit of a span-closed root set."""
@@ -153,35 +156,23 @@ class XiPoset:
         """The element containing the pair (c, d) of faces."""
         return self.elements[self.pair_to_elem[(c.index, d.index)]]
 
-    def phi_prime(self, m, I2):
-        """Horizontal contraction of m into Xi(I2, J)."""
+    def phi(self, m, side, K):
+        """Contraction of coordinate `side` of m into type K: Xi(K, J) or Xi(I, K)."""
         e = self.elements[m]
-        if not set(e.typeIJ[0]) <= set(I2):
-            raise OrderError(f"cannot contract first type {e.typeIJ[0]} to {I2}")
+        if not set(e.typeIJ[side]) <= set(K):
+            raise OrderError(f"cannot contract {('first', 'second')[side]} type "
+                             f"{e.typeIJ[side]} to {K}")
         c, d = e.pair
-        return self.pair_to_elem[(self.complex.coarsen(c.index, I2), d.index)]
+        if side == PRIME:
+            return self.pair_to_elem[(self.complex.coarsen(c.index, K), d.index)]
+        return self.pair_to_elem[(c.index, self.complex.coarsen(d.index, K))]
 
-    def phi_second(self, m, J2):
-        """Vertical contraction of m into Xi(I, J2)."""
-        e = self.elements[m]
-        if not set(e.typeIJ[1]) <= set(J2):
-            raise OrderError(f"cannot contract second type {e.typeIJ[1]} to {J2}")
-        c, d = e.pair
-        return self.pair_to_elem[(c.index, self.complex.coarsen(d.index, J2))]
-
-    def leq_prime(self, n, m):
-        """True iff m >=' n."""
+    def leq_side(self, side, n, m):
+        """True iff m >= n in the order of `side` (>=' or >='')."""
         em, en = self.elements[m], self.elements[n]
-        return (em.typeIJ[1] == en.typeIJ[1]
-                and set(em.typeIJ[0]) <= set(en.typeIJ[0])
-                and self.phi_prime(m, en.typeIJ[0]) == n)
-
-    def leq_second(self, n, m):
-        """True iff m >='' n."""
-        em, en = self.elements[m], self.elements[n]
-        return (em.typeIJ[0] == en.typeIJ[0]
-                and set(em.typeIJ[1]) <= set(en.typeIJ[1])
-                and self.phi_second(m, en.typeIJ[1]) == n)
+        return (em.typeIJ[1 - side] == en.typeIJ[1 - side]
+                and set(em.typeIJ[side]) <= set(en.typeIJ[side])
+                and self.phi(m, side, en.typeIJ[side]) == n)
 
     def leq(self, n, m):
         """Joint order: true iff m >= n."""
@@ -189,19 +180,30 @@ class XiPoset:
         if not (set(em.typeIJ[0]) <= set(en.typeIJ[0])
                 and set(em.typeIJ[1]) <= set(en.typeIJ[1])):
             return False
-        return self.phi_second(self.phi_prime(m, en.typeIJ[0]), en.typeIJ[1]) == n
+        return self.phi(self.phi(m, PRIME, en.typeIJ[0]), SECOND, en.typeIJ[1]) == n
 
-    def factor_through_prime(self, m, n):
-        """The unique m' with m >=' m' >='' n; requires m >= n."""
+    def factor_through(self, m, n, side):
+        """The unique x with m >= x on `side` and x >= n on the other; requires m >= n."""
         if not self.leq(n, m):
             raise OrderError("elements are not comparable")
-        return self.phi_prime(m, self.elements[n].typeIJ[0])
+        return self.phi(m, side, self.elements[n].typeIJ[side])
 
-    def factor_through_second(self, m, n):
-        """The unique n' with m >='' n' >=' n; requires m >= n."""
-        if not self.leq(n, m):
-            raise OrderError("elements are not comparable")
-        return self.phi_second(m, self.elements[n].typeIJ[1])
+    def ups(self, side):
+        """ups[n] = all m with m >= n on `side` (including m = n)."""
+        ups = [[] for _ in self.elements]
+        subsets = subsets_sorted(self.datum.rank)
+        for m, e in enumerate(self.elements):
+            for K in subsets:
+                if set(e.typeIJ[side]) <= set(K):
+                    ups[self.phi(m, side, K)].append(m)
+        return ups
+
+    def coverings(self):
+        """Every covering relation as (side, m, n): by cell m, PRIME before SECOND."""
+        for m in range(len(self.elements)):
+            for side in (PRIME, SECOND):
+                for _s, n in self.cov[side][m]:
+                    yield side, m, n
 
     def pi_map(self, m, n):
         """Point-level surjection m -> n for m >= n, as a list over m.points."""
@@ -230,7 +232,7 @@ class XiPoset:
             return []
         out = []
         for m in self.blocks.get((I1, J1), ()):
-            if self.phi_second(m, J2) == mp and self.phi_prime(m, I2) == n:
+            if self.phi(m, SECOND, J2) == mp and self.phi(m, PRIME, I2) == n:
                 out.append(m)
         return out
 
@@ -267,11 +269,11 @@ class XiPoset:
                         continue
                     if (I2, J2) == (I, J):
                         continue
-                    n = self.phi_second(self.phi_prime(m, I2), J2)
+                    n = self.phi(self.phi(m, PRIME, I2), SECOND, J2)
                     if J2 == J:
-                        kind = "prime"
+                        kind = SIDE_NAMES[PRIME]
                     elif I2 == I:
-                        kind = "second"
+                        kind = SIDE_NAMES[SECOND]
                     else:
                         kind = "mixed"
                     ano = self.elements[m].orbit_size == self.elements[n].orbit_size
@@ -280,7 +282,8 @@ class XiPoset:
 
     # -- stratifications ----------------------------------------------------------
 
-    def _classes_from_edges(self, edges):
+    def _anodyne_classes(self, *sides):
+        """Classes generated by the anodyne coverings of the given sides."""
         parent = list(range(len(self.elements)))
 
         def find(x):
@@ -289,7 +292,10 @@ class XiPoset:
                 x = parent[x]
             return x
 
-        for a, b in edges:
+        for side, a, b in self.coverings():
+            if side not in sides or (self.elements[a].orbit_size
+                                     != self.elements[b].orbit_size):
+                continue
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
@@ -305,23 +311,12 @@ class XiPoset:
             groups.setdefault(e.flat.ident, []).append(e.index)
         s0 = tuple(tuple(g) for _, g in sorted(groups.items(),
                                                key=lambda kv: kv[1][0]))
-        edges_second = [(m, n) for m in range(len(self.elements))
-                        for _, n in self.cov_second[m]
-                        if self.elements[m].orbit_size == self.elements[n].orbit_size]
-        edges_prime = [(m, n) for m in range(len(self.elements))
-                       for _, n in self.cov_prime[m]
-                       if self.elements[m].orbit_size == self.elements[n].orbit_size]
-        s1 = self._classes_from_edges(edges_second)
-        tau_s1 = self._classes_from_edges(edges_prime)
-        return s0, s1, tau_s1
+        return s0, self._anodyne_classes(SECOND), self._anodyne_classes(PRIME)
 
     def stratification_join_matches(self):
         """Whether the join of S1 and tau-S1 equals the flat partition S0."""
         s0, _, _ = self.stratification_classes()
-        edges = [(m, n) for m in range(len(self.elements))
-                 for _, n in list(self.cov_second[m]) + list(self.cov_prime[m])
-                 if self.elements[m].orbit_size == self.elements[n].orbit_size]
-        joined = self._classes_from_edges(edges)
+        joined = self._anodyne_classes(PRIME, SECOND)
         return set(map(frozenset, joined)) == set(map(frozenset, s0))
 
     # -- the double-coset Bruhat order -------------------------------------------

@@ -13,6 +13,7 @@ from dense_reference import RationalMatrix as Dense
 from mbsheaf.f1 import _kron, build_e1
 from mbsheaf.linalg import RationalMatrix, column_space_basis
 from mbsheaf.sheaf import MixedBruhatSheaf
+from mbsheaf.xi import PRIME, SECOND
 
 
 def _dense_solve(basis, rhs):
@@ -38,10 +39,10 @@ def build_e1v_projector(poset, rep):
     dprime = {}
     dsecond = {}
     for m in range(len(poset.elements)):
-        for _s, n in poset.cov_prime[m]:
+        for _s, n in poset.cov[PRIME][m]:
             big = _kron(e1.dprime[(m, n)], ident_v)
             dprime[(m, n)] = _dense_solve(bases[n], big @ bases[m])
-        for _s, n in poset.cov_second[m]:
+        for _s, n in poset.cov[SECOND][m]:
             big = _kron(e1.dsecond[(m, n)], ident_v)
             dsecond[(m, n)] = _dense_solve(bases[m], big @ bases[n])
     sheaf = MixedBruhatSheaf(poset, dims, dprime, dsecond)

@@ -11,7 +11,7 @@ from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
 from mbsheaf.fq import build_eq
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import check_mbs
-from mbsheaf.xi import enumerate_xi
+from mbsheaf.xi import PRIME, enumerate_xi
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +151,7 @@ def test_corrupted_sheaf_fails_a2(xi_a2):
     # d^2 = 0 gate of the stalk complexes reports
     e1 = build_e1(xi_a2)
     target = next((m, n) for m in range(len(xi_a2.elements))
-                  for _s, n in xi_a2.cov_prime[m]
+                  for _s, n in xi_a2.cov[PRIME][m]
                   if xi_a2.elements[m].orbit_size == xi_a2.elements[n].orbit_size
                   and xi_a2.elements[n].typeIJ[0] != (0, 1))
     bad_dprime = dict(e1.dprime)
@@ -174,3 +174,28 @@ def test_d_squared_error_on_broken_transitivity(xi_a2):
     with pytest.raises(SignConventionError):
         for m in range(len(xi_a2.elements)):
             stalk_complex(bad, m)
+
+
+def test_stalk_complexes_built_once_per_sheaf(xi_a2, monkeypatch):
+    import mbsheaf.cousin as cousin
+    built = []
+    original = cousin.stalk_complex
+
+    def counting(E, m):
+        built.append(m)
+        return original(E, m)
+
+    monkeypatch.setattr(cousin, "stalk_complex", counting)
+    e1 = build_e1(xi_a2)
+    first = (support_check(e1).entries, constructibility_check(e1).entries)
+    again = (support_check(e1).entries, constructibility_check(e1).entries)
+    assert sorted(built) == list(range(len(xi_a2.elements)))
+    assert again == first
+    # a complex with d^2 != 0 is not memoised: every check that meets it raises
+    key = next(k for k in e1.dprime if e1.dprime[k].nrows > 1)
+    bad_dprime = dict(e1.dprime)
+    bad_dprime[key] = e1.dprime[key].scale(3)
+    bad = e1.copy_with(e1.dims, bad_dprime, e1.dsecond)
+    for check in (support_check, constructibility_check):
+        with pytest.raises(SignConventionError):
+            check(bad)

@@ -6,7 +6,7 @@ import pytest
 
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.faces import FaceComplex
-from mbsheaf.xi import OrderError, enumerate_xi
+from mbsheaf.xi import PRIME, SECOND, OrderError, enumerate_xi
 
 
 def complex_for(label, rank):
@@ -321,13 +321,13 @@ def test_factorization_uniqueness(label, rank):
     for m, n, _kind, _ano in xi.comparable_pairs():
         em, en = xi.elements[m], xi.elements[n]
         mid_prime = [p for p in xi.blocks.get((en.typeIJ[0], em.typeIJ[1]), ())
-                     if xi.leq_prime(p, m) and xi.leq_second(n, p)]
+                     if xi.leq_side(PRIME, p, m) and xi.leq_side(SECOND, n, p)]
         mid_second = [p for p in xi.blocks.get((em.typeIJ[0], en.typeIJ[1]), ())
-                      if xi.leq_second(p, m) and xi.leq_prime(n, p)]
+                      if xi.leq_side(SECOND, p, m) and xi.leq_side(PRIME, n, p)]
         assert len(mid_prime) == 1
-        assert mid_prime[0] == xi.factor_through_prime(m, n)
+        assert mid_prime[0] == xi.factor_through(m, n, PRIME)
         assert len(mid_second) == 1
-        assert mid_second[0] == xi.factor_through_second(m, n)
+        assert mid_second[0] == xi.factor_through(m, n, SECOND)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -342,13 +342,13 @@ def test_sup_fiber_product_and_anodyne_singleton(label, rank):
             enp = xi.elements[np_]
             if not (emp.typeIJ[1] == enp.typeIJ[1]
                     and set(emp.typeIJ[0]) <= set(enp.typeIJ[0])
-                    and xi.leq_prime(np_, mp)):
+                    and xi.leq_side(PRIME, np_, mp)):
                 continue
             for n in range(len(xi.elements)):
                 en = xi.elements[n]
                 if not (en.typeIJ[0] == enp.typeIJ[0]
                         and set(enp.typeIJ[1]) <= set(en.typeIJ[1])
-                        and xi.leq_second(np_, n)):
+                        and xi.leq_side(SECOND, np_, n)):
                     continue
                 sups = xi.sup(mp, n)
                 # point-level fiber product count equals the union of the sups
@@ -375,12 +375,24 @@ def test_tau_and_ver_constancy(label, rank):
         assert xi.tau(xi.tau(m)) == m
         e = xi.elements[m]
         assert xi.elements[xi.tau(m)].typeIJ == (e.typeIJ[1], e.typeIJ[0])
-        for _s, n in xi.cov_prime[m]:
+        for _s, n in xi.cov[PRIME][m]:
             if xi.elements[m].orbit_size == xi.elements[n].orbit_size:
                 assert xi.elements[m].ver == xi.elements[n].ver
-        for _s, n in xi.cov_second[m]:
+        for _s, n in xi.cov[SECOND][m]:
             if xi.elements[m].orbit_size == xi.elements[n].orbit_size:
                 assert xi.elements[m].hor == xi.elements[n].hor
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_tau_mirrors_the_two_orders(label, rank):
+    # tau exchanges >=' and >='', so each side's routines answer for the other
+    xi = enumerate_xi(build_coxeter(label, rank))
+    tau = xi.tau
+    cells = range(len(xi.elements))
+    for m in cells:
+        for n in cells:
+            assert xi.leq_side(PRIME, n, m) == xi.leq_side(SECOND, tau(n), tau(m))
+        assert xi.cov[SECOND][tau(m)] == tuple((s, tau(n)) for s, n in xi.cov[PRIME][m])
 
 
 def test_hor_of_dominant_pairs():
@@ -421,15 +433,15 @@ def test_contraction_bruhat_monotone(label, rank):
                 for m in block:
                     for n in block:
                         if xi.bruhat_block_leq(m, n):
-                            assert xi.bruhat_block_leq(xi.phi_prime(m, I2),
-                                                       xi.phi_prime(n, I2))
+                            assert xi.bruhat_block_leq(xi.phi(m, PRIME, I2),
+                                                       xi.phi(n, PRIME, I2))
             if s not in J:
                 J2 = tuple(sorted(J + (s,)))
                 for m in block:
                     for n in block:
                         if xi.bruhat_block_leq(m, n):
-                            assert xi.bruhat_block_leq(xi.phi_second(m, J2),
-                                                       xi.phi_second(n, J2))
+                            assert xi.bruhat_block_leq(xi.phi(m, SECOND, J2),
+                                                       xi.phi(n, SECOND, J2))
 
 
 def test_unique_minimal_stratum_zero():

@@ -13,7 +13,7 @@ from mbsheaf.fq import (
 )
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import check_mbs
-from mbsheaf.xi import enumerate_xi
+from mbsheaf.xi import PRIME, SECOND, enumerate_xi
 
 
 def gaussian_binomial(n, k, q):
@@ -173,11 +173,11 @@ def test_contingency_margins_match_types(xi_a2):
 def test_contingency_order_orientation(xi_a2):
     # m >=' n merges adjacent row groups of the matrix (first coordinate)
     for m in range(len(xi_a2.elements)):
-        for _s, n in xi_a2.cov_prime[m]:
+        for _s, n in xi_a2.cov[PRIME][m]:
             mm, mn = xi_to_contingency(xi_a2, m), xi_to_contingency(xi_a2, n)
             assert len(mn.entries) < len(mm.entries)
             assert mn.entries[0] != () and len(mn.entries[0]) == len(mm.entries[0])
-        for _s, n in xi_a2.cov_second[m]:
+        for _s, n in xi_a2.cov[SECOND][m]:
             mm, mn = xi_to_contingency(xi_a2, m), xi_to_contingency(xi_a2, n)
             assert len(mn.entries[0]) < len(mm.entries[0])
             assert len(mn.entries) == len(mm.entries)
@@ -324,7 +324,7 @@ def test_eq_matrices_conjugate_point_level_maps(xi_a2):
         em = xi_a2.elements[m]
         ci = composition_of_subset(set(em.typeIJ[0]), n)
         cj = composition_of_subset(set(em.typeIJ[1]), n)
-        for _s, nn in xi_a2.cov_prime[m]:
+        for _s, nn in xi_a2.cov[PRIME][m]:
             ti = composition_of_subset(set(xi_a2.elements[nn].typeIJ[0]), n)
             idx = ctx.flag_index(ti)
             fi = ctx.flags(ci)
@@ -335,7 +335,7 @@ def test_eq_matrices_conjugate_point_level_maps(xi_a2):
             push_mat = RationalMatrix(tuple(tuple(r) for r in push),
                                       len(eq.orbit_tables[m]))
             assert eq.embeddings[nn] @ eq.dprime[(m, nn)] == push_mat @ eq.embeddings[m]
-        for _s, nn in xi_a2.cov_second[m]:
+        for _s, nn in xi_a2.cov[SECOND][m]:
             tj = composition_of_subset(set(xi_a2.elements[nn].typeIJ[1]), n)
             idx = ctx.flag_index(tj)
             fj = ctx.flags(cj)

@@ -9,7 +9,7 @@ from mbsheaf.sheaf import (
     OpenLoopError, _wall_loop, bicube, check_mbs, compose_prime, compose_second, dual,
     generated_sub, is_simple, monodromy, phi_psi, standard_loops, transport,
 )
-from mbsheaf.xi import enumerate_xi
+from mbsheaf.xi import PRIME, SECOND, enumerate_xi
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,50 @@ def test_check_mbs_detects_mbs2_failure(xi_a1, e1_a1):
     assert len(rep.mbs2) == 1
 
 
+def _break_one_map(E, case):
+    """A copy of E with one covering map removed, misshaped, scaled or zeroed."""
+    xi = E.poset
+    maps = {"dprime": dict(E.dprime), "dsecond": dict(E.dsecond)}
+    sizes = [e.orbit_size for e in xi.elements]
+    what, key = case.split(" ")
+    if what == "missing":
+        del maps[key][min(maps[key])]
+    elif what == "misshaped":
+        k = min(maps[key])
+        r, c = maps[key][k].shape
+        maps[key][k] = RationalMatrix.zeros(r + 1, c)
+    elif what == "chain":
+        # a covering out of a cell of empty type on its side starts a two-step chain
+        side = PRIME if key == "dprime" else SECOND
+        k = min(k for k in maps[key] if xi.elements[k[0]].typeIJ[side] == ())
+        maps[key][k] = maps[key][k].scale(2)
+    else:
+        k = min(k for k in maps[key] if sizes[k[0]] == sizes[k[1]])
+        maps[key][k] = RationalMatrix.zeros(*maps[key][k].shape)
+    return E.copy_with(E.dims, maps["dprime"], maps["dsecond"])
+
+
+# (case, datum rank, expected (shape, mbs1, mbs2, mbs3)); the cell indices
+# are those of enumerate_xi on the type A datum of that rank
+SHAPE_MSG = "missing or misshaped matrix"
+BROKEN_MAP_WITNESSES = [
+    ("missing dprime", 1, ([("prime", 0, 3, SHAPE_MSG)], [], [], [])),
+    ("misshaped dsecond", 1, ([("second", 0, 2, SHAPE_MSG)], [], [], [])),
+    ("missing dprime", 2, ([("prime", 0, 13, SHAPE_MSG)], [], [], [])),
+    ("misshaped dsecond", 2, ([("second", 0, 6, SHAPE_MSG)], [], [], [])),
+    ("chain dprime", 2, ([], [("prime", 0, 29)], [], [])),
+    ("chain dsecond", 2, ([], [("second", 0, 12)], [], [])),
+    ("anodyne dprime", 1, ([], [], [(2, 4, 3)], [("prime", 0, 3)])),
+    ("anodyne dsecond", 1, ([], [], [(2, 4, 3)], [("second", 0, 2)])),
+]
+
+
+@pytest.mark.parametrize("case,rank,expected", BROKEN_MAP_WITNESSES)
+def test_check_mbs_witnesses_of_both_orders(case, rank, expected, e1_a1, e1_a2):
+    rep = check_mbs(_break_one_map(e1_a1 if rank == 1 else e1_a2, case))
+    assert (rep.shape, rep.mbs1, rep.mbs2, rep.mbs3) == expected
+
+
 def test_compose_identity_and_single(xi_a1, e1_a1):
     m0, m_neg1, m1, mi, mni = a1_cells(xi_a1)
     assert compose_prime(e1_a1, m1, m1) == RationalMatrix.identity(2)
@@ -92,7 +136,7 @@ def test_compose_chain_matches_point_pushforward(xi_a2, e1_a2):
     for m, e in enumerate(xi.elements):
         if e.typeIJ[0] != ():
             continue
-        n = xi.phi_prime(m, full)
+        n = xi.phi(m, PRIME, full)
         mat = compose_prime(e1_a2, m, n)
         pi = xi.pi_map(m, n)
         expect = [[0] * e1_a2.dims[m] for _ in range(e1_a2.dims[n])]
@@ -116,11 +160,11 @@ def test_dual_involution_and_dims(xi_a2, e1_a2):
 
 def test_equivariance(xi_a2, e1_a2):
     for m in range(len(xi_a2.elements)):
-        for _s, n in xi_a2.cov_prime[m]:
+        for _s, n in xi_a2.cov[PRIME][m]:
             mat = e1_a2.dprime[(m, n)]
             for w in range(xi_a2.datum.order):
                 assert mat @ e1_a2.action_matrix(w, m) == e1_a2.action_matrix(w, n) @ mat
-        for _s, n in xi_a2.cov_second[m]:
+        for _s, n in xi_a2.cov[SECOND][m]:
             mat = e1_a2.dsecond[(m, n)]
             for w in range(xi_a2.datum.order):
                 assert mat @ e1_a2.action_matrix(w, n) == e1_a2.action_matrix(w, m) @ mat
@@ -202,9 +246,9 @@ def test_transport_elementary_move_invariance(xi_a2, e1_a2):
     squares = 0
     for a in range(len(xi.elements)):
         ups_prime = [b for b in range(len(xi.elements))
-                     if b != a and xi.leq_prime(a, b) and xi.is_anodyne(b, a)]
+                     if b != a and xi.leq_side(PRIME, a, b) and xi.is_anodyne(b, a)]
         ups_second = [c for c in range(len(xi.elements))
-                      if c != a and xi.leq_second(a, c) and xi.is_anodyne(c, a)]
+                      if c != a and xi.leq_side(SECOND, a, c) and xi.is_anodyne(c, a)]
         for b in ups_prime:
             for c in ups_second:
                 sups = xi.sup(b, c)
@@ -254,9 +298,9 @@ def test_zero_sheaf(xi_a1):
     from mbsheaf.sheaf import MixedBruhatSheaf
     dims = [0] * len(xi_a1.elements)
     dp = {(m, n): RationalMatrix.zeros(0, 0)
-          for m in range(len(xi_a1.elements)) for _s, n in xi_a1.cov_prime[m]}
+          for m in range(len(xi_a1.elements)) for _s, n in xi_a1.cov[PRIME][m]}
     ds = {(m, n): RationalMatrix.zeros(0, 0)
-          for m in range(len(xi_a1.elements)) for _s, n in xi_a1.cov_second[m]}
+          for m in range(len(xi_a1.elements)) for _s, n in xi_a1.cov[SECOND][m]}
     zero = MixedBruhatSheaf(xi_a1, dims, dp, ds)
     assert check_mbs(zero).ok
     pp = phi_psi(zero)
