@@ -32,7 +32,7 @@ bad = e1_a1.copy_with(e1_a1.dims, {**e1_a1.dprime, key: e1_a1.dprime[key].scale(
                       e1_a1.dsecond)
 report = check_mbs(bad)
 print(f"  after scaling one anodyne map: {report.summary()}")
-print(f"  failing configurations: {report.mbs2}")
+print(f"  failing configurations: {report.witnesses['MBS2']}")
 
 print("\nE_1 is not simple: the invariant functions split off")
 print(f"  is_simple(E_1(A1)) = {is_simple(e1_a1)}")

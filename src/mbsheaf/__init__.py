@@ -6,8 +6,7 @@ from .coxeter import (
     min_coset_reps, poincare_poly,
 )
 from .cousin import (
-    PerversityReport, StalkComplex, constructibility_check, coperversity_check,
-    stalk_complex, support_check,
+    StalkComplex, constructibility_check, coperversity_check, stalk_complex, support_check,
 )
 from .f1 import E1Sheaf, WRepresentation, build_e1, build_e1v, rep_catalog
 from .faces import Face, FaceComplex
@@ -19,8 +18,9 @@ from .fq import (
 from .intpoly import IntPolynomial
 from .linalg import RationalMatrix
 from .orbitpoly import dim_flag, dim_orbit, orbit_poly, property_suite, validate_counts
+from .report import Report
 from .sheaf import (
-    BicubeData, MbsReport, MixedBruhatSheaf, bicube, check_mbs, compose_prime,
+    BicubeData, MixedBruhatSheaf, bicube, check_mbs, compose_prime,
     compose_second, dual, generated_sub, is_simple, monodromy, phi_psi,
     standard_loops, transport,
 )
@@ -29,8 +29,8 @@ from .xi import FlatOrbit, OrderError, XiElement, XiPoset, enumerate_xi
 __all__ = [
     "SUPPORTED", "UnsupportedTypeError", "build_coxeter", "bruhat_leq",
     "enumerate_group", "min_coset_reps", "poincare_poly",
-    "PerversityReport", "StalkComplex", "constructibility_check",
-    "coperversity_check", "stalk_complex", "support_check",
+    "StalkComplex", "constructibility_check", "coperversity_check",
+    "stalk_complex", "support_check",
     "E1Sheaf", "WRepresentation", "build_e1", "build_e1v", "rep_catalog",
     "Face", "FaceComplex",
     "ContingencyMatrix", "Flag", "FqContext", "FqField", "Subspace",
@@ -38,7 +38,8 @@ __all__ = [
     "orbit_point_checks", "xi_to_contingency",
     "IntPolynomial", "RationalMatrix",
     "dim_flag", "dim_orbit", "orbit_poly", "property_suite", "validate_counts",
-    "BicubeData", "MbsReport", "MixedBruhatSheaf", "bicube", "check_mbs",
+    "Report",
+    "BicubeData", "MixedBruhatSheaf", "bicube", "check_mbs",
     "compose_prime", "compose_second", "dual", "generated_sub", "is_simple",
     "monodromy", "phi_psi", "standard_loops", "transport",
     "FlatOrbit", "OrderError", "XiElement", "XiPoset", "enumerate_xi",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import RationalMatrix
+from .report import Report
 from .sheaf import dual
 from .xi import PRIME
 
@@ -102,61 +103,38 @@ def stalk_complex(E, m):
         nxt = diffs.get(deg + 1)
         if nxt is not None and not (nxt @ diffs[deg]).is_zero():
             raise SignConventionError(f"d^2 != 0 at cell {m}, degree {deg}")
-    cohomology = {}
-    for deg, dim in dims.items():
-        rank_out = diffs[deg].rank() if deg in diffs else 0
-        prev = diffs.get(deg - 1)
-        rank_in = prev.rank() if prev is not None else 0
-        cohomology[deg] = dim - rank_out - rank_in
+    ranks = {deg: d.rank() for deg, d in diffs.items()}
+    cohomology = {deg: dim - ranks.get(deg, 0) - ranks.get(deg - 1, 0)
+                  for deg, dim in dims.items()}
     degrees = tuple(sorted(dims))
     return StalkComplex(m, degrees, labels, dims, diffs, cohomology)
 
 
 def _stalk_cohomology(E, m):
-    """(dims, cohomology) of the stalk complex at m, built once per sheaf.
+    """Cohomology of the stalk complex at m, by degree, built once per sheaf.
 
     The differentials are not kept.  A complex with d^2 != 0 is never
     stored, so every check that reaches it raises SignConventionError.
     """
     got = E._stalks.get(m)
     if got is None:
-        sc = stalk_complex(E, m)
-        got = E._stalks[m] = (sc.dims, sc.cohomology)
+        got = E._stalks[m] = stalk_complex(E, m).cohomology
     return got
-
-
-class PerversityReport:
-    """Per-cell, per-degree support entries; failures carry witnesses."""
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)   # (cell, degree, h_dim, stratum_dim, ok)
-
-    @property
-    def ok(self):
-        return all(entry[4] for entry in self.entries)
-
-    def failures(self):
-        return [entry for entry in self.entries if not entry[4]]
-
-    def summary(self):
-        return "PASS" if self.ok else f"FAIL ({len(self.failures())} entries)"
 
 
 def support_check(E):
     """Perversity support: nonzero H^d at a cell forces stratum dimension <= -d.
 
-    The report is exhaustive over every cell and every degree carrying a
-    nonzero term; degrees with vanishing cohomology pass vacuously.
+    Every cell and degree is examined; a witness is (cell, degree, h_dim,
+    stratum_dim, False).  A degree with no terms has no cohomology.
     """
-    entries = []
+    rep = Report("support")
     for m in range(len(E.poset.elements)):
-        dims, cohomology = _stalk_cohomology(E, m)
         stratum_dim = E.poset.elements[m].flat.dim
-        for deg, h in sorted(cohomology.items()):
-            if dims[deg] == 0:
-                continue
-            entries.append((m, deg, h, stratum_dim, h == 0 or stratum_dim <= -deg))
-    return PerversityReport(entries)
+        for deg, h in sorted(_stalk_cohomology(E, m).items()):
+            if h and stratum_dim > -deg:
+                rep.witnesses["support"].append((m, deg, h, stratum_dim, False))
+    return rep
 
 
 def coperversity_check(E):
@@ -165,14 +143,17 @@ def coperversity_check(E):
 
 
 def constructibility_check(E):
-    """Stalk cohomology profiles must be constant along every flat class."""
+    """Stalk cohomology profiles must be constant along every flat class.
+
+    A witness is (cell, its profile, the class's first profile, None, False).
+    """
     profiles = {}
     for m in range(len(E.poset.elements)):
-        profiles[m] = _profile(_stalk_cohomology(E, m)[1])
+        profiles[m] = _profile(_stalk_cohomology(E, m))
     s0, _s1, _tau = E.poset.stratification_classes()
-    entries = []
+    rep = Report("constructibility")
     for cls in s0:
         ref = profiles[cls[0]]
-        for m in cls:
-            entries.append((m, profiles[m], ref, None, profiles[m] == ref))
-    return PerversityReport(entries)
+        rep.witnesses["constructibility"].extend(
+            (m, profiles[m], ref, None, False) for m in cls if profiles[m] != ref)
+    return rep

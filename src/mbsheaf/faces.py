@@ -153,11 +153,15 @@ class FaceComplex:
             self._span_cache[key] = got
         return got
 
-    def face_dim(self, face):
+    def flat_dim(self, root_indices):
+        """Dimension of the flat where the given positive roots vanish: rank - dim span."""
         span = Span(self.datum.rank)
-        for a in face.zero_set:
+        for a in root_indices:
             span.add(self.datum.positive_roots[a])
         return self.datum.rank - span.dim
+
+    def face_dim(self, face):
+        return self.flat_dim(face.zero_set)
 
     def associated(self, c, d):
         """Equal linear spans, i.e. equal span-closed zero sets."""

@@ -11,7 +11,7 @@ E_q carries functions on the flag space of the horizontal reading of each
 cell; pullback maps come from flag coarsening, pushforward maps are
 computed on orbit points and factored back through the reading, verifying
 on the way that pushforwards of pulled-back functions stay pulled back.
-E_q(4, 2), total dimension 69,561, builds without the ``allow_large`` gate:
+E_q(4, 2), total dimension 69,561, is the largest size build_eq accepts:
 4.9 s at 179 MB peak RSS (one run, 2-vCPU VM, Python 3.11.7).
 """
 
@@ -22,7 +22,7 @@ from functools import cached_property, cmp_to_key
 
 from .coxeter import UnsupportedTypeError, build_coxeter
 from .linalg import RationalMatrix
-from .orbitpoly import CheckReport
+from .report import Report
 from .sheaf import MixedBruhatSheaf, subsheaf
 from .subspaces import (  # noqa: F401  (rref_fp, in_span_fp, nullspace_fp re-exported)
     ResourceError, Subspace, SubspaceLattice, in_span_fp, nullspace_fp, rref_fp,
@@ -140,22 +140,19 @@ class FqContext:
     relative position is dimension lookups of ``meet[x][y]``, the
     Hor-reading refinement is ``join[base][meet[x][y]]`` steps, coarsening
     keeps the indices at the coarser type's dimensions, and a matrix acts
-    through a table from subspace index to subspace index; no elimination
-    runs per flag or flag pair.  The Flag-level methods wrap these.  At
-    (n, q) = (4, 2) the lattice has 67 subspaces, and ``build_eq(4, 2)``
-    runs without ``allow_large`` in 4.9 s at 179 MB peak RSS (one run,
-    2-vCPU VM, Python 3.11.7).
+    through ``lattice.image_table``, from subspace index to subspace index;
+    no elimination runs per flag or flag pair.  At (n, q) = (4, 2) the
+    lattice has 67 subspaces, and ``build_eq(4, 2)`` runs in 4.9 s at
+    179 MB peak RSS (one run, 2-vCPU VM, Python 3.11.7).
     """
 
-    def __init__(self, n, q, max_flags=10 ** 6):
+    def __init__(self, n, q):
         if n > 4:
             raise UnsupportedTypeError("flag enumeration supports n <= 4")
         self.n = n
         self.field = FqField(q)
         self.q = q
-        self.max_flags = max_flags
         self._flags = {}
-        self._flag_index = {}
         self._chains = {}
         self._chain_index = {}
         self._projections = {}
@@ -185,17 +182,10 @@ class FqContext:
                         if chain and lat.meet[chain[-1]][s] != chain[-1]:
                             continue
                         new.append(chain + (s,))
-                        if len(new) > self.max_flags:
-                            raise ResourceError("flag enumeration guard exceeded")
                 chains = new
             got = tuple(self.flag_of(c) for c in chains)
             self._flags[composition] = got
-            self._flag_index[composition] = {f: i for i, f in enumerate(got)}
         return got
-
-    def flag_index(self, composition):
-        self.flags(composition)
-        return self._flag_index[composition]
 
     def chains(self, composition):
         """The flags of flags(composition), in its order, as subspace-index tuples."""
@@ -253,26 +243,11 @@ class FqContext:
             self._projections[key] = got
         return got
 
-    # -- Flag-level wrappers ---------------------------------------------------------
-
     def relative_position(self, f, g):
-        """Contingency matrix of graded intersections; rows follow the first flag."""
+        """Contingency matrix of graded intersections of two Flags; rows follow f."""
         meet_dim = self.lattice.meet_dim
         x, y = self.chain_of(f), self.chain_of(g)
         return ContingencyMatrix(_entries(tuple([meet_dim[a][b] for a in x for b in y]), len(y)))
-
-    def refinement_flag(self, f, g):
-        """The Hor-reading flag: V_{i-1} + (V_i cap V'_j) in row-major order."""
-        return self.flag_of(self.refine(self.chain_of(f), self.chain_of(g)))
-
-    def coarsen_flag(self, flag, dst_composition):
-        """Keep the subspaces at the cumulative dimensions of the coarser type."""
-        return self.flag_of(self.coarsen(self.chain_of(flag), dst_composition))
-
-    def act_flag(self, g, flag):
-        """The image of a flag under the invertible matrix g."""
-        table = self.lattice.image_table(g)
-        return self.flag_of(tuple(table[x] for x in self.chain_of(flag)))
 
     # -- orbits --------------------------------------------------------------------
 
@@ -306,18 +281,6 @@ class FqContext:
         comp_j = composition_of_subset(set(e.typeIJ[1]), self.n)
         mat = xi_to_contingency(poset, m)
         return self.block_buckets(comp_i, comp_j).get(mat.entries, ())
-
-
-def enumerate_flags(n, q, composition, max_flags=10 ** 6):
-    """All flags of the given type, deterministic order, counted by the
-    Gaussian multinomial; raises ResourceError past the size guard."""
-    return FqContext(n, q, max_flags=max_flags).flags(tuple(composition))
-
-
-def relative_position(f, g, q):
-    """Contingency matrix of two flags of the same ambient space over F_q."""
-    n = len(f.chain[-1].echelon[0]) if f.chain[-1].echelon else 0
-    return FqContext(n, q).relative_position(f, g)
 
 
 # -- the contingency-matrix dictionary -------------------------------------------
@@ -434,17 +397,17 @@ def _cell_compositions(poset, n):
              composition_of_subset(set(e.hor), n)) for e in poset.elements]
 
 
-def build_eq(n, q, poset=None, allow_large=False, ctx=None):
+def build_eq(n, q, poset=None, ctx=None):
     """The function sheaf on F_q-points of the type A orbit diagram.
 
-    Sizes up to (4, 2) build without ``allow_large``: E_q(4, 2) has total
-    dimension 69,561.  Raises FibrewiseConstancyError if a pushforward of a
-    pulled-back function is not pulled back.
+    Sizes up to (4, 2) build: E_q(4, 2) has total dimension 69,561, and a
+    larger size raises ResourceError.  Raises FibrewiseConstancyError if a
+    pushforward of a pulled-back function is not pulled back.
     """
     if q not in (2, 3):
         raise UnsupportedTypeError("build_eq supports q in {2, 3}")
-    if (n > 4 or (n == 4 and q > 2)) and not allow_large:
-        raise ResourceError(f"E_q({n}, {q}) is gated behind allow_large=True")
+    if n > 4 or (n == 4 and q > 2):
+        raise ResourceError(f"E_q({n}, {q}) is past the largest supported size, E_q(4, 2)")
     if poset is None:
         poset = enumerate_xi(build_coxeter("A", n - 1))
     if ctx is None:
@@ -588,8 +551,8 @@ def orbit_point_checks(n, q, poset=None):
         poset = enumerate_xi(build_coxeter("A", n - 1))
     ctx = FqContext(n, q)
     comps = _cell_compositions(poset, n)
-    failures = []
-    checked = 0
+    rep = Report("points", checked=0)
+    failures = rep.witnesses["points"]
     points = [ctx.orbit_points(poset, m) for m in range(len(poset.elements))]
     pindex = [{p: k for k, p in enumerate(pts)} for pts in points]
 
@@ -606,7 +569,7 @@ def orbit_point_checks(n, q, poset=None):
             for nn in sups[np_]:
                 if mp == np_ == nn:
                     continue
-                checked += 1
+                rep.checked += 1
                 map_n = point_map(nn, np_)
                 fiber_product = []
                 for k1, (a, _b) in enumerate(points[mp]):
@@ -621,7 +584,7 @@ def orbit_point_checks(n, q, poset=None):
     for m, nn, _kind, ano in poset.comparable_pairs():
         if not ano:
             continue
-        checked += 1
+        rep.checked += 1
         fibers = {}
         for k, img in enumerate(point_map(m, nn)):
             fibers.setdefault(img, 0)
@@ -635,4 +598,4 @@ def orbit_point_checks(n, q, poset=None):
             ok = size == 1
         if not ok:
             failures.append(("anodyne-fibers", m, nn))
-    return CheckReport(failures, checked)
+    return rep

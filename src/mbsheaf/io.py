@@ -223,17 +223,18 @@ def poly_dump(poset, polys, report):
     }
 
 
-def check_dump(mbs_report, support, cosupport, constructibility):
+def check_dump(axioms, support, cosupport, constructibility):
     def entry(rep):
         return {"status": "PASS" if rep.ok else "FAIL",
-                "failures": [repr(f) for f in rep.failures()]}
+                "failures": [repr(f) for f in rep.failures]}
+    witnesses = axioms.witnesses
     return {
         "axioms": {
-            "status": "PASS" if mbs_report.ok else "FAIL",
-            "mbs1": [repr(f) for f in mbs_report.mbs1],
-            "mbs2": [repr(f) for f in mbs_report.mbs2],
-            "mbs3": [repr(f) for f in mbs_report.mbs3],
-            "shape": [repr(f) for f in mbs_report.shape],
+            "status": "PASS" if axioms.ok else "FAIL",
+            "mbs1": [repr(f) for f in witnesses["MBS1"]],
+            "mbs2": [repr(f) for f in witnesses["MBS2"]],
+            "mbs3": [repr(f) for f in witnesses["MBS3"]],
+            "shape": [repr(f) for f in witnesses["shape"]],
         },
         "support": entry(support),
         "cosupport": entry(cosupport),

@@ -9,6 +9,8 @@ Counting over actual finite fields is demoted to validation (type A only).
 from __future__ import annotations
 
 from .coxeter import poincare_poly
+from .fq import FqContext, ResourceError
+from .report import Report
 
 
 class HorVerMismatchError(RuntimeError):
@@ -57,30 +59,15 @@ def orbit_poly(poset, m):
     return via_hor
 
 
-class CheckReport:
-    """Failures among `checked` laws: the polynomial laws or the point checks."""
-
-    def __init__(self, failures, checked):
-        self.failures = tuple(failures)
-        self.checked = checked
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def summary(self):
-        return "PASS" if self.ok else f"FAIL ({len(self.failures)} of {self.checked})"
-
-
 def property_suite(poset):
     """Degree, evaluation, divisibility, compactness, and anodyne q-power laws."""
-    failures = []
-    checked = 0
+    rep = Report("laws", checked=0)
+    failures = rep.witnesses["laws"]
     polys = {}
     for m, e in enumerate(poset.elements):
         p = orbit_poly(poset, m)
         polys[m] = p
-        checked += 5
+        rep.checked += 5
         if p.degree != dim_orbit(poset, m):
             failures.append((m, "degree != orbit dimension"))
         if p(1) != e.orbit_size:
@@ -95,27 +82,26 @@ def property_suite(poset):
     for m, n, _kind, ano in poset.comparable_pairs():
         if not ano:
             continue
-        checked += 1
+        rep.checked += 1
         gap = dim_orbit(poset, m) - dim_orbit(poset, n)
         if gap < 0 or polys[m] != polys[n].shift(gap):
             failures.append(((m, n), "anodyne pair violates the q-power relation"))
-    return CheckReport(failures, checked)
+    return rep
 
 
-def validate_counts(poset, q, allow_large=False):
-    """Type A only: orbit_poly evaluated at q against brute-force flag-pair counts."""
-    from .fq import FqContext
+def validate_counts(poset, q):
+    """Type A, n <= 3 only: orbit_poly evaluated at q against brute-force flag-pair counts."""
     datum = poset.datum
     if datum.type_label != "A":
         raise ValueError("point-count validation is a type A oracle")
     n = datum.rank + 1
-    if n > 3 and not allow_large:
-        raise ValueError("n = 4 counting is gated behind allow_large=True")
+    if n > 3:
+        raise ResourceError(f"point-count validation supports n <= 3, not n = {n}")
     ctx = FqContext(n, q)
-    failures = []
+    rep = Report("counts", checked=len(poset.elements))
     for m in range(len(poset.elements)):
         expected = orbit_poly(poset, m)(q)
         got = len(ctx.orbit_points(poset, m))
         if expected != got:
-            failures.append((m, expected, got))
-    return CheckReport(failures, len(poset.elements))
+            rep.witnesses["counts"].append((m, expected, got))
+    return rep

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import RationalMatrix, Span
+from .report import Report
 from .xi import PRIME, SECOND, SIDE_NAMES, OrderError, arrow
 
 
@@ -31,7 +32,7 @@ class MixedBruhatSheaf:
         self.dprime = dict(dprime)      # (m, n) with m >=' n covering: E(m) -> E(n)
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
         self._composites = ({}, {})     # per side: (m, n) -> chain-checked composite
-        self._stalks = {}               # cell -> (dims, cohomology) of its stalk complex
+        self._stalks = {}               # cell -> cohomology of its stalk complex
 
     @property
     def total_dim(self):
@@ -76,33 +77,6 @@ def compose_second(E, m, n):
     return _compose(E, SECOND, m, n)
 
 
-class MbsReport:
-    """Verification report for the three axioms plus shape checks."""
-
-    def __init__(self):
-        self.shape = []     # (order, m, n, message)
-        self.mbs1 = []      # (order, m, n) with path-dependent composites
-        self.mbs2 = []      # (m_prime, n_prime, n) failing the supremum sum
-        self.mbs3 = []      # (order, m, n) anodyne covering not invertible
-
-    @property
-    def ok(self):
-        return not (self.shape or self.mbs1 or self.mbs2 or self.mbs3)
-
-    def summary(self):
-        if self.ok:
-            return "PASS"
-        parts = []
-        for name, lst in (("shape", self.shape), ("MBS1", self.mbs1),
-                          ("MBS2", self.mbs2), ("MBS3", self.mbs3)):
-            if lst:
-                parts.append(f"{name}: {len(lst)} failure(s)")
-        return "FAIL (" + "; ".join(parts) + ")"
-
-    def __repr__(self):
-        return f"MbsReport({self.summary()})"
-
-
 def _all_chain_products(E, side, m, n):
     """Products over every maximal covering chain from m down to n on `side`.
 
@@ -132,18 +106,21 @@ def _all_chain_products(E, side, m, n):
 
 
 def check_mbs(E):
-    """Full verification of MBS1-3; an empty report means E is a mixed Bruhat sheaf."""
+    """Verify MBS1-3; ok means E is a mixed Bruhat sheaf.  Witnesses: shape (order, m,
+    n, message), MBS1 (order, m, n) with path-dependent composites, MBS2 (m', n', n)
+    failing the supremum sum, MBS3 (order, m, n) anodyne covering not invertible."""
     from .faces import subsets_sorted
     poset = E.poset
-    rep = MbsReport()
+    rep = Report("shape", "MBS1", "MBS2", "MBS3")
+    shape, mbs1, mbs2, mbs3 = rep.witnesses.values()
 
     # shapes on every covering relation
     for side, m, n in poset.coverings():
         mat = E.maps(side).get((m, n))
         src, dst = arrow(side, m, n)
         if mat is None or mat.shape != (E.dims[dst], E.dims[src]):
-            rep.shape.append((SIDE_NAMES[side], m, n, "missing or misshaped matrix"))
-    if rep.shape:
+            shape.append((SIDE_NAMES[side], m, n, "missing or misshaped matrix"))
+    if shape:
         return rep
 
     # MBS1: path independence of composites, both orders; the entry points
@@ -159,8 +136,8 @@ def check_mbs(E):
                 try:
                     compose[side](E, m, poset.phi(m, side, K2))
                 except PathDependenceError as exc:
-                    rep.mbs1.append(exc.args[0])
-    if rep.mbs1:
+                    mbs1.append(exc.args[0])
+    if mbs1:
         return rep
 
     # MBS2: the supremum sum over every configuration m' >=' n' <='' n
@@ -177,14 +154,14 @@ def check_mbs(E):
                 for m in poset.sup(mp, n):
                     rhs = rhs + (compose_prime(E, m, n) @ compose_second(E, m, mp))
                 if lhs != rhs:
-                    rep.mbs2.append((mp, np_, n))
+                    mbs2.append((mp, np_, n))
 
     # MBS3: anodyne coverings must be invertible
     for side, m, n in poset.coverings():
         if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
             mat = E.maps(side)[(m, n)]
             if not (mat.is_square() and mat.is_invertible()):
-                rep.mbs3.append((SIDE_NAMES[side], m, n))
+                mbs3.append((SIDE_NAMES[side], m, n))
     return rep
 
 

@@ -119,11 +119,7 @@ class XiPoset:
             closed = cx.span_closure(zero)
             canon = self._flat_canonical(closed)
             if canon not in flat_registry:
-                from .linalg import Span
-                span = Span(rank)
-                for a in canon:
-                    span.add(self.datum.positive_roots[a])
-                flat = FlatOrbit(canon, rank - span.dim, len(self.flats))
+                flat = FlatOrbit(canon, cx.flat_dim(canon), len(self.flats))
                 flat_registry[canon] = flat
                 self.flats.append(flat)
             e.flat = flat_registry[canon]

@@ -219,9 +219,9 @@ def test_criterion_10_bicube_matches_induction_restriction():
                 for J in subsets:
                     if not set(I) <= set(J):
                         continue
-                    fi = ctx.flags(comps[I])
-                    fj_index = ctx.flag_index(comps[J])
-                    images = [fj_index[ctx.coarsen_flag(f, comps[J])] for f in fi]
+                    fi = ctx.chains(comps[I])
+                    fj_index = ctx.chain_index(comps[J])
+                    images = [fj_index[ctx.coarsen(x, comps[J])] for x in fi]
                     push = [[0] * len(fi) for _ in range(len(fj_index))]
                     for x, y in enumerate(images):
                         push[y][x] = 1

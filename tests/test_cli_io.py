@@ -244,6 +244,14 @@ def test_cli_poly_hecke_orbits(capsys):
     assert out.count("PASS") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["example", "eq", "4", "3"], ["example", "eq", "5", "2"], ["orbits", "4", "2"],
+    ["poly", "--type", "A", "--rank", "3", "--validate"]], ids=" ".join)
+def test_cli_size_gates_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _misread_flags(monkeypatch, tmp_path):
     monkeypatch.setattr(fq, "FqContext", MisreadContext)
     return ["example", "eq", "2", "2"]

@@ -142,7 +142,7 @@ def test_corrupted_sheaf_fails_support(xi_a1):
     assert not check_mbs(bad).ok
     report = support_check(bad)
     assert not report.ok
-    assert any(cell == m1 and deg == 0 for cell, deg, _h, _s, _ok in report.failures())
+    assert any(cell == m1 and deg == 0 for cell, deg, _h, _s, _ok in report.failures)
     assert not constructibility_check(bad).ok
 
 
@@ -176,6 +176,24 @@ def test_d_squared_error_on_broken_transitivity(xi_a2):
             stalk_complex(bad, m)
 
 
+def test_each_stalk_differential_ranked_once(xi_a2, monkeypatch):
+    # each differential is the outgoing map of one degree and the incoming
+    # map of the next; its rank serves both
+    e1 = build_e1(xi_a2)
+    ranked = []
+    rank = RationalMatrix.rank
+
+    def counting(mat):
+        ranked.append(id(mat))
+        return rank(mat)
+
+    monkeypatch.setattr(RationalMatrix, "rank", counting)
+    for m in range(len(xi_a2.elements)):
+        ranked.clear()
+        sc = stalk_complex(e1, m)
+        assert sorted(ranked) == sorted(id(d) for d in sc.differentials.values())
+
+
 def test_stalk_complexes_built_once_per_sheaf(xi_a2, monkeypatch):
     import mbsheaf.cousin as cousin
     built = []
@@ -187,10 +205,14 @@ def test_stalk_complexes_built_once_per_sheaf(xi_a2, monkeypatch):
 
     monkeypatch.setattr(cousin, "stalk_complex", counting)
     e1 = build_e1(xi_a2)
-    first = (support_check(e1).entries, constructibility_check(e1).entries)
-    again = (support_check(e1).entries, constructibility_check(e1).entries)
+    assert support_check(e1).ok and constructibility_check(e1).ok
+    first = dict(e1._stalks)
+    assert support_check(e1).ok and constructibility_check(e1).ok
     assert sorted(built) == list(range(len(xi_a2.elements)))
-    assert again == first
+    # every cell's memoised cohomology, passing cells included, is the
+    # cohomology a fresh stalk complex computes
+    assert e1._stalks == first == {m: original(e1, m).cohomology
+                                   for m in range(len(xi_a2.elements))}
     # a complex with d^2 != 0 is not memoised: every check that meets it raises
     key = next(k for k in e1.dprime if e1.dprime[k].nrows > 1)
     bad_dprime = dict(e1.dprime)

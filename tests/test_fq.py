@@ -54,12 +54,6 @@ def test_flag_counts(n, q, comp, count):
     assert len(ctx.flags(comp)) == count == gaussian_multinomial(comp, q)
 
 
-def test_flag_guard():
-    ctx = FqContext(3, 2, max_flags=5)
-    with pytest.raises(ResourceError):
-        ctx.flags((1, 1, 1))
-
-
 def test_subspace_table_guard():
     # F_7^4 has 3,652 subspaces, past what the meet and join tables hold
     with pytest.raises(ResourceError):
@@ -237,14 +231,15 @@ def test_eq_reading_equivariance_gl3f2(xi_a2):
         if len(rref_fp(rows, 2)) == 3:
             gl.append(rows)
     assert len(gl) == 168
-    flags = ctx.flags((1, 1, 1))
-    partial = ctx.flags((1, 2))
+    flags = ctx.chains((1, 1, 1))
+    partial = ctx.chains((1, 2))
     pairs = [(flags[0], flags[0]), (flags[3], flags[17]), (flags[0], partial[5])]
-    for f, g in pairs:
-        base = ctx.refinement_flag(f, g)
-        for mat in gl:
-            lhs = ctx.refinement_flag(ctx.act_flag(mat, f), ctx.act_flag(mat, g))
-            assert lhs == ctx.act_flag(mat, base)
+    tables = [ctx.lattice.image_table(mat) for mat in gl]
+    for x, y in pairs:
+        base = ctx.refine(x, y)
+        for t in tables:
+            gx, gy, gbase = (tuple(t[s] for s in chain) for chain in (x, y, base))
+            assert ctx.refine(gx, gy) == gbase
 
 
 def test_intertwiner_between_associated_faces_invertible(xi_a2):
@@ -277,9 +272,7 @@ class _ReversedContext(FqContext):
 
     def flags(self, composition):
         if composition not in self._flags:
-            base = tuple(reversed(FqContext.flags(self, composition)))
-            self._flags[composition] = base
-            self._flag_index[composition] = {f: i for i, f in enumerate(base)}
+            self._flags[composition] = tuple(reversed(FqContext.flags(self, composition)))
         return self._flags[composition]
 
 
@@ -302,9 +295,8 @@ def test_eq_matrices_independent_of_enumeration_order(n, q):
     perms = {}
     for m in range(len(poset.elements)):
         comp = a.hor_compositions[m]
-        fa = a.ctx.flags(comp)
-        ib = b.ctx.flag_index(comp)
-        perms[m] = [ib[f] for f in fa]
+        ib = b.ctx.chain_index(comp)
+        perms[m] = [ib[x] for x in a.ctx.chains(comp)]
     for key, mat in a.dprime.items():
         m, nn = key
         assert b.dprime[key] == _relabel_matrix(perms[nn], mat, perms[m])
@@ -326,22 +318,22 @@ def test_eq_matrices_conjugate_point_level_maps(xi_a2):
         cj = composition_of_subset(set(em.typeIJ[1]), n)
         for _s, nn in xi_a2.cov[PRIME][m]:
             ti = composition_of_subset(set(xi_a2.elements[nn].typeIJ[0]), n)
-            idx = ctx.flag_index(ti)
-            fi = ctx.flags(ci)
+            idx = ctx.chain_index(ti)
+            fi = ctx.chains(ci)
             push = [[0] * len(eq.orbit_tables[m]) for _ in eq.orbit_tables[nn]]
             for k, (ai, bi) in enumerate(eq.orbit_tables[m]):
-                tgt = pindex[nn][(idx[ctx.coarsen_flag(fi[ai], ti)], bi)]
+                tgt = pindex[nn][(idx[ctx.coarsen(fi[ai], ti)], bi)]
                 push[tgt][k] = 1
             push_mat = RationalMatrix(tuple(tuple(r) for r in push),
                                       len(eq.orbit_tables[m]))
             assert eq.embeddings[nn] @ eq.dprime[(m, nn)] == push_mat @ eq.embeddings[m]
         for _s, nn in xi_a2.cov[SECOND][m]:
             tj = composition_of_subset(set(xi_a2.elements[nn].typeIJ[1]), n)
-            idx = ctx.flag_index(tj)
-            fj = ctx.flags(cj)
+            idx = ctx.chain_index(tj)
+            fj = ctx.chains(cj)
             pull = [[0] * len(eq.orbit_tables[nn]) for _ in eq.orbit_tables[m]]
             for k, (ai, bi) in enumerate(eq.orbit_tables[m]):
-                src = pindex[nn][(ai, idx[ctx.coarsen_flag(fj[bi], tj)])]
+                src = pindex[nn][(ai, idx[ctx.coarsen(fj[bi], tj)])]
                 pull[k][src] = 1
             pull_mat = RationalMatrix(tuple(tuple(r) for r in pull),
                                       len(eq.orbit_tables[nn]))
@@ -352,14 +344,6 @@ def test_dual_of_eq_passes():
     from mbsheaf.sheaf import dual
     eq = build_eq(3, 2)
     assert check_mbs(dual(eq)).ok
-
-
-def test_module_level_wrappers():
-    from mbsheaf.fq import enumerate_flags, relative_position
-    flags = enumerate_flags(2, 2, (1, 1))
-    assert len(flags) == 3
-    m = relative_position(flags[0], flags[1], 2)
-    assert m.entries == ((0, 1), (1, 0))
 
 
 # -- Hecke -------------------------------------------------------------------------

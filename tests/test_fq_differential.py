@@ -57,10 +57,11 @@ def test_pair_geometry_matches_oracle(n, q):
     for ci, cj in itertools.product(comps, comps):
         for f, g in itertools.product(ctx.flags(ci), ctx.flags(cj)):
             assert ctx.relative_position(f, g).entries == ref.relative_position(f, g, q)
-            assert ctx.refinement_flag(f, g) == ref.refinement_flag(f, g, q)
+            refined = ctx.refine(ctx.chain_of(f), ctx.chain_of(g))
+            assert ctx.flag_of(refined) == ref.refinement_flag(f, g, q)
         if coarser(ci, cj):
             for f in ctx.flags(ci):
-                assert ctx.coarsen_flag(f, cj) == ref.coarsen_flag(f, cj)
+                assert ctx.flag_of(ctx.coarsen(ctx.chain_of(f), cj)) == ref.coarsen_flag(f, cj)
 
 
 @pytest.mark.parametrize("n,q", SIZES)
@@ -79,8 +80,9 @@ def test_block_buckets_match_oracle(n, q):
 def test_borel_orbits_match_oracle(n, q):
     ctx = FqContext(n, q)
     for comp in compositions(n):
-        assert borel_orbits(ctx, comp) == ref.borel_orbits(
-            ctx.flags(comp), ctx.flag_index(comp), n, q)
+        flags = ctx.flags(comp)
+        index = {f: i for i, f in enumerate(flags)}
+        assert borel_orbits(ctx, comp) == ref.borel_orbits(flags, index, n, q)
 
 
 @st.composite
@@ -99,7 +101,9 @@ def test_matrix_action_matches_oracle(n, q):
     @EXAMPLES
     @given(g=invertible(n, q), comp=st.sampled_from(comps))
     def check(g, comp):
+        table = ctx.lattice.image_table(g)
         for f in ctx.flags(comp):
-            assert ctx.act_flag(g, f) == ref.act_flag(g, f, q)
+            image = tuple(table[x] for x in ctx.chain_of(f))
+            assert ctx.flag_of(image) == ref.act_flag(g, f, q)
 
     check()

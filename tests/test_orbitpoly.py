@@ -3,6 +3,7 @@
 import pytest
 
 from mbsheaf.coxeter import SUPPORTED, build_coxeter
+from mbsheaf.fq import ResourceError
 from mbsheaf.intpoly import IntPolynomial
 from mbsheaf.orbitpoly import (
     dim_flag, dim_orbit, is_compact, orbit_poly, property_suite, validate_counts,
@@ -88,5 +89,5 @@ def test_type_guard():
 
 def test_n4_counting_gate():
     xi = enumerate_xi(build_coxeter("A", 3))
-    with pytest.raises(ValueError):
-        validate_counts(xi, 2)          # n = 4 requires allow_large=True
+    with pytest.raises(ResourceError):
+        validate_counts(xi, 2)          # counting supports n <= 3

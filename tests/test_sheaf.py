@@ -63,7 +63,7 @@ def test_check_mbs_detects_broken_anodyne(xi_a1, e1_a1):
     bad = e1_a1.copy_with(e1_a1.dims, bad_dprime, e1_a1.dsecond)
     rep = check_mbs(bad)
     assert not rep.ok
-    assert ("prime", mi, m1) in rep.mbs3
+    assert ("prime", mi, m1) in rep.witnesses["MBS3"]
 
 
 def test_check_mbs_detects_mbs2_failure(xi_a1, e1_a1):
@@ -74,8 +74,8 @@ def test_check_mbs_detects_mbs2_failure(xi_a1, e1_a1):
     bad = e1_a1.copy_with(e1_a1.dims, bad_dprime, e1_a1.dsecond)
     rep = check_mbs(bad)
     assert not rep.ok
-    assert (m_neg1, m0, m1) in rep.mbs2
-    assert len(rep.mbs2) == 1
+    assert (m_neg1, m0, m1) in rep.witnesses["MBS2"]
+    assert len(rep.witnesses["MBS2"]) == 1
 
 
 def _break_one_map(E, case):
@@ -119,7 +119,7 @@ BROKEN_MAP_WITNESSES = [
 @pytest.mark.parametrize("case,rank,expected", BROKEN_MAP_WITNESSES)
 def test_check_mbs_witnesses_of_both_orders(case, rank, expected, e1_a1, e1_a2):
     rep = check_mbs(_break_one_map(e1_a1 if rank == 1 else e1_a2, case))
-    assert (rep.shape, rep.mbs1, rep.mbs2, rep.mbs3) == expected
+    assert tuple(rep.witnesses[k] for k in ("shape", "MBS1", "MBS2", "MBS3")) == expected
 
 
 def test_compose_identity_and_single(xi_a1, e1_a1):
