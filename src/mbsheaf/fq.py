@@ -150,8 +150,7 @@ class FqContext:
         if n > 4:
             raise UnsupportedTypeError("flag enumeration supports n <= 4")
         self.n = n
-        self.field = FqField(q)
-        self.q = q
+        self.q = FqField(q).p       # FqField rejects an unsupported q
         self._flags = {}
         self._chains = {}
         self._chain_index = {}
@@ -163,10 +162,6 @@ class FqContext:
         return SubspaceLattice(self.n, self.q)
 
     # -- enumeration ---------------------------------------------------------
-
-    def subspaces(self, d):
-        lat = self.lattice
-        return lat.spaces[lat.start[d]:lat.start[d + 1]]
 
     def flags(self, composition):
         got = self._flags.get(composition)

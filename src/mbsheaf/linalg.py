@@ -302,7 +302,15 @@ class RationalMatrix:
         return len(self.rref()[1])
 
     def is_invertible(self):
-        return self.is_square() and self.rank() == self.nrows
+        """Square and of full rank.  A monomial matrix (one entry in every row,
+        pairwise distinct columns) is invertible whatever its entries, an O(nnz)
+        test; any other matrix is ranked."""
+        if not self.is_square():
+            return False
+        rows = self.sparse_rows
+        if all(len(r) == 1 for r in rows) and len({r[0][0] for r in rows}) == self.nrows:
+            return True
+        return self.rank() == self.nrows
 
     def inverse(self):
         if not self.is_square():

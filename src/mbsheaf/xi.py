@@ -79,6 +79,7 @@ class XiPoset:
     def __init__(self, complex_):
         self.complex = complex_
         self.datum = complex_.datum
+        self._ups = {}
         self._build_elements()
         self._build_structure()
 
@@ -185,14 +186,20 @@ class XiPoset:
         return self.phi(m, side, self.elements[n].typeIJ[side])
 
     def ups(self, side):
-        """ups[n] = all m with m >= n on `side` (including m = n)."""
-        ups = [[] for _ in self.elements]
-        subsets = subsets_sorted(self.datum.rank)
-        for m, e in enumerate(self.elements):
-            for K in subsets:
-                if set(e.typeIJ[side]) <= set(K):
-                    ups[self.phi(m, side, K)].append(m)
-        return ups
+        """ups[n] = all m with m >= n on `side` (m = n included), ascending.
+
+        Built once per poset and shared, so the tuples are immutable.
+        """
+        got = self._ups.get(side)
+        if got is None:
+            ups = [[] for _ in self.elements]
+            subsets = subsets_sorted(self.datum.rank)
+            for m, e in enumerate(self.elements):
+                for K in subsets:
+                    if set(e.typeIJ[side]) <= set(K):
+                        ups[self.phi(m, side, K)].append(m)
+            got = self._ups[side] = tuple(map(tuple, ups))
+        return got
 
     def coverings(self):
         """Every covering relation as (side, m, n): by cell m, PRIME before SECOND."""
@@ -220,17 +227,15 @@ class XiPoset:
         return self.elements[m].orbit_size == self.elements[n].orbit_size
 
     def sup(self, mp, n):
-        """Mixed supremum: all m with mp <='' m >=' n."""
-        emp, en = self.elements[mp], self.elements[n]
-        I1, J2 = emp.typeIJ
-        I2, J1 = en.typeIJ
-        if not (set(I1) <= set(I2) and set(J1) <= set(J2)):
-            return []
-        out = []
-        for m in self.blocks.get((I1, J1), ()):
-            if self.phi(m, SECOND, J2) == mp and self.phi(m, PRIME, I2) == n:
-                out.append(m)
-        return out
+        """Mixed supremum: all m with mp <='' m >=' n, ascending.
+
+        This is ups(SECOND)[mp] & ups(PRIME)[n] by definition: m >='' mp
+        fixes I_m = I(mp) and contracts J_m into J(mp), and m >=' n fixes
+        J_m = J(n) and contracts I_m into I(n), so the candidates are the
+        cells of block (I(mp), J(n)) lying over both, and the set is empty
+        unless I(mp) <= I(n) and J(n) <= J(mp).
+        """
+        return sorted(set(self.ups(SECOND)[mp]).intersection(self.ups(PRIME)[n]))
 
     def tau(self, m):
         """Coordinate swap."""

@@ -14,15 +14,20 @@ from mbsheaf.fq import Flag, _borel_generators
 from mbsheaf.subspaces import Subspace, in_span_fp, nullspace_fp, rref_fp
 
 
-def enumerate_flags(subspaces, n, q, composition):
-    """Chains of the given type; ``subspaces(d)`` lists dimension d in order."""
+def subspaces(lattice, d):
+    """The subspaces of dimension d, in the lattice's order."""
+    return lattice.spaces[lattice.start[d]:lattice.start[d + 1]]
+
+
+def enumerate_flags(lattice, n, q, composition):
+    """Chains of the given type, from the lattice's subspaces in order."""
     chains = [()]
     dim = 0
     for part in composition:
         dim += part
         new = []
         for chain in chains:
-            for s in subspaces(dim):
+            for s in subspaces(lattice, dim):
                 if chain and not all(in_span_fp(v, s.echelon, q)
                                      for v in chain[-1].echelon):
                     continue

@@ -1,12 +1,14 @@
 """Face complex and 2-sided complex tests against combinatorial oracles."""
 
 import itertools
+import random
 
 import pytest
 
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.faces import FaceComplex
 from mbsheaf.xi import PRIME, SECOND, OrderError, enumerate_xi
+from xi_reference import block_scan_sup
 
 
 def complex_for(label, rank):
@@ -366,6 +368,27 @@ def test_sup_fiber_product_and_anodyne_singleton(label, rank):
                         assert xi.is_anodyne(m, n)
                     if xi.is_anodyne(n, np_):
                         assert xi.is_anodyne(m, mp)
+
+
+@pytest.mark.parametrize("label,rank,sample", [
+    ("A", 2, None), ("B", 2, None), ("G", 2, None), ("A", 3, 3000)])
+def test_sup_matches_block_scan(label, rank, sample):
+    """Up-set intersection against the block scan: every pair, or a seeded
+    sample of all pairs plus one of the pairs over a common n' (MBS2's)."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    cells = range(len(xi.elements))
+    pairs = list(itertools.product(cells, cells))
+    if sample is not None:
+        rng = random.Random(20201)
+        configs = sorted({(mp, n) for np_ in cells
+                          for mp in xi.ups(PRIME)[np_] for n in xi.ups(SECOND)[np_]})
+        pairs = rng.sample(pairs, sample) + rng.sample(configs, sample)
+    nonempty = 0
+    for mp, n in pairs:
+        got = xi.sup(mp, n)
+        assert got == block_scan_sup(xi, mp, n), (mp, n)
+        nonempty += bool(got)
+    assert nonempty >= len(pairs) // 20
 
 
 @pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2)])

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from fq_reference import subspaces
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1
 from mbsheaf.fq import (
@@ -82,11 +83,13 @@ def test_larger_prime_fields():
     ctx = FqContext(2, 5)
     assert len(ctx.flags((1, 1))) == 6
     ctx7 = FqContext(2, 7)
-    assert len(ctx7.subspaces(1)) == 8
+    assert len(subspaces(ctx7.lattice, 1)) == 8
     from mbsheaf.fq import FqField
     from mbsheaf.coxeter import UnsupportedTypeError
     with pytest.raises(UnsupportedTypeError):
         FqField(4)
+    with pytest.raises(UnsupportedTypeError):
+        FqContext(2, 4)
 
 
 def test_zassenhaus_full_sweep():

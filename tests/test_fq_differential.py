@@ -34,7 +34,7 @@ def coarser(src, dst):
 def test_lattice_meet_and_join(n, q):
     ctx = FqContext(n, q)
     lat = ctx.lattice
-    assert list(lat.spaces) == [s for d in range(n + 1) for s in ctx.subspaces(d)]
+    assert list(lat.spaces) == [s for d in range(n + 1) for s in ref.subspaces(lat, d)]
     for x, a in enumerate(lat.spaces):
         assert lat.index[a] == x
         for y, b in enumerate(lat.spaces):
@@ -47,7 +47,7 @@ def test_lattice_meet_and_join(n, q):
 def test_flag_order_matches_elimination_enumeration(n, q):
     ctx = FqContext(n, q)
     for comp in compositions(n):
-        assert ctx.flags(comp) == ref.enumerate_flags(ctx.subspaces, n, q, comp)
+        assert ctx.flags(comp) == ref.enumerate_flags(ctx.lattice, n, q, comp)
 
 
 @pytest.mark.parametrize("n,q", SIZES)

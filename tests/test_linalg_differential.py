@@ -7,8 +7,9 @@ and negatives, favour zeros, and include the empty shapes 0 x n and n x 0.
 """
 
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import RationalMatrix as Dense
@@ -203,6 +204,51 @@ def test_rref_and_rank(m):
 def test_inverse(m):
     s, d = both(m)
     same_outcome(outcome(Sparse.inverse, s), outcome(Dense.inverse, d))
+    assert s.is_invertible() == d.is_invertible()
+
+
+@st.composite
+def monomial_like(draw):
+    """Square matrices with one nonzero per row in pairwise distinct columns,
+    then, for most of them, one row changed: its entry put in the column of a
+    random row, removed, or joined by a second one.  Entries include non-units."""
+    n = draw(sizes)
+    nonzero = entries.filter(bool)
+    cols = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(cols):
+        rows[i][j] = draw(nonzero)
+    kind = draw(st.sampled_from(("monomial", "repeat", "empty", "extra")))
+    if n and kind != "monomial":
+        i = draw(st.integers(0, n - 1))
+        if kind == "extra":
+            rows[i][draw(st.integers(0, n - 1))] = draw(nonzero)
+        else:
+            rows[i] = [0] * n
+            if kind == "repeat":
+                rows[i][cols[draw(st.integers(0, n - 1))]] = draw(nonzero)
+    return rows, n
+
+
+def is_monomial(rows):
+    support = [[j for j, x in enumerate(r) if x] for r in rows]
+    return (all(len(js) == 1 for js in support)
+            and len({js[0] for js in support}) == len(rows))
+
+
+@EXAMPLES
+@given(monomial_like())
+@example(([], 0))                                       # 0 x 0
+@example(([[2, 0], [0, Fraction(-1, 3)]], 2))           # non-unit entries
+@example(([[0, 3], [0, 1]], 2))                         # a repeated column
+@example(([[1, 0, 0], [0, 0, 0], [0, 0, 5]], 3))        # an empty row
+@example(([[0, 1, 0]], 3))                              # not square
+def test_is_invertible_monomial(m):
+    s, d = both(m)
+    if is_monomial(m[0]) and s.is_square():
+        # the O(nnz) path decides without elimination
+        with mock.patch.object(Sparse, "rank", side_effect=AssertionError("ranked")):
+            assert s.is_invertible()
     assert s.is_invertible() == d.is_invertible()
 
 
