@@ -193,11 +193,16 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse fills a nargs="*" positional before any option, so the
+    # parameters of `example` that follow an option arrive as extras
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        if args.command != "example" or any(a.startswith("-") for a in extra):
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.params += extra
     try:
         return args.fn(args)
-    except (UnsupportedTypeError, ParseError, ResourceError, FileNotFoundError,
-            ValueError) as exc:
+    except (UnsupportedTypeError, ParseError, ResourceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SignConventionError, FibrewiseConstancyError, PathDependenceError,

@@ -11,7 +11,6 @@ its base point, and E_1's maps tensor 1_V are solved in those bases.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .coxeter import UnsupportedTypeError, _simple_reflections
 from .linalg import RationalMatrix, column_space_basis
@@ -247,31 +246,19 @@ def _kron(a, b):
     return RationalMatrix.from_sparse(rows, a.ncols * bn)
 
 
-def pair_stabilizer(poset, m):
-    """Indices of the elements fixing the canonical pair of cell m."""
-    act = poset.complex.action
-    c, d = poset.elements[m].pair
-    return [w for w in range(poset.datum.order)
-            if act[w][c.index] == c.index and act[w][d.index] == d.index]
-
-
-def invariant_dim(rep, subgroup):
-    """dim V^H for an explicit subgroup, via the averaging projector rank."""
-    if rep.dim == 0:
-        return 0
-    acc = RationalMatrix.zeros(rep.dim, rep.dim)
-    for w in subgroup:
-        acc = acc + rep.evaluate(w)
-    return acc.scale(Fraction(1, len(subgroup))).rank()
-
-
 def build_e1v(poset, rep):
     """The invariants (E_1 tensor V)^W, each basis built at the base point.
 
     An invariant is fixed by its value at x0 = e.points[0], so the columns
-    (x0, i) of the projector P = (1/|W|) sum_w A_w tensor rho(w), namely
-    (1/|W|) sum_w e_{w.x0} tensor rho(w) e_i, summed here over W, span P's
-    image.  They are P's first dim V columns: P's pivot columns are theirs.
+    (x0, i) of S = sum_w A_w tensor rho(w), namely sum_w e_{w.x0} tensor
+    rho(w) e_i, span S's image: they are S's first dim V columns, and S's
+    pivot columns are theirs.  S is |W| times the averaging projector, and
+    the 1/|W| is left out on purpose: for c != 0 the pivot columns of c M
+    are those of M, so each basis is |W| times the projector's, and it is
+    integral whenever rho is, so its eliminations start from ints.  The
+    covering matrices are unchanged: scaling every basis by the same |W|
+    leaves the unique solution X of B_dst X = (A tensor 1_V) B_src as it
+    was, since each basis has full column rank.
     """
     order, act, dim = poset.datum.order, poset.complex.action, rep.dim
     bases = []
@@ -282,7 +269,7 @@ def build_e1v(poset, rep):
             off = e.point_index[(act[w][c], act[w][d])] * dim
             for r, row in enumerate(rep.evaluate(w).sparse_rows):
                 rows[off + r] += row
-        x0_cols = RationalMatrix.from_sparse(rows, dim).scale(Fraction(1, order))
+        x0_cols = RationalMatrix.from_sparse(rows, dim)
         bases.append(RationalMatrix.from_columns(column_space_basis(x0_cols),
                                                  e.orbit_size * dim))
     ident_v = RationalMatrix.identity(dim)

@@ -4,7 +4,10 @@ For every cell this sums the |W| Kronecker products A_w tensor rho(w) into
 the projector onto (E_1(m) tensor V)^W, takes its pivot columns as the
 basis, and solves each lifted covering map by a dense augmented rref
 (``dense_reference.RationalMatrix.solve``).  ``mbsheaf.f1.build_e1v``
-must give the same bases, dimensions and matrices.
+must give the same dimensions and matrices, and |W| times these bases.
+
+``pair_stabilizer`` and ``invariant_dim`` give dim V^H for the stabilizer H
+of each cell's pair, the Frobenius-reciprocity count of the same dimension.
 """
 
 from fractions import Fraction
@@ -19,6 +22,24 @@ from mbsheaf.xi import PRIME, SECOND
 def _dense_solve(basis, rhs):
     x = Dense(basis.rows, basis.ncols).solve(Dense(rhs.rows, rhs.ncols))
     return RationalMatrix(x.rows, x.ncols)
+
+
+def pair_stabilizer(poset, m):
+    """Indices of the elements fixing the canonical pair of cell m."""
+    act = poset.complex.action
+    c, d = poset.elements[m].pair
+    return [w for w in range(poset.datum.order)
+            if act[w][c.index] == c.index and act[w][d.index] == d.index]
+
+
+def invariant_dim(rep, subgroup):
+    """dim V^H for an explicit subgroup, via the averaging projector rank."""
+    if rep.dim == 0:
+        return 0
+    acc = RationalMatrix.zeros(rep.dim, rep.dim)
+    for w in subgroup:
+        acc = acc + rep.evaluate(w)
+    return acc.scale(Fraction(1, len(subgroup))).rank()
 
 
 def build_e1v_projector(poset, rep):

@@ -137,6 +137,35 @@ def test_cli_example_colon_form(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+E1V_A2 = ["e1v", "reflection", "--type", "A", "--rank", "2"]
+
+
+@pytest.mark.parametrize("argv,canonical", [
+    (["e1v", "--type", "A", "--rank", "2", "reflection"], E1V_A2),
+    (["e1v", "--type", "A", "reflection", "--rank", "2"], E1V_A2),
+    (["eq", "--type", "A", "2", "3"], ["eq", "2", "3"]),
+    (["eq", "2", "--rank", "1", "3"], ["eq", "2", "3"]),
+], ids=["rep-last", "rep-between", "eq-last", "eq-split"])
+def test_cli_example_params_after_options(tmp_path, argv, canonical):
+    want = tmp_path / "want.json"
+    got = tmp_path / "got.json"
+    assert main(["example", *canonical, "-o", str(want)]) == 0
+    assert main(["example", *argv, "-o", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "e1v", "--bogus", "reflection", "--type", "A", "--rank", "2"],
+    ["example", "e1v", "reflection", "--type", "A", "--rank", "2", "--bogus"],
+    ["xi", "--type", "A", "--rank", "1", "extra"],
+], ids=["option-before-rep", "option-last", "xi-extra-positional"])
+def test_cli_unknown_argument_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_check_detects_corruption(tmp_path, capsys):
     path = tmp_path / "e1_a1.json"
     assert main(["example", "e1", "--type", "A", "--rank", "1",
@@ -286,6 +315,25 @@ def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["xi", "--type", "Z", "--rank", "1"])
     assert exc.value.code == 2
+
+
+def _unreadable(monkeypatch, tmp_path):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    return ["check", str(tmp_path / "f.json")]
+
+
+@pytest.mark.parametrize("setup", [
+    lambda monkeypatch, tmp_path: ["check", str(tmp_path)],
+    lambda monkeypatch, tmp_path: ["example", "e1", "-o", str(tmp_path)],
+    lambda monkeypatch, tmp_path: ["check", str(tmp_path / "missing.json")],
+    _unreadable,
+], ids=["check-directory", "output-directory", "missing-file", "unreadable-file"])
+def test_cli_os_error_exits_2(monkeypatch, tmp_path, capsys, setup):
+    argv = setup(monkeypatch, tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_round_trip_emit_parse_emit(tmp_path):

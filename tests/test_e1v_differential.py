@@ -2,8 +2,9 @@
 
 ``build_e1v`` builds each basis from the columns of the base point and
 solves the maps with a factored basis; ``e1v_reference`` sums |W|
-Kronecker products per cell and solves each map by an augmented rref.
-Bases, dimensions and every covering matrix must agree exactly.
+Kronecker products per cell, divides by |W| and solves each map by an
+augmented rref.  Dimensions and every covering matrix must agree exactly,
+and each basis of ``build_e1v`` must be exactly |W| times the oracle's.
 """
 
 import random
@@ -20,8 +21,9 @@ DATA = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
 
 
 def assert_same(got, want):
+    order = got.poset.datum.order
     assert got.dims == want.dims
-    assert got.bases == want.bases
+    assert got.bases == [basis.scale(order) for basis in want.bases]
     assert got.dprime == want.dprime
     assert got.dsecond == want.dsecond
 
@@ -32,6 +34,23 @@ def test_catalog_matches_projector(label, rank):
     for name in catalog_names(poset.datum):
         rep = rep_catalog(poset.datum, name)
         assert_same(build_e1v(poset, rep), build_e1v_projector(poset, rep))
+
+
+def test_a3_specht_22_matches_projector():
+    """The first rank-3 case: a 2-dimensional representation of S_4."""
+    poset = enumerate_xi(build_coxeter("A", 3))
+    rep = rep_catalog(poset.datum, "specht:2,2")
+    assert_same(build_e1v(poset, rep), build_e1v_projector(poset, rep))
+
+
+@pytest.mark.parametrize("label,rank", DATA)
+def test_catalog_bases_are_integral(label, rank):
+    """With no 1/|W| average, an integral representation gives int bases."""
+    poset = enumerate_xi(build_coxeter(label, rank))
+    for name in catalog_names(poset.datum):
+        sheaf = build_e1v(poset, rep_catalog(poset.datum, name))
+        for basis in sheaf.bases:
+            assert all(type(x) is int for row in basis.rows for x in row), name
 
 
 def signed_permutation_conjugate(rep, seed):

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from mbsheaf.coxeter import UnsupportedTypeError, build_coxeter
-from mbsheaf.f1 import (
-    build_e1v, catalog_names, invariant_dim, pair_stabilizer, rep_catalog,
-)
+from e1v_reference import invariant_dim, pair_stabilizer
+from mbsheaf.f1 import build_e1v, catalog_names, rep_catalog
 from mbsheaf.sheaf import check_mbs
 from mbsheaf.xi import enumerate_xi
 
