@@ -14,7 +14,7 @@ from mbsheaf.fq import xi_to_contingency
 
 n, q = 3, 2
 ctx = FqContext(n, q)
-full = ctx.flags((1, 1, 1))
+full = ctx.chains((1, 1, 1))
 print(f"full flags of F_{q}^{n}: {len(full)}")
 f, g = full[0], full[7]
 print(f"relative position of two of them: {ctx.relative_position(f, g).entries}")

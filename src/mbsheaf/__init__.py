@@ -11,9 +11,8 @@ from .cousin import (
 from .f1 import E1Sheaf, WRepresentation, build_e1, build_e1v, rep_catalog
 from .faces import Face, FaceComplex
 from .fq import (
-    ContingencyMatrix, Flag, FqContext, FqField, Subspace, b_invariant_sub,
-    build_eq, contingency_to_xi, hecke_generators, orbit_point_checks,
-    xi_to_contingency,
+    ContingencyMatrix, FqContext, b_invariant_sub, build_eq, contingency_to_xi,
+    hecke_generators, orbit_point_checks, xi_to_contingency,
 )
 from .intpoly import IntPolynomial
 from .linalg import RationalMatrix
@@ -33,9 +32,9 @@ __all__ = [
     "stalk_complex", "support_check",
     "E1Sheaf", "WRepresentation", "build_e1", "build_e1v", "rep_catalog",
     "Face", "FaceComplex",
-    "ContingencyMatrix", "Flag", "FqContext", "FqField", "Subspace",
-    "b_invariant_sub", "build_eq", "contingency_to_xi", "hecke_generators",
-    "orbit_point_checks", "xi_to_contingency",
+    "ContingencyMatrix", "FqContext", "b_invariant_sub", "build_eq",
+    "contingency_to_xi", "hecke_generators", "orbit_point_checks",
+    "xi_to_contingency",
     "IntPolynomial", "RationalMatrix",
     "dim_flag", "dim_orbit", "orbit_poly", "property_suite", "validate_counts",
     "Report",

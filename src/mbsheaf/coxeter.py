@@ -81,7 +81,6 @@ def _simple_reflections(cartan):
 
 
 def _mat_mul(a, b):
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in bt) for r in a)
 

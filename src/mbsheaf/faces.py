@@ -10,7 +10,9 @@ the complement of I; everything stays in integers.
 
 from __future__ import annotations
 
-from .linalg import Span
+from itertools import combinations
+
+from .linalg import RationalMatrix
 
 
 class Face:
@@ -45,7 +47,6 @@ def subsets_sorted(rank):
     """All subsets of {0..rank-1} as sorted tuples, ordered by (size, entries)."""
     out = [()]
     for size in range(1, rank + 1):
-        from itertools import combinations
         out.extend(combinations(range(rank), size))
     return sorted(out, key=lambda t: (len(t), t))
 
@@ -141,24 +142,23 @@ class FaceComplex:
         return all(sa == 0 or sa == sb for sa, sb in zip(a.sign_vector, b.sign_vector))
 
     def span_closure(self, root_indices):
-        """All positive-root indices lying in the rational span of the given ones."""
+        """All positive-root indices lying in the rational span of the given ones:
+        the roots that leave the rank unchanged when appended."""
         key = frozenset(root_indices)
         got = self._span_cache.get(key)
         if got is None:
-            roots = self.datum.positive_roots
-            span = Span(self.datum.rank)
-            for a in key:
-                span.add(roots[a])
-            got = frozenset(b for b in range(len(roots)) if span.contains(roots[b]))
+            roots, rank = self.datum.positive_roots, self.datum.rank
+            rows = [roots[a] for a in key]
+            r = RationalMatrix(rows, rank).rank()
+            got = frozenset(b for b in range(len(roots))
+                            if RationalMatrix(rows + [roots[b]], rank).rank() == r)
             self._span_cache[key] = got
         return got
 
     def flat_dim(self, root_indices):
         """Dimension of the flat where the given positive roots vanish: rank - dim span."""
-        span = Span(self.datum.rank)
-        for a in root_indices:
-            span.add(self.datum.positive_roots[a])
-        return self.datum.rank - span.dim
+        roots, rank = self.datum.positive_roots, self.datum.rank
+        return rank - RationalMatrix([roots[a] for a in root_indices], rank).rank()
 
     def face_dim(self, face):
         return self.flat_dim(face.zero_set)

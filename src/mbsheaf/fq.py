@@ -1,8 +1,8 @@
 """Type-A geometry over a prime field: flags, relative position, and E_q.
 
 Every subspace of F_p^n is indexed once, and meet, join and dimension are
-tabulated by index (``mbsheaf.subspaces``); a flag is a chain of subspaces
-and also the tuple of their indices.  The relative position of two flags
+tabulated by index (``mbsheaf.subspaces``); a flag is the chain of its
+subspaces as the tuple of their indices.  The relative position of two flags
 is the contingency matrix of graded intersection dimensions, which matches
 the orbit labels of the 2-sided complex for the type A datum of rank n-1.
 Relative position, the Hor-reading refinement, flag coarsening and the
@@ -25,7 +25,7 @@ from .linalg import RationalMatrix
 from .report import Report
 from .sheaf import MixedBruhatSheaf, subsheaf
 from .subspaces import (  # noqa: F401  (rref_fp, in_span_fp, nullspace_fp re-exported)
-    ResourceError, Subspace, SubspaceLattice, in_span_fp, nullspace_fp, rref_fp,
+    ResourceError, SubspaceLattice, in_span_fp, nullspace_fp, rref_fp,
 )
 from .xi import PRIME, SECOND, enumerate_xi
 
@@ -34,42 +34,6 @@ SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 class FibrewiseConstancyError(RuntimeError):
     """A pushforward of a pulled-back function is not pulled back."""
-
-
-class FqField:
-    """Prime field F_p; prime fields only."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        if p not in SUPPORTED_PRIMES:
-            raise UnsupportedTypeError(f"unsupported field size {p}")
-        self.p = p
-
-    def __repr__(self):
-        return f"FqField({self.p})"
-
-
-class Flag:
-    """Strictly increasing chain of subspaces ending at the full space."""
-
-    __slots__ = ("chain", "composition")
-
-    def __init__(self, chain):
-        self.chain = tuple(chain)
-        dims = [s.dim for s in self.chain]
-        if any(b <= a for a, b in zip(dims, dims[1:])):
-            raise ValueError("flag chain must be strictly increasing")
-        self.composition = tuple(b - a for a, b in zip([0] + dims, dims))
-
-    def __eq__(self, other):
-        return isinstance(other, Flag) and self.chain == other.chain
-
-    def __hash__(self):
-        return hash(self.chain)
-
-    def __repr__(self):
-        return f"Flag{self.composition}"
 
 
 class ContingencyMatrix:
@@ -134,14 +98,14 @@ class FqContext:
     """Flags of F_q^n for one (n, q), computed on the lattice of its subspaces.
 
     ``lattice`` (built on first use) indexes every subspace of F_q^n once
-    and tabulates meet, join and dimension by index.  ``chains(comp)`` gives
-    each flag of ``flags(comp)`` as the tuple of its subspace indices, in
-    the same order, and ``chain_index(comp)`` inverts it.  On chains,
-    relative position is dimension lookups of ``meet[x][y]``, the
-    Hor-reading refinement is ``join[base][meet[x][y]]`` steps, coarsening
-    keeps the indices at the coarser type's dimensions, and a matrix acts
-    through ``lattice.image_table``, from subspace index to subspace index;
-    no elimination runs per flag or flag pair.  At (n, q) = (4, 2) the
+    and tabulates meet, join and dimension by index.  A flag is the tuple of
+    its subspace indices: ``chains(comp)`` lists the flags of one type, and
+    ``chain_index(comp)`` inverts the list.  On chains, relative position
+    is dimension lookups of ``meet[x][y]``, the Hor-reading refinement is
+    ``join[base][meet[x][y]]`` steps, coarsening keeps the indices at the
+    coarser type's dimensions, and a matrix acts through
+    ``lattice.image_table``, from subspace index to subspace index; no
+    elimination runs per flag or flag pair.  At (n, q) = (4, 2) the
     lattice has 67 subspaces, and ``build_eq(4, 2)`` runs in 4.9 s at
     179 MB peak RSS (one run, 2-vCPU VM, Python 3.11.7).
     """
@@ -149,9 +113,10 @@ class FqContext:
     def __init__(self, n, q):
         if n > 4:
             raise UnsupportedTypeError("flag enumeration supports n <= 4")
+        if q not in SUPPORTED_PRIMES:
+            raise UnsupportedTypeError(f"unsupported field size {q}")
         self.n = n
-        self.q = FqField(q).p       # FqField rejects an unsupported q
-        self._flags = {}
+        self.q = q
         self._chains = {}
         self._chain_index = {}
         self._projections = {}
@@ -163,8 +128,9 @@ class FqContext:
 
     # -- enumeration ---------------------------------------------------------
 
-    def flags(self, composition):
-        got = self._flags.get(composition)
+    def chains(self, composition):
+        """The flags of one type, as subspace-index tuples in lattice order."""
+        got = self._chains.get(composition)
         if got is None:
             if sum(composition) != self.n or any(c <= 0 for c in composition):
                 raise ValueError(f"{composition} is not a composition of {self.n}")
@@ -178,30 +144,16 @@ class FqContext:
                             continue
                         new.append(chain + (s,))
                 chains = new
-            got = tuple(self.flag_of(c) for c in chains)
-            self._flags[composition] = got
-        return got
-
-    def chains(self, composition):
-        """The flags of flags(composition), in its order, as subspace-index tuples."""
-        got = self._chains.get(composition)
-        if got is None:
-            got = tuple(self.chain_of(f) for f in self.flags(composition))
+            got = tuple(chains)
             self._chains[composition] = got
-            self._chain_index[composition] = {c: i for i, c in enumerate(got)}
         return got
 
     def chain_index(self, composition):
-        self.chains(composition)
-        return self._chain_index[composition]
-
-    def chain_of(self, flag):
-        index = self.lattice.index
-        return tuple(index[s] for s in flag.chain)
-
-    def flag_of(self, chain):
-        spaces = self.lattice.spaces
-        return Flag(tuple(spaces[x] for x in chain))
+        got = self._chain_index.get(composition)
+        if got is None:
+            got = {c: i for i, c in enumerate(self.chains(composition))}
+            self._chain_index[composition] = got
+        return got
 
     # -- the algorithms, on chains of subspace indices ---------------------------
 
@@ -229,7 +181,7 @@ class FqContext:
         return tuple(by_dim[c] for c in itertools.accumulate(dst_composition))
 
     def projection(self, src, dst):
-        """Position in flags(src) -> position of its coarsening in flags(dst)."""
+        """Position in chains(src) -> position of its coarsening in chains(dst)."""
         key = (src, dst)
         got = self._projections.get(key)
         if got is None:
@@ -238,10 +190,9 @@ class FqContext:
             self._projections[key] = got
         return got
 
-    def relative_position(self, f, g):
-        """Contingency matrix of graded intersections of two Flags; rows follow f."""
+    def relative_position(self, x, y):
+        """Contingency matrix of graded intersections of two chains; rows follow x."""
         meet_dim = self.lattice.meet_dim
-        x, y = self.chain_of(f), self.chain_of(g)
         return ContingencyMatrix(_entries(tuple([meet_dim[a][b] for a in x for b in y]), len(y)))
 
     # -- orbits --------------------------------------------------------------------
@@ -424,7 +375,7 @@ def build_eq(n, q, poset=None, ctx=None):
                      for a, b in points)
         orbit_tables.append(points)
         hor_maps.append(hmap)
-        dims.append(len(ctx.flags(hor_comp)))
+        dims.append(len(ctx.chains(hor_comp)))
         point_index.append({p: k for k, p in enumerate(points)})
         embeddings.append(RationalMatrix.from_sparse([((x, 1),) for x in hmap], dims[m]))
     dprime = {}
@@ -469,7 +420,7 @@ def hecke_generators(n, q):
         raise UnsupportedTypeError("hecke_generators supports n <= 4, q in {2, 3}")
     ctx = FqContext(n, q)
     full = (1,) * n
-    size = len(ctx.flags(full))
+    size = len(ctx.chains(full))
     out = []
     for alpha in range(n - 1):
         images = ctx.projection(full, composition_of_subset({alpha}, n))

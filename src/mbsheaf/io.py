@@ -39,9 +39,13 @@ def _parse_xi_id(poset, ident, path):
         ri, rw = right.split(":")
         c = poset.complex.face(tuple(int(ch) for ch in li), int(lw))
         d = poset.complex.face(tuple(int(ch) for ch in ri), int(rw))
-        return poset.xi_orbit(c, d).index
+        m = poset.xi_orbit(c, d).index
     except (ValueError, KeyError, IndexError) as exc:
         raise ParseError(f"{path}: bad cell id {ident!r}") from exc
+    if xi_id(poset, m) != ident:
+        raise ParseError(f"{path}: cell id {ident!r} is not canonical; "
+                         f"the cell's id is {xi_id(poset, m)!r}")
+    return m
 
 
 def xi_dump(poset):

@@ -11,10 +11,11 @@ one nonzero per column, so products and sums touch few entries, and a row
 holding a single 1 takes the other factor's row object as it is.
 ``sparse_rows`` is the storage itself.  ``rows`` is a dense tuple-of-tuples
 view for output and for callers that want dense rows; it is built on every
-access and never kept, so only the sparse copy stays alive.  Elimination (rref
-and what rests on it) runs on dense scratch lists and returns sparse matrices;
-``solver`` factors a system once, then costs one product and one exact check
-per right-hand side.
+access and never kept, so only the sparse copy stays alive.  ``rref`` is the
+one elimination: it runs on dense scratch lists and returns sparse matrices,
+rank, inverse and solve rest on it, and a subspace of Q^n is the nonzero rows
+of an rref with their pivots.  ``solver`` factors a system once, then costs
+one product and one exact check per right-hand side.
 """
 
 from __future__ import annotations
@@ -363,54 +364,6 @@ def _make(sparse_rows, nrows, ncols):
     _set_nrows(mat, nrows)
     _set_ncols(mat, ncols)
     return mat
-
-
-class Span:
-    """Growing subspace of Q^n maintained in reduced echelon form."""
-
-    def __init__(self, dim_ambient):
-        self.n = dim_ambient
-        self.rows = []      # echelon rows, each a list
-        self.pivots = []    # pivot column of each row
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def _reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [_norm(a - f * b) for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec):
-        return all(x == 0 for x in self._reduce(vec))
-
-    def add(self, vec):
-        """Add a vector; returns True if the span grew."""
-        v = self._reduce(vec)
-        for j, x in enumerate(v):
-            if x != 0:
-                inv = Fraction(1, 1) / x
-                v = [_norm(a * inv) for a in v]
-                # back-substitute into existing rows
-                for i, row in enumerate(self.rows):
-                    if row[j] != 0:
-                        f = row[j]
-                        self.rows[i] = [_norm(a - f * b) for a, b in zip(row, v)]
-                k = 0
-                while k < len(self.pivots) and self.pivots[k] < j:
-                    k += 1
-                self.rows.insert(k, v)
-                self.pivots.insert(k, j)
-                return True
-        return False
-
-    def basis_matrix(self):
-        """Matrix whose columns are the echelon basis vectors."""
-        return RationalMatrix.from_columns([tuple(r) for r in self.rows], self.n)
 
 
 def column_space_basis(mat):

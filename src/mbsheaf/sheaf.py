@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import RationalMatrix, Span
+from .linalg import RationalMatrix
 from .report import Report
 from .xi import PRIME, SECOND, SIDE_NAMES, OrderError, arrow
 
@@ -384,34 +384,55 @@ def _wall_loop(poset, p, c, cp):
 
 # -- subobjects --------------------------------------------------------------------
 
+def _row_span(rows, ncols):
+    """The span of the sparse rows as the ncols x ncols matrix S that holds its
+    reduced echelon rows at their pivot rows.
+
+    A block V of rows lies in the span iff V @ S == V, exactly: V @ S is
+    V[:, pivots] @ rref, and the rref is the identity on its pivots.
+    """
+    red, pivots = RationalMatrix.from_sparse([r for r in rows if r], ncols).rref()
+    out = [()] * ncols
+    for row, p in zip(red.sparse_rows, pivots):
+        out[p] = row
+    return RationalMatrix.from_sparse(out, ncols)
+
+
 def generated_sub(E, seeds):
     """Smallest subsheaf containing the seed vectors.
 
     seeds: mapping element index -> iterable of vectors in E(m).  The result
     is closed under all covering maps of both orders and under inverses of
-    anodyne covering maps.
+    anodyne covering maps.  Each cell's span is kept in reduced echelon form
+    (see _row_span); a cell whose span grew sends it along its moves, and
+    only an image that fails the membership test is reduced again.
     """
-    poset = E.poset
-    spans = [Span(E.dims[m]) for m in range(len(poset.elements))]
-    for m, vecs in seeds.items():
-        for v in vecs:
-            spans[m].add(v)
-    moves = []
+    poset, dims = E.poset, E.dims
+    moves = [[] for _ in dims]      # per source cell: (target, transposed map)
     for side, m, n in poset.coverings():
         mat = E.maps(side)[(m, n)]
         src, dst = arrow(side, m, n)
-        moves.append((src, dst, mat))
+        moves[src].append((dst, mat.transpose()))
         if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
                 and mat.is_invertible()):
-            moves.append((dst, src, mat.inverse()))
-    changed = True
-    while changed:
-        changed = False
-        for src, dst, mat in moves:
-            for row in list(spans[src].rows):
-                if spans[dst].add(mat.apply(row)):
-                    changed = True
-    return subsheaf(E, [s.basis_matrix() for s in spans])
+            moves[dst].append((src, mat.inverse().transpose()))
+    spans = [RationalMatrix.zeros(d, d) for d in dims]
+    pending = [[] for _ in dims]    # per cell: image rows that failed its membership test
+    for m, vecs in seeds.items():
+        pending[m] = list(RationalMatrix(list(vecs), dims[m]).sparse_rows)
+    work = list(seeds)
+    while work:
+        src = work.pop(0)
+        spans[src] = _row_span(spans[src].sparse_rows + tuple(pending[src]), dims[src])
+        pending[src] = []
+        for dst, mat_t in moves[src]:
+            img = spans[src] @ mat_t
+            if img @ spans[dst] != img:
+                pending[dst].extend(img.sparse_rows)
+                if dst not in work:
+                    work.append(dst)
+    return subsheaf(E, [RationalMatrix.from_sparse([r for r in s.sparse_rows if r], d).transpose()
+                        for s, d in zip(spans, dims)])
 
 
 def subsheaf(E, bases, lift=None):

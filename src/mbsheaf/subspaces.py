@@ -1,7 +1,8 @@
 """Subspaces of F_p^n: row reduction and the table of all subspaces.
 
 ``SubspaceLattice`` indexes every subspace of F_p^n once, by dimension and
-then by reduced echelon form, and tabulates meet, join and dimension by
+then by reduced echelon form (the tuple of its nonzero rows, which is all
+that represents a subspace here), and tabulates meet, join and dimension by
 index, so that flag geometry (``mbsheaf.fq``) is table lookups with no
 elimination per flag pair.  The row reductions ``rref_fp``, ``in_span_fp``
 and ``nullspace_fp`` are also importable from ``mbsheaf.fq``.
@@ -79,29 +80,10 @@ def nullspace_fp(rows, p, ncols):
     return basis
 
 
-class Subspace:
-    """Row space in canonical reduced echelon form."""
-
-    __slots__ = ("echelon", "dim")
-
-    def __init__(self, echelon):
-        self.echelon = echelon
-        self.dim = len(echelon)
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and self.echelon == other.echelon
-
-    def __hash__(self):
-        return hash(self.echelon)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim})"
-
-
 # -- the lattice of all subspaces ------------------------------------------------
 
 def _echelon_subspaces(n, p, d):
-    """Every d-dimensional subspace of F_p^n, sorted by reduced echelon form."""
+    """Every d-dimensional subspace of F_p^n as its reduced echelon rows, sorted."""
     out = []
     for pivots in itertools.combinations(range(n), d):
         free_pos = [(i, j) for i in range(d) for j in range(n)
@@ -112,8 +94,8 @@ def _echelon_subspaces(n, p, d):
                 rows[i][piv] = 1
             for (i, j), v in zip(free_pos, values):
                 rows[i][j] = v
-            out.append(Subspace(tuple(tuple(r) for r in rows)))
-    out.sort(key=lambda s: s.echelon)
+            out.append(tuple(tuple(r) for r in rows))
+    out.sort()
     return out
 
 
@@ -138,14 +120,16 @@ def _members(rows, p):
 class SubspaceLattice:
     """Every subspace of F_p^n, indexed once, with meet and join tabulated.
 
-    Index order is by dimension, then by reduced echelon form, so the
-    subspaces of one dimension are the run ``start[d]:start[d + 1]`` and
-    index 0 is the zero subspace.  ``meet[x][y]`` and ``join[x][y]`` are
-    the indices of the intersection and the sum, ``dim[x]`` the dimension,
-    ``meet_dim[x][y]`` the dimension of the intersection, and ``index``
-    maps a Subspace back to its index.  The tables are built from bit sets
-    over the p^n vectors: a meet is the AND of two bit sets, and a join is
-    the orthogonal complement of the meet of the complements.
+    A subspace is its reduced echelon form, the tuple of its nonzero rows;
+    ``spaces[x]`` is that tuple and ``index`` maps it back to x.  Index
+    order is by dimension, then by echelon form, so the subspaces of one
+    dimension are the run ``start[d]:start[d + 1]`` and index 0 is the zero
+    subspace.  ``meet[x][y]`` and ``join[x][y]`` are the indices of the
+    intersection and the sum, ``dim[x]`` the dimension (the number of
+    rows), and ``meet_dim[x][y]`` the dimension of the intersection.  The
+    tables are built from bit sets over the p^n vectors: a meet is the AND
+    of two bit sets, and a join is the orthogonal complement of the meet of
+    the complements.
     """
 
     def __init__(self, n, p):
@@ -160,18 +144,18 @@ class SubspaceLattice:
         self.p = p
         self.spaces = tuple(spaces)
         self.index = {s: x for x, s in enumerate(spaces)}
-        self.dim = tuple(s.dim for s in spaces)
-        masks = [_members(s.echelon, p) for s in spaces]
+        self.dim = tuple(len(s) for s in spaces)
+        masks = [_members(s, p) for s in spaces]
         by_mask = {mask: x for x, mask in enumerate(masks)}
         self.meet = tuple(tuple(by_mask[mx & my] for my in masks) for mx in masks)
         self.meet_dim = tuple(tuple(self.dim[z] for z in row) for row in self.meet)
-        perp = [by_mask[_members(nullspace_fp(s.echelon, p, n), p)] for s in spaces]
+        perp = [by_mask[_members(nullspace_fp(s, p, n), p)] for s in spaces]
         self.join = tuple(tuple(perp[self.meet[perp[x]][perp[y]]] for y in range(len(spaces)))
                           for x in range(len(spaces)))
 
     def image_table(self, g):
-        """Subspace index -> index of its image under the invertible matrix g."""
+        """subspace index -> index of its image under the invertible matrix g."""
         p = self.p
-        return tuple(self.index[Subspace(rref_fp(
-            [[sum(gi[k] * r[k] for k in range(len(r))) % p for gi in g] for r in s.echelon], p))]
+        return tuple(self.index[rref_fp(
+            [[sum(gi[k] * r[k] for k in range(len(r))) % p for gi in g] for r in s], p)]
             for s in self.spaces)

@@ -242,14 +242,6 @@ class XiPoset:
         c, d = self.elements[m].pair
         return self.pair_to_elem[(d.index, c.index)]
 
-    def hor(self, m):
-        """Type of the Tits product C o D of the canonical pair."""
-        return self.elements[m].hor
-
-    def ver(self, m):
-        """Type of the Tits product D o C of the canonical pair."""
-        return self.elements[m].ver
-
     # -- relations listings -----------------------------------------------------
 
     def comparable_pairs(self):

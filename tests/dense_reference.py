@@ -2,12 +2,17 @@
 
 This is the rows-of-tuples class that ``mbsheaf.linalg`` used before it
 switched to sparse storage, kept unchanged so that tests can compare the
-two on the same inputs (see test_linalg_differential.py).
+two on the same inputs (see test_linalg_differential.py).  ``Span`` is the
+incremental Gauss-Jordan that ``mbsheaf`` kept beside ``rref`` until every
+subspace over Q became the nonzero rows of an rref; it is the oracle of
+``generated_sub`` (see test_sheaf.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from mbsheaf.xi import arrow
 
 
 def _norm(x):
@@ -226,3 +231,89 @@ class RationalMatrix:
         for i, p in enumerate(lead):
             sol[p] = list(red.rows[i][nc:])
         return RationalMatrix(tuple(tuple(r) for r in sol), rhs.ncols)
+
+
+class Span:
+    """Growing subspace of Q^n maintained in reduced echelon form."""
+
+    def __init__(self, dim_ambient):
+        self.n = dim_ambient
+        self.rows = []      # echelon rows, each a list
+        self.pivots = []    # pivot column of each row
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def _reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [_norm(a - f * b) for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec):
+        return all(x == 0 for x in self._reduce(vec))
+
+    def add(self, vec):
+        """Add a vector; returns True if the span grew."""
+        v = self._reduce(vec)
+        for j, x in enumerate(v):
+            if x != 0:
+                inv = Fraction(1, 1) / x
+                v = [_norm(a * inv) for a in v]
+                # back-substitute into existing rows
+                for i, row in enumerate(self.rows):
+                    if row[j] != 0:
+                        f = row[j]
+                        self.rows[i] = [_norm(a - f * b) for a, b in zip(row, v)]
+                k = 0
+                while k < len(self.pivots) and self.pivots[k] < j:
+                    k += 1
+                self.rows.insert(k, v)
+                self.pivots.insert(k, j)
+                return True
+        return False
+
+    def basis_matrix(self):
+        """Matrix whose columns are the echelon basis vectors."""
+        return RationalMatrix.from_columns([tuple(r) for r in self.rows], self.n)
+
+
+def generated_sub_bases(E):
+    """seeds -> the bases of mbsheaf.sheaf.generated_sub(E, seeds), from Spans.
+
+    The moves (every covering map of both orders, and the inverse of every
+    invertible anodyne one) are built once per sheaf.  Each span grows
+    vector by vector, and every vector that grew a span is sent along the
+    moves out of its cell, until no span grows.
+    """
+    poset = E.poset
+    moves = [[] for _ in E.dims]
+    for side, m, n in poset.coverings():
+        mat = E.maps(side)[(m, n)]
+        src, dst = arrow(side, m, n)
+        moves[src].append((dst, mat))
+        if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
+                and mat.is_invertible()):
+            moves[dst].append((src, mat.inverse()))
+
+    def bases(seeds):
+        spans = [Span(d) for d in E.dims]
+        new = [[] for _ in E.dims]      # per cell: vectors that grew it since its last visit
+        for m, vecs in seeds.items():
+            new[m] = [v for v in vecs if spans[m].add(v)]
+        work = list(seeds)
+        while work:
+            src = work.pop(0)
+            vecs, new[src] = new[src], []
+            for dst, mat in moves[src]:
+                for v in vecs:
+                    w = mat.apply(v)
+                    if spans[dst].add(w):
+                        new[dst].append(w)
+                        if dst not in work:
+                            work.append(dst)
+        return [s.basis_matrix() for s in spans]
+    return bases

@@ -5,13 +5,14 @@ subspace of F_q^n and tabulated meet and join: each intersection, sum and
 image is an F_q row reduction (``rref_fp``) on the flags' echelon rows.
 They are kept, as functions of the field size, so that tests can compare
 the table lookups with them on the same flags (see
-test_fq_differential.py).
+test_fq_differential.py).  A subspace is its reduced echelon form, the
+tuple of its nonzero rows, and a flag is the tuple of its subspaces.
 """
 
 from __future__ import annotations
 
-from mbsheaf.fq import Flag, _borel_generators
-from mbsheaf.subspaces import Subspace, in_span_fp, nullspace_fp, rref_fp
+from mbsheaf.fq import _borel_generators
+from mbsheaf.subspaces import in_span_fp, nullspace_fp, rref_fp
 
 
 def subspaces(lattice, d):
@@ -28,52 +29,51 @@ def enumerate_flags(lattice, n, q, composition):
         new = []
         for chain in chains:
             for s in subspaces(lattice, dim):
-                if chain and not all(in_span_fp(v, s.echelon, q)
-                                     for v in chain[-1].echelon):
+                if chain and not all(in_span_fp(v, s, q) for v in chain[-1]):
                     continue
                 new.append(chain + (s,))
         chains = new
-    return tuple(Flag(c) for c in chains)
+    return tuple(chains)
 
 
 def intersection_dim(a, b, q):
-    return a.dim + b.dim - len(rref_fp(a.echelon + b.echelon, q))
+    return len(a) + len(b) - len(rref_fp(a + b, q))
 
 
 def relative_position(f, g, q):
     """Contingency entries of graded intersections; rows follow the first flag."""
     dims = {}
-    for i in range(len(f.chain) + 1):
-        for j in range(len(g.chain) + 1):
+    for i in range(len(f) + 1):
+        for j in range(len(g) + 1):
             if i == 0 or j == 0:
                 dims[(i, j)] = 0
             else:
-                dims[(i, j)] = intersection_dim(f.chain[i - 1], g.chain[j - 1], q)
+                dims[(i, j)] = intersection_dim(f[i - 1], g[j - 1], q)
     rows = []
-    for i in range(1, len(f.chain) + 1):
+    for i in range(1, len(f) + 1):
         rows.append(tuple(dims[(i, j)] - dims[(i - 1, j)] - dims[(i, j - 1)]
                           + dims[(i - 1, j - 1)]
-                          for j in range(1, len(g.chain) + 1)))
+                          for j in range(1, len(g) + 1)))
     return tuple(rows)
 
 
 def intersection_basis(a, b, q):
     """Echelon basis of the intersection of two row spaces."""
-    n = len(a.echelon[0]) if a.echelon else 0
+    n = len(a[0]) if a else 0
     reduced = []
-    for v in a.echelon:
+    for v in a:
         w = list(v)
-        for row in b.echelon:
+        for row in b:
             piv = next(j for j, x in enumerate(row) if x)
             if w[piv]:
                 fac = w[piv]
                 w = [(x - fac * y) % q for x, y in zip(w, row)]
         reduced.append(tuple(w))
-    combos = nullspace_fp(tuple(zip(*reduced)), q, len(a.echelon))
+    combos = nullspace_fp(tuple(zip(*reduced)), q, len(a))
     vecs = []
     for lam in combos:
         v = [0] * n
-        for c, row in zip(lam, a.echelon):
+        for c, row in zip(lam, a):
             if c:
                 v = [(x + c * y) % q for x, y in zip(v, row)]
         vecs.append(tuple(v))
@@ -85,18 +85,18 @@ def refinement_flag(f, g, q):
     chain = []
     prev_rows = ()
     prev_dim = 0
-    for i in range(1, len(f.chain) + 1):
-        vi = f.chain[i - 1]
+    for i in range(1, len(f) + 1):
+        vi = f[i - 1]
         base = prev_rows
-        for j in range(1, len(g.chain) + 1):
-            inter = intersection_basis(vi, g.chain[j - 1], q)
+        for j in range(1, len(g) + 1):
+            inter = intersection_basis(vi, g[j - 1], q)
             rows = rref_fp(base + inter, q)
             if len(rows) > prev_dim:
-                chain.append(Subspace(rows))
+                chain.append(rows)
                 prev_dim = len(rows)
             base = rows
-        prev_rows = f.chain[i - 1].echelon
-    return Flag(chain)
+        prev_rows = f[i - 1]
+    return tuple(chain)
 
 
 def coarsen_flag(flag, dst_composition):
@@ -106,18 +106,18 @@ def coarsen_flag(flag, dst_composition):
     for part in dst_composition:
         acc += part
         cums.append(acc)
-    by_dim = {s.dim: s for s in flag.chain}
-    return Flag(tuple(by_dim[c] for c in cums))
+    by_dim = {len(s): s for s in flag}
+    return tuple(by_dim[c] for c in cums)
 
 
 def act_flag(g, flag, p):
     chain = []
-    for s in flag.chain:
+    for s in flag:
         rows = [tuple(sum(g[i][k] * v[k] for k in range(len(v))) % p
                       for i in range(len(v)))
-                for v in s.echelon]
-        chain.append(Subspace(rref_fp(rows, p)))
-    return Flag(chain)
+                for v in s]
+        chain.append(rref_fp(rows, p))
+    return tuple(chain)
 
 
 def borel_orbits(flags, index, n, q):

@@ -214,7 +214,7 @@ def test_criterion_10_bicube_matches_induction_restriction():
             subsets = sorted(got.spaces, key=lambda t: (len(t), t))
             comps = {I: composition_of_subset(set(I), n) for I in subsets}
             for I in subsets:
-                assert got.spaces[I] == len(ctx.flags(comps[I]))
+                assert got.spaces[I] == len(ctx.chains(comps[I]))
             for I in subsets:
                 for J in subsets:
                     if not set(I) <= set(J):

@@ -235,7 +235,18 @@ def _reversed_dsecond(doc):
                          "matrix": [list(col) for col in zip(*entry["matrix"])]}
 
 
+def _alias_dim(doc):
+    doc["dims"]["0:1|0:1"] = 1
+
+
+def _cell_id(text):
+    def corrupt(doc):
+        doc["dprime"][0]["from"] = text
+    return corrupt
+
+
 NON_CANONICAL = ["2/4", "2/2", "1/-2", " 1/2", "1_0/1"]
+NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
 
 
 @pytest.mark.parametrize("corrupt,where", [
@@ -248,11 +259,15 @@ NON_CANONICAL = ["2/4", "2/2", "1/-2", " 1/2", "1_0/1"]
     (_duplicate("dsecond"), r"\$\.dsecond\[3\]: duplicate of \$\.dsecond\[0\]"),
     (_self_covering, r"\$\.dprime\[3\]: not a dprime covering: :0\|:0 -> :0\|:0"),
     (_reversed_dsecond, r"\$\.dsecond\[0\]: not a dsecond covering: "),
+    (_alias_dim, r"\$\.dims: cell id '0:1\|0:1' is not canonical; the cell's id is '0:0\|0:0'"),
 ] + [(_rational(text), r"\$\.dprime\[0\]\.matrix: .* is not canonical")
-     for text in NON_CANONICAL],
+     for text in NON_CANONICAL
+] + [(_cell_id(text), r"\$\.dprime\[0\]: cell id .* is not canonical; the cell's id is ':0\|:0'")
+     for text in NON_CANONICAL_IDS],
     ids=["missing-from", "non-string-from", "missing-matrix", "entry-not-object", "bool-dim",
          "duplicate-dprime", "duplicate-dsecond", "non-covering-dprime",
-         "non-covering-dsecond"] + [f"rational-{t!r}" for t in NON_CANONICAL])
+         "non-covering-dsecond", "alias-dim"] + [f"rational-{t!r}" for t in NON_CANONICAL]
+    + [f"cell-id-{t!r}" for t in NON_CANONICAL_IDS])
 def test_cli_check_malformed_sheaf_exits_2(tmp_path, capsys, corrupt, where):
     path = tmp_path / "e1_a1.json"
     assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0

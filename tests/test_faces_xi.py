@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from mbsheaf.coxeter import build_coxeter
+from dense_reference import RationalMatrix as Dense
+from dense_reference import Span
+from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.faces import FaceComplex
 from mbsheaf.xi import PRIME, SECOND, OrderError, enumerate_xi
 from xi_reference import block_scan_sup
@@ -116,6 +118,24 @@ def test_delta_additive_along_galleries(label, rank):
     for c in chambers:
         for d in chambers:
             assert cx.delta_faces(c, d) == cx.face_distance(c, d)
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_span_closure_and_flat_dim_match_dense_reference(label, rank):
+    # every set of at most rank roots (each span has such a basis) and every
+    # face's zero set: closure by Span membership, dimension by dense rank
+    cx = complex_for(label, rank)
+    roots = cx.datum.positive_roots
+    sets = {frozenset(c) for k in range(rank + 1)
+            for c in itertools.combinations(range(len(roots)), k)}
+    sets |= {f.zero_set for f in cx.faces}
+    for key in sets:
+        span = Span(rank)
+        for a in key:
+            span.add(roots[a])
+        assert cx.span_closure(key) == {b for b in range(len(roots)) if span.contains(roots[b])}
+        assert cx.flat_dim(key) == rank - Dense([roots[a] for a in key], rank).rank() \
+            == rank - span.dim
 
 
 def test_delta_additive_on_wall_faces_b3():

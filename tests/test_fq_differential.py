@@ -25,6 +25,11 @@ def compositions(n):
             for k in range(n) for members in itertools.combinations(range(n - 1), k)]
 
 
+def flags(ctx, comp):
+    """The chains of one type as the oracle's flags: tuples of echelon forms."""
+    return [tuple(ctx.lattice.spaces[x] for x in chain) for chain in ctx.chains(comp)]
+
+
 def coarser(src, dst):
     """Whether dst's cumulative dimensions are among src's."""
     return set(itertools.accumulate(dst)) <= set(itertools.accumulate(src))
@@ -39,29 +44,33 @@ def test_lattice_meet_and_join(n, q):
         assert lat.index[a] == x
         for y, b in enumerate(lat.spaces):
             assert lat.meet_dim[x][y] == lat.dim[lat.meet[x][y]] == ref.intersection_dim(a, b, q)
-            assert lat.spaces[lat.meet[x][y]].echelon == ref.intersection_basis(a, b, q)
-            assert lat.spaces[lat.join[x][y]].echelon == rref_fp(a.echelon + b.echelon, q)
+            assert lat.spaces[lat.meet[x][y]] == ref.intersection_basis(a, b, q)
+            assert lat.spaces[lat.join[x][y]] == rref_fp(a + b, q)
 
 
 @pytest.mark.parametrize("n,q", SIZES)
 def test_flag_order_matches_elimination_enumeration(n, q):
     ctx = FqContext(n, q)
     for comp in compositions(n):
-        assert ctx.flags(comp) == ref.enumerate_flags(ctx.lattice, n, q, comp)
+        assert tuple(flags(ctx, comp)) == ref.enumerate_flags(ctx.lattice, n, q, comp)
 
 
 @pytest.mark.parametrize("n,q", SIZES)
 def test_pair_geometry_matches_oracle(n, q):
     ctx = FqContext(n, q)
     comps = compositions(n)
+    spaces = ctx.lattice.spaces
     for ci, cj in itertools.product(comps, comps):
-        for f, g in itertools.product(ctx.flags(ci), ctx.flags(cj)):
-            assert ctx.relative_position(f, g).entries == ref.relative_position(f, g, q)
-            refined = ctx.refine(ctx.chain_of(f), ctx.chain_of(g))
-            assert ctx.flag_of(refined) == ref.refinement_flag(f, g, q)
+        pairs = itertools.product(zip(ctx.chains(ci), flags(ctx, ci)),
+                                  zip(ctx.chains(cj), flags(ctx, cj)))
+        for (x, f), (y, g) in pairs:
+            assert ctx.relative_position(x, y).entries == ref.relative_position(f, g, q)
+            refined = ctx.refine(x, y)
+            assert tuple(spaces[s] for s in refined) == ref.refinement_flag(f, g, q)
         if coarser(ci, cj):
-            for f in ctx.flags(ci):
-                assert ctx.flag_of(ctx.coarsen(ctx.chain_of(f), cj)) == ref.coarsen_flag(f, cj)
+            for x, f in zip(ctx.chains(ci), flags(ctx, ci)):
+                coarse = ctx.coarsen(x, cj)
+                assert tuple(spaces[s] for s in coarse) == ref.coarsen_flag(f, cj)
 
 
 @pytest.mark.parametrize("n,q", SIZES)
@@ -69,7 +78,7 @@ def test_block_buckets_match_oracle(n, q):
     ctx = FqContext(n, q)
     comps = compositions(n)
     for ci, cj in itertools.product(comps, comps):
-        fi, fj = ctx.flags(ci), ctx.flags(cj)
+        fi, fj = flags(ctx, ci), flags(ctx, cj)
         expected = {}
         for (a, f), (b, g) in itertools.product(enumerate(fi), enumerate(fj)):
             expected.setdefault(ref.relative_position(f, g, q), []).append((a, b))
@@ -80,9 +89,9 @@ def test_block_buckets_match_oracle(n, q):
 def test_borel_orbits_match_oracle(n, q):
     ctx = FqContext(n, q)
     for comp in compositions(n):
-        flags = ctx.flags(comp)
-        index = {f: i for i, f in enumerate(flags)}
-        assert borel_orbits(ctx, comp) == ref.borel_orbits(flags, index, n, q)
+        fl = flags(ctx, comp)
+        index = {f: i for i, f in enumerate(fl)}
+        assert borel_orbits(ctx, comp) == ref.borel_orbits(fl, index, n, q)
 
 
 @st.composite
@@ -102,8 +111,9 @@ def test_matrix_action_matches_oracle(n, q):
     @given(g=invertible(n, q), comp=st.sampled_from(comps))
     def check(g, comp):
         table = ctx.lattice.image_table(g)
-        for f in ctx.flags(comp):
-            image = tuple(table[x] for x in ctx.chain_of(f))
-            assert ctx.flag_of(image) == ref.act_flag(g, f, q)
+        spaces = ctx.lattice.spaces
+        for x, f in zip(ctx.chains(comp), flags(ctx, comp)):
+            image = tuple(table[s] for s in x)
+            assert tuple(spaces[s] for s in image) == ref.act_flag(g, f, q)
 
     check()

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import Span
 from mbsheaf.intpoly import IntPolynomial
 from mbsheaf.linalg import (
-    RationalMatrix, Span, column_space_basis, fraction_from_str, fraction_to_str,
+    RationalMatrix, column_space_basis, fraction_from_str, fraction_to_str,
 )
 
 

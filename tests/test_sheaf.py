@@ -2,6 +2,7 @@
 
 import pytest
 
+from dense_reference import generated_sub_bases
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1
 from mbsheaf.linalg import RationalMatrix
@@ -276,6 +277,19 @@ def test_generated_sub_extremes(xi_a1, e1_a1):
     assert full.dims == e1_a1.dims
     zero = generated_sub(e1_a1, {})
     assert zero.total_dim == 0
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
+def test_generated_sub_matches_span_oracle(label, rank):
+    # every basis vector of every cell, one at a time: the rref spans give
+    # exactly the echelon bases that the incremental Span closure gives
+    e1 = build_e1(enumerate_xi(build_coxeter(label, rank)))
+    oracle = generated_sub_bases(e1)
+    for m, d in enumerate(e1.dims):
+        for k in range(d):
+            seeds = {m: [tuple(int(i == k) for i in range(d))]}
+            got = generated_sub(e1, seeds)
+            assert [b.rows for b in got.bases] == [b.rows for b in oracle(seeds)], (m, k)
 
 
 def test_e1_a1_not_simple(e1_a1):
