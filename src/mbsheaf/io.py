@@ -147,6 +147,10 @@ def mbs_from_json(doc, poset=None):
     if (not isinstance(datum_doc, dict) or "type" not in datum_doc
             or "rank" not in datum_doc):
         raise ParseError("$.datum: must carry type and rank")
+    if not isinstance(datum_doc["type"], str):
+        raise ParseError("$.datum.type: must be a string")
+    if type(datum_doc["rank"]) is not int:
+        raise ParseError("$.datum.rank: must be an integer")
     if poset is None:
         from .coxeter import UnsupportedTypeError
         try:

@@ -33,6 +33,7 @@ class MixedBruhatSheaf:
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
         self._composites = ({}, {})     # per side: (m, n) -> chain-checked composite
         self._stalks = {}               # cell -> cohomology of its stalk complex
+        self._moves = None              # generated_sub's moves, built on first use
 
     @property
     def total_dim(self):
@@ -83,11 +84,14 @@ def _first_step_products(E, side, m, n):
 
     A dprime map runs down the interval, so the first step comes first in
     the product; a dsecond map runs up it, so the first step comes last.
+    A covering m > n has one chain, its own matrix, with no identity product.
     """
     target = E.poset.elements[n].typeIJ[side]
     step = E.maps(side)
     out = []
     for s, t in E.poset.cov[side][m]:
+        if t == n:
+            return [step[(m, t)]]
         if s in target:
             rest = _compose(E, side, t, n)
             out.append(rest @ step[(m, t)] if side == PRIME else step[(m, t)] @ rest)
@@ -140,6 +144,15 @@ def check_mbs(E):
     MBS1 checks k first-step products per interval, not k! chains (``_compose``);
     MBS2 takes suprema as intersections of up-sets built once (``XiPoset.sup``);
     MBS3 passes a monomial covering matrix without elimination (``is_invertible``).
+
+    MBS2 asks, for every m' >=' n' <='' n, that C''(n, n') C'(m', n') be the
+    sum of C'(m, n) C''(m, m') over m in sup(m', n).  Where m' = n', every m
+    in sup(n', n) has I_m = I(n') = I(n) (both lie over n' on SECOND) and
+    m >=' n, so m = phi(m, PRIME, I(n)) = n: both sides are C''(n, n'), times
+    an identity.  Where n = n', likewise sup(m', n') = [m'] and both sides
+    are C'(m', n').  Those configurations hold for any data and are skipped,
+    so the witnesses are the full loop's, in its order.  The sum starts at
+    its first term; an empty supremum asks for a zero lhs.
     """
     from .faces import subsets_sorted
     poset = E.poset
@@ -172,20 +185,17 @@ def check_mbs(E):
     if mbs1:
         return rep
 
-    # MBS2: the supremum sum over every configuration m' >=' n' <='' n
-    pups = poset.ups(PRIME)
-    sups = poset.ups(SECOND)
+    # MBS2: the supremum sum over every m' >=' n' <='' n with m' != n' != n
+    pups, sups = ([[m for m in up if m != n] for n, up in enumerate(poset.ups(side))]
+                  for side in (PRIME, SECOND))
     for np_ in range(len(poset.elements)):
         for mp in pups[np_]:
             d_prime = compose_prime(E, mp, np_)
             for n in sups[np_]:
-                if mp == np_ == n:
-                    continue
                 lhs = compose_second(E, n, np_) @ d_prime
-                rhs = RationalMatrix.zeros(E.dims[n], E.dims[mp])
-                for m in poset.sup(mp, n):
-                    rhs = rhs + (compose_prime(E, m, n) @ compose_second(E, m, mp))
-                if lhs != rhs:
+                terms = [compose_prime(E, m, n) @ compose_second(E, m, mp)
+                         for m in poset.sup(mp, n)]
+                if sum(terms[1:], terms[0]) != lhs if terms else not lhs.is_zero():
                     mbs2.append((mp, np_, n))
 
     # MBS3: anodyne coverings must be invertible
@@ -403,19 +413,21 @@ def generated_sub(E, seeds):
 
     seeds: mapping element index -> iterable of vectors in E(m).  The result
     is closed under all covering maps of both orders and under inverses of
-    anodyne covering maps.  Each cell's span is kept in reduced echelon form
-    (see _row_span); a cell whose span grew sends it along its moves, and
-    only an image that fails the membership test is reduced again.
+    anodyne covering maps; these moves are built once per sheaf.  Each
+    cell's span is kept in reduced echelon form (see _row_span); a cell
+    whose span grew sends it along its moves, and only an image that fails
+    the membership test is reduced again.
     """
-    poset, dims = E.poset, E.dims
-    moves = [[] for _ in dims]      # per source cell: (target, transposed map)
-    for side, m, n in poset.coverings():
-        mat = E.maps(side)[(m, n)]
-        src, dst = arrow(side, m, n)
-        moves[src].append((dst, mat.transpose()))
-        if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
-                and mat.is_invertible()):
-            moves[dst].append((src, mat.inverse().transpose()))
+    poset, dims, moves = E.poset, E.dims, E._moves
+    if moves is None:
+        moves = E._moves = [[] for _ in dims]   # per source cell: (target, transposed map)
+        for side, m, n in poset.coverings():
+            mat = E.maps(side)[(m, n)]
+            src, dst = arrow(side, m, n)
+            moves[src].append((dst, mat.transpose()))
+            if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
+                    and mat.is_invertible()):
+                moves[dst].append((src, mat.inverse().transpose()))
     spans = [RationalMatrix.zeros(d, d) for d in dims]
     pending = [[] for _ in dims]    # per cell: image rows that failed its membership test
     for m, vecs in seeds.items():

@@ -80,6 +80,7 @@ class XiPoset:
         self.complex = complex_
         self.datum = complex_.datum
         self._ups = {}
+        self._second_up_sets = None    # frozensets of ups(SECOND), for sup
         self._build_elements()
         self._build_structure()
 
@@ -233,9 +234,12 @@ class XiPoset:
         fixes I_m = I(mp) and contracts J_m into J(mp), and m >=' n fixes
         J_m = J(n) and contracts I_m into I(n), so the candidates are the
         cells of block (I(mp), J(n)) lying over both, and the set is empty
-        unless I(mp) <= I(n) and J(n) <= J(mp).
+        unless I(mp) <= I(n) and J(n) <= J(mp).  Read off ups(PRIME)[n]
+        against a frozenset of ups(SECOND)[mp], built once per poset.
         """
-        return sorted(set(self.ups(SECOND)[mp]).intersection(self.ups(PRIME)[n]))
+        if self._second_up_sets is None:
+            self._second_up_sets = tuple(map(frozenset, self.ups(SECOND)))
+        return list(filter(self._second_up_sets[mp].__contains__, self.ups(PRIME)[n]))
 
     def tau(self, m):
         """Coordinate swap."""

@@ -245,6 +245,12 @@ def _cell_id(text):
     return corrupt
 
 
+def _datum(field, value):
+    def corrupt(doc):
+        doc["datum"][field] = value
+    return corrupt
+
+
 NON_CANONICAL = ["2/4", "2/2", "1/-2", " 1/2", "1_0/1"]
 NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
 
@@ -260,13 +266,18 @@ NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
     (_self_covering, r"\$\.dprime\[3\]: not a dprime covering: :0\|:0 -> :0\|:0"),
     (_reversed_dsecond, r"\$\.dsecond\[0\]: not a dsecond covering: "),
     (_alias_dim, r"\$\.dims: cell id '0:1\|0:1' is not canonical; the cell's id is '0:0\|0:0'"),
+    (_datum("rank", 2.0), r"\$\.datum\.rank: must be an integer"),
+    (_datum("rank", True), r"\$\.datum\.rank: must be an integer"),
+    (_datum("rank", "2"), r"\$\.datum\.rank: must be an integer"),
+    (_datum("type", ["A"]), r"\$\.datum\.type: must be a string"),
 ] + [(_rational(text), r"\$\.dprime\[0\]\.matrix: .* is not canonical")
      for text in NON_CANONICAL
 ] + [(_cell_id(text), r"\$\.dprime\[0\]: cell id .* is not canonical; the cell's id is ':0\|:0'")
      for text in NON_CANONICAL_IDS],
     ids=["missing-from", "non-string-from", "missing-matrix", "entry-not-object", "bool-dim",
          "duplicate-dprime", "duplicate-dsecond", "non-covering-dprime",
-         "non-covering-dsecond", "alias-dim"] + [f"rational-{t!r}" for t in NON_CANONICAL]
+         "non-covering-dsecond", "alias-dim", "float-rank", "bool-rank", "string-rank",
+         "list-type"] + [f"rational-{t!r}" for t in NON_CANONICAL]
     + [f"cell-id-{t!r}" for t in NON_CANONICAL_IDS])
 def test_cli_check_malformed_sheaf_exits_2(tmp_path, capsys, corrupt, where):
     path = tmp_path / "e1_a1.json"

@@ -7,9 +7,19 @@ still lists.  On every built-in sheaf each composite must equal every chain
 product, and on perturbed sheaves ``check_mbs`` must name the same MBS1
 witnesses as a check that enumerates every chain, including when a 2-step
 sub-interval of a 3-step interval is path-dependent.
+
+``check_mbs`` loops MBS2 only over configurations m' >=' n' <='' n with
+m' != n' and n != n', and starts each supremum sum at its first term.
+``full_mbs2`` is the loop it replaced: every configuration, every sum
+seeded with a zero matrix, suprema by the definition.  Both must name the
+same MBS2 witnesses in the same order: on the built-in sheaves, on
+one-sided gauge perturbations of them, which break MBS2 and nothing else,
+and on the constant sheaf, which fails MBS2 wherever a supremum has more
+than one cell.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +27,10 @@ from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
 from mbsheaf.faces import subsets_sorted
 from mbsheaf.fq import b_invariant_sub, build_eq
+from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import (
-    PathDependenceError, _all_chain_products, _compose, check_mbs, dual,
+    MixedBruhatSheaf, PathDependenceError, _all_chain_products, _compose, check_mbs,
+    compose_prime, compose_second, dual,
 )
 from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, enumerate_xi
 
@@ -159,3 +171,70 @@ def test_mbs1_witnesses_match_chain_enumeration(label, rank):
     E = e1(label, rank)
     for bad in perturbed(E, seed=rank * 100 + ord(label)):
         assert check_mbs(bad).witnesses["MBS1"] == chain_mbs1(bad)
+
+
+def full_mbs2(E):
+    """MBS2 witnesses over every configuration m' >=' n' <='' n, with
+    zero-seeded supremum sums and sup(m', n) = ups''(m') & ups'(n)."""
+    poset = E.poset
+    pups, sups = poset.ups(PRIME), poset.ups(SECOND)
+    out = []
+    for np_ in range(len(poset.elements)):
+        for mp in pups[np_]:
+            d_prime = compose_prime(E, mp, np_)
+            for n in sups[np_]:
+                lhs = compose_second(E, n, np_) @ d_prime
+                rhs = RationalMatrix.zeros(E.dims[n], E.dims[mp])
+                for m in sorted(set(sups[mp]) & set(pups[n])):
+                    rhs = rhs + (compose_prime(E, m, n) @ compose_second(E, m, mp))
+                if lhs != rhs:
+                    out.append((mp, np_, n))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN))
+def test_mbs2_witnesses_match_full_loop_on_built_ins(name):
+    E = BUILT_IN[name]()
+    assert check_mbs(E).witnesses["MBS2"] == full_mbs2(E) == []
+
+
+def gauged(E, cell):
+    """E with the dprime maps out of cell scaled by 2 and those into it by 1/2.
+
+    Every dprime composite through the cell is unchanged, so MBS1 and MBS3
+    still hold; the dsecond maps are left alone, so MBS2 fails near it.
+    """
+    def factor(m, n):
+        return 2 if m == cell else Fraction(1, 2) if n == cell else 1
+    dprime = {k: mat.scale(factor(*k)) for k, mat in E.dprime.items()}
+    return E.copy_with(E.dims, dprime, E.dsecond)
+
+
+@pytest.mark.parametrize("name", ["E_1(A2)", "E_1(B2)", "E_1(G2)", "E_1^reflection(B2)",
+                                  "E_q(3,2)"])
+def test_mbs2_witnesses_match_full_loop_on_gauge_perturbations(name):
+    E = BUILT_IN[name]()
+    cells = [m for m, d in enumerate(E.dims) if d]
+    for cell in random.Random(name).sample(cells, 4):
+        bad = gauged(E, cell)
+        rep = check_mbs(bad)
+        assert rep.witnesses["MBS1"] == rep.witnesses["MBS3"] == [], (name, cell)
+        assert rep.witnesses["MBS2"], (name, cell)
+        assert rep.witnesses["MBS2"] == full_mbs2(bad), (name, cell)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_mbs2_witnesses_match_full_loop_on_constant_sheaves(label, rank):
+    """Q on every cell and 1 on every covering: MBS1 and MBS3 hold, and MBS2
+    fails exactly where the supremum has more than one cell."""
+    xi = poset_for(label, rank)
+    one = RationalMatrix.identity(1)
+    maps = ({}, {})
+    for side, m, n in xi.coverings():
+        maps[side][(m, n)] = one
+    E = MixedBruhatSheaf(xi, [1] * len(xi.elements), *maps)
+    pups, sups = xi.ups(PRIME), xi.ups(SECOND)
+    many = [(mp, np_, n) for np_ in range(len(xi.elements)) for mp in pups[np_]
+            for n in sups[np_] if len(xi.sup(mp, n)) > 1]
+    assert many
+    assert check_mbs(E).witnesses["MBS2"] == full_mbs2(E) == many

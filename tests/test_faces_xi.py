@@ -411,6 +411,18 @@ def test_sup_matches_block_scan(label, rank, sample):
     assert nonempty >= len(pairs) // 20
 
 
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_sup_over_an_identity_leg_is_the_other_leg(label, rank):
+    """The configurations check_mbs skips: n >='' n' gives sup(n', n) = [n],
+    and m' >=' n' gives sup(m', n') = [m']."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    for np_ in range(len(xi.elements)):
+        for n in xi.ups(SECOND)[np_]:
+            assert xi.sup(np_, n) == [n], (np_, n)
+        for mp in xi.ups(PRIME)[np_]:
+            assert xi.sup(mp, np_) == [mp], (mp, np_)
+
+
 @pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2)])
 def test_tau_and_ver_constancy(label, rank):
     xi = enumerate_xi(build_coxeter(label, rank))
