@@ -1,16 +1,14 @@
 """Stalk complexes of the Cousin resolution and the perversity support checks.
 
-For a cell with first type I0, the stalk complex collects, for each subset
-I of I0, the spaces at the cells of Xi(I, J) lying over the cell in the
-first order, placed in degree |I| - r.  The differential composes the
-first-order maps with the alternating sign of inserting the new index into
-the ordered subset.  d^2 = 0 is equivalent to transitivity plus the sign
+For a cell with first type I0, the stalk complex collects the spaces at
+its up-set in the first order >=', the cells of Xi(I, J) with I inside I0
+that contract to it, each placed in degree |I| - r.  The differential
+composes the first-order maps with the alternating sign of inserting the
+new index into the ordered subset.  d^2 = 0 is equivalent to transitivity plus the sign
 bookkeeping and is verified on construction.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .linalg import RationalMatrix
 from .report import Report
@@ -51,54 +49,37 @@ def _profile(cohomology):
 
 
 def stalk_complex(E, m):
-    """Build and verify the stalk complex of the Cousin resolution at cell m."""
+    """Build and verify the stalk complex of the Cousin resolution at cell m.
+
+    Its terms are the up-set of m in >=', each cell n in degree |I(n)| - r,
+    ordered by (I(n), n); the blocks of its differential are their
+    coverings that add an index of I(m), signed by _insert_sign.
+    """
     poset = E.poset
     r = poset.datum.rank
-    e = poset.elements[m]
-    I0, J = e.typeIJ
-    subsets_by_size = {}
-    for size in range(len(I0) + 1):
-        subsets_by_size[size] = sorted(itertools.combinations(I0, size))
-    labels = {}
-    for size, subs in subsets_by_size.items():
-        deg = size - r
-        blocks = []
-        for I in subs:
-            for n in poset.blocks.get((I, J), ()):
-                if poset.phi(n, PRIME, I0) == m:
-                    blocks.append((I, n))
-        labels[deg] = tuple(blocks)
-    dims = {deg: sum(E.dims[n] for _I, n in blocks) for deg, blocks in labels.items()}
+    I0 = poset.elements[m].typeIJ[PRIME]
+    labels = {size - r: [] for size in range(len(I0) + 1)}
+    dims = dict.fromkeys(labels, 0)
+    offset = {}                     # term -> its first index in its degree's space
+    terms = [(poset.elements[n].typeIJ[PRIME], n) for n in poset.ups(PRIME)[m]]
+    for I, n in sorted(terms, key=lambda t: (len(t[0]), t)):
+        deg = len(I) - r
+        labels[deg].append((I, n))
+        offset[n] = dims[deg]
+        dims[deg] += E.dims[n]
     diffs = {}
-    for size in range(len(I0)):
-        deg = size - r
-        src, dst = labels[deg], labels[deg + 1]
-        if dims[deg] == 0 or dims[deg + 1] == 0:
-            diffs[deg] = RationalMatrix.zeros(dims[deg + 1], dims[deg])
-            continue
-        col_off = {}
-        off = 0
-        for I, n in src:
-            col_off[(I, n)] = off
-            off += E.dims[n]
-        row_off = {}
-        off = 0
-        for I, n in dst:
-            row_off[(I, n)] = off
-            off += E.dims[n]
+    for deg in list(labels)[:-1]:
         rows = [[] for _ in range(dims[deg + 1])]
-        for I1, n1 in src:
-            for alpha in I0:
-                if alpha in I1:
+        for I1, n1 in labels[deg]:
+            for alpha, n2 in poset.cov[PRIME][n1]:
+                if alpha not in I0:
                     continue
-                I2 = tuple(sorted(I1 + (alpha,)))
-                n2 = poset.phi(n1, PRIME, I2)
                 sign = _insert_sign(I1, alpha)
-                block = E.dprime[(n1, n2)]
-                ro, co = row_off[(I2, n2)], col_off[(I1, n1)]
-                for i, row in enumerate(block.sparse_rows):
+                ro, co = offset[n2], offset[n1]
+                for i, row in enumerate(E.dprime[(n1, n2)].sparse_rows):
                     rows[ro + i].extend([(co + j, sign * x) for j, x in row])
         diffs[deg] = RationalMatrix.from_sparse(rows, dims[deg])
+    labels = {deg: tuple(blocks) for deg, blocks in labels.items()}
     for deg in diffs:
         nxt = diffs.get(deg + 1)
         if nxt is not None and not (nxt @ diffs[deg]).is_zero():

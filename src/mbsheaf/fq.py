@@ -416,8 +416,8 @@ def build_eq(n, q, poset=None, ctx=None):
 
 def hecke_generators(n, q):
     """sigma_alpha = pullback-pushforward along the alpha-line fibration minus one."""
-    if n > 4 or q not in (2, 3):
-        raise UnsupportedTypeError("hecke_generators supports n <= 4, q in {2, 3}")
+    if not 2 <= n <= 4 or q not in (2, 3):
+        raise UnsupportedTypeError("hecke_generators supports 2 <= n <= 4, q in {2, 3}")
     ctx = FqContext(n, q)
     full = (1,) * n
     size = len(ctx.chains(full))

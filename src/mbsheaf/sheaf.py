@@ -123,8 +123,7 @@ def _all_chain_products(E, side, m, n):
         steps = []
         cur = m
         for s in perm:
-            nxt = poset.phi(cur, side,
-                            tuple(sorted(set(poset.elements[cur].typeIJ[side]) | {s})))
+            nxt = dict(poset.cov[side][cur])[s]
             steps.append(maps[(cur, nxt)])
             cur = nxt
         if side == SECOND:
@@ -154,7 +153,6 @@ def check_mbs(E):
     so the witnesses are the full loop's, in its order.  The sum starts at
     its first term; an empty supremum asks for a zero lhs.
     """
-    from .faces import subsets_sorted
     poset = E.poset
     rep = Report("shape", "MBS1", "MBS2", "MBS3")
     shape, mbs1, mbs2, mbs3 = rep.witnesses.values()
@@ -170,16 +168,16 @@ def check_mbs(E):
 
     # MBS1: path independence of composites, both orders; the entry points
     # are looked up per call, so rebinding compose_prime/compose_second works
+    # (a covering has one chain, so targets 1 step below are skipped)
     compose = (compose_prime, compose_second)
-    rank = poset.datum.rank
     for m, e in enumerate(poset.elements):
         for side in (PRIME, SECOND):
-            K = e.typeIJ[side]
-            for K2 in subsets_sorted(rank):
-                if not set(K) < set(K2) or len(K2) - len(K) < 2:
+            size = len(e.typeIJ[side]) + 2
+            for n in poset.downs(side)[m]:
+                if len(poset.elements[n].typeIJ[side]) < size:
                     continue
                 try:
-                    compose[side](E, m, poset.phi(m, side, K2))
+                    compose[side](E, m, n)
                 except PathDependenceError as exc:
                     mbs1.append(exc.args[0])
     if mbs1:
@@ -411,10 +409,19 @@ def _row_span(rows, ncols):
 def generated_sub(E, seeds):
     """Smallest subsheaf containing the seed vectors.
 
-    seeds: mapping element index -> iterable of vectors in E(m).  The result
-    is closed under all covering maps of both orders and under inverses of
-    anodyne covering maps; these moves are built once per sheaf.  Each
-    cell's span is kept in reduced echelon form (see _row_span); a cell
+    seeds: mapping element index -> iterable of vectors in E(m); a vector
+    whose length is not dim E(m) raises ValueError.
+    """
+    return subsheaf(E, [RationalMatrix.from_sparse(rows, d).transpose()
+                        for rows, d in zip(_span_closure(E, seeds), E.dims)])
+
+
+def _span_closure(E, seeds):
+    """Per cell, the reduced echelon rows spanning generated_sub(E, seeds) there.
+
+    The spans are closed under all covering maps of both orders and under
+    inverses of anodyne covering maps; these moves are built once per sheaf.
+    Each cell's span is kept in reduced echelon form (see _row_span); a cell
     whose span grew sends it along its moves, and only an image that fails
     the membership test is reduced again.
     """
@@ -431,7 +438,13 @@ def generated_sub(E, seeds):
     spans = [RationalMatrix.zeros(d, d) for d in dims]
     pending = [[] for _ in dims]    # per cell: image rows that failed its membership test
     for m, vecs in seeds.items():
-        pending[m] = list(RationalMatrix(list(vecs), dims[m]).sparse_rows)
+        vecs = [tuple(v) for v in vecs]
+        for v in vecs:
+            if len(v) != dims[m]:
+                from .io import xi_id    # io stays out of `import mbsheaf`
+                raise ValueError(f"seed vector of length {len(v)} at cell {m} "
+                                 f"({xi_id(poset, m)}), whose stalk has dimension {dims[m]}")
+        pending[m] = list(RationalMatrix(vecs, dims[m]).sparse_rows)
     work = list(seeds)
     while work:
         src = work.pop(0)
@@ -443,8 +456,7 @@ def generated_sub(E, seeds):
                 pending[dst].extend(img.sparse_rows)
                 if dst not in work:
                     work.append(dst)
-    return subsheaf(E, [RationalMatrix.from_sparse([r for r in s.sparse_rows if r], d).transpose()
-                        for s, d in zip(spans, dims)])
+    return [[r for r in s.sparse_rows if r] for s in spans]
 
 
 def subsheaf(E, bases, lift=None):
@@ -471,7 +483,8 @@ def is_simple(E):
     """Whether no proper nonzero subsheaf is generated by any basis vector.
 
     A cyclic search over basis vectors of every cell: sufficient at this
-    scale, a semi-decision in general.
+    scale, a semi-decision in general.  The dimension of each generated
+    subsheaf is the sum of its span ranks.
     """
     total = E.total_dim
     if total == 0:
@@ -479,7 +492,6 @@ def is_simple(E):
     for m in range(len(E.poset.elements)):
         for k in range(E.dims[m]):
             vec = tuple(1 if i == k else 0 for i in range(E.dims[m]))
-            sub = generated_sub(E, {m: [vec]})
-            if 0 < sub.total_dim < total:
+            if 0 < sum(map(len, _span_closure(E, {m: [vec]}))) < total:
                 return False
     return True

@@ -13,6 +13,11 @@ coordinate 0, SECOND (1) is >='' and contracts coordinate 1, and the
 coordinate swap tau exchanges them.  A sheaf is covariant along PRIME and
 contravariant along SECOND: for a covering m > n, its PRIME map runs
 E(m) -> E(n) and its SECOND map runs E(n) -> E(m) (see ``arrow``).
+
+Each order is tabulated once per poset: ``cov[side]`` lists the coverings
+of every cell, ``downs(side)`` every cell below it and ``ups(side)`` every
+cell above it.  The relation listings, the axiom checks and the Cousin
+stalks walk these tables instead of contracting over all type subsets.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ class XiPoset:
     def __init__(self, complex_):
         self.complex = complex_
         self.datum = complex_.datum
+        self._downs = {}
         self._ups = {}
         self._second_up_sets = None    # frozensets of ups(SECOND), for sup
         self._build_elements()
@@ -167,10 +173,7 @@ class XiPoset:
 
     def leq_side(self, side, n, m):
         """True iff m >= n in the order of `side` (>=' or >='')."""
-        em, en = self.elements[m], self.elements[n]
-        return (em.typeIJ[1 - side] == en.typeIJ[1 - side]
-                and set(em.typeIJ[side]) <= set(en.typeIJ[side])
-                and self.phi(m, side, en.typeIJ[side]) == n)
+        return n in self.downs(side)[m]
 
     def leq(self, n, m):
         """Joint order: true iff m >= n."""
@@ -180,25 +183,32 @@ class XiPoset:
             return False
         return self.phi(self.phi(m, PRIME, en.typeIJ[0]), SECOND, en.typeIJ[1]) == n
 
-    def factor_through(self, m, n, side):
-        """The unique x with m >= x on `side` and x >= n on the other; requires m >= n."""
-        if not self.leq(n, m):
-            raise OrderError("elements are not comparable")
-        return self.phi(m, side, self.elements[n].typeIJ[side])
+    def downs(self, side):
+        """downs[m] = all n with m >= n on `side`, m first, then by target type.
+
+        The contractions phi(m, side, K) over the types K containing m's,
+        in ``subsets_sorted`` order.  Built once per poset and shared.
+        """
+        got = self._downs.get(side)
+        if got is None:
+            subsets = subsets_sorted(self.datum.rank)
+            got = self._downs[side] = tuple(
+                tuple(self.phi(m, side, K) for K in subsets
+                      if set(e.typeIJ[side]) <= set(K))
+                for m, e in enumerate(self.elements))
+        return got
 
     def ups(self, side):
         """ups[n] = all m with m >= n on `side` (m = n included), ascending.
 
-        Built once per poset and shared, so the tuples are immutable.
+        The transpose of ``downs(side)``; built once per poset and shared.
         """
         got = self._ups.get(side)
         if got is None:
             ups = [[] for _ in self.elements]
-            subsets = subsets_sorted(self.datum.rank)
-            for m, e in enumerate(self.elements):
-                for K in subsets:
-                    if set(e.typeIJ[side]) <= set(K):
-                        ups[self.phi(m, side, K)].append(m)
+            for m, below in enumerate(self.downs(side)):
+                for n in below:
+                    ups[n].append(m)
             got = self._ups[side] = tuple(map(tuple, ups))
         return got
 
@@ -251,28 +261,19 @@ class XiPoset:
     def comparable_pairs(self):
         """All strict pairs m > n with their relation kind and anodyne flag.
 
-        Kind is 'prime' when m >=' n, 'second' when m >='' n, and 'mixed'
-        when only the joint order relates them.
+        Each n is reached from m by a PRIME contraction, then a SECOND one.
+        Kind is 'prime' when only the first moved (m >=' n), 'second' when
+        only the second did (m >='' n), and 'mixed' when both did.
         """
         out = []
-        subsets = subsets_sorted(self.datum.rank)
-        for m, e in enumerate(self.elements):
-            I, J = e.typeIJ
-            for I2 in subsets:
-                if not set(I) <= set(I2):
-                    continue
-                for J2 in subsets:
-                    if not set(J) <= set(J2):
+        seconds = self.downs(SECOND)
+        for m, primes in enumerate(self.downs(PRIME)):
+            for a in primes:
+                for n in seconds[a]:
+                    if n == m:
                         continue
-                    if (I2, J2) == (I, J):
-                        continue
-                    n = self.phi(self.phi(m, PRIME, I2), SECOND, J2)
-                    if J2 == J:
-                        kind = SIDE_NAMES[PRIME]
-                    elif I2 == I:
-                        kind = SIDE_NAMES[SECOND]
-                    else:
-                        kind = "mixed"
+                    kind = (SIDE_NAMES[PRIME] if n == a
+                            else SIDE_NAMES[SECOND] if a == m else "mixed")
                     ano = self.elements[m].orbit_size == self.elements[n].orbit_size
                     out.append((m, n, kind, ano))
         return out
@@ -315,35 +316,6 @@ class XiPoset:
         s0, _, _ = self.stratification_classes()
         joined = self._anodyne_classes(PRIME, SECOND)
         return set(map(frozenset, joined)) == set(map(frozenset, s0))
-
-    # -- the double-coset Bruhat order -------------------------------------------
-
-    def min_double_rep(self, m):
-        """Index of the minimal-length element of the double coset W_I u^-1 v W_J."""
-        e = self.elements[m]
-        I, J = e.typeIJ
-        d = self.datum
-        c, f = e.pair
-        g = d.mul_idx(d.inv_idx(c.rep_idx), f.rep_idx)
-        moved = True
-        while moved:
-            moved = False
-            for s in I:
-                if d.has_left_descent(g, s):
-                    g = d.tables["left"][s][g]
-                    moved = True
-            for s in J:
-                if d.has_right_descent(g, s):
-                    g = d.tables["right"][g][s]
-                    moved = True
-        return g
-
-    def bruhat_block_leq(self, m, n):
-        """Double-coset Bruhat order within one Xi(I, J) block."""
-        from .coxeter import bruhat_leq
-        if self.elements[m].typeIJ != self.elements[n].typeIJ:
-            raise OrderError("Bruhat block order requires elements of the same type")
-        return bruhat_leq(self.datum, self.min_double_rep(m), self.min_double_rep(n))
 
 
 def enumerate_xi(datum):

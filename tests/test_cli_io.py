@@ -301,7 +301,8 @@ def test_cli_poly_hecke_orbits(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["example", "eq", "4", "3"], ["example", "eq", "5", "2"], ["orbits", "4", "2"],
-    ["poly", "--type", "A", "--rank", "3", "--validate"]], ids=" ".join)
+    ["poly", "--type", "A", "--rank", "3", "--validate"],
+    ["hecke", "1", "2"], ["hecke", "0", "2"]], ids=" ".join)
 def test_cli_size_gates_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

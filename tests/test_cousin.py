@@ -2,6 +2,7 @@
 
 import pytest
 
+from cousin_reference import block_scan_stalk_complex
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.cousin import (
     SignConventionError, constructibility_check, coperversity_check,
@@ -221,3 +222,33 @@ def test_stalk_complexes_built_once_per_sheaf(xi_a2, monkeypatch):
     for check in (support_check, constructibility_check):
         with pytest.raises(SignConventionError):
             check(bad)
+
+
+def _e1v(label, rank, name):
+    xi = enumerate_xi(build_coxeter(label, rank))
+    return build_e1v(xi, rep_catalog(xi.datum, name))
+
+
+ORACLE_SHEAVES = {
+    "E_1(A1)": lambda: build_e1(enumerate_xi(build_coxeter("A", 1))),
+    "E_1(A2)": lambda: build_e1(enumerate_xi(build_coxeter("A", 2))),
+    "E_1(A3)": lambda: build_e1(enumerate_xi(build_coxeter("A", 3))),
+    "E_1(B2)": lambda: build_e1(enumerate_xi(build_coxeter("B", 2))),
+    "E_1(G2)": lambda: build_e1(enumerate_xi(build_coxeter("G", 2))),
+    "E_1^reflection(B2)": lambda: _e1v("B", 2, "reflection"),
+    "E_q(3,2)": lambda: build_eq(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SHEAVES))
+def test_stalk_complex_matches_block_scan(name):
+    """Terms from the up-set and blocks from the coverings against the block
+    scan: the same complex, term for term, at every cell."""
+    E = ORACLE_SHEAVES[name]()
+    for m in range(len(E.poset.elements)):
+        got, ref = stalk_complex(E, m), block_scan_stalk_complex(E, m)
+        assert got.degrees == ref.degrees, (name, m)
+        assert got.labels == ref.labels, (name, m)
+        assert got.dims == ref.dims, (name, m)
+        assert got.differentials == ref.differentials, (name, m)
+        assert got.cohomology == ref.cohomology, (name, m)

@@ -10,7 +10,10 @@ from dense_reference import Span
 from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.faces import FaceComplex
 from mbsheaf.xi import PRIME, SECOND, OrderError, enumerate_xi
-from xi_reference import block_scan_sup
+from xi_reference import (
+    block_scan_sup, bruhat_block_leq, factor_through, subset_scan_comparable_pairs,
+    subset_scan_ups,
+)
 
 
 def complex_for(label, rank):
@@ -337,6 +340,19 @@ def test_three_way_anodyne_equivalence(label, rank):
         assert ano == flats_equal == bijective
 
 
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_table_walks_match_subset_scans(label, rank):
+    """comparable_pairs and ups read off the downs tables against contracting
+    each cell into every type subset with phi: the same lists, in order."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    assert xi.comparable_pairs() == subset_scan_comparable_pairs(xi)
+    for side in (PRIME, SECOND):
+        assert xi.ups(side) == subset_scan_ups(xi, side)
+        for m, below in enumerate(xi.downs(side)):
+            assert below[0] == m
+            assert all(m in xi.ups(side)[n] for n in below)
+
+
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
 def test_factorization_uniqueness(label, rank):
     xi = enumerate_xi(build_coxeter(label, rank))
@@ -347,9 +363,9 @@ def test_factorization_uniqueness(label, rank):
         mid_second = [p for p in xi.blocks.get((em.typeIJ[0], en.typeIJ[1]), ())
                       if xi.leq_side(SECOND, p, m) and xi.leq_side(PRIME, n, p)]
         assert len(mid_prime) == 1
-        assert mid_prime[0] == xi.factor_through(m, n, PRIME)
+        assert mid_prime[0] == factor_through(xi, m, n, PRIME)
         assert len(mid_second) == 1
-        assert mid_second[0] == xi.factor_through(m, n, SECOND)
+        assert mid_second[0] == factor_through(xi, m, n, SECOND)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -487,16 +503,16 @@ def test_contraction_bruhat_monotone(label, rank):
                 I2 = tuple(sorted(I + (s,)))
                 for m in block:
                     for n in block:
-                        if xi.bruhat_block_leq(m, n):
-                            assert xi.bruhat_block_leq(xi.phi(m, PRIME, I2),
-                                                       xi.phi(n, PRIME, I2))
+                        if bruhat_block_leq(xi, m, n):
+                            assert bruhat_block_leq(xi, xi.phi(m, PRIME, I2),
+                                                    xi.phi(n, PRIME, I2))
             if s not in J:
                 J2 = tuple(sorted(J + (s,)))
                 for m in block:
                     for n in block:
-                        if xi.bruhat_block_leq(m, n):
-                            assert xi.bruhat_block_leq(xi.phi(m, SECOND, J2),
-                                                       xi.phi(n, SECOND, J2))
+                        if bruhat_block_leq(xi, m, n):
+                            assert bruhat_block_leq(xi, xi.phi(m, SECOND, J2),
+                                                    xi.phi(n, SECOND, J2))
 
 
 def test_unique_minimal_stratum_zero():

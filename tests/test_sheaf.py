@@ -7,8 +7,9 @@ from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import (
-    OpenLoopError, _wall_loop, bicube, check_mbs, compose_prime, compose_second, dual,
-    generated_sub, is_simple, monodromy, phi_psi, standard_loops, transport,
+    OpenLoopError, _span_closure, _wall_loop, bicube, check_mbs, compose_prime,
+    compose_second, dual, generated_sub, is_simple, monodromy, phi_psi, standard_loops,
+    transport,
 )
 from mbsheaf.xi import PRIME, SECOND, enumerate_xi
 
@@ -290,6 +291,22 @@ def test_generated_sub_matches_span_oracle(label, rank):
             seeds = {m: [tuple(int(i == k) for i in range(d))]}
             got = generated_sub(e1, seeds)
             assert [b.rows for b in got.bases] == [b.rows for b in oracle(seeds)], (m, k)
+
+
+@pytest.mark.parametrize("vec", [(1,), (1, 0, 0)], ids=["short", "long"])
+def test_generated_sub_rejects_a_seed_of_the_wrong_length(e1_a1, vec):
+    m = next(m for m, d in enumerate(e1_a1.dims) if d == 2)
+    with pytest.raises(ValueError, match=rf"length {len(vec)} at cell {m} .*dimension 2"):
+        generated_sub(e1_a1, {m: [vec]})
+
+
+def test_span_ranks_are_the_generated_dimension(e1_a1):
+    # is_simple reads the dimension off the span ranks without the subsheaf
+    for m, d in enumerate(e1_a1.dims):
+        for k in range(d):
+            seeds = {m: [tuple(int(i == k) for i in range(d))]}
+            ranks = sum(map(len, _span_closure(e1_a1, seeds)))
+            assert ranks == generated_sub(e1_a1, seeds).total_dim
 
 
 def test_e1_a1_not_simple(e1_a1):

@@ -1,14 +1,19 @@
-"""Block-scan mixed supremum, the oracle of ``XiPoset.sup``.
+"""Subset and block scans of Xi, the oracles of the table walks in ``mbsheaf.xi``.
 
-This is the algorithm ``mbsheaf.xi`` ran before it intersected up-sets:
-scan the block Xi(I(m'), J(n)) and keep each cell that contracts to m' in
-its second coordinate and to n in its first.  It is kept so that tests can
-compare the two on the same pairs (see test_faces_xi.py).
+``XiPoset`` tabulates each order once (``cov``, ``downs``, ``ups``) and
+reads relations off the tables.  The functions here are the algorithms it
+ran before: contract a cell into every type subset containing its own
+with ``phi``, or scan a whole Xi(I, J) block.  They are kept so that tests
+can compare both on the same cells (see test_faces_xi.py).  The
+double-coset Bruhat order and ``factor_through`` live here too: only
+tests read them.
 """
 
 from __future__ import annotations
 
-from mbsheaf.xi import PRIME, SECOND
+from mbsheaf.coxeter import bruhat_leq
+from mbsheaf.faces import subsets_sorted
+from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, OrderError
 
 
 def block_scan_sup(xi, mp, n):
@@ -20,3 +25,75 @@ def block_scan_sup(xi, mp, n):
         return []
     return [m for m in xi.blocks.get((I1, J1), ())
             if xi.phi(m, SECOND, J2) == mp and xi.phi(m, PRIME, I2) == n]
+
+
+def subset_scan_ups(xi, side):
+    """ups[n] = all m with m >= n on `side` (m = n included), ascending."""
+    ups = [[] for _ in xi.elements]
+    subsets = subsets_sorted(xi.datum.rank)
+    for m, e in enumerate(xi.elements):
+        for K in subsets:
+            if set(e.typeIJ[side]) <= set(K):
+                ups[xi.phi(m, side, K)].append(m)
+    return tuple(map(tuple, ups))
+
+
+def subset_scan_comparable_pairs(xi):
+    """All strict pairs m > n as (m, n, kind, anodyne), by m, then I(n), then J(n)."""
+    out = []
+    subsets = subsets_sorted(xi.datum.rank)
+    for m, e in enumerate(xi.elements):
+        I, J = e.typeIJ
+        for I2 in subsets:
+            if not set(I) <= set(I2):
+                continue
+            for J2 in subsets:
+                if not set(J) <= set(J2):
+                    continue
+                if (I2, J2) == (I, J):
+                    continue
+                n = xi.phi(xi.phi(m, PRIME, I2), SECOND, J2)
+                if J2 == J:
+                    kind = SIDE_NAMES[PRIME]
+                elif I2 == I:
+                    kind = SIDE_NAMES[SECOND]
+                else:
+                    kind = "mixed"
+                ano = xi.elements[m].orbit_size == xi.elements[n].orbit_size
+                out.append((m, n, kind, ano))
+    return out
+
+
+def factor_through(xi, m, n, side):
+    """The unique x with m >= x on `side` and x >= n on the other; requires m >= n."""
+    if not xi.leq(n, m):
+        raise OrderError("elements are not comparable")
+    return xi.phi(m, side, xi.elements[n].typeIJ[side])
+
+
+def min_double_rep(xi, m):
+    """Index of the minimal-length element of the double coset W_I u^-1 v W_J."""
+    e = xi.elements[m]
+    I, J = e.typeIJ
+    d = xi.datum
+    c, f = e.pair
+    g = d.mul_idx(d.inv_idx(c.rep_idx), f.rep_idx)
+    moved = True
+    while moved:
+        moved = False
+        for s in I:
+            if d.has_left_descent(g, s):
+                g = d.tables["left"][s][g]
+                moved = True
+        for s in J:
+            if d.has_right_descent(g, s):
+                g = d.tables["right"][g][s]
+                moved = True
+    return g
+
+
+def bruhat_block_leq(xi, m, n):
+    """Double-coset Bruhat order within one Xi(I, J) block."""
+    if xi.elements[m].typeIJ != xi.elements[n].typeIJ:
+        raise OrderError("Bruhat block order requires elements of the same type")
+    return bruhat_leq(xi.datum, min_double_rep(xi, m), min_double_rep(xi, n))
