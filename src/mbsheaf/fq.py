@@ -12,7 +12,7 @@ cell; pullback maps come from flag coarsening, pushforward maps are
 computed on orbit points and factored back through the reading, verifying
 on the way that pushforwards of pulled-back functions stay pulled back.
 E_q(4, 2), total dimension 69,561, is the largest size build_eq accepts:
-4.9 s at 179 MB peak RSS (one run, 2-vCPU VM, Python 3.11.7).
+1.8-2.0 s at 124 MB peak RSS (two runs, 2-vCPU VM, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class FqContext:
     coarser type's dimensions, and a matrix acts through
     ``lattice.image_table``, from subspace index to subspace index; no
     elimination runs per flag or flag pair.  At (n, q) = (4, 2) the
-    lattice has 67 subspaces, and ``build_eq(4, 2)`` runs in 4.9 s at
-    179 MB peak RSS (one run, 2-vCPU VM, Python 3.11.7).
+    lattice has 67 subspaces, and ``build_eq(4, 2)`` runs in 1.8-2.0 s at
+    124 MB peak RSS (two runs, 2-vCPU VM, Python 3.11.7).
     """
 
     def __init__(self, n, q):
@@ -327,13 +327,12 @@ class FqMBS(MixedBruhatSheaf):
     """E_q with its geometric provenance: orbit point tables and readings."""
 
     def __init__(self, poset, dims, dprime, dsecond, ctx, orbit_tables,
-                 hor_compositions, hor_maps, embeddings):
+                 hor_compositions, hor_maps):
         super().__init__(poset, dims, dprime, dsecond)
         self.ctx = ctx
         self.orbit_tables = orbit_tables            # element -> tuple of point pairs
         self.hor_compositions = hor_compositions    # element -> composition
         self.hor_maps = hor_maps                    # element -> tuple: point -> flag idx
-        self.embeddings = embeddings                # element -> pullback matrix
 
 
 def _cell_compositions(poset, n):
@@ -362,7 +361,6 @@ def build_eq(n, q, poset=None, ctx=None):
     comps = _cell_compositions(poset, n)
     orbit_tables = []
     hor_maps = []
-    embeddings = []
     dims = []
     point_index = []
     refine = ctx.refine
@@ -377,7 +375,6 @@ def build_eq(n, q, poset=None, ctx=None):
         hor_maps.append(hmap)
         dims.append(len(ctx.chains(hor_comp)))
         point_index.append({p: k for k, p in enumerate(points)})
-        embeddings.append(RationalMatrix.from_sparse([((x, 1),) for x in hmap], dims[m]))
     dprime = {}
     dsecond = {}
     for m in range(nelem):
@@ -409,7 +406,7 @@ def build_eq(n, q, poset=None, ctx=None):
             dprime[(m, nn)] = RationalMatrix.from_sparse(
                 [r.items() if r is not None else () for r in rows], dims[m])
     return FqMBS(poset, dims, dprime, dsecond, ctx, tuple(orbit_tables),
-                 tuple(c[2] for c in comps), tuple(hor_maps), tuple(embeddings))
+                 tuple(c[2] for c in comps), tuple(hor_maps))
 
 
 # -- Hecke generators ---------------------------------------------------------------

@@ -11,11 +11,11 @@ one nonzero per column, so products and sums touch few entries, and a row
 holding a single 1 takes the other factor's row object as it is.
 ``sparse_rows`` is the storage itself.  ``rows`` is a dense tuple-of-tuples
 view for output and for callers that want dense rows; it is built on every
-access and never kept, so only the sparse copy stays alive.  ``rref`` is the
-one elimination: it runs on dense scratch lists and returns sparse matrices,
-rank, inverse and solve rest on it, and a subspace of Q^n is the nonzero rows
-of an rref with their pivots.  ``solver`` factors a system once, then costs
-one product and one exact check per right-hand side.
+access and never kept, so only the sparse copy stays alive.  ``rref`` runs
+``_gauss_jordan``, the one elimination loop (F_p's too), on dict rows; rank,
+inverse and solve rest on it, and a subspace of Q^n is the nonzero rows of an
+rref with their pivots.  ``solver`` factors a system once, then costs one
+product and one exact check per right-hand side.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ def _norm(x):
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
-
-
-def _sparse_row(row):
-    """Sorted (column, value) pairs of the nonzero entries of a dense row."""
-    return tuple([(j, _norm(x)) for j, x in enumerate(row) if x])
 
 
 def _merge(r, s):
@@ -91,6 +86,45 @@ def _neg_row(r):
     return tuple([(j, -x) for j, x in r])
 
 
+def _gauss_jordan(rows, ncols, inv, norm):
+    """The nonzero rows of the reduced row echelon form over a field, and their
+    pivot columns: the one elimination loop of mbsheaf.
+
+    rows are {column: nonzero value} dicts, reduced in place; inv(x) inverts a
+    nonzero value and norm(x) is its canonical form (``_norm`` over Q, x % p
+    over F_p).  Pivots go in ascending column order.  A row waits at the column
+    of its first entry, so only the rows waiting at a pivot column hold it; the
+    first is scaled to 1 and cleared from every other row.
+    """
+    waiting = {}
+    for r in rows:
+        if r:
+            waiting.setdefault(min(r), []).append(r)
+    out, pivots = [], []
+    for col in range(ncols):
+        rs = waiting.pop(col, None)
+        if rs is None:
+            continue
+        prow = rs.pop(0)
+        if prow[col] != 1:
+            c = inv(prow[col])
+            prow = {j: norm(x * c) for j, x in prow.items()}
+        for r in rs + [o for o in out if col in o]:
+            f = r[col]
+            for j, x in prow.items():
+                y = norm(r.get(j, 0) - f * x)
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+        for r in rs:
+            if r:
+                waiting.setdefault(min(r), []).append(r)
+        out.append(prow)
+        pivots.append(col)
+    return out, pivots
+
+
 _IDENTITY_CACHE = {}
 _ZEROS_CACHE = {}
 
@@ -101,15 +135,14 @@ class RationalMatrix:
     __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        """Matrix from dense rows (sequences of equal length)."""
+        """Matrix from dense rows, each of length ncols (default: the first row's)."""
         rows = [tuple(r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        elif ncols is None:
-            ncols = 0
-        _set_rows(self, tuple([_sparse_row(r) for r in rows]))
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError(f"a row's length is not the column count {ncols}")
+        _set_rows(self, tuple([tuple([(j, _norm(x)) for j, x in enumerate(r) if x])
+                               for r in rows]))
         _set_nrows(self, len(rows))
         _set_ncols(self, ncols)
 
@@ -265,39 +298,10 @@ class RationalMatrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column indices)."""
-        m = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        prow = 0
-        for col in range(nc):
-            sel = None
-            for i in range(prow, nr):
-                if m[i][col] != 0:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            pivot_row = m[prow]
-            pv = pivot_row[col]
-            if pv != 1:
-                inv = Fraction(1, 1) / pv
-                for j in range(col, nc):
-                    if pivot_row[j]:
-                        pivot_row[j] = _norm(pivot_row[j] * inv)
-            nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
-            for i in range(nr):
-                row = m[i]
-                f = row[col]
-                if f and i != prow:
-                    for j, b in nonzero:
-                        row[j] = _norm(row[j] - f * b)
-            pivots.append(col)
-            prow += 1
-            if prow == nr:
-                break
-        red = tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in m])
-        return _make(red, nr, nc), tuple(pivots)
+        red, pivots = _gauss_jordan([dict(r) for r in self.sparse_rows], self.ncols,
+                                    lambda x: Fraction(1, 1) / x, _norm)
+        red = [tuple(sorted(r.items())) for r in red] + [()] * (self.nrows - len(red))
+        return _make(tuple(red), self.nrows, self.ncols), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])

@@ -5,12 +5,15 @@ then by reduced echelon form (the tuple of its nonzero rows, which is all
 that represents a subspace here), and tabulates meet, join and dimension by
 index, so that flag geometry (``mbsheaf.fq``) is table lookups with no
 elimination per flag pair.  The row reductions ``rref_fp``, ``in_span_fp``
-and ``nullspace_fp`` are also importable from ``mbsheaf.fq``.
+and ``nullspace_fp`` reduce their inputs mod p and run the one elimination
+loop, ``linalg._gauss_jordan``; they are also importable from ``mbsheaf.fq``.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from .linalg import _gauss_jordan
 
 # Bound on the subspaces of F_p^n that SubspaceLattice tabulates; each of its
 # tables has that many squared entries.  n <= 4 with p <= 5 fits, as does
@@ -27,55 +30,33 @@ class ResourceError(RuntimeError):
 # subspace and matrix it tabulates the action of.  The elimination-based
 # flag geometry in the tests uses all three.
 
+def _rref_fp(rows, p, ncols):
+    """``linalg._gauss_jordan`` over F_p, on the rows reduced mod p."""
+    return _gauss_jordan([{j: y for j, x in enumerate(r) if (y := x % p)} for r in rows],
+                         ncols, lambda x: pow(x, p - 2, p), p.__rmod__)
+
+
 def rref_fp(rows, p):
     """Reduced row echelon form over F_p; returns the tuple of nonzero rows."""
-    m = [list(r) for r in rows]
-    if not m:
-        return ()
-    ncols = len(m[0])
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(prow, len(m)):
-            if m[i][col] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[prow], m[sel] = m[sel], m[prow]
-        inv = pow(m[prow][col], p - 2, p)
-        m[prow] = [(x * inv) % p for x in m[prow]]
-        for i in range(len(m)):
-            if i != prow and m[i][col] % p:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[prow])]
-        prow += 1
-        if prow == len(m):
-            break
-    return tuple(tuple(r) for r in m[:prow] if any(r))
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    return tuple([tuple([r.get(j, 0) for j in range(ncols)]) for r in _rref_fp(rows, p, ncols)[0]])
 
 
 def in_span_fp(vec, echelon, p):
-    v = list(vec)
-    for row in echelon:
-        piv = next(j for j, x in enumerate(row) if x)
-        if v[piv]:
-            f = v[piv]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return not any(v)
+    """Whether vec lies in the span of echelon, the nonzero rows of an rref."""
+    return len(rref_fp([*echelon, vec], p)) == len(echelon)
 
 
 def nullspace_fp(rows, p, ncols):
     """Basis of the right kernel of the matrix over F_p."""
-    ech = rref_fp(rows, p)
-    pivots = [next(j for j, x in enumerate(r) if x) for r in ech]
-    free = [j for j in range(ncols) if j not in pivots]
+    red, pivots = _rref_fp(rows, p, ncols)
     basis = []
-    for f in free:
+    for f in [j for j in range(ncols) if j not in pivots]:
         v = [0] * ncols
         v[f] = 1
-        for row, piv in zip(ech, pivots):
-            v[piv] = (-row[f]) % p
+        for row, piv in zip(red, pivots):
+            v[piv] = -row.get(f, 0) % p
         basis.append(tuple(v))
     return basis
 

@@ -7,12 +7,43 @@ They are kept, as functions of the field size, so that tests can compare
 the table lookups with them on the same flags (see
 test_fq_differential.py).  A subspace is its reduced echelon form, the
 tuple of its nonzero rows, and a flag is the tuple of its subspaces.
+``dense_rref_fp`` is the dense F_p Gauss-Jordan that ``rref_fp`` ran before
+both fields shared the sparse elimination of ``mbsheaf.linalg``; it is the
+oracle of ``rref_fp``, ``in_span_fp`` and ``nullspace_fp``.
 """
 
 from __future__ import annotations
 
 from mbsheaf.fq import _borel_generators
 from mbsheaf.subspaces import in_span_fp, nullspace_fp, rref_fp
+
+
+def dense_rref_fp(rows, p):
+    """Reduced row echelon form over F_p; returns the tuple of nonzero rows."""
+    m = [list(r) for r in rows]
+    if not m:
+        return ()
+    ncols = len(m[0])
+    prow = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(prow, len(m)):
+            if m[i][col] % p:
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[prow], m[sel] = m[sel], m[prow]
+        inv = pow(m[prow][col], p - 2, p)
+        m[prow] = [(x * inv) % p for x in m[prow]]
+        for i in range(len(m)):
+            if i != prow and m[i][col] % p:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[prow])]
+        prow += 1
+        if prow == len(m):
+            break
+    return tuple(tuple(r) for r in m[:prow] if any(r))
 
 
 def subspaces(lattice, d):

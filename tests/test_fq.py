@@ -306,10 +306,13 @@ def test_eq_matrices_independent_of_enumeration_order(n, q):
 
 
 def test_eq_matrices_conjugate_point_level_maps(xi_a2):
-    # embedding matrices realize each space inside Fun(O_m); the stored maps
-    # must intertwine with the raw point-level pushforward and pullback
+    # the pullbacks along the Hor readings realize each space inside Fun(O_m);
+    # the stored maps must intertwine with the raw point-level pushforward and
+    # pullback
     eq = build_eq(3, 2, poset=xi_a2)
     ctx = eq.ctx
+    embeddings = [RationalMatrix.from_sparse([((x, 1),) for x in hmap], d)
+                  for hmap, d in zip(eq.hor_maps, eq.dims)]
     n = 3
     pindex = [{p: k for k, p in enumerate(pts)} for pts in eq.orbit_tables]
     for m in range(len(xi_a2.elements)):
@@ -326,7 +329,7 @@ def test_eq_matrices_conjugate_point_level_maps(xi_a2):
                 push[tgt][k] = 1
             push_mat = RationalMatrix(tuple(tuple(r) for r in push),
                                       len(eq.orbit_tables[m]))
-            assert eq.embeddings[nn] @ eq.dprime[(m, nn)] == push_mat @ eq.embeddings[m]
+            assert embeddings[nn] @ eq.dprime[(m, nn)] == push_mat @ embeddings[m]
         for _s, nn in xi_a2.cov[SECOND][m]:
             tj = composition_of_subset(set(xi_a2.elements[nn].typeIJ[1]), n)
             idx = ctx.chain_index(tj)
@@ -337,7 +340,7 @@ def test_eq_matrices_conjugate_point_level_maps(xi_a2):
                 pull[k][src] = 1
             pull_mat = RationalMatrix(tuple(tuple(r) for r in pull),
                                       len(eq.orbit_tables[nn]))
-            assert eq.embeddings[m] @ eq.dsecond[(m, nn)] == pull_mat @ eq.embeddings[nn]
+            assert embeddings[m] @ eq.dsecond[(m, nn)] == pull_mat @ embeddings[nn]
 
 
 def test_dual_of_eq_passes():

@@ -10,11 +10,14 @@ of subspaces, and the matrix action on random invertible matrices.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fq_reference as ref
-from mbsheaf.fq import FqContext, borel_orbits, composition_of_subset, rref_fp
+from mbsheaf.fq import (
+    SUPPORTED_PRIMES, FqContext, borel_orbits, composition_of_subset, in_span_fp,
+    nullspace_fp, rref_fp,
+)
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -117,3 +120,44 @@ def test_matrix_action_matches_oracle(n, q):
             assert tuple(spaces[s] for s in image) == ref.act_flag(g, f, q)
 
     check()
+
+
+@st.composite
+def fp_matrices(draw):
+    """(rows, ncols): up to 6 rows of 0-5 entries, mostly in [-13, 26], so
+    many lie outside [0, p); zero rows and repeats of earlier rows mixed in."""
+    ncols = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-13, 26))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("new", "new", "zero", "repeat")))
+        if kind == "repeat" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows, ncols
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+@EXAMPLES
+@given(fp_matrices(), st.lists(st.integers(-13, 26), min_size=5, max_size=5))
+@example(([], 0), [0] * 5)                              # no rows, no columns
+@example(([], 3), [1, 0, 0, 0, 0])                      # no rows
+@example(([[0, 0, 0], [0, 0, 0]], 3), [0, 1, 0, 0, 0])  # zero rows
+@example(([[1, 2, 3], [1, 2, 3]], 3), [2, 4, 6, 0, 0])  # a repeated row
+@example(([[13, -1, 26], [-7, 0, 14]], 3), [0, 0, 1, 0, 0])  # entries outside [0, p)
+def test_fp_reductions_against_dense_oracle(p, m, vec):
+    rows, ncols = m
+    vec = vec[:ncols]
+    ech = rref_fp(rows, p)
+    assert ech == ref.dense_rref_fp(rows, p)
+    assert all(in_span_fp(r, ech, p) for r in rows)
+    assert in_span_fp(vec, ech, p) == (len(ref.dense_rref_fp([*ech, vec], p)) == len(ech))
+    kernel = nullspace_fp(rows, p, ncols)
+    assert len(kernel) == ncols - len(ech)
+    assert len(ref.dense_rref_fp(kernel, p)) == len(kernel)
+    for v in kernel:
+        assert all(0 <= x < p for x in v)
+        assert all(sum(a * x for a, x in zip(r, v)) % p == 0 for r in rows)

@@ -85,6 +85,15 @@ def test_empty_shapes():
     assert RationalMatrix.identity(0).inverse().shape == (0, 0)
 
 
+def test_constructor_holds_rows_to_ncols():
+    assert RationalMatrix([], 3).shape == (0, 3)
+    assert RationalMatrix([(1, 0)], 2).shape == (1, 2)
+    assert RationalMatrix([(1, 0), (0, 1)]).shape == (2, 2)
+    for rows, ncols in (([(1,)], 2), ([(1, 0, 0)], 2), ([(1, 0), (1,)], None)):
+        with pytest.raises(ValueError):
+            RationalMatrix(rows, ncols)
+
+
 def test_from_sparse_sums_repeats_and_checks_columns():
     m = RationalMatrix.from_sparse([[(1, 1), (0, 2), (1, Fraction(1, 2)), (0, -2)], []], 2)
     assert m.rows == ((0, Fraction(3, 2)), (0, 0))

@@ -4,16 +4,24 @@ Every operation runs on the same inputs in both implementations and must
 give the same dense rows, the same entry types (an integer-valued Fraction
 is an int) and the same ValueError messages.  Inputs mix ints, Fractions
 and negatives, favour zeros, and include the empty shapes 0 x n and n x 0.
+``rref`` is also compared on every stalk differential of E_1(B2), E_1(G2)
+and E_q(3,2), matrices of up to 144 rows and columns.
 """
 
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import RationalMatrix as Dense
+from mbsheaf.cousin import stalk_complex
+from mbsheaf.coxeter import build_coxeter
+from mbsheaf.f1 import build_e1
+from mbsheaf.fq import build_eq
 from mbsheaf.linalg import RationalMatrix as Sparse
+from mbsheaf.xi import enumerate_xi
 
 EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -197,6 +205,20 @@ def test_rref_and_rank(m):
     same(sred, dred)
     assert spiv == dpiv
     assert s.rank() == d.rank()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_e1(enumerate_xi(build_coxeter("B", 2))),
+    lambda: build_e1(enumerate_xi(build_coxeter("G", 2))),
+    lambda: build_eq(3, 2),
+], ids=["E_1(B2)", "E_1(G2)", "E_q(3,2)"])
+def test_rref_of_every_stalk_differential(build):
+    E = build()
+    for m in range(len(E.poset.elements)):
+        for d in stalk_complex(E, m).differentials.values():
+            (sred, spiv), (dred, dpiv) = d.rref(), Dense(d.rows, d.ncols).rref()
+            same(sred, dred)
+            assert spiv == dpiv
 
 
 @EXAMPLES
