@@ -27,8 +27,8 @@ print(f"  element count: {len(xi2.elements)}")
 by_shape = {}
 for m in range(len(xi2.elements)):
     mat = xi_to_contingency(xi2, m)
-    shape = (len(mat.entries), len(mat.entries[0]))
-    by_shape.setdefault(shape, []).append(mat.entries)
+    shape = (len(mat), len(mat[0]))
+    by_shape.setdefault(shape, []).append(mat)
 for shape in sorted(by_shape):
     print(f"  {shape[0]}x{shape[1]} matrices: {len(by_shape[shape])}")
 

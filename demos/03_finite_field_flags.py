@@ -17,8 +17,8 @@ ctx = FqContext(n, q)
 full = ctx.chains((1, 1, 1))
 print(f"full flags of F_{q}^{n}: {len(full)}")
 f, g = full[0], full[7]
-print(f"relative position of two of them: {ctx.relative_position(f, g).entries}")
-print(f"transposed the other way around:  {ctx.relative_position(g, f).entries}")
+print(f"relative position of two of them: {ctx.relative_position(f, g)}")
+print(f"transposed the other way around:  {ctx.relative_position(g, f)}")
 
 xi = enumerate_xi(build_coxeter("A", n - 1))
 eq = build_eq(n, q, poset=xi)
@@ -26,7 +26,7 @@ print(f"\nE_q({n},{q}): axioms {check_mbs(eq).summary()}")
 print("orbit sizes vs reading dimensions for a few cells:")
 for m in range(0, len(xi.elements), 7):
     mat = xi_to_contingency(xi, m)
-    print(f"  cell {m:2d} position {mat.entries}: |O| = {len(eq.orbit_tables[m]):3d},"
+    print(f"  cell {m:2d} position {mat}: |O| = {len(eq.orbit_tables[m]):3d},"
           f" dim E_q = {eq.dims[m]:2d} = |flags{eq.hor_compositions[m]}|")
 
 sub = b_invariant_sub(eq)

@@ -8,14 +8,14 @@ q-power of their dimension gap.
 """
 
 from mbsheaf import build_coxeter, enumerate_xi, orbit_poly, property_suite, validate_counts
-from mbsheaf.orbitpoly import dim_orbit, is_compact
+from mbsheaf.orbitpoly import dim_orbit, is_compact, poly_str, poly_value
 
 xi = enumerate_xi(build_coxeter("A", 1))
 print("A1 orbits:")
 for m, e in enumerate(xi.elements):
     p = orbit_poly(xi, m)
-    print(f"  cell {m}: n(q) = {p!r:<12} dim {dim_orbit(xi, m)} "
-          f"compact {is_compact(xi, m)}  n(1) = {p(1)} = |orbit| {e.orbit_size}")
+    print(f"  cell {m}: n(q) = {poly_str(p):<12} dim {dim_orbit(xi, m)} "
+          f"compact {is_compact(xi, m)}  n(1) = {poly_value(p, 1)} = |orbit| {e.orbit_size}")
 
 for label, rank in [("A", 2), ("B", 2), ("B", 3), ("G", 2)]:
     poset = enumerate_xi(build_coxeter(label, rank))

@@ -11,10 +11,9 @@ from .cousin import (
 from .f1 import E1Sheaf, WRepresentation, build_e1, build_e1v, rep_catalog
 from .faces import Face, FaceComplex
 from .fq import (
-    ContingencyMatrix, FqContext, b_invariant_sub, build_eq, contingency_to_xi,
-    hecke_generators, orbit_point_checks, xi_to_contingency,
+    FqContext, b_invariant_sub, build_eq, contingency_to_xi, hecke_generators,
+    orbit_point_checks, xi_to_contingency,
 )
-from .intpoly import IntPolynomial
 from .linalg import RationalMatrix
 from .orbitpoly import dim_flag, dim_orbit, orbit_poly, property_suite, validate_counts
 from .report import Report
@@ -32,10 +31,9 @@ __all__ = [
     "stalk_complex", "support_check",
     "E1Sheaf", "WRepresentation", "build_e1", "build_e1v", "rep_catalog",
     "Face", "FaceComplex",
-    "ContingencyMatrix", "FqContext", "b_invariant_sub", "build_eq",
-    "contingency_to_xi", "hecke_generators", "orbit_point_checks",
-    "xi_to_contingency",
-    "IntPolynomial", "RationalMatrix",
+    "FqContext", "b_invariant_sub", "build_eq", "contingency_to_xi",
+    "hecke_generators", "orbit_point_checks", "xi_to_contingency",
+    "RationalMatrix",
     "dim_flag", "dim_orbit", "orbit_poly", "property_suite", "validate_counts",
     "Report",
     "BicubeData", "MixedBruhatSheaf", "bicube", "check_mbs",

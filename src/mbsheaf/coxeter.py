@@ -8,7 +8,6 @@ by (length, matrix entries).
 
 from __future__ import annotations
 
-from .intpoly import IntPolynomial
 from .linalg import RationalMatrix
 
 
@@ -310,10 +309,10 @@ def min_coset_reps(datum, members):
 
 
 def poincare_poly(datum, members):
-    """Length generating function of the minimal coset representatives of W/W_I."""
+    """Length generating function of the minimal coset representatives of W/W_I,
+    as the tuple of its ascending integer coefficients.  The identity is one of
+    them, so the tuple is never empty and its last entry is nonzero."""
     counts = {}
     for g in min_coset_reps(datum, members):
         counts[g.length] = counts.get(g.length, 0) + 1
-    if not counts:
-        return IntPolynomial.zero()
-    return IntPolynomial(tuple(counts.get(d, 0) for d in range(max(counts) + 1)))
+    return tuple(counts.get(d, 0) for d in range(max(counts) + 1))

@@ -18,12 +18,11 @@ from .linalg import RationalMatrix
 class Face:
     """Coset w W_I with cached sign data; hashable by (type, representative)."""
 
-    __slots__ = ("type_I", "rep", "rep_idx", "sign_vector", "zero_set", "index")
+    __slots__ = ("type_I", "rep_idx", "sign_vector", "zero_set", "index")
 
-    def __init__(self, type_I, rep, rep_idx, sign_vector, index):
+    def __init__(self, type_I, rep_idx, sign_vector, index):
         self.type_I = type_I              # sorted tuple of simple-root indices
-        self.rep = rep                    # minimal coset representative
-        self.rep_idx = rep_idx            # its index in enumerate_group order
+        self.rep_idx = rep_idx            # index of the minimal coset representative
         self.sign_vector = sign_vector    # tuple over positive-root indices, in {-1,0,1}
         self.zero_set = frozenset(a for a, s in enumerate(sign_vector) if s == 0)
         self.index = index                # position in FaceComplex.faces
@@ -61,13 +60,11 @@ class FaceComplex:
         self.faces = []
         self.face_index = {}      # (I, rep_idx) -> face position
         self.by_sign = {}
-        self.by_type = {}
         supports = [frozenset(i for i, x in enumerate(v) if x)
                     for v in datum.positive_roots]
         for I in self.subsets:
             iset = set(I)
-            members = []
-            for rep_idx, g in enumerate(datum.elements):
+            for rep_idx in range(datum.order):
                 if any(datum.has_right_descent(rep_idx, s) for s in I):
                     continue
                 winv = datum.inv_idx(rep_idx)
@@ -75,12 +72,10 @@ class FaceComplex:
                 for a in range(len(datum.positive_roots)):
                     s, b = datum.root_action(winv, a)
                     signs.append(0 if supports[b] <= iset else s)
-                face = Face(I, g, rep_idx, tuple(signs), len(self.faces))
+                face = Face(I, rep_idx, tuple(signs), len(self.faces))
                 self.faces.append(face)
                 self.face_index[(I, rep_idx)] = face.index
                 self.by_sign[face.sign_vector] = face.index
-                members.append(face.index)
-            self.by_type[I] = tuple(members)
         self._action = None
         self._coarsen = {}
         self._span_cache = {}

@@ -3,8 +3,9 @@
 Every subspace of F_p^n is indexed once, and meet, join and dimension are
 tabulated by index (``mbsheaf.subspaces``); a flag is the chain of its
 subspaces as the tuple of their indices.  The relative position of two flags
-is the contingency matrix of graded intersection dimensions, which matches
-the orbit labels of the 2-sided complex for the type A datum of rank n-1.
+is the contingency matrix of graded intersection dimensions, the tuple of
+its row tuples, which matches the orbit labels of the 2-sided complex for
+the type A datum of rank n-1.
 Relative position, the Hor-reading refinement, flag coarsening and the
 Borel action are all table lookups; no elimination runs per flag pair.
 E_q carries functions on the flag space of the horizontal reading of each
@@ -34,38 +35,6 @@ SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 class FibrewiseConstancyError(RuntimeError):
     """A pushforward of a pulled-back function is not pulled back."""
-
-
-class ContingencyMatrix:
-    """Nonnegative integer matrix with cached margins."""
-
-    __slots__ = ("entries", "row_margins", "col_margins")
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(int(x) for x in r) for r in entries)
-        if any(x < 0 for r in self.entries for x in r):
-            raise ValueError("entries must be nonnegative")
-        self.row_margins = tuple(sum(r) for r in self.entries)
-        self.col_margins = tuple(sum(c) for c in zip(*self.entries))
-
-    @property
-    def content(self):
-        return sum(self.row_margins)
-
-    def has_zero_line(self):
-        return 0 in self.row_margins or 0 in self.col_margins
-
-    def transpose(self):
-        return ContingencyMatrix(tuple(zip(*self.entries)))
-
-    def __eq__(self, other):
-        return isinstance(other, ContingencyMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"ContingencyMatrix({self.entries})"
 
 
 def composition_of_subset(members, n):
@@ -191,9 +160,9 @@ class FqContext:
         return got
 
     def relative_position(self, x, y):
-        """Contingency matrix of graded intersections of two chains; rows follow x."""
+        """Contingency matrix of graded intersections of two chains; row tuples follow x."""
         meet_dim = self.lattice.meet_dim
-        return ContingencyMatrix(_entries(tuple([meet_dim[a][b] for a in x for b in y]), len(y)))
+        return _entries(tuple([meet_dim[a][b] for a in x for b in y]), len(y))
 
     # -- orbits --------------------------------------------------------------------
 
@@ -225,8 +194,7 @@ class FqContext:
         e = poset.elements[m]
         comp_i = composition_of_subset(set(e.typeIJ[0]), self.n)
         comp_j = composition_of_subset(set(e.typeIJ[1]), self.n)
-        mat = xi_to_contingency(poset, m)
-        return self.block_buckets(comp_i, comp_j).get(mat.entries, ())
+        return self.block_buckets(comp_i, comp_j).get(xi_to_contingency(poset, m), ())
 
 
 # -- the contingency-matrix dictionary -------------------------------------------
@@ -290,27 +258,31 @@ def xi_to_contingency(poset, m):
     c, d = poset.elements[m].pair
     rows_osp = face_to_osp(poset.complex, c)
     cols_osp = face_to_osp(poset.complex, d)
-    return ContingencyMatrix(tuple(tuple(len(a & b) for b in cols_osp)
-                                   for a in rows_osp))
+    return tuple(tuple(len(a & b) for b in cols_osp) for a in rows_osp)
 
 
 def contingency_to_xi(poset, mat):
-    """The cell of a content-n contingency matrix without zero lines."""
+    """The cell of a content-n contingency matrix (a tuple of row tuples of
+    nonnegative integers) without zero lines."""
     if poset.datum.type_label != "A":
         raise UnsupportedTypeError("contingency matrices require a type A datum")
+    if any(x < 0 for row in mat for x in row):
+        raise ValueError("entries must be nonnegative")
     n = poset.datum.rank + 1
-    if mat.content != n:
-        raise ValueError(f"matrix content {mat.content} does not match n = {n}")
-    if mat.has_zero_line():
+    row_margins = [sum(row) for row in mat]
+    col_margins = [sum(col) for col in zip(*mat)]
+    if sum(row_margins) != n:
+        raise ValueError(f"matrix content {sum(row_margins)} does not match n = {n}")
+    if 0 in row_margins or 0 in col_margins:
         raise ValueError("matrix has a zero row or column")
     # rows: consecutive blocks; columns: pull elements out of the rows in order
     row_blocks = []
     pos = 0
-    for size in mat.row_margins:
+    for size in row_margins:
         row_blocks.append(list(range(pos, pos + size)))
         pos += size
-    col_blocks = [[] for _ in mat.col_margins]
-    for i, row in enumerate(mat.entries):
+    col_blocks = [[] for _ in col_margins]
+    for i, row in enumerate(mat):
         offset = 0
         for j, count in enumerate(row):
             col_blocks[j].extend(row_blocks[i][offset:offset + count])

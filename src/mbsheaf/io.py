@@ -217,12 +217,14 @@ def loads(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"$: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
+    except RecursionError as exc:
+        raise ParseError("$: invalid JSON (nested too deeply)") from exc
 
 
 def poly_dump(poset, polys, report):
     table = {}
     for m in range(len(poset.elements)):
-        table[xi_id(poset, m)] = list(polys[m].coeffs)
+        table[xi_id(poset, m)] = list(polys[m])
     return {
         "datum": {"type": poset.datum.type_label, "rank": poset.datum.rank},
         "polynomials": table,

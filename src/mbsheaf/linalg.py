@@ -94,8 +94,20 @@ def _gauss_jordan(rows, ncols, inv, norm):
     nonzero value and norm(x) is its canonical form (``_norm`` over Q, x % p
     over F_p).  Pivots go in ascending column order.  A row waits at the column
     of its first entry, so only the rows waiting at a pivot column hold it; the
-    first is scaled to 1 and cleared from every other row.
+    first is scaled to 1 and cleared from the others.  Back-substitution then
+    runs from the last pivot row up: the rows below are reduced and hold no
+    other pivot column, so each row is cleared once at each later pivot column
+    it holds, and no new one appears.
     """
+    def clear(r, col, prow):
+        f = r[col]
+        for j, x in prow.items():
+            y = norm(r.get(j, 0) - f * x)
+            if y:
+                r[j] = y
+            else:
+                del r[j]
+
     waiting = {}
     for r in rows:
         if r:
@@ -109,19 +121,17 @@ def _gauss_jordan(rows, ncols, inv, norm):
         if prow[col] != 1:
             c = inv(prow[col])
             prow = {j: norm(x * c) for j, x in prow.items()}
-        for r in rs + [o for o in out if col in o]:
-            f = r[col]
-            for j, x in prow.items():
-                y = norm(r.get(j, 0) - f * x)
-                if y:
-                    r[j] = y
-                else:
-                    del r[j]
         for r in rs:
+            clear(r, col, prow)
             if r:
                 waiting.setdefault(min(r), []).append(r)
         out.append(prow)
         pivots.append(col)
+    row_of = {col: k for k, col in enumerate(pivots)}
+    for k in range(len(out) - 2, -1, -1):
+        r = out[k]
+        for col in [j for j in r if j in row_of and j != pivots[k]]:
+            clear(r, col, out[row_of[col]])
     return out, pivots
 
 

@@ -110,9 +110,6 @@ class XiPoset:
                 self.elements.append(elem)
                 for p in orbit:
                     self.pair_to_elem[p] = idx
-        self.blocks = {}
-        for e in self.elements:
-            self.blocks.setdefault(e.typeIJ, []).append(e.index)
 
     def _build_structure(self):
         cx = self.complex

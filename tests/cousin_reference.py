@@ -14,6 +14,7 @@ import itertools
 from mbsheaf.cousin import SignConventionError, StalkComplex, _insert_sign
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.xi import PRIME
+from xi_reference import blocks
 
 
 def block_scan_stalk_complex(E, m):
@@ -24,9 +25,9 @@ def block_scan_stalk_complex(E, m):
     labels = {}
     for size in range(len(I0) + 1):
         labels[size - r] = tuple((I, n) for I in itertools.combinations(I0, size)
-                                 for n in poset.blocks.get((I, J), ())
+                                 for n in blocks(poset).get((I, J), ())
                                  if poset.phi(n, PRIME, I0) == m)
-    dims = {deg: sum(E.dims[n] for _I, n in blocks) for deg, blocks in labels.items()}
+    dims = {deg: sum(E.dims[n] for _I, n in terms) for deg, terms in labels.items()}
     diffs = {}
     for size in range(len(I0)):
         deg = size - r

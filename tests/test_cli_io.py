@@ -251,6 +251,10 @@ def _datum(field, value):
     return corrupt
 
 
+def _deeply_nested(doc):
+    return "[" * 200_000      # the file's whole text, past json's recursion limit
+
+
 NON_CANONICAL = ["2/4", "2/2", "1/-2", " 1/2", "1_0/1"]
 NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
 
@@ -270,6 +274,7 @@ NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
     (_datum("rank", True), r"\$\.datum\.rank: must be an integer"),
     (_datum("rank", "2"), r"\$\.datum\.rank: must be an integer"),
     (_datum("type", ["A"]), r"\$\.datum\.type: must be a string"),
+    (_deeply_nested, r"\$: invalid JSON \(nested too deeply\)"),
 ] + [(_rational(text), r"\$\.dprime\[0\]\.matrix: .* is not canonical")
      for text in NON_CANONICAL
 ] + [(_cell_id(text), r"\$\.dprime\[0\]: cell id .* is not canonical; the cell's id is ':0\|:0'")
@@ -277,18 +282,36 @@ NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
     ids=["missing-from", "non-string-from", "missing-matrix", "entry-not-object", "bool-dim",
          "duplicate-dprime", "duplicate-dsecond", "non-covering-dprime",
          "non-covering-dsecond", "alias-dim", "float-rank", "bool-rank", "string-rank",
-         "list-type"] + [f"rational-{t!r}" for t in NON_CANONICAL]
+         "list-type", "deeply-nested"] + [f"rational-{t!r}" for t in NON_CANONICAL]
     + [f"cell-id-{t!r}" for t in NON_CANONICAL_IDS])
 def test_cli_check_malformed_sheaf_exits_2(tmp_path, capsys, corrupt, where):
     path = tmp_path / "e1_a1.json"
     assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0
     doc = json.loads(path.read_text())
-    corrupt(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(corrupt(doc) or json.dumps(doc))
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert re.search(where, err)
+
+
+# sha256 of the stdout of `mbsheaf poly ARGS --json`, recorded while the
+# polynomials were still a class; the coefficient tuples must keep them.
+POLY_JSON_SHA256 = [
+    ("G2", ["--type", "G", "--rank", "2"],
+     "53075a239ac94467145a4671505cba89f55dd20319a4a2f1b6f32d7b76732f59"),
+    ("B3", ["--type", "B", "--rank", "3"],
+     "526a557910b49b9a609bab967735a962bb41ed85d1403705ae157b644015f998"),
+    ("A2-validate", ["--type", "A", "--rank", "2", "--validate"],
+     "0b08181ee107eb69259a6d2eced8f7c0d577a440a73d317eaf16fab681050596"),
+]
+
+
+@pytest.mark.parametrize("args,digest", [(a, d) for _i, a, d in POLY_JSON_SHA256],
+                         ids=[i for i, _a, _d in POLY_JSON_SHA256])
+def test_cli_poly_json_digest(capsys, args, digest):
+    assert main(["poly", *args, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_poly_hecke_orbits(capsys):
@@ -325,7 +348,7 @@ def _path_dependent_check(monkeypatch, tmp_path):
 def _hor_ver_mismatch(monkeypatch, tmp_path):
     poincare = orbitpoly.poincare_poly
     monkeypatch.setattr(orbitpoly, "poincare_poly",
-                        lambda datum, members: poincare(datum, members).shift(sum(members)))
+                        lambda datum, members: (0,) * sum(members) + poincare(datum, members))
     return ["poly", "--type", "A", "--rank", "2"]
 
 

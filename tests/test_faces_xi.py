@@ -11,7 +11,7 @@ from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.faces import FaceComplex
 from mbsheaf.xi import PRIME, SECOND, OrderError, enumerate_xi
 from xi_reference import (
-    block_scan_sup, bruhat_block_leq, factor_through, subset_scan_comparable_pairs,
+    block_scan_sup, blocks, bruhat_block_leq, factor_through, subset_scan_comparable_pairs,
     subset_scan_ups,
 )
 
@@ -286,7 +286,7 @@ def test_xi_count_vs_contingency(label, rank, n):
 def test_double_coset_counts(label, rank):
     datum = build_coxeter(label, rank)
     xi = enumerate_xi(datum)
-    for (I, J), block in xi.blocks.items():
+    for (I, J), block in blocks(xi).items():
         # brute-force double cosets W_I \ W / W_J
         seen = set()
         count = 0
@@ -358,9 +358,9 @@ def test_factorization_uniqueness(label, rank):
     xi = enumerate_xi(build_coxeter(label, rank))
     for m, n, _kind, _ano in xi.comparable_pairs():
         em, en = xi.elements[m], xi.elements[n]
-        mid_prime = [p for p in xi.blocks.get((en.typeIJ[0], em.typeIJ[1]), ())
+        mid_prime = [p for p in blocks(xi).get((en.typeIJ[0], em.typeIJ[1]), ())
                      if xi.leq_side(PRIME, p, m) and xi.leq_side(SECOND, n, p)]
-        mid_second = [p for p in xi.blocks.get((em.typeIJ[0], en.typeIJ[1]), ())
+        mid_second = [p for p in blocks(xi).get((em.typeIJ[0], en.typeIJ[1]), ())
                       if xi.leq_side(SECOND, p, m) and xi.leq_side(PRIME, n, p)]
         assert len(mid_prime) == 1
         assert mid_prime[0] == factor_through(xi, m, n, PRIME)
@@ -374,8 +374,6 @@ def test_sup_fiber_product_and_anodyne_singleton(label, rank):
     cx = xi.complex
     for mp in range(len(xi.elements)):
         emp = xi.elements[mp]
-        for I2 in xi.blocks:
-            pass
         for np_ in range(len(xi.elements)):
             enp = xi.elements[np_]
             if not (emp.typeIJ[1] == enp.typeIJ[1]
@@ -497,7 +495,7 @@ def test_stratification_join(label, rank):
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
 def test_contraction_bruhat_monotone(label, rank):
     xi = enumerate_xi(build_coxeter(label, rank))
-    for (I, J), block in xi.blocks.items():
+    for (I, J), block in blocks(xi).items():
         for s in range(xi.datum.rank):
             if s not in I:
                 I2 = tuple(sorted(I + (s,)))

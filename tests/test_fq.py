@@ -17,6 +17,11 @@ from mbsheaf.sheaf import check_mbs
 from mbsheaf.xi import PRIME, SECOND, enumerate_xi
 
 
+def margins(mat):
+    """Row sums and column sums of a contingency matrix given as row tuples."""
+    return tuple(map(sum, mat)), tuple(map(sum, zip(*mat)))
+
+
 def gaussian_binomial(n, k, q):
     num = den = 1
     for i in range(k):
@@ -71,12 +76,13 @@ def test_poincare_counts_flags():
     # the length generating function of minimal coset representatives
     # evaluates to the finite-field flag count
     from mbsheaf.coxeter import poincare_poly
+    from mbsheaf.orbitpoly import poly_value
     for n, q in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]:
         datum = build_coxeter("A", n - 1)
         ctx = FqContext(n, q)
         for members in [(), tuple(range(n - 1))] + [(s,) for s in range(n - 1)]:
             comp = composition_of_subset(set(members), n)
-            assert poincare_poly(datum, members)(q) == len(ctx.chains(comp))
+            assert poly_value(poincare_poly(datum, members), q) == len(ctx.chains(comp))
 
 
 def test_larger_prime_fields():
@@ -94,8 +100,7 @@ def test_zassenhaus_full_sweep():
     full = ctx.chains((1, 1, 1))
     for f in full:
         for g in full:
-            assert (ctx.relative_position(g, f).entries
-                    == ctx.relative_position(f, g).transpose().entries)
+            assert ctx.relative_position(g, f) == tuple(zip(*ctx.relative_position(f, g)))
 
 
 # -- relative position ----------------------------------------------------------
@@ -104,13 +109,13 @@ def test_relpos_diagonal_and_transpose():
     ctx = FqContext(3, 2)
     flags = ctx.chains((1, 2))
     for f in flags:
-        assert ctx.relative_position(f, f).entries == ((1, 0), (0, 2))
+        assert ctx.relative_position(f, f) == ((1, 0), (0, 2))
     other = ctx.chains((2, 1))
     for f in flags:
         for g in other:
             m = ctx.relative_position(f, g)
-            assert ctx.relative_position(g, f).entries == m.transpose().entries
-            assert m.row_margins == (1, 2) and m.col_margins == (2, 1)
+            assert ctx.relative_position(g, f) == tuple(zip(*m))
+            assert margins(m) == ((1, 2), (2, 1))
 
 
 def test_relpos_two_lines():
@@ -118,7 +123,7 @@ def test_relpos_two_lines():
     lines = ctx.chains((1, 1))
     for f in lines:
         for g in lines:
-            m = ctx.relative_position(f, g).entries
+            m = ctx.relative_position(f, g)
             if f == g:
                 assert m == ((1, 0), (0, 1))
             else:
@@ -129,10 +134,9 @@ def test_relpos_two_lines():
 
 def test_contingency_bijection_a1(xi_a1):
     mats = [((2,),), ((1,), (1,)), ((1, 1),), ((1, 0), (0, 1)), ((0, 1), (1, 0))]
-    from mbsheaf.fq import ContingencyMatrix
-    cells = {contingency_to_xi(xi_a1, ContingencyMatrix(m)).index for m in mats}
+    cells = {contingency_to_xi(xi_a1, m).index for m in mats}
     assert len(cells) == 5
-    assert contingency_to_xi(xi_a1, ContingencyMatrix(((2,),))).orbit_size == 1
+    assert contingency_to_xi(xi_a1, ((2,),)).orbit_size == 1
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -141,27 +145,29 @@ def test_contingency_round_trip(rank):
     seen = set()
     for m in range(len(xi.elements)):
         mat = xi_to_contingency(xi, m)
-        assert not mat.has_zero_line()
-        assert mat.content == rank + 1
+        rows, cols = margins(mat)
+        assert 0 not in rows and 0 not in cols
+        assert sum(rows) == rank + 1
         assert contingency_to_xi(xi, mat).index == m
-        seen.add(mat.entries)
+        seen.add(mat)
     assert len(seen) == len(xi.elements)
 
 
 def test_contingency_domain_errors(xi_a2):
-    from mbsheaf.fq import ContingencyMatrix
-    with pytest.raises(ValueError):
-        contingency_to_xi(xi_a2, ContingencyMatrix(((2,),)))       # wrong content
-    with pytest.raises(ValueError):
-        contingency_to_xi(xi_a2, ContingencyMatrix(((3, 0), (0, 0))))   # zero line
+    with pytest.raises(ValueError, match="content"):
+        contingency_to_xi(xi_a2, ((2,),))
+    with pytest.raises(ValueError, match="zero row"):
+        contingency_to_xi(xi_a2, ((3, 0), (0, 0)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        contingency_to_xi(xi_a2, ((4, -1),))
 
 
 def test_contingency_margins_match_types(xi_a2):
     n = 3
     for m, e in enumerate(xi_a2.elements):
         mat = xi_to_contingency(xi_a2, m)
-        assert mat.row_margins == composition_of_subset(set(e.typeIJ[0]), n)
-        assert mat.col_margins == composition_of_subset(set(e.typeIJ[1]), n)
+        assert margins(mat) == (composition_of_subset(set(e.typeIJ[0]), n),
+                                composition_of_subset(set(e.typeIJ[1]), n))
 
 
 def test_contingency_order_orientation(xi_a2):
@@ -169,12 +175,12 @@ def test_contingency_order_orientation(xi_a2):
     for m in range(len(xi_a2.elements)):
         for _s, n in xi_a2.cov[PRIME][m]:
             mm, mn = xi_to_contingency(xi_a2, m), xi_to_contingency(xi_a2, n)
-            assert len(mn.entries) < len(mm.entries)
-            assert mn.entries[0] != () and len(mn.entries[0]) == len(mm.entries[0])
+            assert len(mn) < len(mm)
+            assert mn[0] != () and len(mn[0]) == len(mm[0])
         for _s, n in xi_a2.cov[SECOND][m]:
             mm, mn = xi_to_contingency(xi_a2, m), xi_to_contingency(xi_a2, n)
-            assert len(mn.entries[0]) < len(mm.entries[0])
-            assert len(mn.entries) == len(mm.entries)
+            assert len(mn[0]) < len(mm[0])
+            assert len(mn) == len(mm)
 
 
 # -- E_q ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_pair_geometry_matches_oracle(n, q):
         pairs = itertools.product(zip(ctx.chains(ci), flags(ctx, ci)),
                                   zip(ctx.chains(cj), flags(ctx, cj)))
         for (x, f), (y, g) in pairs:
-            assert ctx.relative_position(x, y).entries == ref.relative_position(f, g, q)
+            assert ctx.relative_position(x, y) == ref.relative_position(f, g, q)
             refined = ctx.refine(x, y)
             assert tuple(spaces[s] for s in refined) == ref.refinement_flag(f, g, q)
         if coarser(ci, cj):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from dense_reference import Span
-from mbsheaf.intpoly import IntPolynomial
 from mbsheaf.linalg import (
     RationalMatrix, column_space_basis, fraction_from_str, fraction_to_str,
 )
@@ -108,16 +107,3 @@ def test_fraction_strings():
     assert fraction_to_str(5) == "5/1"
     assert fraction_from_str("-1/2") == Fraction(-1, 2)
     assert fraction_from_str("4/2") == 2
-
-
-def test_intpoly_algebra():
-    p = IntPolynomial((1, 1))
-    q = IntPolynomial((0, 1))
-    assert (p * p).coeffs == (1, 2, 1)
-    assert (p + q).coeffs == (1, 2)
-    assert (p - p).is_zero()
-    assert p(5) == 6
-    assert q.q_valuation() == 1
-    assert p.shift(2).coeffs == (0, 0, 1, 1)
-    assert IntPolynomial((1, 0, 0)).coeffs == (1,)
-    assert IntPolynomial.monomial(3).degree == 3

@@ -4,16 +4,27 @@
 reads relations off the tables.  The functions here are the algorithms it
 ran before: contract a cell into every type subset containing its own
 with ``phi``, or scan a whole Xi(I, J) block.  They are kept so that tests
-can compare both on the same cells (see test_faces_xi.py).  The
-double-coset Bruhat order and ``factor_through`` live here too: only
-tests read them.
+can compare both on the same cells (see test_faces_xi.py).  The blocks
+themselves (``blocks``), the double-coset Bruhat order and
+``factor_through`` live here too: only tests read them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from mbsheaf.coxeter import bruhat_leq
 from mbsheaf.faces import subsets_sorted
 from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, OrderError
+
+
+@lru_cache(maxsize=8)
+def blocks(xi):
+    """The cells of each Xi(I, J) block by (I, J), both in the order of xi.elements."""
+    out = {}
+    for e in xi.elements:
+        out.setdefault(e.typeIJ, []).append(e.index)
+    return {key: tuple(cells) for key, cells in out.items()}
 
 
 def block_scan_sup(xi, mp, n):
@@ -23,7 +34,7 @@ def block_scan_sup(xi, mp, n):
     I2, J1 = en.typeIJ
     if not (set(I1) <= set(I2) and set(J1) <= set(J2)):
         return []
-    return [m for m in xi.blocks.get((I1, J1), ())
+    return [m for m in blocks(xi).get((I1, J1), ())
             if xi.phi(m, SECOND, J2) == mp and xi.phi(m, PRIME, I2) == n]
 
 
