@@ -144,14 +144,42 @@ def check_mbs(E):
     MBS2 takes suprema as intersections of up-sets built once (``XiPoset.sup``);
     MBS3 passes a monomial covering matrix without elimination (``is_invertible``).
 
-    MBS2 asks, for every m' >=' n' <='' n, that C''(n, n') C'(m', n') be the
-    sum of C'(m, n) C''(m, m') over m in sup(m', n).  Where m' = n', every m
-    in sup(n', n) has I_m = I(n') = I(n) (both lie over n' on SECOND) and
-    m >=' n, so m = phi(m, PRIME, I(n)) = n: both sides are C''(n, n'), times
-    an identity.  Where n = n', likewise sup(m', n') = [m'] and both sides
-    are C'(m', n').  Those configurations hold for any data and are skipped,
-    so the witnesses are the full loop's, in its order.  The sum starts at
-    its first term; an empty supremum asks for a zero lhs.
+    MBS2, the paper's mixed-supremum axiom, asks for every configuration
+    m' >=' n' <='' n that
+
+        C''(n, n') C'(m', n') = sum over m in sup(m', n) of C'(m, n) C''(m, m'),
+
+    where sup(m', n) is the set of m with m' <='' m >=' n; an empty supremum
+    asks for a zero lhs.  Its legs have lengths k = |I(n')| - |I(m')| and
+    l = |J(n')| - |J(n)|.  Given MBS1, the covering configurations (k = l = 1)
+    imply all the others, so the loop runs over those alone; on a failure
+    the loop over every configuration lists the witnesses, in its order.
+
+    Identity legs hold for any data.  Where m' = n', every m in sup(n', n)
+    has I_m = I(n') = I(n) (both lie over n' on SECOND) and m >=' n, so
+    m = phi(m, PRIME, I(n)) = n: both sides are C''(n, n'), times an
+    identity.  Where n = n', likewise sup(m', n') = [m'] and both sides are
+    C'(m', n').
+
+    Pasting lemma: for m' >=' a >=' n', sup(m', n) is the disjoint union,
+    over b in sup(a, n), of sup(m', b); for n >='' c >='' n', it is the
+    disjoint union, over d in sup(m', c), of sup(d, n).  Each union lies in
+    sup(m', n) by transitivity of the orders; that it is all of sup(m', n),
+    each m once, is checked exhaustively on every supported type by
+    tests/test_faces_xi.py.
+
+    Induction on k + l.  If k >= 2, pick a strictly between m' and n'.  By
+    MBS1 the lhs is C''(n, n') C'(a, n') C'(m', a).  MBS2 on (a, n', n), whose
+    first leg is shorter, makes it the sum over b in sup(a, n) of
+    C'(b, n) C''(b, a) C'(m', a).  MBS2 on each (m', a, b) makes it the
+    double sum over b and m in sup(m', b) of C'(b, n) C'(m, b) C''(m, m'):
+    b >=' n keeps J(b) = J(n), so the second leg keeps length l, and I(a)
+    is strictly between, so the first is shorter.  MBS1 gives
+    C'(b, n) C'(m, b) = C'(m, n), and the lemma makes the double sum the sum
+    over sup(m', n).  If l >= 2, the mirror argument through c and
+    d in sup(m', c), on (m', n', c) and (d, c, n), shortens the second leg
+    and keeps the first.  Every step composes along chains, so it needs
+    MBS1; check_mbs returns before MBS2 whenever MBS1 fails.
     """
     poset = E.poset
     rep = Report("shape", "MBS1", "MBS2", "MBS3")
@@ -183,18 +211,16 @@ def check_mbs(E):
     if mbs1:
         return rep
 
-    # MBS2: the supremum sum over every m' >=' n' <='' n with m' != n' != n
-    pups, sups = ([[m for m in up if m != n] for n, up in enumerate(poset.ups(side))]
-                  for side in (PRIME, SECOND))
-    for np_ in range(len(poset.elements)):
-        for mp in pups[np_]:
-            d_prime = compose_prime(E, mp, np_)
-            for n in sups[np_]:
-                lhs = compose_second(E, n, np_) @ d_prime
-                terms = [compose_prime(E, m, n) @ compose_second(E, m, mp)
-                         for m in poset.sup(mp, n)]
-                if sum(terms[1:], terms[0]) != lhs if terms else not lhs.is_zero():
-                    mbs2.append((mp, np_, n))
+    # MBS2 on the covering configurations; on a failure, on every
+    # configuration m' >=' n' <='' n with m' != n' != n, to list each witness
+    ups = [poset.ups(side) for side in (PRIME, SECOND)]
+    sizes = [[len(e.typeIJ[side]) for e in poset.elements] for side in (PRIME, SECOND)]
+    covers = [[[m for m in up if sizes[side][m] == sizes[side][n] - 1]
+               for n, up in enumerate(ups[side])] for side in (PRIME, SECOND)]
+    if next(_mbs2_failures(E, *covers), None):
+        strict = [[[m for m in up if m != n] for n, up in enumerate(ups[side])]
+                  for side in (PRIME, SECOND)]
+        mbs2.extend(_mbs2_failures(E, *strict))
 
     # MBS3: anodyne coverings must be invertible
     for side, m, n in poset.coverings():
@@ -203,6 +229,23 @@ def check_mbs(E):
             if not mat.is_invertible():
                 mbs3.append((SIDE_NAMES[side], m, n))
     return rep
+
+
+def _mbs2_failures(E, pups, sups):
+    """Each (m', n', n) with m' in pups[n'] and n in sups[n'] failing MBS2.
+
+    Configurations come by n', then m', then n; each supremum sum starts at
+    its first term.
+    """
+    for np_, (mps, ns) in enumerate(zip(pups, sups)):
+        for mp in mps:
+            d_prime = compose_prime(E, mp, np_)
+            for n in ns:
+                lhs = compose_second(E, n, np_) @ d_prime
+                terms = [compose_prime(E, m, n) @ compose_second(E, m, mp)
+                         for m in E.poset.sup(mp, n)]
+                if sum(terms[1:], terms[0]) != lhs if terms else not lhs.is_zero():
+                    yield mp, np_, n
 
 
 def dual(E):

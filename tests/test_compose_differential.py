@@ -8,20 +8,25 @@ product, and on perturbed sheaves ``check_mbs`` must name the same MBS1
 witnesses as a check that enumerates every chain, including when a 2-step
 sub-interval of a 3-step interval is path-dependent.
 
-``check_mbs`` loops MBS2 only over configurations m' >=' n' <='' n with
-m' != n' and n != n', and starts each supremum sum at its first term.
-``full_mbs2`` is the loop it replaced: every configuration, every sum
-seeded with a zero matrix, suprema by the definition.  Both must name the
-same MBS2 witnesses in the same order: on the built-in sheaves, on
-one-sided gauge perturbations of them, which break MBS2 and nothing else,
-and on the constant sheaf, which fails MBS2 wherever a supremum has more
-than one cell.
+``check_mbs`` checks MBS2 on the covering configurations (m' covers n' in
+>=' and n covers n' in >='') and, on a failure, lists the witnesses over
+every configuration with m' != n' and n != n'; each supremum sum starts at
+its first term.  ``full_mbs2`` is the definition's loop: every
+configuration, every sum seeded with a zero matrix, suprema by the
+definition.  Both must name the same MBS2 witnesses in the same order: on
+the built-in sheaves, on one-sided gauge perturbations of them, which break
+MBS2 and nothing else (and always at some covering configuration), on the
+constant sheaf, which fails MBS2 wherever a supremum has more than one
+cell, covering or not, and where a supremum is made empty.  Twisted
+duality is an involution on the built-in and gauged sheaves.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
@@ -210,8 +215,14 @@ def gauged(E, cell):
     return E.copy_with(E.dims, dprime, E.dsecond)
 
 
-@pytest.mark.parametrize("name", ["E_1(A2)", "E_1(B2)", "E_1(G2)", "E_1^reflection(B2)",
-                                  "E_q(3,2)"])
+def is_covering(poset, mp, np_, n):
+    """Whether m' covers n' in >=' and n covers n' in >=''."""
+    return (np_ in dict(poset.cov[PRIME][mp]).values()
+            and np_ in dict(poset.cov[SECOND][n]).values())
+
+
+@pytest.mark.parametrize("name", ["E_1(A2)", "E_1(B2)", "E_1(G2)", "E_1(A3)",
+                                  "E_1^reflection(B2)", "E_q(3,2)"])
 def test_mbs2_witnesses_match_full_loop_on_gauge_perturbations(name):
     E = BUILT_IN[name]()
     cells = [m for m, d in enumerate(E.dims) if d]
@@ -219,22 +230,64 @@ def test_mbs2_witnesses_match_full_loop_on_gauge_perturbations(name):
         bad = gauged(E, cell)
         rep = check_mbs(bad)
         assert rep.witnesses["MBS1"] == rep.witnesses["MBS3"] == [], (name, cell)
-        assert rep.witnesses["MBS2"], (name, cell)
-        assert rep.witnesses["MBS2"] == full_mbs2(bad), (name, cell)
+        full = full_mbs2(bad)
+        assert any(is_covering(E.poset, *w) for w in full), (name, cell)
+        assert rep.witnesses["MBS2"] == full, (name, cell)
 
 
-@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2)])
-def test_mbs2_witnesses_match_full_loop_on_constant_sheaves(label, rank):
-    """Q on every cell and 1 on every covering: MBS1 and MBS3 hold, and MBS2
-    fails exactly where the supremum has more than one cell."""
-    xi = poset_for(label, rank)
-    one = RationalMatrix.identity(1)
+def constant_sheaf(xi, dim=1):
+    """Q^dim on every cell and the identity on every covering (dim 0: the zero sheaf)."""
+    one = RationalMatrix.identity(dim)
     maps = ({}, {})
     for side, m, n in xi.coverings():
         maps[side][(m, n)] = one
-    E = MixedBruhatSheaf(xi, [1] * len(xi.elements), *maps)
+    return MixedBruhatSheaf(xi, [dim] * len(xi.elements), *maps)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_mbs2_witnesses_match_full_loop_on_constant_sheaves(label, rank):
+    """Q on every cell and 1 on every covering: MBS1 and MBS3 hold, and MBS2
+    fails exactly where the supremum has more than one cell, at covering
+    configurations and beyond them."""
+    xi = poset_for(label, rank)
+    E = constant_sheaf(xi)
     pups, sups = xi.ups(PRIME), xi.ups(SECOND)
     many = [(mp, np_, n) for np_ in range(len(xi.elements)) for mp in pups[np_]
             for n in sups[np_] if len(xi.sup(mp, n)) > 1]
-    assert many
+    assert any(is_covering(xi, *w) for w in many)
+    assert not all(is_covering(xi, *w) for w in many)
     assert check_mbs(E).witnesses["MBS2"] == full_mbs2(E) == many
+
+
+def test_empty_supremum_asks_for_a_zero_lhs(monkeypatch):
+    """With sup(m', n) made empty at one covering configuration, E_1(A2)
+    fails MBS2 there and only there, and the zero sheaf still passes."""
+    E = e1("A", 2)
+    xi = E.poset
+    mp, np_, n = next((mp, np_, n) for np_ in range(len(xi.elements))
+                       for mp in xi.ups(PRIME)[np_] for n in xi.ups(SECOND)[np_]
+                       if is_covering(xi, mp, np_, n))
+    assert not (compose_second(E, n, np_) @ compose_prime(E, mp, np_)).is_zero()
+    sup = xi.sup
+    monkeypatch.setattr(xi, "sup", lambda a, b: [] if (a, b) == (mp, n) else sup(a, b))
+    assert check_mbs(E).witnesses["MBS2"] == [(mp, np_, n)]
+    assert check_mbs(constant_sheaf(xi, 0)).ok
+
+
+DUALIZED = ["E_1(A2)", "E_1(B2)", "E_1(G2)", "E_1^reflection(B2)", "E_q(3,2)"]
+_SHEAVES = {}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(DUALIZED), gauge=st.one_of(st.none(), st.integers(0, 10**6)))
+def test_dual_is_an_involution(name, gauge):
+    """dual(dual(E)) == E on the built-in sheaves and on gauged copies."""
+    if name not in _SHEAVES:
+        _SHEAVES[name] = BUILT_IN[name]()
+    E = _SHEAVES[name]
+    if gauge is not None:
+        E = gauged(E, gauge % len(E.dims))
+    back = dual(dual(E))
+    assert back.dims == E.dims
+    assert back.dprime == E.dprime
+    assert back.dsecond == E.dsecond

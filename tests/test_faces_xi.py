@@ -437,6 +437,31 @@ def test_sup_over_an_identity_leg_is_the_other_leg(label, rank):
             assert xi.sup(mp, np_) == [mp], (mp, np_)
 
 
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_sup_pastes_along_either_leg(label, rank):
+    """The pasting lemma behind check_mbs's covering configurations: for
+    every m' >=' n' <='' n, every m' >=' a >=' n' and every n >='' c >='' n',
+    sup(m', n) is the disjoint union over b in sup(a, n) of sup(m', b), and
+    over d in sup(m', c) of sup(d, n)."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    ups, downs = (xi.ups(PRIME), xi.ups(SECOND)), (xi.downs(PRIME), xi.downs(SECOND))
+    inner = 0
+    for np_ in range(len(xi.elements)):
+        for mp in ups[PRIME][np_]:
+            firsts = set(downs[PRIME][mp]).intersection(ups[PRIME][np_])
+            for n in ups[SECOND][np_]:
+                whole = xi.sup(mp, n)
+                for a in firsts:
+                    pasted = sorted(m for b in xi.sup(a, n) for m in xi.sup(mp, b))
+                    assert pasted == whole, (mp, a, np_, n)
+                    inner += a not in (mp, np_)
+                for c in set(downs[SECOND][n]).intersection(ups[SECOND][np_]):
+                    pasted = sorted(m for d in xi.sup(mp, c) for m in xi.sup(d, n))
+                    assert pasted == whole, (mp, np_, c, n)
+                    inner += c not in (n, np_)
+    assert inner or rank == 1
+
+
 @pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2)])
 def test_tau_and_ver_constancy(label, rank):
     xi = enumerate_xi(build_coxeter(label, rank))
