@@ -459,9 +459,15 @@ def b_invariant_sub(E):
 # -- point-level geometry -------------------------------------------------------------
 
 def orbit_point_checks(n, q, poset=None):
-    """Fiber-product orbit decomposition and anodyne affine-fiber cardinalities."""
+    """Fiber-product orbit decomposition and anodyne affine-fiber cardinalities.
+
+    The fiber products are formed pair by pair, quadratic in orbit size (1.0e7
+    pair visits at (n, q) = (3, 3), 1.4e9 at (3, 5)), so n = 3 takes q <= 3.
+    """
     if n > 3:
         raise ResourceError("point checks support n <= 3")
+    if n == 3 and q > 3:
+        raise ResourceError(f"point checks at n = 3 support q in {{2, 3}}, not q = {q}")
     if poset is None:
         poset = enumerate_xi(build_coxeter("A", n - 1))
     ctx = FqContext(n, q)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .coxeter import build_coxeter
+from .coxeter import UnsupportedTypeError, build_coxeter
 from .linalg import RationalMatrix, fraction_from_str, fraction_to_str
 from .sheaf import MixedBruhatSheaf
 from .xi import PRIME, SECOND, arrow, enumerate_xi
@@ -139,7 +139,7 @@ def mbs_to_json(E, include_action=False):
     return doc
 
 
-def mbs_from_json(doc, poset=None):
+def mbs_from_json(doc):
     """Rebuild a sheaf (and its poset) from the canonical format."""
     if not isinstance(doc, dict):
         raise ParseError("$: document must be an object")
@@ -151,12 +151,10 @@ def mbs_from_json(doc, poset=None):
         raise ParseError("$.datum.type: must be a string")
     if type(datum_doc["rank"]) is not int:
         raise ParseError("$.datum.rank: must be an integer")
-    if poset is None:
-        from .coxeter import UnsupportedTypeError
-        try:
-            poset = enumerate_xi(build_coxeter(datum_doc["type"], datum_doc["rank"]))
-        except UnsupportedTypeError as exc:
-            raise ParseError(f"$.datum: {exc}") from exc
+    try:
+        poset = enumerate_xi(build_coxeter(datum_doc["type"], datum_doc["rank"]))
+    except UnsupportedTypeError as exc:
+        raise ParseError(f"$.datum: {exc}") from exc
     dims_doc = doc.get("dims")
     if not isinstance(dims_doc, dict):
         raise ParseError("$.dims: must be an object")

@@ -194,12 +194,14 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, cols, nrows=None):
+        """Matrix from columns, each of length nrows (default: the first column's)."""
         cols = list(cols)
-        nrows = len(cols[0]) if cols else nrows or 0
+        if nrows is None:
+            nrows = len(cols[0]) if cols else 0
         rows = [[] for _ in range(nrows)]
         for j, col in enumerate(cols):
             if len(col) != nrows:
-                raise ValueError("ragged columns")
+                raise ValueError(f"a column's length is not the row count {nrows}")
             for i, x in enumerate(col):
                 if x:
                     rows[i].append((j, _norm(x)))

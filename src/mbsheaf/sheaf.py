@@ -8,8 +8,6 @@ transitivity of both families (MBS1), the mixed-supremum commutation rule
 
 from __future__ import annotations
 
-import itertools
-
 from .linalg import RationalMatrix
 from .report import Report
 from .xi import PRIME, SECOND, SIDE_NAMES, OrderError, arrow
@@ -31,7 +29,7 @@ class MixedBruhatSheaf:
         self.dims = tuple(dims)
         self.dprime = dict(dprime)      # (m, n) with m >=' n covering: E(m) -> E(n)
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
-        self._composites = ({}, {})     # per side: (m, n) -> chain-checked composite
+        self._composites = ({}, {})     # per side: (m, n) -> distinct chain products
         self._stalks = {}               # cell -> cohomology of its stalk complex
         self._moves = None              # generated_sub's moves, built on first use
 
@@ -50,52 +48,19 @@ class MixedBruhatSheaf:
 def _compose(E, side, m, n):
     """Composite matrix along m >= n on `side`: E(m) -> E(n) or E(n) -> E(m).
 
-    On first use the interval is checked for path independence, and a
-    disagreement raises PathDependenceError (a transitivity violation).
-    The maximal covering chains of an interval with k added generators are
-    the k! orders of adding them, but k products suffice: every chain starts
-    with one covering step m -> phi_s m and goes on by a maximal chain of
-    [phi_s m, n].  Once each such shorter interval is path independent
-    (checked recursively), every chain through step s has the product
-    C(phi_s m, n) o d(m -> phi_s m), so the chain products are exactly these
-    k products.  If a shorter interval raises PathDependenceError, that
-    argument fails, and all k! chain products are compared instead.
+    The composite is the product of every maximal covering chain of [m, n];
+    chains with different products raise PathDependenceError (a transitivity
+    violation).
     """
     if m == n:
         return RationalMatrix.identity(E.dims[m])
-    cache = E._composites[side]
-    got = cache.get((m, n))
-    if got is None:
-        if not E.poset.leq_side(side, n, m):
-            order = ">=" + "'" * (side + 1)
-            raise OrderError(f"compose_{SIDE_NAMES[side]} requires m {order} n")
-        try:
-            prods = _first_step_products(E, side, m, n)
-        except PathDependenceError:
-            prods = _all_chain_products(E, side, m, n)
-        if any(p != prods[0] for p in prods[1:]):
-            raise PathDependenceError((SIDE_NAMES[side], m, n))
-        got = cache[(m, n)] = prods[0]
-    return got
-
-
-def _first_step_products(E, side, m, n):
-    """C(phi_s m, n) o d(m -> phi_s m) for every generator s added from m to n.
-
-    A dprime map runs down the interval, so the first step comes first in
-    the product; a dsecond map runs up it, so the first step comes last.
-    A covering m > n has one chain, its own matrix, with no identity product.
-    """
-    target = E.poset.elements[n].typeIJ[side]
-    step = E.maps(side)
-    out = []
-    for s, t in E.poset.cov[side][m]:
-        if t == n:
-            return [step[(m, t)]]
-        if s in target:
-            rest = _compose(E, side, t, n)
-            out.append(rest @ step[(m, t)] if side == PRIME else step[(m, t)] @ rest)
-    return out
+    if (m, n) not in E._composites[side] and not E.poset.leq_side(side, n, m):
+        order = ">=" + "'" * (side + 1)
+        raise OrderError(f"compose_{SIDE_NAMES[side]} requires m {order} n")
+    prods = _chain_products(E, side, m, n)
+    if len(prods) > 1:
+        raise PathDependenceError((SIDE_NAMES[side], m, n))
+    return prods[0]
 
 
 def compose_prime(E, m, n):
@@ -108,31 +73,35 @@ def compose_second(E, m, n):
     return _compose(E, SECOND, m, n)
 
 
-def _all_chain_products(E, side, m, n):
-    """Products over every maximal covering chain from m down to n on `side`.
+def _chain_products(E, side, m, n):
+    """The distinct products of the maximal covering chains of [m, n], m > n.
 
-    The chains are the permutations of the added generators.  A dprime map
-    runs down the chain, so its product takes the steps in chain order; a
-    dsecond map runs up it, so its product takes them in reverse.
+    The chains of an interval with k added generators are the k! orders of
+    adding them, but every chain starts with one covering step m -> phi_s m
+    and goes on by a maximal chain of [phi_s m, n], so the products of [m, n]
+    are those of [phi_s m, n] times d(m -> phi_s m), over the first steps.
+    A dprime map runs down the interval, so the first step comes first in
+    the product; a dsecond map runs up it, so the first step comes last.  A
+    covering m > n has one chain, its own matrix.  The products are kept
+    per interval, so a path-dependent one is multiplied out once.
     """
-    poset, maps = E.poset, E.maps(side)
-    added = tuple(sorted(set(poset.elements[n].typeIJ[side])
-                         - set(poset.elements[m].typeIJ[side])))
-    out = []
-    for perm in itertools.permutations(added):
-        steps = []
-        cur = m
-        for s in perm:
-            nxt = dict(poset.cov[side][cur])[s]
-            steps.append(maps[(cur, nxt)])
-            cur = nxt
-        if side == SECOND:
-            steps.reverse()
-        mat = RationalMatrix.identity(E.dims[arrow(side, m, n)[0]])
-        for step in steps:
-            mat = step @ mat
-        out.append(mat)
-    return out
+    cache = E._composites[side]
+    got = cache.get((m, n))
+    if got is None:
+        target = E.poset.elements[n].typeIJ[side]
+        step = E.maps(side)
+        got = []
+        for s, t in E.poset.cov[side][m]:
+            if t == n:
+                got = [step[(m, t)]]
+                break
+            if s in target:
+                for rest in _chain_products(E, side, t, n):
+                    p = rest @ step[(m, t)] if side == PRIME else step[(m, t)] @ rest
+                    if p not in got:
+                        got.append(p)
+        got = cache[(m, n)] = tuple(got)
+    return got
 
 
 def check_mbs(E):
@@ -140,7 +109,7 @@ def check_mbs(E):
     n, message), MBS1 (order, m, n) with path-dependent composites, MBS2 (m', n', n)
     failing the supremum sum, MBS3 (order, m, n) anodyne covering not invertible.
 
-    MBS1 checks k first-step products per interval, not k! chains (``_compose``);
+    MBS1 compares the distinct chain products, memoised per interval (``_compose``);
     MBS2 takes suprema as intersections of up-sets built once (``XiPoset.sup``);
     MBS3 passes a monomial covering matrix without elimination (``is_invertible``).
 

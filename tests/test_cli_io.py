@@ -10,7 +10,8 @@ from mbsheaf import cli, fq, orbitpoly
 from mbsheaf.cli import main
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
-from mbsheaf.io import ParseError, dumps, loads, mbs_from_json, mbs_to_json, xi_dump
+from mbsheaf.io import ParseError, dumps, loads, mbs_from_json, mbs_to_json, xi_dump, xi_id
+from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import PathDependenceError, check_mbs
 from mbsheaf.xi import enumerate_xi
 from test_fq import MisreadContext
@@ -109,6 +110,28 @@ def test_cli_example_e1v_sign(tmp_path):
                  "-o", str(path)]) == 0
     doc = json.loads(path.read_text())
     assert sorted(doc["dims"].values()) == [0, 1, 1, 1, 1]
+
+
+def test_cli_example_e1_with_action(tmp_path, capsys):
+    """Each w's point permutation at each cell is E1Sheaf.action_matrix(w, m),
+    and check passes the file."""
+    path = tmp_path / "e1_a2.json"
+    assert main(["example", "e1", "--type", "A", "--rank", "2", "--with-action",
+                 "-o", str(path)]) == 0
+    block = json.loads(path.read_text())["group_action"]
+    E = build_e1(enumerate_xi(build_coxeter("A", 2)))
+    ids = [xi_id(E.poset, m) for m in range(len(E.dims))]
+    assert list(block) == [str(w) for w in range(E.poset.datum.order)]
+    for w, per_cell in block.items():
+        assert list(per_cell) == ids
+        for m, ident in enumerate(ids):
+            perm = per_cell[ident]
+            rows = [()] * len(perm)
+            for k, image in enumerate(perm):
+                rows[image] = ((k, 1),)
+            assert RationalMatrix.from_sparse(rows, len(perm)) == E.action_matrix(int(w), m)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
 
 
 # sha256 of `mbsheaf example e1v REP --type T --rank R`, recorded from the
@@ -324,6 +347,7 @@ def test_cli_poly_hecke_orbits(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["example", "eq", "4", "3"], ["example", "eq", "5", "2"], ["orbits", "4", "2"],
+    ["orbits", "3", "5"],
     ["poly", "--type", "A", "--rank", "3", "--validate"],
     ["hecke", "1", "2"], ["hecke", "0", "2"]], ids=" ".join)
 def test_cli_size_gates_exit_2(argv, capsys):

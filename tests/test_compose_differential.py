@@ -1,12 +1,13 @@
-"""First-step composites against full chain enumeration.
+"""Memoised chain products against full chain enumeration.
 
-``sheaf._compose`` checks an interval of k added generators with the k
-products C(phi_s m, n) o d(m -> phi_s m); the definition compares the
-products of all k! maximal covering chains, which ``_all_chain_products``
-still lists.  On every built-in sheaf each composite must equal every chain
-product, and on perturbed sheaves ``check_mbs`` must name the same MBS1
-witnesses as a check that enumerates every chain, including when a 2-step
-sub-interval of a 3-step interval is path-dependent.
+``sheaf._chain_products`` finds the distinct products of the maximal
+covering chains of an interval by recursing on the first step, memoised per
+interval; the definition multiplies out all k! chains, which
+``_all_chain_products`` below lists.  Both must give the same products on
+every interval of perturbed sheaves.  On every built-in sheaf each composite
+must equal every chain product, and on perturbed sheaves ``check_mbs`` must
+name the same MBS1 witnesses as a check that enumerates every chain,
+including when a 2-step sub-interval of a 3-step interval is path-dependent.
 
 ``check_mbs`` checks MBS2 on the covering configurations (m' covers n' in
 >=' and n covers n' in >='') and, on a failure, lists the witnesses over
@@ -21,6 +22,7 @@ cell, covering or not, and where a supremum is made empty.  Twisted
 duality is an involution on the built-in and gauged sheaves.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,10 +36,10 @@ from mbsheaf.faces import subsets_sorted
 from mbsheaf.fq import b_invariant_sub, build_eq
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import (
-    MixedBruhatSheaf, PathDependenceError, _all_chain_products, _compose, check_mbs,
+    MixedBruhatSheaf, PathDependenceError, _chain_products, _compose, check_mbs,
     compose_prime, compose_second, dual,
 )
-from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, enumerate_xi
+from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, arrow, enumerate_xi
 
 _POSETS = {}
 
@@ -72,6 +74,33 @@ BUILT_IN = {
     "E_q(3,2)": lambda: eq(3, 2),
     "E_q(3,2)^B": lambda: b_invariant_sub(eq(3, 2)),
 }
+
+
+def _all_chain_products(E, side, m, n):
+    """Products over every maximal covering chain from m down to n on `side`.
+
+    The chains are the permutations of the added generators.  A dprime map
+    runs down the chain, so its product takes the steps in chain order; a
+    dsecond map runs up it, so its product takes them in reverse.
+    """
+    poset, maps = E.poset, E.maps(side)
+    added = tuple(sorted(set(poset.elements[n].typeIJ[side])
+                         - set(poset.elements[m].typeIJ[side])))
+    out = []
+    for perm in itertools.permutations(added):
+        steps = []
+        cur = m
+        for s in perm:
+            nxt = dict(poset.cov[side][cur])[s]
+            steps.append(maps[(cur, nxt)])
+            cur = nxt
+        if side == SECOND:
+            steps.reverse()
+        mat = RationalMatrix.identity(E.dims[arrow(side, m, n)[0]])
+        for step in steps:
+            mat = step @ mat
+        out.append(mat)
+    return out
 
 
 def intervals(E):
@@ -151,9 +180,30 @@ def test_path_dependent_sub_interval_falls_back(side):
 
 
 @pytest.mark.parametrize("side", [PRIME, SECOND])
+def test_path_dependent_interval_is_multiplied_out_once(side, monkeypatch):
+    """A failing interval keeps its products: a second _compose raises again
+    without a matrix product."""
+    bad, m, _t, n = sub_interval_break(e1("A", 3), side)
+    with pytest.raises(PathDependenceError):
+        _compose(bad, side, m, n)
+    calls = []
+    matmul = RationalMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+    with pytest.raises(PathDependenceError) as exc:
+        _compose(bad, side, m, n)
+    assert exc.value.args[0] == (SIDE_NAMES[side], m, n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("side", [PRIME, SECOND])
 def test_fallback_keeps_an_interval_its_chains_agree_on(side):
     """With every covering out of m zeroed, all chains of [m, n] give zero
-    although [t, n] is path-dependent: the fallback caches zero, no witness."""
+    although [t, n] is path-dependent: [m, n] has the one product zero, no witness."""
     bad, m, t, n = sub_interval_break(e1("A", 3), side)
     bad = scaled(bad, side, [(m, x) for _s, x in bad.poset.cov[side][m]], 0)
     assert _compose(bad, side, m, n).is_zero()
@@ -169,6 +219,30 @@ def perturbed(E, seed, count=6):
     keys = [(side, k) for side in (PRIME, SECOND) for k in sorted(E.maps(side))]
     for side, k in rng.sample(keys, count):
         yield scaled(E, side, [k], rng.choice((2, 0, -1)))
+
+
+def distinct(prods):
+    out = []
+    for p in prods:
+        if p not in out:
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_chain_products_match_chain_enumeration(label, rank):
+    """On every interval of every perturbed sheaf, both sides, the memoised
+    recursion holds the distinct chain products, in some order."""
+    E = e1(label, rank)
+    failing = 0
+    for bad in perturbed(E, seed=rank * 100 + ord(label)):
+        for side, m, n in intervals(bad):
+            got = _chain_products(bad, side, m, n)
+            want = distinct(_all_chain_products(bad, side, m, n))
+            assert len(got) == len(want), (label, rank, SIDE_NAMES[side], m, n)
+            assert all(p in got for p in want), (label, rank, SIDE_NAMES[side], m, n)
+            failing += len(got) > 1
+    assert failing
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])

@@ -93,6 +93,15 @@ def test_constructor_holds_rows_to_ncols():
             RationalMatrix(rows, ncols)
 
 
+def test_from_columns_holds_columns_to_nrows():
+    assert RationalMatrix.from_columns([(1, 2)]).shape == (2, 1)
+    assert RationalMatrix.from_columns([(1, 2)], 2).shape == (2, 1)
+    assert RationalMatrix.from_columns([], 3).shape == (3, 0)
+    for cols, nrows in (([(1, 2)], 3), ([(1, 2)], 1), ([(1, 2), (1,)], None), ([(1,)], 0)):
+        with pytest.raises(ValueError):
+            RationalMatrix.from_columns(cols, nrows)
+
+
 def test_from_sparse_sums_repeats_and_checks_columns():
     m = RationalMatrix.from_sparse([[(1, 1), (0, 2), (1, Fraction(1, 2)), (0, -2)], []], 2)
     assert m.rows == ((0, Fraction(3, 2)), (0, 0))
