@@ -143,7 +143,6 @@ class CoxeterDatum:
         n = len(elems)
         index = {g.mat: i for i, g in enumerate(elems)}
         gens = _simple_reflections(self.cartan)
-        gen_idx = tuple(index[g] for g in gens)
         right = [tuple(index[_mat_mul(elems[i].mat, g)] for g in gens) for i in range(n)]
         left = [tuple(index[_mat_mul(g, elems[i].mat)] for i in range(n)) for g in gens]
         # w . alpha_a = sign * alpha_b, encoded as sign*(b+1)
@@ -168,7 +167,7 @@ class CoxeterDatum:
                 w = right[w][s]
             inv[i] = w
         self._tables = {
-            "index": index, "gen_idx": gen_idx, "right": right, "left": left,
+            "index": index, "right": right, "left": left,
             "root_act": root_act, "inv": tuple(inv),
         }
 

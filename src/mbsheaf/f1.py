@@ -5,7 +5,9 @@ along the point projections in the first order and pullback in the second.
 build_e1v cuts out the W-invariants of E_1 tensor V for an explicit
 representation V by Frobenius reciprocity: on an orbit W/H,
 (Fun(W/H) tensor V)^W = V^H, so each cell's basis is built from values at
-its base point, and E_1's maps tensor 1_V are solved in those bases.
+its base point.  The ambient sheaf E_1 tensor V, of V-valued functions on
+the orbits, is built by E_1's own code with dim V values per point, and its
+covering maps are solved in those bases.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import itertools
 from .coxeter import UnsupportedTypeError, _simple_reflections
 from .linalg import RationalMatrix, column_space_basis
 from .sheaf import MixedBruhatSheaf, subsheaf
-from .xi import PRIME, SECOND
 
 
 class E1Sheaf(MixedBruhatSheaf):
@@ -23,30 +24,32 @@ class E1Sheaf(MixedBruhatSheaf):
 
     def action_matrix(self, w, m):
         """Permutation matrix of w on the point basis of cell m."""
-        poset = self.poset
-        act = poset.complex.action
-        e = poset.elements[m]
-        rows = [()] * e.orbit_size
-        for k, (c, d) in enumerate(e.points):
-            rows[e.point_index[(act[w][c], act[w][d])]] = ((k, 1),)
-        return RationalMatrix.from_sparse(rows, e.orbit_size)
+        act = self.poset.complex.action
+        e = self.poset.elements[m]
+        return RationalMatrix.pushforward(
+            [e.point_index[(act[w][c], act[w][d])] for c, d in e.points], e.orbit_size)
+
+
+def _orbit_functions(poset, dim):
+    """Q^dim-valued functions on the orbits: the dims, and the pushforward
+    (dprime) and pullback (dsecond) along each covering's point projection.
+
+    Point k's values are the coordinates k*dim .. k*dim + dim - 1, so for
+    the point map f each map is E_1's tensor 1_{Q^dim}: the pushforward or
+    pullback along k*dim + a -> f(k)*dim + a.
+    """
+    dims = [e.orbit_size * dim for e in poset.elements]
+    maps = ({}, {})
+    move = (RationalMatrix.pushforward, RationalMatrix.pullback)    # by side
+    for side, m, n in poset.coverings():
+        f = [y * dim + a for y in poset.pi_map(m, n) for a in range(dim)]
+        maps[side][(m, n)] = move[side](f, dims[n])
+    return dims, *maps
 
 
 def build_e1(poset):
     """Functions on orbits: dims are orbit sizes, maps are (pi)_* and pi^*."""
-    dims = [e.orbit_size for e in poset.elements]
-    dprime = {}
-    dsecond = {}
-    for m in range(len(poset.elements)):
-        for _s, n in poset.cov[PRIME][m]:
-            rows = [[] for _ in range(dims[n])]
-            for src, dst in enumerate(poset.pi_map(m, n)):
-                rows[dst].append((src, 1))
-            dprime[(m, n)] = RationalMatrix.from_sparse(rows, dims[m])
-        for _s, n in poset.cov[SECOND][m]:
-            dsecond[(m, n)] = RationalMatrix.from_sparse(
-                [((dst, 1),) for dst in poset.pi_map(m, n)], dims[n])
-    return E1Sheaf(poset, dims, dprime, dsecond)
+    return E1Sheaf(poset, *_orbit_functions(poset, 1))
 
 
 # -- explicit W-representations -----------------------------------------------
@@ -187,10 +190,8 @@ def _specht(datum, shape):
     gen_mats = []
     for s in range(datum.rank):
         perm = {s + 1: s + 2, s + 2: s + 1}
-        rows = [()] * len(tabloids)
-        for i, t in enumerate(tabloids):
-            rows[tab_index[apply_perm(perm, t)]] = ((i, 1),)
-        big = RationalMatrix.from_sparse(rows, len(tabloids))
+        big = RationalMatrix.pushforward(
+            [tab_index[apply_perm(perm, t)] for t in tabloids], len(tabloids))
         gen_mats.append(basis.solve(big @ basis))
     return gen_mats
 
@@ -239,13 +240,6 @@ def _partitions(n, maxpart=None):
 
 # -- multiplicity sheaves -------------------------------------------------------
 
-def _kron(a, b):
-    bn = b.ncols
-    rows = [[(ja * bn + jb, x * y) for ja, x in ra for jb, y in rb]
-            for ra in a.sparse_rows for rb in b.sparse_rows]
-    return RationalMatrix.from_sparse(rows, a.ncols * bn)
-
-
 def build_e1v(poset, rep):
     """The invariants (E_1 tensor V)^W, each basis built at the base point.
 
@@ -258,7 +252,8 @@ def build_e1v(poset, rep):
     integral whenever rho is, so its eliminations start from ints.  The
     covering matrices are unchanged: scaling every basis by the same |W|
     leaves the unique solution X of B_dst X = (A tensor 1_V) B_src as it
-    was, since each basis has full column rank.
+    was, since each basis has full column rank; A tensor 1_V is the covering
+    map of the ambient sheaf ``_orbit_functions(poset, dim V)``.
     """
     order, act, dim = poset.datum.order, poset.complex.action, rep.dim
     bases = []
@@ -272,5 +267,4 @@ def build_e1v(poset, rep):
         x0_cols = RationalMatrix.from_sparse(rows, dim)
         bases.append(RationalMatrix.from_columns(column_space_basis(x0_cols),
                                                  e.orbit_size * dim))
-    ident_v = RationalMatrix.identity(dim)
-    return subsheaf(build_e1(poset), bases, lambda mat: _kron(mat, ident_v))
+    return subsheaf(MixedBruhatSheaf(poset, *_orbit_functions(poset, dim)), bases)

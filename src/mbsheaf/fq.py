@@ -353,7 +353,7 @@ def build_eq(n, q, poset=None, ctx=None):
         for _s, nn in poset.cov[SECOND][m]:
             # pullback along the flag coarsening of the readings
             proj = ctx.projection(comps[m][2], comps[nn][2])
-            dsecond[(m, nn)] = RationalMatrix.from_sparse([((y, 1),) for y in proj], dims[nn])
+            dsecond[(m, nn)] = RationalMatrix.pullback(proj, dims[nn])
         for _s, nn in poset.cov[PRIME][m]:
             proj = ctx.projection(comps[m][0], comps[nn][0])
             targets = point_index[nn]
@@ -389,15 +389,12 @@ def hecke_generators(n, q):
         raise UnsupportedTypeError("hecke_generators supports 2 <= n <= 4, q in {2, 3}")
     ctx = FqContext(n, q)
     full = (1,) * n
-    size = len(ctx.chains(full))
+    one = RationalMatrix.identity(len(ctx.chains(full)))
     out = []
     for alpha in range(n - 1):
-        images = ctx.projection(full, composition_of_subset({alpha}, n))
-        fibres = {}
-        for y, image in enumerate(images):
-            fibres.setdefault(image, []).append(y)
-        rows = [[(y, 1) for y in fibres[images[x]] if y != x] for x in range(size)]
-        out.append(RationalMatrix.from_sparse(rows, size))
+        coarse = composition_of_subset({alpha}, n)
+        pull = RationalMatrix.pullback(ctx.projection(full, coarse), len(ctx.chains(coarse)))
+        out.append(pull @ pull.transpose() - one)
     return out
 
 
@@ -448,11 +445,11 @@ def b_invariant_sub(E):
     bases = []
     for m in range(len(poset.elements)):
         orbits = orbits_of[E.hor_compositions[m]]
-        rows = [None] * E.dims[m]
+        label = [None] * E.dims[m]
         for o, orbit in enumerate(orbits):
             for x in orbit:
-                rows[x] = ((o, 1),)
-        bases.append(RationalMatrix.from_sparse(rows, len(orbits)))
+                label[x] = o
+        bases.append(RationalMatrix.pullback(label, len(orbits)))
     return subsheaf(E, bases)
 
 

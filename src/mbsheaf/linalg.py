@@ -6,9 +6,10 @@ arithmetic).  Everything is immutable; no floating point anywhere.
 
 A RationalMatrix stores only its nonzero entries.  Row i is a tuple of
 (column, value) pairs sorted by column, and every empty row is the one shared
-``()``.  The pushforward and pullback maps of the function sheaves have at most
-one nonzero per column, so products and sums touch few entries, and a row
-holding a single 1 takes the other factor's row object as it is.
+``()``.  The pushforward and pullback maps of the function sheaves
+(``pushforward``, ``pullback``) have one nonzero per column or per row, so
+products and sums touch few entries, and a row holding a single 1 takes the
+other factor's row object as it is.
 ``sparse_rows`` is the storage itself.  ``rows`` is a dense tuple-of-tuples
 view for output and for callers that want dense rows; it is built on every
 access and never kept, so only the sparse copy stays alive.  ``rref`` runs
@@ -29,38 +30,6 @@ def _norm(x):
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
-
-
-def _merge(r, s):
-    """Sum of two sparse rows."""
-    if not s:
-        return r
-    if not r:
-        return s
-    if r[-1][0] < s[0][0]:
-        return r + s
-    if s[-1][0] < r[0][0]:
-        return s + r
-    out = []
-    i = k = 0
-    nr, ns = len(r), len(s)
-    while i < nr and k < ns:
-        a, b = r[i], s[k]
-        if a[0] < b[0]:
-            out.append(a)
-            i += 1
-        elif a[0] > b[0]:
-            out.append(b)
-            k += 1
-        else:
-            x = _norm(a[1] + b[1])
-            if x:
-                out.append((a[0], x))
-            i += 1
-            k += 1
-    out.extend(r[i:])
-    out.extend(s[k:])
-    return tuple(out)
 
 
 def _collect(pairs):
@@ -194,18 +163,26 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, cols, nrows=None):
-        """Matrix from columns, each of length nrows (default: the first column's)."""
-        cols = list(cols)
-        if nrows is None:
-            nrows = len(cols[0]) if cols else 0
-        rows = [[] for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ValueError(f"a column's length is not the row count {nrows}")
-            for i, x in enumerate(col):
-                if x:
-                    rows[i].append((j, _norm(x)))
-        return _make(tuple(map(tuple, rows)), nrows, len(cols))
+        """Matrix from columns, each of length nrows (default: the first column's);
+        a column of another length raises ValueError."""
+        return cls(cols, nrows).transpose()
+
+    @classmethod
+    def pullback(cls, f, n):
+        """Pullback of functions along the map x -> f[x] into range(n): the
+        len(f) x n matrix with a 1 at each (x, f[x]), whose row x is row f[x]
+        of the identity (shared, not copied).  Raises ValueError on a value
+        outside range(n)."""
+        if f and not 0 <= min(f) <= max(f) < n:
+            raise ValueError(f"map value out of range for {n} points")
+        rows = cls.identity(n).sparse_rows
+        return _make(tuple([rows[y] for y in f]), len(f), n)
+
+    @classmethod
+    def pushforward(cls, f, n):
+        """Pushforward of functions along x -> f[x], summing over each fibre:
+        the transpose of ``pullback(f, n)``."""
+        return cls.pullback(f, n).transpose()
 
     # -- basic structure ---------------------------------------------------
 
@@ -262,13 +239,14 @@ class RationalMatrix:
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in +")
-        return _make(tuple(map(_merge, self.sparse_rows, other.sparse_rows)),
+        return _make(tuple([_collect([*r, *s])
+                            for r, s in zip(self.sparse_rows, other.sparse_rows)]),
                      self.nrows, self.ncols)
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in -")
-        return _make(tuple([_merge(r, _neg_row(s))
+        return _make(tuple([_collect([*r, *_neg_row(s)])
                             for r, s in zip(self.sparse_rows, other.sparse_rows)]),
                      self.nrows, self.ncols)
 

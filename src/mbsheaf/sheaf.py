@@ -8,6 +8,7 @@ transitivity of both families (MBS1), the mixed-supremum commutation rule
 
 from __future__ import annotations
 
+from .faces import subsets_sorted
 from .linalg import RationalMatrix
 from .report import Report
 from .xi import PRIME, SECOND, SIDE_NAMES, OrderError, arrow
@@ -266,7 +267,6 @@ def bicube(E):
     poset = E.poset
     cx = poset.complex
     zero = cx.zero_face()
-    from .faces import subsets_sorted
     subsets = subsets_sorted(poset.datum.rank)
     m_prime = {}
     m_diag = {}
@@ -471,21 +471,20 @@ def _span_closure(E, seeds):
     return [[r for r in s.sparse_rows if r] for s in spans]
 
 
-def subsheaf(E, bases, lift=None):
+def subsheaf(E, bases):
     """The subsheaf whose stalk at cell m is the column span of bases[m].
 
     .bases holds the given bases unchanged; build_e1v's are integral, |W|
     times the averaging projector's pivot columns.  Each covering map of E
-    (through lift, if given) is applied to its source basis and solved
-    against its target basis, which is factored once; the solves are exact,
-    so a span that a map does not preserve raises ValueError.
+    is applied to its source basis and solved against its target basis,
+    which is factored once; the solves are exact, so a span that a map does
+    not preserve raises ValueError.
     """
     solve = [b.solver() for b in bases]
-    lift = lift or (lambda mat: mat)
     maps = ({}, {})
     for side, m, n in E.poset.coverings():
         src, dst = arrow(side, m, n)
-        maps[side][(m, n)] = solve[dst](lift(E.maps(side)[(m, n)]) @ bases[src])
+        maps[side][(m, n)] = solve[dst](E.maps(side)[(m, n)] @ bases[src])
     sub = MixedBruhatSheaf(E.poset, [b.ncols for b in bases], *maps)
     sub.bases = bases
     return sub

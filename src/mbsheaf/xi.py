@@ -115,7 +115,6 @@ class XiPoset:
         cx = self.complex
         rank = self.datum.rank
         flat_registry = {}
-        self.flats = []
         for e in self.elements:
             c, d = e.pair
             e.hor = cx.tits_product(c, d).type_I
@@ -124,9 +123,7 @@ class XiPoset:
             closed = cx.span_closure(zero)
             canon = self._flat_canonical(closed)
             if canon not in flat_registry:
-                flat = FlatOrbit(canon, cx.flat_dim(canon), len(self.flats))
-                flat_registry[canon] = flat
-                self.flats.append(flat)
+                flat_registry[canon] = FlatOrbit(canon, cx.flat_dim(canon), len(flat_registry))
             e.flat = flat_registry[canon]
         # covering relations: one-generator contractions in each coordinate
         self.cov = ([], [])       # per side, per element: tuple of (s, target index)

@@ -72,9 +72,11 @@ class RationalMatrix:
     @classmethod
     def from_columns(cls, cols, nrows=None):
         cols = list(cols)
-        if cols:
-            nrows = len(cols[0])
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows or 0)), len(cols))
+        if nrows is None:
+            nrows = len(cols[0]) if cols else 0
+        if any(len(c) != nrows for c in cols):
+            raise ValueError(f"a column's length is not the row count {nrows}")
+        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)), len(cols))
 
     # -- basic structure ---------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 For every cell this sums the |W| Kronecker products A_w tensor rho(w) into
 the projector onto (E_1(m) tensor V)^W, takes its pivot columns as the
-basis, and solves each lifted covering map by a dense augmented rref
+basis, and solves each covering map, lifted to A tensor 1_V by an explicit
+Kronecker product (``_kron``), by a dense augmented rref
 (``dense_reference.RationalMatrix.solve``).  ``mbsheaf.f1.build_e1v``
 must give the same dimensions and matrices, and |W| times these bases.
 
@@ -13,10 +14,18 @@ of each cell's pair, the Frobenius-reciprocity count of the same dimension.
 from fractions import Fraction
 
 from dense_reference import RationalMatrix as Dense
-from mbsheaf.f1 import _kron, build_e1
+from mbsheaf.f1 import build_e1
 from mbsheaf.linalg import RationalMatrix, column_space_basis
 from mbsheaf.sheaf import MixedBruhatSheaf
 from mbsheaf.xi import PRIME, SECOND
+
+
+def _kron(a, b):
+    """The Kronecker product a tensor b, entry by entry."""
+    bn = b.ncols
+    rows = [[(ja * bn + jb, x * y) for ja, x in ra for jb, y in rb]
+            for ra in a.sparse_rows for rb in b.sparse_rows]
+    return RationalMatrix.from_sparse(rows, a.ncols * bn)
 
 
 def _dense_solve(basis, rhs):

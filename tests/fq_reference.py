@@ -10,11 +10,14 @@ tuple of its nonzero rows, and a flag is the tuple of its subspaces.
 ``dense_rref_fp`` is the dense F_p Gauss-Jordan that ``rref_fp`` ran before
 both fields shared the sparse elimination of ``mbsheaf.linalg``; it is the
 oracle of ``rref_fp``, ``in_span_fp`` and ``nullspace_fp``.
+``hecke_generators`` builds each sigma_alpha from fibre lists, row by row,
+the oracle of ``mbsheaf.fq.hecke_generators``'s pullback product.
 """
 
 from __future__ import annotations
 
-from mbsheaf.fq import _borel_generators
+from mbsheaf.fq import _borel_generators, composition_of_subset
+from mbsheaf.linalg import RationalMatrix
 from mbsheaf.subspaces import in_span_fp, nullspace_fp, rref_fp
 
 
@@ -174,3 +177,18 @@ def borel_orbits(flags, index, n, q):
             frontier = new
         orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
+
+
+def hecke_generators(lattice, n, q):
+    """sigma_alpha from fibre lists: row x holds a 1 at every other full flag
+    with x's coarsening to the type that glues positions alpha and alpha + 1."""
+    full = enumerate_flags(lattice, n, q, (1,) * n)
+    out = []
+    for alpha in range(n - 1):
+        images = [coarsen_flag(f, composition_of_subset({alpha}, n)) for f in full]
+        fibres = {}
+        for y, image in enumerate(images):
+            fibres.setdefault(image, []).append(y)
+        rows = [[(y, 1) for y in fibres[images[x]] if y != x] for x in range(len(full))]
+        out.append(RationalMatrix.from_sparse(rows, len(full)))
+    return out

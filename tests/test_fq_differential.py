@@ -4,7 +4,8 @@ For every (n, q) below, every flag pair of every pair of compositions is
 compared: relative position and the Hor-reading refinement, coarsening to
 every coarser type, the flag enumeration order, and the Borel orbits of
 every composition.  The lattice's meet and join are checked on every pair
-of subspaces, and the matrix action on random invertible matrices.
+of subspaces, and the matrix action on random invertible matrices.  The
+Hecke generators are compared with the oracle's fibre lists up to n = 4.
 """
 
 import itertools
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import fq_reference as ref
 from mbsheaf.fq import (
-    SUPPORTED_PRIMES, FqContext, borel_orbits, composition_of_subset, in_span_fp,
-    nullspace_fp, rref_fp,
+    SUPPORTED_PRIMES, FqContext, borel_orbits, composition_of_subset, hecke_generators,
+    in_span_fp, nullspace_fp, rref_fp,
 )
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -95,6 +96,12 @@ def test_borel_orbits_match_oracle(n, q):
         fl = flags(ctx, comp)
         index = {f: i for i, f in enumerate(fl)}
         assert borel_orbits(ctx, comp) == ref.borel_orbits(fl, index, n, q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3])
+def test_hecke_generators_match_fibre_lists(n, q):
+    assert hecke_generators(n, q) == ref.hecke_generators(FqContext(n, q).lattice, n, q)
 
 
 @st.composite

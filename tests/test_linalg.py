@@ -102,6 +102,27 @@ def test_from_columns_holds_columns_to_nrows():
             RationalMatrix.from_columns(cols, nrows)
 
 
+def test_pullback_and_pushforward():
+    f = (2, 0, 2, 1)
+    pull = RationalMatrix.pullback(f, 4)
+    assert pull.shape == (4, 4)
+    assert pull.rows == ((0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0))
+    push = RationalMatrix.pushforward(f, 3)
+    assert push.shape == (3, 4)
+    assert push == RationalMatrix.pullback(f, 3).transpose()
+    # pushforward sums over fibres, pullback reads the value at the image
+    assert (push @ RationalMatrix(((1,), (2,), (3,), (4,)))).rows == ((2,), (4,), (4,))
+    assert (pull @ RationalMatrix(((5,), (6,), (7,), (8,)))).rows == ((7,), (5,), (7,), (6,))
+    assert RationalMatrix.pullback((), 3).shape == (0, 3)
+    assert RationalMatrix.pushforward((), 3) == RationalMatrix.zeros(3, 0)
+    assert RationalMatrix.pullback((), 0).shape == (0, 0)
+    for bad, n in (((0, 3), 3), ((-1,), 3), ((0,), 0)):
+        with pytest.raises(ValueError):
+            RationalMatrix.pullback(bad, n)
+        with pytest.raises(ValueError):
+            RationalMatrix.pushforward(bad, n)
+
+
 def test_from_sparse_sums_repeats_and_checks_columns():
     m = RationalMatrix.from_sparse([[(1, 1), (0, 2), (1, Fraction(1, 2)), (0, -2)], []], 2)
     assert m.rows == ((0, Fraction(3, 2)), (0, 0))

@@ -140,6 +140,16 @@ def test_from_columns(m):
     rows, ncols = m
     cols = [tuple(r[j] for r in rows) for j in range(ncols)]
     same(Sparse.from_columns(cols, len(rows)), Dense.from_columns(cols, len(rows)))
+    if not cols:
+        return
+    # a row count the columns do not have, or a column longer than the first:
+    # both classes reject these (their messages differ, so only the kind is compared)
+    bad = [(cols, len(rows) + 1), (cols + [cols[0] + (0,)], None)]
+    if rows:
+        bad.append((cols, len(rows) - 1))
+    for args in bad:
+        assert outcome(Sparse.from_columns, *args)[0] == "error"
+        assert outcome(Dense.from_columns, *args)[0] == "error"
 
 
 @EXAMPLES
