@@ -8,8 +8,6 @@ by (length, matrix entries).
 
 from __future__ import annotations
 
-from .linalg import RationalMatrix
-
 
 class UnsupportedTypeError(ValueError):
     """Requested Cartan type / rank outside the supported list."""
@@ -95,14 +93,13 @@ class CoxeterDatum:
     so instances are safe to share across threads.
     """
 
-    def __init__(self, type_label, rank, cartan, positive_roots, fundamental_coweights):
+    def __init__(self, type_label, rank, cartan, positive_roots):
         self.type_label = type_label
         self.rank = rank
         self.cartan = cartan
         self.simple_roots = tuple(
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
         self.positive_roots = positive_roots
-        self.fundamental_coweights = fundamental_coweights
         self.root_index = {v: i for i, v in enumerate(positive_roots)}
         self.simple_positions = tuple(self.root_index[s] for s in self.simple_roots)
         self._elements = None
@@ -272,10 +269,7 @@ def build_coxeter(type_label, rank):
         roots |= new
         frontier = new
     positive = tuple(sorted(roots, key=lambda v: (sum(v), v)))
-    ct = RationalMatrix(cartan).transpose()
-    coweights = ct.inverse()
-    fundamental = tuple(tuple(coweights.column(j)) for j in range(rank))
-    return CoxeterDatum(type_label, rank, cartan, positive, fundamental)
+    return CoxeterDatum(type_label, rank, cartan, positive)
 
 
 def enumerate_group(datum):

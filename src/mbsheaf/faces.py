@@ -1,18 +1,21 @@
 """The Coxeter complex: faces of the reflection arrangement with exact sign vectors.
 
-A face is a coset w W_I, realized geometrically as w(C+_I).  Its sign vector
-records the sign of every positive root on the face; signs are computed on
-the exact interior witness point w . rho_I, where rho_I is the sum of the
-fundamental coweights off I.  In coweight coordinates rho_I is a 0/1 vector,
-so sign(alpha | w rho_I) = sign applied to the root w^-1 alpha summed over
-the complement of I; everything stays in integers.
+A face is a coset w W_I, realized as w(C_I), the W-translate of the face of
+the dominant chamber where exactly the simple roots in I vanish.  A positive
+root alpha is zero on w(C_I) iff w^-1 alpha lies in Phi_I (its support lies
+in I), and otherwise has the sign of w^-1 alpha; signs come from the root
+action table, in integers.
+
+The zero set w(Phi_I) & Phi+ is span-closed, because Phi & span Phi_I = Phi_I
+(a root in span Phi_I has its support in I), and so is the intersection of
+two zero sets (a root in the span of A & B lies in A and in B).  So a face of
+type I spans a flat of dimension rank - |I|, and faces span the same flat iff
+their zero sets are equal: no linear algebra is needed.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-from .linalg import RationalMatrix
 
 
 class Face:
@@ -78,7 +81,6 @@ class FaceComplex:
                 self.by_sign[face.sign_vector] = face.index
         self._action = None
         self._coarsen = {}
-        self._span_cache = {}
 
     # -- lookups -------------------------------------------------------------
 
@@ -136,43 +138,20 @@ class FaceComplex:
         """Closure order: a lies in the closure of b."""
         return all(sa == 0 or sa == sb for sa, sb in zip(a.sign_vector, b.sign_vector))
 
-    def span_closure(self, root_indices):
-        """All positive-root indices lying in the rational span of the given ones:
-        the roots that leave the rank unchanged when appended."""
-        key = frozenset(root_indices)
-        got = self._span_cache.get(key)
-        if got is None:
-            roots, rank = self.datum.positive_roots, self.datum.rank
-            rows = [roots[a] for a in key]
-            r = RationalMatrix(rows, rank).rank()
-            got = frozenset(b for b in range(len(roots))
-                            if RationalMatrix(rows + [roots[b]], rank).rank() == r)
-            self._span_cache[key] = got
-        return got
-
-    def flat_dim(self, root_indices):
-        """Dimension of the flat where the given positive roots vanish: rank - dim span."""
-        roots, rank = self.datum.positive_roots, self.datum.rank
-        return rank - RationalMatrix([roots[a] for a in root_indices], rank).rank()
-
     def face_dim(self, face):
-        return self.flat_dim(face.zero_set)
+        """Dimension of the face's linear span: rank - |I|."""
+        return self.datum.rank - len(face.type_I)
 
     def associated(self, c, d):
-        """Equal linear spans, i.e. equal span-closed zero sets."""
-        return self.span_closure(c.zero_set) == self.span_closure(d.zero_set)
+        """Equal linear spans, i.e. equal (span-closed) zero sets."""
+        return c.zero_set == d.zero_set
 
     def delta_faces(self, c, d):
         """Number of roots alpha (over all of Delta) with alpha|_c > 0 > alpha|_d."""
         if not self.associated(c, d):
             raise ValueError("delta_faces requires associated faces")
-        n = 0
-        for sc, sd in zip(c.sign_vector, d.sign_vector):
-            if sc > 0 and sd < 0:
-                n += 1
-            if sc < 0 and sd > 0:     # the root -alpha
-                n += 1
-        return n
+        # a positive root alpha counts when sc > 0 > sd, its negative when sc < 0 < sd
+        return sum(1 for sc, sd in zip(c.sign_vector, d.sign_vector) if sc * sd < 0)
 
     def face_distance(self, c, d):
         """Minimal gallery length between associated faces, by breadth-first search."""
@@ -180,8 +159,7 @@ class FaceComplex:
             raise ValueError("face_distance requires associated faces")
         if c.index == d.index:
             return 0
-        cls = [f for f in self.faces
-               if self.span_closure(f.zero_set) == self.span_closure(c.zero_set)]
+        cls = [f for f in self.faces if f.zero_set == c.zero_set]
         m = self.face_dim(c)
         walls = [f for f in self.faces if self.face_dim(f) == m - 1]
         adjacent = {f.index: [] for f in cls}

@@ -19,6 +19,7 @@ E_q(4, 2), total dimension 69,561, is the largest size build_eq accepts:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property, cmp_to_key
 
 from .coxeter import UnsupportedTypeError, build_coxeter
@@ -458,13 +459,15 @@ def b_invariant_sub(E):
 def orbit_point_checks(n, q, poset=None):
     """Fiber-product orbit decomposition and anodyne affine-fiber cardinalities.
 
-    The fiber products are formed pair by pair, quadratic in orbit size (1.0e7
-    pair visits at (n, q) = (3, 3), 1.4e9 at (3, 5)), so n = 3 takes q <= 3.
+    For each n', the points of every n >='' n' are bucketed by their image
+    in n', and each fiber product over n' reads, for every point of an
+    m' >=' n', the bucket of its image: the work is the size of the fiber
+    products, not the product of the orbit sizes.  n = 3 takes q <= 5.
     """
     if n > 3:
         raise ResourceError("point checks support n <= 3")
-    if n == 3 and q > 3:
-        raise ResourceError(f"point checks at n = 3 support q in {{2, 3}}, not q = {q}")
+    if n == 3 and q > 5:
+        raise ResourceError(f"point checks at n = 3 support q <= 5, not q = {q}")
     if poset is None:
         poset = enumerate_xi(build_coxeter("A", n - 1))
     ctx = FqContext(n, q)
@@ -482,31 +485,27 @@ def orbit_point_checks(n, q, poset=None):
     pups = poset.ups(PRIME)
     sups = poset.ups(SECOND)
     for np_ in range(len(poset.elements)):
+        buckets = {}    # nn -> the second faces of nn's points, by image in np_
+        for nn in sups[np_]:
+            buckets[nn] = [[] for _ in points[np_]]
+            for (_c, d), img in zip(points[nn], point_map(nn, np_)):
+                buckets[nn][img].append(d)
         for mp in pups[np_]:
             map_mp = point_map(mp, np_)
             for nn in sups[np_]:
                 if mp == np_ == nn:
                     continue
                 rep.checked += 1
-                map_n = point_map(nn, np_)
-                fiber_product = []
-                for k1, (a, _b) in enumerate(points[mp]):
-                    for k2, (_c, d) in enumerate(points[nn]):
-                        if map_mp[k1] == map_n[k2]:
-                            fiber_product.append((a, d))
-                expected = []
-                for m in poset.sup(mp, nn):
-                    expected.extend(points[m])
+                fiber_product = [(a, d) for (a, _b), img in zip(points[mp], map_mp)
+                                 for d in buckets[nn][img]]
+                expected = [p for m in poset.sup(mp, nn) for p in points[m]]
                 if sorted(fiber_product) != sorted(expected):
                     failures.append(("fiber-product", mp, np_, nn))
     for m, nn, _kind, ano in poset.comparable_pairs():
         if not ano:
             continue
         rep.checked += 1
-        fibers = {}
-        for k, img in enumerate(point_map(m, nn)):
-            fibers.setdefault(img, 0)
-            fibers[img] += 1
+        fibers = Counter(point_map(m, nn))
         sizes = set(fibers.values())
         ok = len(fibers) == len(points[nn]) and len(sizes) == 1
         if ok:

@@ -165,6 +165,11 @@ class RationalMatrix:
     def from_columns(cls, cols, nrows=None):
         """Matrix from columns, each of length nrows (default: the first column's);
         a column of another length raises ValueError."""
+        cols = [tuple(c) for c in cols]
+        if nrows is None:
+            nrows = len(cols[0]) if cols else 0
+        if any(len(c) != nrows for c in cols):
+            raise ValueError(f"a column's length is not the row count {nrows}")
         return cls(cols, nrows).transpose()
 
     @classmethod

@@ -377,7 +377,7 @@ def standard_loops(poset):
     walls = [f for f in cx.faces if cx.face_dim(f) == poset.datum.rank - 1]
     chambers = [f for f in cx.faces if f.type_I == ()]
     for p in sorted(walls, key=lambda f: f.key):
-        flat = poset._flat_canonical(cx.span_closure(p.zero_set))
+        flat = poset.flat_of_type(p.type_I)
         if flat in seen_flats:
             continue
         seen_flats.add(flat)

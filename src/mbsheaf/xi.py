@@ -18,6 +18,12 @@ Each order is tabulated once per poset: ``cov[side]`` lists the coverings
 of every cell, ``downs(side)`` every cell below it and ``ups(side)`` every
 cell above it.  The relation listings, the axiom checks and the Cousin
 stalks walk these tables instead of contracting over all type subsets.
+
+A cell's flat depends only on its Hor type: the sign rule of the Tits
+product gives zero(C) & zero(D) = zero(C o D), and C o D, of type Hor, is
+a W-translate of the dominant face K_Hor.  So the W-orbit of the flat is
+that of K_Hor's zero set, found once per type (``flat_of_type``), and its
+dimension is rank - |Hor| (see ``faces`` for why zero sets are span-closed).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ class OrderError(ValueError):
 
 
 class FlatOrbit:
-    """Canonical W-orbit of a span-closed set of positive roots."""
+    """Canonical W-orbit of the zero set of a face: a W-orbit of flats."""
 
     __slots__ = ("roots", "dim", "ident")
 
@@ -87,6 +93,8 @@ class XiPoset:
         self._downs = {}
         self._ups = {}
         self._second_up_sets = None    # frozensets of ups(SECOND), for sup
+        self._flats = {}               # canonical roots -> FlatOrbit, by first cell
+        self._type_flats = {}          # type -> FlatOrbit
         self._build_elements()
         self._build_structure()
 
@@ -114,17 +122,11 @@ class XiPoset:
     def _build_structure(self):
         cx = self.complex
         rank = self.datum.rank
-        flat_registry = {}
         for e in self.elements:
             c, d = e.pair
             e.hor = cx.tits_product(c, d).type_I
             e.ver = cx.tits_product(d, c).type_I
-            zero = frozenset(c.zero_set & d.zero_set)
-            closed = cx.span_closure(zero)
-            canon = self._flat_canonical(closed)
-            if canon not in flat_registry:
-                flat_registry[canon] = FlatOrbit(canon, cx.flat_dim(canon), len(flat_registry))
-            e.flat = flat_registry[canon]
+            e.flat = self.flat_of_type(e.hor)
         # covering relations: one-generator contractions in each coordinate
         self.cov = ([], [])       # per side, per element: tuple of (s, target index)
         for e in self.elements:
@@ -134,19 +136,19 @@ class XiPoset:
                     (s, self.phi(e.index, side, tuple(sorted(K + (s,)))))
                     for s in range(rank) if s not in K))
 
+    def flat_of_type(self, K):
+        """The W-orbit of flats spanned by the faces of type K."""
+        K = tuple(sorted(K))
+        if K not in self._type_flats:
+            canon = self._flat_canonical(self.complex.dominant_face(K).zero_set)
+            self._type_flats[K] = self._flats.setdefault(
+                canon, FlatOrbit(canon, self.datum.rank - len(K), len(self._flats)))
+        return self._type_flats[K]
+
     def _flat_canonical(self, root_set):
-        """W-minimal representative of the orbit of a span-closed root set."""
-        if not root_set:
-            return ()
-        d = self.datum
-        act = d.tables["root_act"]
-        best = None
-        for w in range(d.order):
-            row = act[w]
-            img = tuple(sorted(abs(row[a]) - 1 for a in root_set))
-            if best is None or img < best:
-                best = img
-        return best
+        """W-minimal representative of the orbit of a set of positive roots."""
+        return min(tuple(sorted(abs(row[a]) - 1 for a in root_set))
+                   for row in self.datum.tables["root_act"])
 
     # -- orbits and projections ----------------------------------------------
 

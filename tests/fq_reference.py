@@ -12,12 +12,17 @@ both fields shared the sparse elimination of ``mbsheaf.linalg``; it is the
 oracle of ``rref_fp``, ``in_span_fp`` and ``nullspace_fp``.
 ``hecke_generators`` builds each sigma_alpha from fibre lists, row by row,
 the oracle of ``mbsheaf.fq.hecke_generators``'s pullback product.
+``pairwise_point_checks`` forms each fiber product of
+``mbsheaf.fq.orbit_point_checks`` pair by pair, with no size gate: the
+oracle of its image buckets.
 """
 
 from __future__ import annotations
 
-from mbsheaf.fq import _borel_generators, composition_of_subset
+from mbsheaf.fq import FqContext, _borel_generators, _cell_compositions, composition_of_subset
 from mbsheaf.linalg import RationalMatrix
+from mbsheaf.report import Report
+from mbsheaf.xi import PRIME, SECOND
 from mbsheaf.subspaces import in_span_fp, nullspace_fp, rref_fp
 
 
@@ -192,3 +197,55 @@ def hecke_generators(lattice, n, q):
         rows = [[(y, 1) for y in fibres[images[x]] if y != x] for x in range(len(full))]
         out.append(RationalMatrix.from_sparse(rows, len(full)))
     return out
+
+
+def pairwise_point_checks(n, q, poset):
+    """The checks of ``orbit_point_checks(n, q, poset)``, each fiber product
+    formed by testing every pair of points of m' and n, quadratic in orbit size."""
+    ctx = FqContext(n, q)
+    comps = _cell_compositions(poset, n)
+    rep = Report("points", checked=0)
+    failures = rep.witnesses["points"]
+    points = [ctx.orbit_points(poset, m) for m in range(len(poset.elements))]
+    pindex = [{p: k for k, p in enumerate(pts)} for pts in points]
+
+    def point_map(m, nn):
+        proj_i = ctx.projection(comps[m][0], comps[nn][0])
+        proj_j = ctx.projection(comps[m][1], comps[nn][1])
+        return [pindex[nn][(proj_i[a], proj_j[b])] for a, b in points[m]]
+
+    for np_ in range(len(poset.elements)):
+        for mp in poset.ups(PRIME)[np_]:
+            map_mp = point_map(mp, np_)
+            for nn in poset.ups(SECOND)[np_]:
+                if mp == np_ == nn:
+                    continue
+                rep.checked += 1
+                map_n = point_map(nn, np_)
+                fiber_product = []
+                for k1, (a, _b) in enumerate(points[mp]):
+                    for k2, (_c, d) in enumerate(points[nn]):
+                        if map_mp[k1] == map_n[k2]:
+                            fiber_product.append((a, d))
+                expected = []
+                for m in poset.sup(mp, nn):
+                    expected.extend(points[m])
+                if sorted(fiber_product) != sorted(expected):
+                    failures.append(("fiber-product", mp, np_, nn))
+    for m, nn, _kind, ano in poset.comparable_pairs():
+        if not ano:
+            continue
+        rep.checked += 1
+        fibers = {}
+        for img in point_map(m, nn):
+            fibers[img] = fibers.get(img, 0) + 1
+        sizes = set(fibers.values())
+        ok = len(fibers) == len(points[nn]) and len(sizes) == 1
+        if ok:
+            size = sizes.pop()
+            while size % q == 0:
+                size //= q
+            ok = size == 1
+        if not ok:
+            failures.append(("anodyne-fibers", m, nn))
+    return rep

@@ -143,6 +143,27 @@ E1V_DUMP_SHA256 = [
 ]
 
 
+# sha256 of `mbsheaf xi --type T --rank R`, recorded while each cell's flat
+# came from a span closure by exact ranks; flats read off Hor types keep them.
+XI_DUMP_SHA256 = [
+    ("A", 1, "4a5a4863dc9c43239fdb1d7b0f186d452b6ea84c6898eaab27741a1cdbcf6361"),
+    ("A", 2, "eec5d44a747abfe666d4bb8eae1836342292c0886a68fb7c3ead1c21f2521885"),
+    ("A", 3, "44f568b1dc68a1c53e4d4ef2d146ecd576e92f2a65d8c66f0123abace3c1302a"),
+    ("A", 4, "fafb1b6584cf30b9c79c631810744d3453b85218f6f54f5b9e13cc040e576794"),
+    ("B", 2, "a94796cb2323147f8d546f2e9d4c02c497def89f37afa56afe85abb6c92a8211"),
+    ("B", 3, "5e3b6377959767c2cccb52fd683488d78242edac0ed4bd0177cc9a8dd4963fac"),
+    ("C", 3, "74a4550ba2ea1277e12095bbebc1cd5859a211d34a2386368a976f3f1a6036b9"),
+    ("G", 2, "6783fefefe99417a7b3a5b8af443021eccef5c487b2ba5dcd2e1b7a159a528f8"),
+]
+
+
+@pytest.mark.parametrize("label,rank,digest", XI_DUMP_SHA256,
+                         ids=[f"{t}{r}" for t, r, _d in XI_DUMP_SHA256])
+def test_cli_xi_dump_digest(capsys, label, rank, digest):
+    assert main(["xi", "--type", label, "--rank", str(rank)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("label,rank,rep,digest", E1V_DUMP_SHA256,
                          ids=[f"{t}{r}-{rep}" for t, r, rep, _d in E1V_DUMP_SHA256])
 def test_cli_example_e1v_dump_digest(tmp_path, label, rank, rep, digest):
@@ -347,7 +368,7 @@ def test_cli_poly_hecke_orbits(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["example", "eq", "4", "3"], ["example", "eq", "5", "2"], ["orbits", "4", "2"],
-    ["orbits", "3", "5"],
+    ["orbits", "3", "7"],
     ["poly", "--type", "A", "--rank", "3", "--validate"],
     ["hecke", "1", "2"], ["hecke", "0", "2"]], ids=" ".join)
 def test_cli_size_gates_exit_2(argv, capsys):

@@ -223,13 +223,3 @@ def test_poincare_at_one(type_label, rank):
         assert poly_value(p, 1) == datum.order // 2
         assert p[0] == 1
 
-
-def test_fundamental_coweights_duality():
-    from fractions import Fraction
-    for type_label, rank in SUPPORTED:
-        datum = build_coxeter(type_label, rank)
-        # <alpha_i, omega_j> = sum_k cartan[k][i] * omega_j[k] must be delta_ij
-        for j, om in enumerate(datum.fundamental_coweights):
-            for i in range(rank):
-                pairing = sum(Fraction(datum.cartan[k][i]) * om[k] for k in range(rank))
-                assert pairing == (1 if i == j else 0)

@@ -1,18 +1,22 @@
 """Face complex and 2-sided complex tests against combinatorial oracles."""
 
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
+
+import mbsheaf
 
 from dense_reference import RationalMatrix as Dense
 from dense_reference import Span
 from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.faces import FaceComplex
-from mbsheaf.xi import PRIME, SECOND, OrderError, enumerate_xi
+from mbsheaf.xi import PRIME, SECOND, OrderError, XiPoset, enumerate_xi
 from xi_reference import (
-    block_scan_sup, blocks, bruhat_block_leq, factor_through, subset_scan_comparable_pairs,
-    subset_scan_ups,
+    block_scan_sup, blocks, bruhat_block_leq, factor_through, span_closure_flats,
+    subset_scan_comparable_pairs, subset_scan_ups,
 )
 
 
@@ -124,21 +128,61 @@ def test_delta_additive_along_galleries(label, rank):
 
 
 @pytest.mark.parametrize("label,rank", SUPPORTED)
-def test_span_closure_and_flat_dim_match_dense_reference(label, rank):
-    # every set of at most rank roots (each span has such a basis) and every
-    # face's zero set: closure by Span membership, dimension by dense rank
-    cx = complex_for(label, rank)
+def test_zero_sets_are_span_closed(label, rank):
+    """Every face's zero set, and every cell's c.zero_set & d.zero_set, is its
+    own closure under Span membership, and a face of type I has dimension
+    rank - (dense rank of its zero roots) = rank - |I|."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    cx = xi.complex
     roots = cx.datum.positive_roots
-    sets = {frozenset(c) for k in range(rank + 1)
-            for c in itertools.combinations(range(len(roots)), k)}
-    sets |= {f.zero_set for f in cx.faces}
-    for key in sets:
+
+    def closure(key):
         span = Span(rank)
         for a in key:
             span.add(roots[a])
-        assert cx.span_closure(key) == {b for b in range(len(roots)) if span.contains(roots[b])}
-        assert cx.flat_dim(key) == rank - Dense([roots[a] for a in key], rank).rank() \
-            == rank - span.dim
+        return {b for b in range(len(roots)) if span.contains(roots[b])}
+
+    for f in cx.faces:
+        assert closure(f.zero_set) == f.zero_set, f
+        assert cx.face_dim(f) == rank - Dense([roots[a] for a in f.zero_set], rank).rank() \
+            == rank - len(f.type_I)
+    for key in {c.zero_set & d.zero_set for c, d in (e.pair for e in xi.elements)}:
+        assert closure(key) == key
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_flats_from_hor_types_match_span_closure(label, rank):
+    """Each cell's flat (canonical roots, dimension, ident) read off its Hor
+    type against the per-cell span closure and W-canonical loop; at most
+    2^rank canonical loops run, and flat_of_type gives every cell's flat."""
+    calls = []
+    canonical = XiPoset._flat_canonical
+
+    def counted(self, root_set):
+        calls.append(root_set)
+        return canonical(self, root_set)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(XiPoset, "_flat_canonical", counted)
+        xi = enumerate_xi(build_coxeter(label, rank))
+    assert 0 < len(calls) <= 2 ** rank
+    got = [(e.flat.roots, e.flat.dim, e.flat.ident) for e in xi.elements]
+    assert got == span_closure_flats(xi)
+    for e in xi.elements:
+        assert xi.flat_of_type(e.hor) is e.flat
+
+
+def test_combinatorial_layers_import_nothing_from_linalg():
+    """coxeter, faces and xi are combinatorics: no import reaches linalg."""
+    src = pathlib.Path(mbsheaf.__file__).parent
+    for name in ("coxeter", "faces", "xi"):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[-1] != "linalg", name
+                assert all(a.name != "linalg" for a in node.names), name
+            elif isinstance(node, ast.Import):
+                assert all("linalg" not in a.name.split(".") for a in node.names), name
 
 
 def test_delta_additive_on_wall_faces_b3():
@@ -148,7 +192,7 @@ def test_delta_additive_on_wall_faces_b3():
     walls = [f for f in cx.faces if cx.face_dim(f) == 2]
     classes = {}
     for f in walls:
-        classes.setdefault(cx.span_closure(f.zero_set), []).append(f)
+        classes.setdefault(f.zero_set, []).append(f)
     checked = 0
     for cls in classes.values():
         sub_walls = [f for f in cx.faces if cx.face_dim(f) == 1]

@@ -408,7 +408,7 @@ def test_b_invariant_dims_match_e1(n, q):
 
 # -- point-level geometry ---------------------------------------------------------------
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 5)])
 def test_orbit_point_checks(n, q):
     report = orbit_point_checks(n, q)
     assert report.ok, report.summary()

@@ -5,7 +5,8 @@ compared: relative position and the Hor-reading refinement, coarsening to
 every coarser type, the flag enumeration order, and the Borel orbits of
 every composition.  The lattice's meet and join are checked on every pair
 of subspaces, and the matrix action on random invertible matrices.  The
-Hecke generators are compared with the oracle's fibre lists up to n = 4.
+Hecke generators are compared with the oracle's fibre lists up to n = 4,
+and the point checks' bucketed fiber products with the pairwise loop.
 """
 
 import itertools
@@ -15,10 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fq_reference as ref
+from mbsheaf.coxeter import build_coxeter
 from mbsheaf.fq import (
     SUPPORTED_PRIMES, FqContext, borel_orbits, composition_of_subset, hecke_generators,
-    in_span_fp, nullspace_fp, rref_fp,
+    in_span_fp, nullspace_fp, orbit_point_checks, rref_fp,
 )
+from mbsheaf.xi import XiPoset, enumerate_xi
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -102,6 +105,22 @@ def test_borel_orbits_match_oracle(n, q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_hecke_generators_match_fibre_lists(n, q):
     assert hecke_generators(n, q) == ref.hecke_generators(FqContext(n, q).lattice, n, q)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["sup", "sup-drops-last"])
+@pytest.mark.parametrize("n,q", SIZES)
+def test_point_checks_match_pairwise_loop(n, q, broken, monkeypatch):
+    """The same checks and the same failures, in order; with sup made to drop
+    its last cell, every fiber product over a nonempty sup fails in both."""
+    poset = enumerate_xi(build_coxeter("A", n - 1))
+    if broken:
+        sup = XiPoset.sup
+        monkeypatch.setattr(XiPoset, "sup", lambda self, mp, nn: sup(self, mp, nn)[:-1])
+    got = orbit_point_checks(n, q, poset=poset)
+    want = ref.pairwise_point_checks(n, q, poset)
+    assert got.checked == want.checked > 0
+    assert got.failures == want.failures
+    assert bool(got.failures) == broken
 
 
 @st.composite

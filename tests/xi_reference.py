@@ -7,6 +7,8 @@ with ``phi``, or scan a whole Xi(I, J) block.  They are kept so that tests
 can compare both on the same cells (see test_faces_xi.py).  The blocks
 themselves (``blocks``), the double-coset Bruhat order and
 ``factor_through`` live here too: only tests read them.
+``span_closure_flats`` is the per-cell flat computation that ``XiPoset``
+ran before it read each cell's flat off its Hor type.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import lru_cache
 
 from mbsheaf.coxeter import bruhat_leq
 from mbsheaf.faces import subsets_sorted
+from mbsheaf.linalg import RationalMatrix
 from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, OrderError
 
 
@@ -108,3 +111,33 @@ def bruhat_block_leq(xi, m, n):
     if xi.elements[m].typeIJ != xi.elements[n].typeIJ:
         raise OrderError("Bruhat block order requires elements of the same type")
     return bruhat_leq(xi.datum, min_double_rep(xi, m), min_double_rep(xi, n))
+
+
+def span_closure_flats(xi):
+    """(roots, dim, ident) of every cell's flat, in the order of xi.elements.
+
+    The zero set c.zero_set & d.zero_set of the cell's pair is closed under
+    rational span by exact ranks (a root joins when it leaves the rank
+    unchanged), its W-minimal image is found by a loop over W, the flat's
+    dimension is rank minus the rank of those roots, and the idents number
+    the flats in the order of their first cell.
+    """
+    datum = xi.datum
+    roots, rank = datum.positive_roots, datum.rank
+    act = datum.tables["root_act"]
+    closures, registry, out = {}, {}, []
+    for e in xi.elements:
+        c, d = e.pair
+        zero = c.zero_set & d.zero_set
+        if zero not in closures:
+            rows = [roots[a] for a in zero]
+            r = RationalMatrix(rows, rank).rank()
+            closures[zero] = [b for b in range(len(roots))
+                              if RationalMatrix(rows + [roots[b]], rank).rank() == r]
+        canon = min(tuple(sorted(abs(act[w][a]) - 1 for a in closures[zero]))
+                    for w in range(datum.order))
+        if canon not in registry:
+            dim = rank - RationalMatrix([roots[a] for a in canon], rank).rank()
+            registry[canon] = (canon, dim, len(registry))
+        out.append(registry[canon])
+    return out
