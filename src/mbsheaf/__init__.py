@@ -2,8 +2,8 @@
 and mixed Bruhat sheaves on it."""
 
 from .coxeter import (
-    SUPPORTED, UnsupportedTypeError, build_coxeter, bruhat_leq, enumerate_group,
-    min_coset_reps, poincare_poly,
+    SUPPORTED, UnsupportedTypeError, build_coxeter, bruhat_leq, min_coset_reps,
+    poincare_poly,
 )
 from .cousin import (
     StalkComplex, constructibility_check, coperversity_check, stalk_complex, support_check,
@@ -26,7 +26,7 @@ from .xi import FlatOrbit, OrderError, XiElement, XiPoset, enumerate_xi
 
 __all__ = [
     "SUPPORTED", "UnsupportedTypeError", "build_coxeter", "bruhat_leq",
-    "enumerate_group", "min_coset_reps", "poincare_poly",
+    "min_coset_reps", "poincare_poly",
     "StalkComplex", "constructibility_check", "coperversity_check",
     "stalk_complex", "support_check",
     "E1Sheaf", "WRepresentation", "build_e1", "build_e1v", "rep_catalog",

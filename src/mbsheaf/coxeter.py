@@ -1,9 +1,10 @@
 """Finite crystallographic root systems and their Weyl groups, in exact arithmetic.
 
-Group elements are integer matrices acting on the root lattice in the basis
-of simple roots; equality is matrix equality.  All enumeration orders are
-deterministic: positive roots in graded lexicographic order, group elements
-by (length, matrix entries).
+The Weyl group is held as index tables built once per datum.  Element i is
+the integer matrix elements[i], acting on the root lattice in the basis of
+simple roots; every group operation takes and returns such indices, never
+matrices.  All enumeration orders are deterministic: positive roots in graded
+lexicographic order, group elements by (length, matrix entries).
 """
 
 from __future__ import annotations
@@ -45,25 +46,6 @@ def _root_sign(vec):
     return 0
 
 
-class GroupElement:
-    """Weyl group element: integer matrix on the root lattice plus cached length."""
-
-    __slots__ = ("mat", "length")
-
-    def __init__(self, mat, length):
-        self.mat = mat
-        self.length = length
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
-
-    def __repr__(self):
-        return f"GroupElement(len={self.length})"
-
-
 def _simple_reflections(cartan):
     """Integer matrices of the simple reflections on the root lattice.
 
@@ -87,9 +69,10 @@ def _mat_apply(m, v):
 
 
 class CoxeterDatum:
-    """Root datum plus lazily built group tables.
+    """Root datum plus the Weyl group as index tables, built once on construction.
 
-    Immutable by convention: nothing mutates after the lazy caches fill,
+    Element i is the matrix elements[i], of length lengths[i]; every other
+    group operation takes and returns such indices.  Immutable by convention,
     so instances are safe to share across threads.
     """
 
@@ -102,80 +85,42 @@ class CoxeterDatum:
         self.positive_roots = positive_roots
         self.root_index = {v: i for i, v in enumerate(positive_roots)}
         self.simple_positions = tuple(self.root_index[s] for s in self.simple_roots)
-        self._elements = None
-        self._tables = None
-
-    # -- group enumeration ---------------------------------------------—
-
-    def length_of(self, mat):
-        return sum(1 for a in self.positive_roots if _root_sign(_mat_apply(mat, a)) < 0)
-
-    @property
-    def elements(self):
-        if self._elements is None:
-            gens = _simple_reflections(self.cartan)
-            ident = tuple(tuple(1 if i == j else 0 for j in range(self.rank))
-                          for i in range(self.rank))
-            seen = {ident}
-            frontier = [ident]
-            while frontier:
-                new = []
-                for m in frontier:
-                    for g in gens:
-                        mg = _mat_mul(m, g)
-                        if mg not in seen:
-                            seen.add(mg)
-                            new.append(mg)
-                frontier = new
-            elems = sorted(seen, key=lambda m: (self.length_of(m), m))
-            self._elements = tuple(GroupElement(m, self.length_of(m)) for m in elems)
-        return self._elements
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def _build_tables(self):
-        elems = self.elements
-        n = len(elems)
-        index = {g.mat: i for i, g in enumerate(elems)}
-        gens = _simple_reflections(self.cartan)
-        right = [tuple(index[_mat_mul(elems[i].mat, g)] for g in gens) for i in range(n)]
-        left = [tuple(index[_mat_mul(g, elems[i].mat)] for i in range(n)) for g in gens]
+        gens = _simple_reflections(cartan)
+        seen = {self.simple_roots}      # the identity matrix
+        frontier = list(seen)
+        while frontier:
+            frontier = [mg for mg in {_mat_mul(m, g) for m in frontier for g in gens}
+                        if mg not in seen]
+            seen.update(frontier)
         # w . alpha_a = sign * alpha_b, encoded as sign*(b+1)
-        root_act = []
-        for g in elems:
+        act = {}
+        for m in seen:
             row = []
-            for a in self.positive_roots:
-                img = _mat_apply(g.mat, a)
+            for a in positive_roots:
+                img = _mat_apply(m, a)
                 s = _root_sign(img)
-                b = self.root_index[img if s > 0 else tuple(-x for x in img)]
-                row.append(s * (b + 1))
-            root_act.append(tuple(row))
-        inv = [None] * n
-        ident_idx = index[elems[0].mat]
-        for i in range(n):
-            # i * d1 * ... * dk = e along right descents, so i^-1 = d1 ... dk
-            j, w = i, ident_idx
-            while elems[j].length > 0:
-                s = next(k for k in range(self.rank)
-                         if root_act[j][self.simple_positions[k]] < 0)
-                j = right[j][s]
-                w = right[w][s]
-            inv[i] = w
-        self._tables = {
-            "index": index, "right": right, "left": left,
-            "root_act": root_act, "inv": tuple(inv),
+                row.append(s * (self.root_index[img if s > 0 else tuple(-x for x in img)] + 1))
+            act[m] = tuple(row)
+        length = {m: sum(1 for v in act[m] if v < 0) for m in seen}
+        self.elements = tuple(sorted(seen, key=lambda m: (length[m], m)))
+        self.lengths = tuple(length[m] for m in self.elements)
+        self.order = len(self.elements)
+        index = {m: i for i, m in enumerate(self.elements)}
+        right = [tuple(index[_mat_mul(m, g)] for g in gens) for m in self.elements]
+        self.tables = {
+            "index": index, "right": right,
+            "left": [tuple(index[_mat_mul(g, m)] for m in self.elements) for g in gens],
+            "root_act": [act[m] for m in self.elements],
         }
+        inv = [0] * self.order
+        for i in range(self.order):
+            # i = s1 ... sk reduced, so i^-1 = sk ... s1
+            for s in reversed(self.word_of(i)):
+                inv[i] = right[inv[i]][s]
+        self.tables["inv"] = tuple(inv)
 
-    @property
-    def tables(self):
-        if self._tables is None:
-            self._build_tables()
-        return self._tables
-
-    def index_of(self, g):
-        return self.tables["index"][g.mat]
+    def index_of(self, mat):
+        return self.tables["index"][mat]
 
     def mul_idx(self, i, j):
         """Index of elements[i] * elements[j] (via the reduced word of j)."""
@@ -189,13 +134,11 @@ class CoxeterDatum:
 
     def word_of(self, i):
         """A reduced word for elements[i], greedy on right descents."""
-        t = self.tables
         word = []
-        while self.elements[i].length > 0:
-            s = next(k for k in range(self.rank)
-                     if t["root_act"][i][self.simple_positions[k]] < 0)
+        while self.lengths[i] > 0:
+            s = next(k for k in range(self.rank) if self.has_right_descent(i, k))
             word.append(s)
-            i = t["right"][i][s]
+            i = self.tables["right"][i][s]
         word.reverse()
         return tuple(word)
 
@@ -272,33 +215,21 @@ def build_coxeter(type_label, rank):
     return CoxeterDatum(type_label, rank, cartan, positive)
 
 
-def enumerate_group(datum):
-    """All group elements, deterministically ordered by (length, matrix)."""
-    return datum.elements
-
-
-def bruhat_leq(datum, u, w):
-    """Bruhat order u <= w via the left lifting property."""
-    i = datum.index_of(u) if isinstance(u, GroupElement) else u
-    j = datum.index_of(w) if isinstance(w, GroupElement) else w
-    elems = datum.elements
+def bruhat_leq(datum, i, j):
+    """Bruhat order elements[i] <= elements[j] via the left lifting property."""
     left = datum.tables["left"]
-    while elems[j].length > 0:
+    while datum.lengths[j] > 0:
         s = next(k for k in range(datum.rank) if datum.has_left_descent(j, k))
         if datum.has_left_descent(i, s):
             i = left[s][i]
         j = left[s][j]
-    return elems[i].length == 0
+    return datum.lengths[i] == 0
 
 
 def min_coset_reps(datum, members):
-    """Minimal-length representatives of the cosets W / W_I, in enumeration order."""
-    members = tuple(sorted(set(members)))
-    reps = []
-    for i, g in enumerate(datum.elements):
-        if not any(datum.has_right_descent(i, s) for s in members):
-            reps.append(g)
-    return tuple(reps)
+    """Indices of the minimal-length representatives of the cosets W / W_I, ascending."""
+    return tuple(i for i in range(datum.order)
+                 if not any(datum.has_right_descent(i, s) for s in members))
 
 
 def poincare_poly(datum, members):
@@ -306,6 +237,6 @@ def poincare_poly(datum, members):
     as the tuple of its ascending integer coefficients.  The identity is one of
     them, so the tuple is never empty and its last entry is nonzero."""
     counts = {}
-    for g in min_coset_reps(datum, members):
-        counts[g.length] = counts.get(g.length, 0) + 1
+    for i in min_coset_reps(datum, members):
+        counts[datum.lengths[i]] = counts.get(datum.lengths[i], 0) + 1
     return tuple(counts.get(d, 0) for d in range(max(counts) + 1))

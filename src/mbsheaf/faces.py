@@ -17,9 +17,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .coxeter import min_coset_reps
+
 
 class Face:
-    """Coset w W_I with cached sign data; hashable by (type, representative)."""
+    """Coset w W_I with cached sign data.
+
+    A FaceComplex makes one Face per coset and every lookup returns it, so
+    faces of one complex compare by identity.
+    """
 
     __slots__ = ("type_I", "rep_idx", "sign_vector", "zero_set", "index")
 
@@ -29,13 +35,6 @@ class Face:
         self.sign_vector = sign_vector    # tuple over positive-root indices, in {-1,0,1}
         self.zero_set = frozenset(a for a, s in enumerate(sign_vector) if s == 0)
         self.index = index                # position in FaceComplex.faces
-
-    def __eq__(self, other):
-        return (isinstance(other, Face) and self.type_I == other.type_I
-                and self.rep_idx == other.rep_idx)
-
-    def __hash__(self):
-        return hash((self.type_I, self.rep_idx))
 
     def __repr__(self):
         return f"Face(I={self.type_I}, w={self.rep_idx})"
@@ -67,9 +66,7 @@ class FaceComplex:
                     for v in datum.positive_roots]
         for I in self.subsets:
             iset = set(I)
-            for rep_idx in range(datum.order):
-                if any(datum.has_right_descent(rep_idx, s) for s in I):
-                    continue
+            for rep_idx in min_coset_reps(datum, I):
                 winv = datum.inv_idx(rep_idx)
                 signs = []
                 for a in range(len(datum.positive_roots)):
@@ -84,10 +81,9 @@ class FaceComplex:
 
     # -- lookups -------------------------------------------------------------
 
-    def face(self, type_I, rep):
-        """Face of a coset given by any representative (canonicalized)."""
+    def face(self, type_I, rep_idx):
+        """Face of the coset elements[rep_idx] W_I, for any representative."""
         I = tuple(sorted(type_I))
-        rep_idx = rep if isinstance(rep, int) else self.datum.index_of(rep)
         return self.faces[self.face_index[(I, self.datum.min_in_coset(rep_idx, I))]]
 
     def zero_face(self):

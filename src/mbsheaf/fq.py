@@ -29,7 +29,7 @@ from .sheaf import MixedBruhatSheaf, subsheaf
 from .subspaces import (  # noqa: F401  (rref_fp, in_span_fp, nullspace_fp re-exported)
     ResourceError, SubspaceLattice, in_span_fp, nullspace_fp, rref_fp,
 )
-from .xi import PRIME, SECOND, enumerate_xi
+from .xi import PRIME, SECOND, enumerate_xi, xi_id
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -370,7 +370,6 @@ def build_eq(n, q, poset=None, ctx=None):
                 if rows[y] is None:
                     rows[y] = counts
                 elif rows[y] != counts:
-                    from .io import xi_id    # io stays out of `import mbsheaf`
                     raise FibrewiseConstancyError(
                         f"pushforward {xi_id(poset, m)} -> {xi_id(poset, nn)} of a "
                         f"pulled-back function is not pulled back: two points of "

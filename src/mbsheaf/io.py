@@ -16,20 +16,13 @@ import json
 from .coxeter import UnsupportedTypeError, build_coxeter
 from .linalg import RationalMatrix, fraction_from_str, fraction_to_str
 from .sheaf import MixedBruhatSheaf
-from .xi import PRIME, SECOND, arrow, enumerate_xi
+from .xi import PRIME, SECOND, arrow, enumerate_xi, xi_id
 
 MAP_KEYS = ("dprime", "dsecond")    # the file key of each side's covering matrices
 
 
 class ParseError(ValueError):
     """Schema violation; the message carries the offending path."""
-
-
-def xi_id(poset, m):
-    c, d = poset.elements[m].pair
-    left = "".join(map(str, c.type_I))
-    right = "".join(map(str, d.type_I))
-    return f"{left}:{c.rep_idx}|{right}:{d.rep_idx}"
 
 
 def _parse_xi_id(poset, ident, path):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .faces import subsets_sorted
 from .linalg import RationalMatrix
 from .report import Report
-from .xi import PRIME, SECOND, SIDE_NAMES, OrderError, arrow
+from .xi import PRIME, SECOND, SIDE_NAMES, OrderError, arrow, xi_id
 
 
 class PathDependenceError(RuntimeError):
@@ -276,11 +276,12 @@ def bicube(E):
         m_prime[I] = poset.xi_orbit(zero, ki).index
         m_diag[I] = poset.xi_orbit(ki, ki).index
         m_second[I] = poset.xi_orbit(ki, zero).index
-    phi = {}
+    phi_inv = {}     # a_I b_I: E(m''_I) -> Q_I, the inverse of phi_I
     for I in subsets:
         a = compose_prime(E, m_diag[I], m_prime[I])      # E(m_I) -> E(m'_I), anodyne
         b = compose_second(E, m_diag[I], m_second[I])    # E(m''_I) -> E(m_I), anodyne
-        phi[I] = b.inverse() @ a.inverse()               # Q_I -> E(m''_I)
+        phi_inv[I] = a @ b
+    phi = {I: x.inverse() for I, x in phi_inv.items()}   # Q_I -> E(m''_I)
     spaces = {I: E.dims[m_prime[I]] for I in subsets}
     v = {}
     u = {}
@@ -289,7 +290,7 @@ def bicube(E):
             if not set(I) <= set(J):
                 continue
             u[(I, J)] = compose_second(E, m_prime[I], m_prime[J])
-            v[(I, J)] = phi[J].inverse() @ compose_prime(E, m_second[I], m_second[J]) @ phi[I]
+            v[(I, J)] = phi_inv[J] @ compose_prime(E, m_second[I], m_second[J]) @ phi[I]
     return BicubeData(spaces, v, u)
 
 
@@ -453,7 +454,6 @@ def _span_closure(E, seeds):
         vecs = [tuple(v) for v in vecs]
         for v in vecs:
             if len(v) != dims[m]:
-                from .io import xi_id    # io stays out of `import mbsheaf`
                 raise ValueError(f"seed vector of length {len(v)} at cell {m} "
                                  f"({xi_id(poset, m)}), whose stalk has dimension {dims[m]}")
         pending[m] = list(RationalMatrix(vecs, dims[m]).sparse_rows)

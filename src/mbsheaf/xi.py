@@ -39,6 +39,14 @@ def arrow(side, m, n):
     return (m, n) if side == PRIME else (n, m)
 
 
+def xi_id(poset, m):
+    """The canonical cell id ``I:w|J:w`` of the file formats: each face's type and rep_idx."""
+    c, d = poset.elements[m].pair
+    left = "".join(map(str, c.type_I))
+    right = "".join(map(str, d.type_I))
+    return f"{left}:{c.rep_idx}|{right}:{d.rep_idx}"
+
+
 class OrderError(ValueError):
     """Raised when an operation requires comparable elements and gets none."""
 

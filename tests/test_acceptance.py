@@ -164,15 +164,14 @@ def test_criterion_07_borel_invariant_dims():
 def test_criterion_08_cousin_suite():
     t0 = time.time()
     sheaves = []
-    for label, rank in [("A", 1), ("A", 2), ("B", 2)]:
+    for label, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]:
         xi = poset_for(label, rank)
         sheaves.append((f"E_1({label}{rank})", build_e1(xi), True))
         for name in ("sign", "reflection"):
             rep = rep_catalog(xi.datum, name)
             sheaves.append((f"E_1^{name}({label}{rank})", build_e1v(xi, rep), False))
-    for n, q in [(2, 2), (2, 3), (3, 2)]:
-        sheaves.append((f"E_q({n},{q})",
-                        build_eq(n, q, poset=poset_for("A", n - 1)), False))
+    for n, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        sheaves.append((f"E_q({n},{q})", eq_for(n, q), False))
     for name, sheaf, e1_concentrated in sheaves:
         r = sheaf.poset.datum.rank
         assert support_check(sheaf).ok, name

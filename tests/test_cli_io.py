@@ -1,17 +1,21 @@
 """CLI behavior, canonical formats, determinism, and round-trips."""
 
+import ast
 import hashlib
 import json
+import pathlib
 import re
 
 import pytest
 
+import mbsheaf
 from mbsheaf import cli, fq, orbitpoly
 from mbsheaf.cli import main
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
 from mbsheaf.io import ParseError, dumps, loads, mbs_from_json, mbs_to_json, xi_dump, xi_id
 from mbsheaf.linalg import RationalMatrix
+from mbsheaf.report import Report
 from mbsheaf.sheaf import PathDependenceError, check_mbs
 from mbsheaf.xi import enumerate_xi
 from test_fq import MisreadContext
@@ -289,6 +293,22 @@ def _cell_id(text):
     return corrupt
 
 
+def _top_level_list(doc):
+    return json.dumps([doc])
+
+
+def _dims_list(doc):
+    doc["dims"] = list(doc["dims"].values())
+
+
+def _dims_missing_cell(doc):
+    del doc["dims"][next(iter(doc["dims"]))]
+
+
+def _dprime_object(doc):
+    doc["dprime"] = {}
+
+
 def _datum(field, value):
     def corrupt(doc):
         doc["datum"][field] = value
@@ -319,6 +339,15 @@ NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
     (_datum("rank", "2"), r"\$\.datum\.rank: must be an integer"),
     (_datum("type", ["A"]), r"\$\.datum\.type: must be a string"),
     (_deeply_nested, r"\$: invalid JSON \(nested too deeply\)"),
+    (_top_level_list, r"\$: document must be an object"),
+    (lambda doc: doc.update(datum={"type": "H", "rank": 3}),
+     r"\$\.datum: unsupported Cartan type H3"),
+    (_dims_list, r"\$\.dims: must be an object"),
+    (_dims_missing_cell, r"\$\.dims: missing cells"),
+    (_dprime_object, r"\$\.dprime: must be a list"),
+    (_rational(1), r"\$\.dprime\[0\]: matrix entries must be \"num/den\" strings"),
+    (_rational("1/0"), r"\$\.dprime\[0\]: bad rational entry"),
+    (_rational("x"), r"\$\.dprime\[0\]: bad rational entry"),
 ] + [(_rational(text), r"\$\.dprime\[0\]\.matrix: .* is not canonical")
      for text in NON_CANONICAL
 ] + [(_cell_id(text), r"\$\.dprime\[0\]: cell id .* is not canonical; the cell's id is ':0\|:0'")
@@ -326,7 +355,9 @@ NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
     ids=["missing-from", "non-string-from", "missing-matrix", "entry-not-object", "bool-dim",
          "duplicate-dprime", "duplicate-dsecond", "non-covering-dprime",
          "non-covering-dsecond", "alias-dim", "float-rank", "bool-rank", "string-rank",
-         "list-type", "deeply-nested"] + [f"rational-{t!r}" for t in NON_CANONICAL]
+         "list-type", "deeply-nested", "list-document", "datum-H3", "list-dims",
+         "dims-missing-cell", "object-dprime", "int-entry", "zero-denominator",
+         "non-numeric-entry"] + [f"rational-{t!r}" for t in NON_CANONICAL]
     + [f"cell-id-{t!r}" for t in NON_CANONICAL_IDS])
 def test_cli_check_malformed_sheaf_exits_2(tmp_path, capsys, corrupt, where):
     path = tmp_path / "e1_a1.json"
@@ -404,6 +435,48 @@ def test_cli_verification_error_exits_1(monkeypatch, tmp_path, capsys, setup):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("verification failure: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["example", "e1v", "--type", "A", "--rank", "2"], "e1v needs a representation name"),
+    (["example", "eq", "3"], "eq needs n and q"),
+    (["example", "eq-binv"], "eq-binv needs n and q"),
+    (["example", "nosuch"], "unknown example 'nosuch'"),
+], ids=["e1v-no-rep", "eq-one-param", "eq-binv-no-params", "unknown-example"])
+def test_cli_example_bad_params_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "f.json"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_report_summary_failures():
+    rep = Report("mbs1", "mbs2", checked=255)
+    rep.witnesses["mbs2"].extend(["a", "b", "c"])
+    assert rep.summary() == "FAIL (mbs2: 3 failure(s); 255 checked)"
+    assert Report("mbs1", ran=False).summary() == "FAIL (not run)"
+    assert Report("mbs1").summary() == "PASS"
+
+
+def _imported_modules(node):
+    """Dotted names a statement may import; a relative import is within mbsheaf."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        mod = ".".join(filter(None, ["mbsheaf" if node.level else "", node.module]))
+        return [mod] + [f"{mod}.{a.name}" for a in node.names]
+    return []
+
+
+def test_only_cli_imports_io():
+    """The file formats stay out of ``import mbsheaf``: no module but the CLI imports io."""
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(pathlib.Path(mbsheaf.__file__).parent.glob("*.py"))
+                 if path.name != "cli.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if any(name == "mbsheaf.io" or name.startswith("mbsheaf.io.")
+                        for name in _imported_modules(node))]
+    assert offenders == []
 
 
 def test_cli_usage_error_exit_2():

@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from mbsheaf.coxeter import (
-    SUPPORTED, UnsupportedTypeError, build_coxeter, bruhat_leq,
-    enumerate_group, min_coset_reps, poincare_poly,
+    SUPPORTED, UnsupportedTypeError, build_coxeter, bruhat_leq, min_coset_reps,
+    poincare_poly,
 )
 from mbsheaf.orbitpoly import poly_value
 
@@ -36,8 +36,8 @@ def closure_count_oracle(cartan):
 
 
 def group_order_oracle(datum):
-    """Generator-closure of matrices, independent of enumerate_group internals."""
-    gens = [g.mat for g in datum.elements if g.length == 1]
+    """Generator-closure of matrices, independent of the datum's own enumeration."""
+    gens = [m for m, n in zip(datum.elements, datum.lengths) if n == 1]
     ident = tuple(tuple(1 if i == j else 0 for j in range(datum.rank))
                   for i in range(datum.rank))
     seen = {ident}
@@ -58,7 +58,7 @@ def group_order_oracle(datum):
 def subword_ideal(datum, w_idx):
     """All v <= w by the subword property: evaluate every subword of a reduced word."""
     word = datum.word_of(w_idx)
-    ident = next(i for i, g in enumerate(datum.elements) if g.length == 0)
+    ident = datum.lengths.index(0)
     ideal = set()
     for r in range(len(word) + 1):
         for positions in itertools.combinations(range(len(word)), r):
@@ -96,14 +96,14 @@ def test_unsupported_type():
 @pytest.mark.parametrize("type_label,rank", SUPPORTED)
 def test_group_enumeration(type_label, rank):
     datum = build_coxeter(type_label, rank)
-    elems = enumerate_group(datum)
-    assert len(elems) == EXPECTED_ORDER[(type_label, rank)]
-    assert len({g.mat for g in elems}) == len(elems)
-    assert elems[0].length == 0
-    assert sum(1 for g in elems if g.length == 1) == rank
+    elems, lengths = datum.elements, datum.lengths
+    assert len(elems) == len(lengths) == datum.order == EXPECTED_ORDER[(type_label, rank)]
+    assert len(set(elems)) == len(elems)
+    assert all(datum.index_of(m) == i for i, m in enumerate(elems))
+    assert lengths[0] == 0
+    assert lengths.count(1) == rank
     assert group_order_oracle(datum) == len(elems)
-    lengths = [g.length for g in elems]
-    assert lengths == sorted(lengths)
+    assert list(lengths) == sorted(lengths)
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2), ("A", 3), ("G", 2)])
@@ -123,9 +123,9 @@ def test_length_equals_word_length(type_label, rank):
                     dist[j] = dist[i] + 1
                     new.append(j)
         frontier = new
-    for i, g in enumerate(datum.elements):
-        assert g.length == dist[i]
-        assert len(datum.word_of(i)) == g.length
+    for i, n in enumerate(datum.lengths):
+        assert n == dist[i]
+        assert len(datum.word_of(i)) == n
 
 
 def test_tables_consistency():
@@ -138,8 +138,7 @@ def test_tables_consistency():
     for i in range(n):
         for j in range(n):
             k = datum.mul_idx(i, j)
-            prod_len = datum.elements[k].length
-            assert abs(datum.elements[i].length - datum.elements[j].length) <= prod_len
+            assert abs(datum.lengths[i] - datum.lengths[j]) <= datum.lengths[k]
 
 
 # -- Bruhat order -------------------------------------------------------------
@@ -156,14 +155,13 @@ def test_bruhat_vs_subword_oracle(type_label, rank):
 
 def test_bruhat_extremes():
     datum = build_coxeter("A", 2)
-    e = datum.elements[0]
-    w0 = max(datum.elements, key=lambda g: g.length)
-    for w in datum.elements:
-        assert bruhat_leq(datum, e, w)
+    w0 = max(range(datum.order), key=lambda i: datum.lengths[i])
+    for w in range(datum.order):
+        assert bruhat_leq(datum, 0, w)
         assert bruhat_leq(datum, w0, w) == (w == w0)
-    s1, s2 = (g for g in datum.elements if g.length == 1)
-    s1s2 = datum.elements[datum.mul_idx(datum.index_of(s1), datum.index_of(s2))]
-    s2s1s2 = datum.elements[datum.mul_idx(datum.index_of(s2), datum.index_of(s1s2))]
+    s1, s2 = (i for i, n in enumerate(datum.lengths) if n == 1)
+    s1s2 = datum.mul_idx(s1, s2)
+    s2s1s2 = datum.mul_idx(s2, s1s2)
     assert bruhat_leq(datum, s1, s1s2)
     assert not bruhat_leq(datum, s2s1s2, s1s2)
 
@@ -177,8 +175,7 @@ def test_min_coset_reps_partition(type_label, rank):
     for r in range(rank + 1):
         for members in itertools.combinations(range(rank), r):
             reps = min_coset_reps(datum, members)
-            sub = [i for i, g in enumerate(datum.elements)
-                   if all(not datum.has_left_descent(i, s) or True for s in [])]
+            assert list(reps) == sorted(set(reps))
             # W_I as closure of its generators
             wi = {0}
             frontier = [0]
@@ -193,13 +190,13 @@ def test_min_coset_reps_partition(type_label, rank):
                 frontier = new
             covered = set()
             for g in reps:
-                gi = datum.index_of(g)
-                coset = {datum.mul_idx(gi, h) for h in wi}
+                coset = {datum.mul_idx(g, h) for h in wi}
+                assert all(datum.lengths[g] <= datum.lengths[k] for k in coset)
                 assert not (coset & covered)
                 covered |= coset
             assert covered == set(range(datum.order))
             assert len(reps) * len(wi) == datum.order
-    assert [g.length for g in min_coset_reps(datum, full)] == [0]
+    assert min_coset_reps(datum, full) == (0,)
     assert len(min_coset_reps(datum, ())) == datum.order
 
 
@@ -211,7 +208,7 @@ def test_poincare_examples():
     assert poincare_poly(a2, ()) == (1, 2, 2, 1)
     assert poincare_poly(a2, (0, 1)) == (1,)
     a2_reps = min_coset_reps(a2, (0,))
-    assert sorted(g.length for g in a2_reps) == [0, 1, 2]
+    assert sorted(a2.lengths[i] for i in a2_reps) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("type_label,rank", SUPPORTED)

@@ -35,8 +35,8 @@ def test_sign_and_trivial():
     for s in range(datum.rank):
         assert sign.gen_mats[s].rows == ((-1,),)
         assert triv.gen_mats[s].rows == ((1,),)
-    w0 = max(range(datum.order), key=lambda i: datum.elements[i].length)
-    assert sign.trace(w0) == (-1) ** datum.elements[w0].length
+    w0 = max(range(datum.order), key=lambda i: datum.lengths[i])
+    assert sign.trace(w0) == (-1) ** datum.lengths[w0]
 
 
 def test_reflection_character_a2():

@@ -107,7 +107,7 @@ def test_delta_and_distance_a1():
 def test_delta_and_distance_a2():
     datum = build_coxeter("A", 2)
     cx = FaceComplex(datum)
-    w0 = max(range(datum.order), key=lambda i: datum.elements[i].length)
+    w0 = max(range(datum.order), key=lambda i: datum.lengths[i])
     top = cx.face((), 0)
     opposite = cx.face((), w0)
     assert cx.delta_faces(top, opposite) == 3
