@@ -3,7 +3,17 @@
 The Weyl group is held as index tables built once per datum.  Element i is
 the integer matrix elements[i], acting on the root lattice in the basis of
 simple roots; every group operation takes and returns such indices, never
-matrices.  All enumeration orders are deterministic: positive roots in graded
+matrices, and reads one of these tables (N = |W|, r = rank, P = |Phi+|):
+
+- ``tables["right"]`` and ``tables["left"]``: the products w s and s w,
+  N x r and r x N;
+- ``tables["root_act"]``: the signed image of each positive root, N x P;
+- ``tables["mul"]``: the product table, N x N, with ``tables["inv"]`` (N)
+  read off it;
+- ``coset_minima(I)``: the minimal representative of each coset w W_I, N
+  per type I, built on first use.
+
+All enumeration orders are deterministic: positive roots in graded
 lexicographic order, group elements by (length, matrix entries).
 """
 
@@ -72,8 +82,9 @@ class CoxeterDatum:
     """Root datum plus the Weyl group as index tables, built once on construction.
 
     Element i is the matrix elements[i], of length lengths[i]; every other
-    group operation takes and returns such indices.  Immutable by convention,
-    so instances are safe to share across threads.
+    group operation takes and returns such indices.  Immutable by convention
+    (the coset minima are filled in on first use, each the same whoever
+    builds it), so instances are safe to share across threads.
     """
 
     def __init__(self, type_label, rank, cartan, positive_roots):
@@ -86,48 +97,43 @@ class CoxeterDatum:
         self.root_index = {v: i for i, v in enumerate(positive_roots)}
         self.simple_positions = tuple(self.root_index[s] for s in self.simple_roots)
         gens = _simple_reflections(cartan)
-        seen = {self.simple_roots}      # the identity matrix
-        frontier = list(seen)
+        products = {}                   # matrix -> its products with each generator
+        frontier = [self.simple_roots]  # the identity matrix
         while frontier:
-            frontier = [mg for mg in {_mat_mul(m, g) for m in frontier for g in gens}
-                        if mg not in seen]
-            seen.update(frontier)
+            for m in frontier:
+                products[m] = tuple(_mat_mul(m, g) for g in gens)
+            frontier = list({mg for m in frontier for mg in products[m] if mg not in products})
         # w . alpha_a = sign * alpha_b, encoded as sign*(b+1)
         act = {}
-        for m in seen:
+        for m in products:
             row = []
             for a in positive_roots:
                 img = _mat_apply(m, a)
                 s = _root_sign(img)
                 row.append(s * (self.root_index[img if s > 0 else tuple(-x for x in img)] + 1))
             act[m] = tuple(row)
-        length = {m: sum(1 for v in act[m] if v < 0) for m in seen}
-        self.elements = tuple(sorted(seen, key=lambda m: (length[m], m)))
+        length = {m: sum(1 for v in act[m] if v < 0) for m in products}
+        self.elements = tuple(sorted(products, key=lambda m: (length[m], m)))
         self.lengths = tuple(length[m] for m in self.elements)
         self.order = len(self.elements)
         index = {m: i for i, m in enumerate(self.elements)}
-        right = [tuple(index[_mat_mul(m, g)] for g in gens) for m in self.elements]
-        self.tables = {
-            "index": index, "right": right,
-            "left": [tuple(index[_mat_mul(g, m)] for m in self.elements) for g in gens],
-            "root_act": [act[m] for m in self.elements],
-        }
-        inv = [0] * self.order
-        for i in range(self.order):
-            # i = s1 ... sk reduced, so i^-1 = sk ... s1
-            for s in reversed(self.word_of(i)):
-                inv[i] = right[inv[i]][s]
-        self.tables["inv"] = tuple(inv)
-
-    def index_of(self, mat):
-        return self.tables["index"][mat]
+        right = [tuple(index[p] for p in products[m]) for m in self.elements]
+        self.tables = {"right": right, "root_act": [act[m] for m in self.elements]}
+        # column j of the product table is column j s pushed through right[.][s],
+        # for a right descent s of j; columns are filled in length order
+        cols = [tuple(range(self.order))]
+        for j in range(1, self.order):
+            s = next(k for k in range(rank) if self.has_right_descent(j, k))
+            cols.append(tuple([right[x][s] for x in cols[right[j][s]]]))
+        mul = tuple(zip(*cols))
+        self.tables["mul"] = mul
+        self.tables["left"] = [mul[g] for g in right[0]]     # s w = mul[s][w]
+        self.tables["inv"] = tuple(row.index(0) for row in mul)
+        self._coset_minima = {}
 
     def mul_idx(self, i, j):
-        """Index of elements[i] * elements[j] (via the reduced word of j)."""
-        right = self.tables["right"]
-        for s in self.word_of(j):
-            i = right[i][s]
-        return i
+        """Index of elements[i] * elements[j]."""
+        return self.tables["mul"][i][j]
 
     def inv_idx(self, i):
         return self.tables["inv"][i]
@@ -148,21 +154,23 @@ class CoxeterDatum:
     def has_left_descent(self, i, s):
         return self.tables["root_act"][self.inv_idx(i)][self.simple_positions[s]] < 0
 
-    def root_action(self, i, a):
-        """Signed index: elements[i] . alpha_a = sign * alpha_b, returned as (sign, b)."""
-        v = self.tables["root_act"][i][a]
-        return (1, v - 1) if v > 0 else (-1, -v - 1)
+    def coset_minima(self, members):
+        """Per element i, the index of the minimal-length element of
+        elements[i] * W_I, for I the sorted tuple ``members``; built once per I.
 
-    def min_in_coset(self, i, members):
-        """Index of the minimal-length element of elements[i] * W_I."""
-        moved = True
-        while moved:
-            moved = False
-            for s in members:
-                if self.has_right_descent(i, s):
-                    i = self.tables["right"][i][s]
-                    moved = True
-        return i
+        In length order, an element with no right descent in I is its own
+        coset's minimum, and any other shares it with i s, one shorter, for a
+        right descent s in I.
+        """
+        got = self._coset_minima.get(members)
+        if got is None:
+            right = self.tables["right"]
+            got = []
+            for i in range(self.order):
+                s = next((s for s in members if self.has_right_descent(i, s)), None)
+                got.append(i if s is None else got[right[i][s]])
+            got = self._coset_minima[members] = tuple(got)
+        return got
 
     def conjugacy_classes(self):
         """Partition of element indices into conjugacy classes, deterministic order."""
@@ -228,8 +236,8 @@ def bruhat_leq(datum, i, j):
 
 def min_coset_reps(datum, members):
     """Indices of the minimal-length representatives of the cosets W / W_I, ascending."""
-    return tuple(i for i in range(datum.order)
-                 if not any(datum.has_right_descent(i, s) for s in members))
+    return tuple(i for i, m in enumerate(datum.coset_minima(tuple(sorted(members))))
+                 if m == i)
 
 
 def poincare_poly(datum, members):

@@ -42,7 +42,9 @@ def _orbit_functions(poset, dim):
     maps = ({}, {})
     move = (RationalMatrix.pushforward, RationalMatrix.pullback)    # by side
     for side, m, n in poset.coverings():
-        f = [y * dim + a for y in poset.pi_map(m, n) for a in range(dim)]
+        f = poset.pi_map(m, n)
+        if dim != 1:
+            f = [y * dim + a for y in f for a in range(dim)]
         maps[side][(m, n)] = move[side](f, dims[n])
     return dims, *maps
 

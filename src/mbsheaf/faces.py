@@ -11,6 +11,14 @@ The zero set w(Phi_I) & Phi+ is span-closed, because Phi & span Phi_I = Phi_I
 two zero sets (a root in the span of A & B lies in A and in B).  So a face of
 type I spans a flat of dimension rank - |I|, and faces span the same flat iff
 their zero sets are equal: no linear algebra is needed.
+
+Every lookup reads a table built once per complex (N = |W|, F = |faces|):
+
+- ``face_of_coset[I]``: the face of each coset w W_I, N per type I;
+- ``action``: the face index of w . f, N x F, read as face_of_coset[I][w u]
+  off the datum's product table for f = u W_I;
+- ``coarsen_table(J)``: each face's projection into W/W_J, F per type J,
+  built on first use.
 """
 
 from __future__ import annotations
@@ -60,31 +68,34 @@ class FaceComplex:
         rank = datum.rank
         self.subsets = subsets_sorted(rank)
         self.faces = []
-        self.face_index = {}      # (I, rep_idx) -> face position
         self.by_sign = {}
+        self.face_of_coset = {}   # I -> face position of each coset w W_I, by w
         supports = [frozenset(i for i, x in enumerate(v) if x)
                     for v in datum.positive_roots]
+        root_act, inv = datum.tables["root_act"], datum.tables["inv"]
         for I in self.subsets:
-            iset = set(I)
+            # a root's image under w^-1 has its support in I: a zero of w(C_I)
+            in_phi_I = [supports[b] <= set(I) for b in range(len(supports))]
+            minima = datum.coset_minima(I)
+            face_at = {}
             for rep_idx in min_coset_reps(datum, I):
-                winv = datum.inv_idx(rep_idx)
-                signs = []
-                for a in range(len(datum.positive_roots)):
-                    s, b = datum.root_action(winv, a)
-                    signs.append(0 if supports[b] <= iset else s)
-                face = Face(I, rep_idx, tuple(signs), len(self.faces))
+                signs = tuple(0 if in_phi_I[abs(v) - 1] else (1 if v > 0 else -1)
+                              for v in root_act[inv[rep_idx]])
+                face = Face(I, rep_idx, signs, len(self.faces))
                 self.faces.append(face)
-                self.face_index[(I, rep_idx)] = face.index
-                self.by_sign[face.sign_vector] = face.index
-        self._action = None
+                face_at[rep_idx] = face.index
+                self.by_sign[signs] = face.index
+            self.face_of_coset[I] = tuple(face_at[m] for m in minima)
+        mul = datum.tables["mul"]
+        ends = [(self.face_of_coset[f.type_I], f.rep_idx) for f in self.faces]
+        self.action = tuple(tuple(coset[row[u]] for coset, u in ends) for row in mul)
         self._coarsen = {}
 
     # -- lookups -------------------------------------------------------------
 
     def face(self, type_I, rep_idx):
         """Face of the coset elements[rep_idx] W_I, for any representative."""
-        I = tuple(sorted(type_I))
-        return self.faces[self.face_index[(I, self.datum.min_in_coset(rep_idx, I))]]
+        return self.faces[self.face_of_coset[tuple(sorted(type_I))][rep_idx]]
 
     def zero_face(self):
         """The origin: the unique face of type S."""
@@ -94,32 +105,21 @@ class FaceComplex:
         """K_I: the face e W_I of the closed dominant chamber."""
         return self.face(type_I, 0)
 
-    @property
-    def action(self):
-        """action[w][f] = index of w . face_f."""
-        if self._action is None:
-            d = self.datum
-            tab = []
-            for w in range(d.order):
-                row = []
-                for f in self.faces:
-                    i = d.min_in_coset(d.mul_idx(w, f.rep_idx), f.type_I)
-                    row.append(self.face_index[(f.type_I, i)])
-                tab.append(tuple(row))
-            self._action = tuple(tab)
-        return self._action
+    def coarsen_table(self, type_J):
+        """Per face, its coset's projection into W/W_J, or None where the
+        face's type is not contained in J; built once per J."""
+        got = self._coarsen.get(type_J)
+        if got is None:
+            coset, J = self.face_of_coset[type_J], set(type_J)
+            got = self._coarsen[type_J] = tuple(
+                coset[f.rep_idx] if J.issuperset(f.type_I) else None for f in self.faces)
+        return got
 
     def coarsen(self, face_idx, type_J):
         """Project the face's coset into W/W_J for J containing its type."""
-        key = (face_idx, type_J)
-        got = self._coarsen.get(key)
+        got = self.coarsen_table(type_J)[face_idx]
         if got is None:
-            f = self.faces[face_idx]
-            if not set(f.type_I) <= set(type_J):
-                raise ValueError("coarsen target must contain the face type")
-            rep = self.datum.min_in_coset(f.rep_idx, type_J)
-            got = self.face_index[(type_J, rep)]
-            self._coarsen[key] = got
+            raise ValueError("coarsen target must contain the face type")
         return got
 
     # -- geometry --------------------------------------------------------------

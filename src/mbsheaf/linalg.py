@@ -186,8 +186,15 @@ class RationalMatrix:
     @classmethod
     def pushforward(cls, f, n):
         """Pushforward of functions along x -> f[x], summing over each fibre:
-        the transpose of ``pullback(f, n)``."""
-        return cls.pullback(f, n).transpose()
+        the n x len(f) matrix whose row y holds a 1 at each x of the fibre
+        over y, the transpose of ``pullback(f, n)``.  Raises ValueError on a
+        value outside range(n)."""
+        if f and not 0 <= min(f) <= max(f) < n:
+            raise ValueError(f"map value out of range for {n} points")
+        rows = [[] for _ in range(n)]
+        for y, (one,) in zip(f, cls.identity(len(f)).sparse_rows):
+            rows[y].append(one)     # the entry (x, 1), shared with the identity
+        return _make(tuple(map(tuple, rows)), n, len(f))
 
     # -- basic structure ---------------------------------------------------
 

