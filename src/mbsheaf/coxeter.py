@@ -131,10 +131,6 @@ class CoxeterDatum:
         self.tables["inv"] = tuple(row.index(0) for row in mul)
         self._coset_minima = {}
 
-    def mul_idx(self, i, j):
-        """Index of elements[i] * elements[j]."""
-        return self.tables["mul"][i][j]
-
     def inv_idx(self, i):
         return self.tables["inv"][i]
 

@@ -115,13 +115,6 @@ class FaceComplex:
                 coset[f.rep_idx] if J.issuperset(f.type_I) else None for f in self.faces)
         return got
 
-    def coarsen(self, face_idx, type_J):
-        """Project the face's coset into W/W_J for J containing its type."""
-        got = self.coarsen_table(type_J)[face_idx]
-        if got is None:
-            raise ValueError("coarsen target must contain the face type")
-        return got
-
     # -- geometry --------------------------------------------------------------
 
     def tits_product(self, c, d):

@@ -211,12 +211,8 @@ def _root_pairs(datum):
 
 def face_to_osp(cx, face):
     """Ordered set partition of {0..n-1} read off a type A face's sign vector."""
-    datum = cx.datum
-    n = datum.rank + 1
-    pairs = _root_pairs(datum)
-    sign = {}
-    for idx, (a, b) in enumerate(pairs):
-        sign[(a, b)] = face.sign_vector[idx]
+    n = cx.datum.rank + 1
+    sign = dict(zip(_root_pairs(cx.datum), face.sign_vector))
 
     def cmp(a, b):
         if a == b:
@@ -236,20 +232,9 @@ def face_to_osp(cx, face):
 
 def osp_to_face(cx, blocks):
     """Face of the type A braid arrangement with the given ordered set partition."""
-    datum = cx.datum
-    pos = {}
-    for k, block in enumerate(blocks):
-        for x in block:
-            pos[x] = k
-    signs = []
-    for a, b in _root_pairs(datum):
-        if pos[a] < pos[b]:
-            signs.append(1)
-        elif pos[a] > pos[b]:
-            signs.append(-1)
-        else:
-            signs.append(0)
-    return cx.faces[cx.by_sign[tuple(signs)]]
+    pos = {x: k for k, block in enumerate(blocks) for x in block}
+    signs = tuple((pos[a] < pos[b]) - (pos[a] > pos[b]) for a, b in _root_pairs(cx.datum))
+    return cx.faces[cx.by_sign[signs]]
 
 
 def xi_to_contingency(poset, m):

@@ -110,9 +110,20 @@ def check_mbs(E):
     n, message), MBS1 (order, m, n) with path-dependent composites, MBS2 (m', n', n)
     failing the supremum sum, MBS3 (order, m, n) anodyne covering not invertible.
 
-    MBS1 compares the distinct chain products, memoised per interval (``_compose``);
-    MBS2 takes suprema as intersections of up-sets built once (``XiPoset.sup``);
-    MBS3 passes a monomial covering matrix without elimination (``is_invertible``).
+    A passing sheaf is read off the covering tables and maps alone: MBS1 on
+    the squares, MBS2 on the covering configurations; MBS3 passes a monomial
+    matrix without elimination (``is_invertible``).  A failure of MBS1 or MBS2
+    reruns the full loop (``_compose``, ``XiPoset.sup``) to list the witnesses.
+
+    MBS1 on squares.  On a side, [m, n] is the Boolean lattice of the cells
+    phi(m, side, K), I(m) <= K <= I(n): its maximal chains are the k! orders
+    of adding the generators of I(n) - I(m).  Two orders that differ by one
+    adjacent swap s, t share a prefix ending at p and a suffix starting at
+    q = phi_t phi_s p = phi_s phi_t p, and differ only on the square between
+    them; adjacent swaps link all k! orders.  So if d(a, q) d(p, a) =
+    d(b, q) d(p, b) on every square, a = phi_s p, b = phi_t p (the other way
+    round on dsecond, which runs up), every interval has one chain product;
+    a square that does not commute is itself a path-dependent interval.
 
     MBS2, the paper's mixed-supremum axiom, asks for every configuration
     m' >=' n' <='' n that
@@ -124,6 +135,8 @@ def check_mbs(E):
     l = |J(n')| - |J(n)|.  Given MBS1, the covering configurations (k = l = 1)
     imply all the others, so the loop runs over those alone; on a failure
     the loop over every configuration lists the witnesses, in its order.
+    There every m in sup(m', n) has I_m = I(m') and J_m = J(n), so both its
+    legs have length 1: sup(m', n) = up_covers[PRIME][n] & up_covers[SECOND][m'].
 
     Identity legs hold for any data.  Where m' = n', every m in sup(n', n)
     has I_m = I(n') = I(n) (both lie over n' on SECOND) and m >=' n, so
@@ -164,33 +177,32 @@ def check_mbs(E):
     if shape:
         return rep
 
-    # MBS1: path independence of composites, both orders; the entry points
-    # are looked up per call, so rebinding compose_prime/compose_second works
-    # (a covering has one chain, so targets 1 step below are skipped)
-    compose = (compose_prime, compose_second)
-    for m, e in enumerate(poset.elements):
-        for side in (PRIME, SECOND):
-            size = len(e.typeIJ[side]) + 2
-            for n in poset.downs(side)[m]:
-                if len(poset.elements[n].typeIJ[side]) < size:
-                    continue
-                try:
-                    compose[side](E, m, n)
-                except PathDependenceError as exc:
-                    mbs1.append(exc.args[0])
+    # MBS1 on the squares; on a failure, path independence of the composite
+    # of every interval, both orders: downs lists m, then the cells covering
+    # m, which have one chain each, then those 2 or more steps below
+    if not all(_squares_commute(E, side) for side in (PRIME, SECOND)):
+        compose = (compose_prime, compose_second)
+        for m in range(len(poset.elements)):
+            for side in (PRIME, SECOND):
+                for n in poset.downs(side)[m][1 + len(poset.cov[side][m]):]:
+                    try:
+                        compose[side](E, m, n)
+                    except PathDependenceError as exc:
+                        mbs1.append(exc.args[0])
     if mbs1:
         return rep
 
-    # MBS2 on the covering configurations; on a failure, on every
-    # configuration m' >=' n' <='' n with m' != n' != n, to list each witness
-    ups = [poset.ups(side) for side in (PRIME, SECOND)]
-    sizes = [[len(e.typeIJ[side]) for e in poset.elements] for side in (PRIME, SECOND)]
-    covers = [[[m for m in up if sizes[side][m] == sizes[side][n] - 1]
-               for n, up in enumerate(ups[side])] for side in (PRIME, SECOND)]
-    if next(_mbs2_failures(E, *covers), None):
-        strict = [[[m for m in up if m != n] for n, up in enumerate(ups[side])]
-                  for side in (PRIME, SECOND)]
-        mbs2.extend(_mbs2_failures(E, *strict))
+    # MBS2 on the covering configurations, straight off the covering maps;
+    # on a failure, on every configuration m' >=' n' <='' n with m' != n' != n,
+    # through the composites, to list each witness
+    if next(_mbs2_failures(_covering_configurations(poset), E.dprime.__getitem__,
+                           E.dsecond.__getitem__), None):
+        ups = poset.ups(PRIME), poset.ups(SECOND)
+        configs = ((mp, np_, n, poset.sup(mp, n)) for np_ in range(len(poset.elements))
+                   for mp in ups[PRIME][np_] if mp != np_
+                   for n in ups[SECOND][np_] if n != np_)
+        mbs2.extend(_mbs2_failures(configs, lambda k: compose_prime(E, *k),
+                                   lambda k: compose_second(E, *k)))
 
     # MBS3: anodyne coverings must be invertible
     for side, m, n in poset.coverings():
@@ -201,21 +213,42 @@ def check_mbs(E):
     return rep
 
 
-def _mbs2_failures(E, pups, sups):
-    """Each (m', n', n) with m' in pups[n'] and n in sups[n'] failing MBS2.
+def _squares_commute(E, side):
+    """Whether every square of `side` commutes: the two chains from a cell m
+    through a = phi_s m and b = phi_t m, s < t, to n = phi_t a = phi_s b."""
+    cov, d = E.poset.cov[side], E.maps(side)
+    step = [dict(below) for below in cov]
+    for m, below in enumerate(cov):
+        for i, (_s, a) in enumerate(below):
+            for t, b in below[i + 1:]:
+                n = step[a][t]
+                if side == PRIME:
+                    if d[(a, n)] @ d[(m, a)] != d[(b, n)] @ d[(m, b)]:
+                        return False
+                elif d[(m, a)] @ d[(a, n)] != d[(m, b)] @ d[(b, n)]:
+                    return False
+    return True
 
-    Configurations come by n', then m', then n; each supremum sum starts at
-    its first term.
-    """
-    for np_, (mps, ns) in enumerate(zip(pups, sups)):
+
+def _covering_configurations(poset):
+    """Each (m', n', n, sup(m', n)) with m' covering n' in >=' and n covering
+    n' in >='': by n', then m', then n, the supremum ascending."""
+    ups_p, ups_s = poset.up_covers
+    for np_, (mps, ns) in enumerate(zip(ups_p, ups_s)):
         for mp in mps:
-            d_prime = compose_prime(E, mp, np_)
             for n in ns:
-                lhs = compose_second(E, n, np_) @ d_prime
-                terms = [compose_prime(E, m, n) @ compose_second(E, m, mp)
-                         for m in E.poset.sup(mp, n)]
-                if sum(terms[1:], terms[0]) != lhs if terms else not lhs.is_zero():
-                    yield mp, np_, n
+                yield mp, np_, n, [m for m in ups_p[n] if m in ups_s[mp]]
+
+
+def _mbs2_failures(configs, prime, second):
+    """Each (m', n', n) of the configurations (m', n', n, sup(m', n)) failing
+    MBS2, with C'(x, y) = prime((x, y)) and C''(x, y) = second((x, y)); each
+    supremum sum starts at its first term."""
+    for mp, np_, n, sup in configs:
+        lhs = second((n, np_)) @ prime((mp, np_))
+        terms = [prime((m, n)) @ second((m, mp)) for m in sup]
+        if sum(terms[1:], terms[0]) != lhs if terms else not lhs.is_zero():
+            yield mp, np_, n
 
 
 def dual(E):
@@ -237,24 +270,13 @@ class BicubeData:
         self.u = u              # (I, J) -> matrix Q_J -> Q_I
 
     def transitive(self):
-        subsets = list(self.spaces)
-        for I in subsets:
-            if self.v[(I, I)] != RationalMatrix.identity(self.spaces[I]):
-                return False
-            if self.u[(I, I)] != RationalMatrix.identity(self.spaces[I]):
-                return False
-        for I in subsets:
-            for J in subsets:
-                if not set(I) <= set(J):
-                    continue
-                for K in subsets:
-                    if not set(J) <= set(K):
-                        continue
-                    if self.v[(I, K)] != self.v[(J, K)] @ self.v[(I, J)]:
-                        return False
-                    if self.u[(I, K)] != self.u[(I, J)] @ self.u[(J, K)]:
-                        return False
-        return True
+        """v and u are identities at I = J and compose along every I <= J <= K."""
+        v, u, subsets = self.v, self.u, list(self.spaces)
+        return (all(v[(I, I)] == u[(I, I)] == RationalMatrix.identity(d)
+                    for I, d in self.spaces.items())
+                and all(v[(I, K)] == v[(J, K)] @ v[(I, J)] and u[(I, K)] == u[(I, J)] @ u[(J, K)]
+                        for I in subsets for J in subsets if set(I) <= set(J)
+                        for K in subsets if set(J) <= set(K)))
 
 
 def bicube(E):

@@ -15,9 +15,10 @@ contravariant along SECOND: for a covering m > n, its PRIME map runs
 E(m) -> E(n) and its SECOND map runs E(n) -> E(m) (see ``arrow``).
 
 Each order is tabulated once per poset: ``cov[side]`` lists the coverings
-of every cell, ``downs(side)`` every cell below it and ``ups(side)`` every
-cell above it.  The relation listings, the axiom checks and the Cousin
-stalks walk these tables instead of contracting over all type subsets.
+of every cell, ``up_covers[side]`` every cell covering it, ``downs(side)``
+every cell below it and ``ups(side)`` every cell above it.  The relation
+listings, the axiom checks and the Cousin stalks walk these tables instead
+of contracting over all type subsets.
 Contractions, the joint order and the point projections (``pi_map``) read
 the face complex's coarsening tables.
 
@@ -139,12 +140,15 @@ class XiPoset:
             e.flat = self.flat_of_type(e.hor)
         # covering relations: one-generator contractions in each coordinate
         self.cov = ([], [])       # per side, per element: tuple of (s, target index)
-        for e in self.elements:
+        self.up_covers = ([[] for _ in self.elements], [[] for _ in self.elements])
+        for e in self.elements:   # up_covers[side][n]: every m covering n, ascending
             for side in (PRIME, SECOND):
                 K = e.typeIJ[side]
                 self.cov[side].append(tuple(
                     (s, self.phi(e.index, side, tuple(sorted(K + (s,)))))
                     for s in range(rank) if s not in K))
+                for _s, n in self.cov[side][-1]:
+                    self.up_covers[side][n].append(e.index)
 
     def flat_of_type(self, K):
         """The W-orbit of flats spanned by the faces of type K."""
@@ -198,9 +202,9 @@ class XiPoset:
         got = self._downs.get(side)
         if got is None:
             subsets = subsets_sorted(self.datum.rank)
+            supersets = {I: [K for K in subsets if set(I) <= set(K)] for I in subsets}
             got = self._downs[side] = tuple(
-                tuple(self.phi(m, side, K) for K in subsets
-                      if set(e.typeIJ[side]) <= set(K))
+                tuple(self.phi(m, side, K) for K in supersets[e.typeIJ[side]])
                 for m, e in enumerate(self.elements))
         return got
 

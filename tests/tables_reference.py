@@ -4,7 +4,8 @@
 minima ``coset_minima(I)``; ``FaceComplex`` holds ``face_of_coset``,
 ``action`` and ``coarsen_table(J)``; ``XiPoset.pi_map`` reads two coarsening
 tables per call, and ``RationalMatrix.pushforward`` is built from the
-fibres.  The functions here are the routines they replaced: a product by
+fibres.  ``mul_idx`` and ``coarsen`` read those tables one entry at a
+time.  The other functions here are the routines they replaced: a product by
 walking the reduced word of the right factor, a coset minimum by stepping
 down right descents, the W-action and coarsening through those two, a
 point projection coarsening every point, the joint order by two
@@ -16,6 +17,20 @@ from __future__ import annotations
 
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.xi import PRIME, SECOND
+
+
+def mul_idx(datum, i, j):
+    """Index of elements[i] * elements[j], read off the product table."""
+    return datum.tables["mul"][i][j]
+
+
+def coarsen(cx, face_idx, type_J):
+    """The face's coset projected into W/W_J, read off the coarsening table;
+    a ValueError where J does not contain the face's type."""
+    got = cx.coarsen_table(type_J)[face_idx]
+    if got is None:
+        raise ValueError("coarsen target must contain the face type")
+    return got
 
 
 def word_walk_mul(datum, i, j):

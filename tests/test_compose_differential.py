@@ -5,12 +5,15 @@ covering chains of an interval by recursing on the first step, memoised per
 interval; the definition multiplies out all k! chains, which
 ``_all_chain_products`` below lists.  Both must give the same products on
 every interval of perturbed sheaves.  On every built-in sheaf each composite
-must equal every chain product, and on perturbed sheaves ``check_mbs`` must
-name the same MBS1 witnesses as a check that enumerates every chain,
+must equal every chain product.  ``check_mbs`` checks MBS1 on the squares
+and, when one does not commute, on every interval; on perturbed sheaves it
+must name the same MBS1 witnesses as a check that enumerates every chain,
 including when a 2-step sub-interval of a 3-step interval is path-dependent.
 
 ``check_mbs`` checks MBS2 on the covering configurations (m' covers n' in
->=' and n covers n' in >='') and, on a failure, lists the witnesses over
+>=' and n covers n' in >=''), reading the maps and suprema off the covering
+tables, so a passing sheaf costs no composite, up-set or supremum; on a
+failure it lists the witnesses over
 every configuration with m' != n' and n != n'; each supremum sum starts at
 its first term.  ``full_mbs2`` is the definition's loop: every
 configuration, every sum seeded with a zero matrix, suprema by the
@@ -30,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbsheaf import sheaf
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
 from mbsheaf.faces import subsets_sorted
@@ -245,11 +249,23 @@ def test_chain_products_match_chain_enumeration(label, rank):
     assert failing
 
 
-@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
 def test_mbs1_witnesses_match_chain_enumeration(label, rank):
+    """check_mbs finds a square whose chains differ, then lists every
+    path-dependent interval: 2-step ones, and at rank 3 also 3-step ones."""
     E = e1(label, rank)
+    failing = set()
     for bad in perturbed(E, seed=rank * 100 + ord(label)):
-        assert check_mbs(bad).witnesses["MBS1"] == chain_mbs1(bad)
+        witnesses = check_mbs(bad).witnesses["MBS1"]
+        assert witnesses == chain_mbs1(bad)
+        failing.update(length(bad.poset, *w) for w in witnesses)
+    assert failing >= ({2, 3} if rank == 3 else {2})
+
+
+def length(poset, side, m, n):
+    """The number of generators added from m down to n on the named side."""
+    side = SIDE_NAMES.index(side)
+    return len(poset.elements[n].typeIJ[side]) - len(poset.elements[m].typeIJ[side])
 
 
 def full_mbs2(E):
@@ -275,6 +291,21 @@ def full_mbs2(E):
 def test_mbs2_witnesses_match_full_loop_on_built_ins(name):
     E = BUILT_IN[name]()
     assert check_mbs(E).witnesses["MBS2"] == full_mbs2(E) == []
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN))
+def test_a_passing_sheaf_is_read_off_its_coverings(name, monkeypatch):
+    """On a passing sheaf check_mbs multiplies out no chain and builds no
+    up-set, down-set or supremum: it reads cov, up_covers and the maps."""
+    E = BUILT_IN[name]()
+
+    def unused(*args):
+        raise AssertionError(args)
+
+    monkeypatch.setattr(sheaf, "_compose", unused)
+    for attr in ("downs", "ups", "sup"):
+        monkeypatch.setattr(E.poset, attr, unused)
+    assert check_mbs(E).ok
 
 
 def gauged(E, cell):
@@ -334,7 +365,8 @@ def test_mbs2_witnesses_match_full_loop_on_constant_sheaves(label, rank):
 
 
 def test_empty_supremum_asks_for_a_zero_lhs(monkeypatch):
-    """With sup(m', n) made empty at one covering configuration, E_1(A2)
+    """With sup(m', n) made empty at one covering configuration, both where
+    check_mbs reads it off the covering tables and in XiPoset.sup, E_1(A2)
     fails MBS2 there and only there, and the zero sheaf still passes."""
     E = e1("A", 2)
     xi = E.poset
@@ -342,8 +374,10 @@ def test_empty_supremum_asks_for_a_zero_lhs(monkeypatch):
                        for mp in xi.ups(PRIME)[np_] for n in xi.ups(SECOND)[np_]
                        if is_covering(xi, mp, np_, n))
     assert not (compose_second(E, n, np_) @ compose_prime(E, mp, np_)).is_zero()
-    sup = xi.sup
+    sup, configs = xi.sup, sheaf._covering_configurations
     monkeypatch.setattr(xi, "sup", lambda a, b: [] if (a, b) == (mp, n) else sup(a, b))
+    monkeypatch.setattr(sheaf, "_covering_configurations", lambda poset: (
+        (a, b, c, [] if (a, c) == (mp, n) else s) for a, b, c, s in configs(poset)))
     assert check_mbs(E).witnesses["MBS2"] == [(mp, np_, n)]
     assert check_mbs(constant_sheaf(xi, 0)).ok
 

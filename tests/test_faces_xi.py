@@ -13,7 +13,9 @@ from dense_reference import RationalMatrix as Dense
 from dense_reference import Span
 from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.faces import FaceComplex
+from mbsheaf.sheaf import _covering_configurations
 from mbsheaf.xi import PRIME, SECOND, OrderError, XiPoset, enumerate_xi
+from tables_reference import coarsen
 from xi_reference import (
     block_scan_sup, blocks, bruhat_block_leq, factor_through, span_closure_flats,
     subset_scan_comparable_pairs, subset_scan_ups,
@@ -435,8 +437,8 @@ def test_sup_fiber_product_and_anodyne_singleton(label, rank):
                 fp = 0
                 for (c1, d1) in emp.points:
                     for (c2, d2) in en.points:
-                        if (cx.coarsen(c1, enp.typeIJ[0]) == c2
-                                and cx.coarsen(d2, emp.typeIJ[1]) == d1):
+                        if (coarsen(cx, c1, enp.typeIJ[0]) == c2
+                                and coarsen(cx, d2, emp.typeIJ[1]) == d1):
                             fp += 1
                 assert fp == sum(xi.elements[m].orbit_size for m in sups)
                 if xi.is_anodyne(mp, np_) or xi.is_anodyne(n, np_):
@@ -504,6 +506,40 @@ def test_sup_pastes_along_either_leg(label, rank):
                     assert pasted == whole, (mp, np_, c, n)
                     inner += c not in (n, np_)
     assert inner or rank == 1
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_two_generators_close_a_square(label, rank):
+    """The squares check_mbs checks MBS1 on: for every cell m and generators
+    s < t it can add on a side, phi_t phi_s m = phi_s phi_t m is
+    phi(m, side, I + {s, t}), read off cov."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    squares = 0
+    for side in (PRIME, SECOND):
+        step = [dict(below) for below in xi.cov[side]]
+        for m, e in enumerate(xi.elements):
+            for s, t in itertools.combinations(step[m], 2):
+                n = xi.phi(m, side, tuple(sorted(e.typeIJ[side] + (s, t))))
+                assert step[step[m][s]][t] == step[step[m][t]][s] == n, (side, m, s, t)
+                squares += 1
+    assert squares or rank == 1
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_covering_supremum_matches_sup(label, rank):
+    """up_covers is the transpose of cov, and check_mbs's covering
+    configurations are those of ups with one generator added on each leg,
+    in the same order, each with sup(m', n) equal to XiPoset.sup's."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    for side in (PRIME, SECOND):
+        pairs = sorted((n, m) for m, below in enumerate(xi.cov[side]) for _s, n in below)
+        assert [(n, m) for n, up in enumerate(xi.up_covers[side]) for m in up] == pairs
+    size = [[len(e.typeIJ[side]) for e in xi.elements] for side in (PRIME, SECOND)]
+    want = [(mp, np_, n, xi.sup(mp, n)) for np_ in range(len(xi.elements))
+            for mp in xi.ups(PRIME)[np_] if size[PRIME][mp] == size[PRIME][np_] - 1
+            for n in xi.ups(SECOND)[np_] if size[SECOND][n] == size[SECOND][np_] - 1]
+    assert list(_covering_configurations(xi)) == want
+    assert any(len(w[3]) > 1 for w in want) or rank == 1
 
 
 @pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2)])

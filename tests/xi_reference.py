@@ -19,6 +19,7 @@ from mbsheaf.coxeter import bruhat_leq
 from mbsheaf.faces import subsets_sorted
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, OrderError
+from tables_reference import mul_idx
 
 
 @lru_cache(maxsize=8)
@@ -91,7 +92,7 @@ def min_double_rep(xi, m):
     I, J = e.typeIJ
     d = xi.datum
     c, f = e.pair
-    g = d.mul_idx(d.inv_idx(c.rep_idx), f.rep_idx)
+    g = mul_idx(d, d.inv_idx(c.rep_idx), f.rep_idx)
     moved = True
     while moved:
         moved = False
