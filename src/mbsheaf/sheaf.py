@@ -115,15 +115,16 @@ def check_mbs(E):
     matrix without elimination (``is_invertible``).  A failure of MBS1 or MBS2
     reruns the full loop (``_compose``, ``XiPoset.sup``) to list the witnesses.
 
-    MBS1 on squares.  On a side, [m, n] is the Boolean lattice of the cells
-    phi(m, side, K), I(m) <= K <= I(n): its maximal chains are the k! orders
-    of adding the generators of I(n) - I(m).  Two orders that differ by one
-    adjacent swap s, t share a prefix ending at p and a suffix starting at
-    q = phi_t phi_s p = phi_s phi_t p, and differ only on the square between
-    them; adjacent swaps link all k! orders.  So if d(a, q) d(p, a) =
-    d(b, q) d(p, b) on every square, a = phi_s p, b = phi_t p (the other way
-    round on dsecond, which runs up), every interval has one chain product;
-    a square that does not commute is itself a path-dependent interval.
+    MBS1 on squares.  On a side, with T(x) the type of x there, [m, n] is the
+    Boolean lattice of the cells phi(m, side, K), T(m) <= K <= T(n): its
+    maximal chains are the k! orders of adding the generators of T(n) - T(m).
+    Two orders that differ by one adjacent swap s, t share a prefix ending
+    at p and a suffix starting at q = phi_t phi_s p = phi_s phi_t p, and
+    differ only on the square between them; adjacent swaps link all k!
+    orders.  So if d(a, q) d(p, a) = d(b, q) d(p, b) on every square,
+    a = phi_s p, b = phi_t p (the other way round on dsecond, which runs
+    up), every interval has one chain product; a square that does not
+    commute is itself a path-dependent interval.
 
     MBS2, the paper's mixed-supremum axiom, asks for every configuration
     m' >=' n' <='' n that

@@ -31,6 +31,8 @@ dimension is rank - |Hor| (see ``faces`` for why zero sets are span-closed).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .faces import FaceComplex, subsets_sorted
 
 PRIME, SECOND = 0, 1
@@ -140,15 +142,12 @@ class XiPoset:
             e.flat = self.flat_of_type(e.hor)
         # covering relations: one-generator contractions in each coordinate
         self.cov = ([], [])       # per side, per element: tuple of (s, target index)
-        self.up_covers = ([[] for _ in self.elements], [[] for _ in self.elements])
-        for e in self.elements:   # up_covers[side][n]: every m covering n, ascending
+        for e in self.elements:
             for side in (PRIME, SECOND):
                 K = e.typeIJ[side]
                 self.cov[side].append(tuple(
                     (s, self.phi(e.index, side, tuple(sorted(K + (s,)))))
                     for s in range(rank) if s not in K))
-                for _s, n in self.cov[side][-1]:
-                    self.up_covers[side][n].append(e.index)
 
     def flat_of_type(self, K):
         """The W-orbit of flats spanned by the faces of type K."""
@@ -221,6 +220,15 @@ class XiPoset:
                     ups[n].append(m)
             got = self._ups[side] = tuple(map(tuple, ups))
         return got
+
+    @cached_property
+    def up_covers(self):
+        """up_covers[side][n] = every m covering n on `side`, ascending: the
+        transpose of ``cov``, built on first use and shared."""
+        ups = ([[] for _ in self.elements], [[] for _ in self.elements])
+        for side, m, n in self.coverings():
+            ups[side][n].append(m)
+        return ups
 
     def coverings(self):
         """Every covering relation as (side, m, n): by cell m, PRIME before SECOND."""
