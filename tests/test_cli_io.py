@@ -161,6 +161,27 @@ XI_DUMP_SHA256 = [
 ]
 
 
+# sha256 of `mbsheaf example ARGS -o FILE`, recorded while io.dumps was
+# json.dumps(indent=2); the streaming emitter must keep them.
+EXAMPLE_DUMP_SHA256 = [
+    (["e1", "--type", "A", "--rank", "3"],
+     "343283044afba40d8a49ceffc64da3eef5cb0b85346d85ba2b5238e455da148e"),
+    (["e1", "--type", "A", "--rank", "2", "--with-action"],
+     "00eb0fea184662c182c7ae96f0025422c634e979cbaf3e820b5123b6f3b6f54e"),
+    (["eq", "3", "2"], "2fe1ed6920ed332ca9d468a602e624373ec22e68ada00ffe1491906db942431b"),
+    (["eq-binv", "3", "2"], "82894992712865185c967c974ff4ee06b54b373dc9e7f765f8f95e1fc79e158b"),
+    (["eq", "3", "3"], "639c3719554ec876509c39624001066d38f80815369c149dbd19a242765fa63c"),
+]
+
+
+@pytest.mark.parametrize("args,digest", EXAMPLE_DUMP_SHA256,
+                         ids=[" ".join(a) for a, _d in EXAMPLE_DUMP_SHA256])
+def test_cli_example_dump_digest(tmp_path, args, digest):
+    path = tmp_path / "f.json"
+    assert main(["example", *args, "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("label,rank,digest", XI_DUMP_SHA256,
                          ids=[f"{t}{r}" for t, r, _d in XI_DUMP_SHA256])
 def test_cli_xi_dump_digest(capsys, label, rank, digest):
