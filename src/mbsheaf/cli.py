@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .coxeter import UnsupportedTypeError, build_coxeter
 from .cousin import (
@@ -17,7 +18,7 @@ from .fq import (
     FibrewiseConstancyError, ResourceError, b_invariant_sub, build_eq, hecke_generators,
     orbit_point_checks,
 )
-from .io import ParseError, check_dump, dumps, loads, mbs_from_json, mbs_to_json, poly_dump, xi_dump
+from .io import ParseError, check_dump, dump, loads, mbs_from_json, mbs_to_json, poly_dump, xi_dump
 from .linalg import RationalMatrix
 from .orbitpoly import HorVerMismatchError, orbit_poly, property_suite, validate_counts
 from .report import Report
@@ -25,12 +26,9 @@ from .sheaf import PathDependenceError, check_mbs
 from .xi import enumerate_xi
 
 
-def _write(text, output):
-    if output:
-        with open(output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(doc, output):
+    with open(output, "w", encoding="ascii") if output else nullcontext(sys.stdout) as fh:
+        dump(doc, fh)
 
 
 def _poset(args):
@@ -38,7 +36,7 @@ def _poset(args):
 
 
 def cmd_xi(args):
-    _write(dumps(xi_dump(_poset(args))), args.output)
+    _write(xi_dump(_poset(args)), args.output)
     return 0
 
 
@@ -55,7 +53,7 @@ def cmd_check(args):
     ok = report.ok and support.ok and cosupport.ok and constr.ok
     print("PASS" if ok else "FAIL")
     if args.json:
-        _write(dumps(check_dump(report, support, cosupport, constr)), args.output)
+        _write(check_dump(report, support, cosupport, constr), args.output)
     return 0 if ok else 1
 
 
@@ -88,7 +86,7 @@ def cmd_example(args):
     else:
         raise UnsupportedTypeError(f"unknown example {name!r}")
     include_action = args.with_action and name == "e1"
-    _write(dumps(mbs_to_json(sheaf, include_action=include_action)), args.output)
+    _write(mbs_to_json(sheaf, include_action=include_action), args.output)
     return 0
 
 
@@ -103,7 +101,7 @@ def cmd_poly(args):
             ok = ok and counts.ok
     print("PASS" if ok else "FAIL")
     if args.json:
-        _write(dumps(poly_dump(poset, polys, report)), args.output)
+        _write(poly_dump(poset, polys, report), args.output)
     return 0 if ok else 1
 
 
@@ -119,9 +117,9 @@ def cmd_hecke(args):
     ok = quadratic and braid
     print("PASS" if ok else "FAIL")
     if args.json:
-        _write(dumps({"n": args.n, "q": args.q,
-                      "quadratic": "PASS" if quadratic else "FAIL",
-                      "braid": "PASS" if braid else "FAIL"}), args.output)
+        _write({"n": args.n, "q": args.q,
+                "quadratic": "PASS" if quadratic else "FAIL",
+                "braid": "PASS" if braid else "FAIL"}, args.output)
     return 0 if ok else 1
 
 
@@ -129,9 +127,9 @@ def cmd_orbits(args):
     report = orbit_point_checks(args.n, args.q)
     print(report.summary())
     if args.json:
-        _write(dumps({"n": args.n, "q": args.q, "checked": report.checked,
-                      "status": "PASS" if report.ok else "FAIL",
-                      "failures": [repr(f) for f in report.failures]}), args.output)
+        _write({"n": args.n, "q": args.q, "checked": report.checked,
+                "status": "PASS" if report.ok else "FAIL",
+                "failures": [repr(f) for f in report.failures]}, args.output)
     return 0 if report.ok else 1
 
 
@@ -204,6 +202,9 @@ def main(argv=None):
         return args.fn(args)
     except (UnsupportedTypeError, ParseError, ResourceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return 2
     except (SignConventionError, FibrewiseConstancyError, PathDependenceError,
             HorVerMismatchError) as exc:

@@ -11,14 +11,19 @@ ParseError naming its JSON path.
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .coxeter import UnsupportedTypeError, build_coxeter
-from .linalg import RationalMatrix, fraction_from_str, fraction_to_str
+from .linalg import _make, fraction_from_str, fraction_to_str
 from .sheaf import MixedBruhatSheaf
 from .xi import PRIME, SECOND, arrow, enumerate_xi, xi_id
 
 MAP_KEYS = ("dprime", "dsecond")    # the file key of each side's covering matrices
+_CONTAINERS = (dict, list, tuple)   # what json writes as an object or an array
+_flat_encoder = functools.cache(lambda sep: json.JSONEncoder(separators=(sep, ": ")).encode)
 
 
 class ParseError(ValueError):
@@ -92,10 +97,14 @@ def matrix_from_json(rows, nrows, ncols, path):
     if (not isinstance(rows, list) or len(rows) != nrows
             or any(not isinstance(r, list) or len(r) != ncols for r in rows)):
         raise ParseError(f"{path}: matrix shape must be {nrows}x{ncols}")
-    if not all(isinstance(x, str) for row in rows for x in row):
+    try:
+        distinct = dict.fromkeys(chain.from_iterable(rows))     # in row order
+    except TypeError:       # a list or an object, unhashable and not a string
+        distinct = [None]
+    if not all(isinstance(x, str) for x in distinct):
         raise ParseError(f"{path}: matrix entries must be \"num/den\" strings")
     values = {}
-    for text in dict.fromkeys(x for row in rows for x in row):
+    for text in distinct:
         try:
             values[text] = x = fraction_from_str(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -103,8 +112,10 @@ def matrix_from_json(rows, nrows, ncols, path):
         if fraction_to_str(x) != text:
             raise ParseError(f"{path}.matrix: {text!r} is not canonical;"
                              f" write {fraction_to_str(x)!r}")
-    return RationalMatrix.from_sparse(
-        [[(j, values[x]) for j, x in enumerate(row)] for row in rows], ncols)
+    # "0/1" is the one canonical zero: the rest are the nonzeros, in column order
+    return _make(tuple([tuple([(j, values[x]) for j, x in
+                               compress(enumerate(row), map("0/1".__ne__, row))])
+                        for row in rows]), nrows, ncols)
 
 
 def mbs_to_json(E, include_action=False):
@@ -198,9 +209,45 @@ def _maps_from_json(doc, side, poset, dims):
     return maps
 
 
+def _emit(x, indent, write):
+    """Write json.dumps(x, indent=2, ensure_ascii=True) nested at indent, a container
+    holding no container as one piece made in C: a list of strings (a matrix row) by a
+    join, else by json's encoder with the newline and indent as its item separator."""
+    if not x or not isinstance(x, _CONTAINERS):
+        write(json.dumps(x))
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    values = x.values() if isinstance(x, dict) else x
+    try:
+        text = values is x and f"[{sep.join(map(_encode_str, x))}]"
+    except TypeError:       # an element that is not a string
+        text = False
+    if not (text or any(map(isinstance, values, repeat(_CONTAINERS)))):
+        text = _flat_encoder(sep)(x)
+    if text:
+        write(f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}")
+        return
+    keys = repeat("") if values is x else (_encode_str(k) + ": " for k in x)
+    head = ("[" if values is x else "{") + "\n" + inner
+    for key, v in zip(keys, values):
+        write(head + key)
+        _emit(v, inner, write)
+        head = sep
+    write("\n" + indent + ("]" if values is x else "}"))
+
+
 def dumps(doc):
-    """The one serialization used everywhere: fixed separators, trailing newline."""
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    """The one serialization used everywhere: json.dumps(doc, indent=2) and a newline."""
+    parts = []
+    _emit(doc, "", parts.append)
+    return "".join(parts) + "\n"
+
+
+def dump(doc, fh):
+    """Write dumps(doc) to the text file fh as it is emitted, never holding it whole."""
+    _emit(doc, "", fh.write)
+    fh.write("\n")
 
 
 def loads(text):

@@ -379,7 +379,7 @@ def column_space_basis(mat):
 
 
 def fraction_to_str(x):
-    f = Fraction(x)
+    f = x if type(x) is int else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -2,22 +2,32 @@
 
 import ast
 import hashlib
+import io
 import json
 import pathlib
+import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbsheaf
 from mbsheaf import cli, fq, orbitpoly
 from mbsheaf.cli import main
+from mbsheaf.cousin import constructibility_check, coperversity_check, support_check
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
-from mbsheaf.io import ParseError, dumps, loads, mbs_from_json, mbs_to_json, xi_dump, xi_id
+from mbsheaf.io import (
+    ParseError, check_dump, dump, dumps, loads, mbs_from_json, mbs_to_json, poly_dump, xi_dump,
+    xi_id,
+)
 from mbsheaf.linalg import RationalMatrix
+from mbsheaf.orbitpoly import orbit_poly, property_suite
 from mbsheaf.report import Report
 from mbsheaf.sheaf import PathDependenceError, check_mbs
-from mbsheaf.xi import enumerate_xi
+from mbsheaf.xi import PRIME, SECOND, arrow, enumerate_xi
 from test_fq import MisreadContext
 
 
@@ -74,6 +84,105 @@ def test_parse_errors_carry_paths(xi_a1):
     doc2["dprime"][0]["matrix"] = [["1/1"]]
     with pytest.raises(ParseError, match=r"\$\.dprime\[0\]"):
         mbs_from_json(doc2)
+
+
+def _oracle(doc):
+    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
+def _assert_emits_as_json(doc):
+    text = dumps(doc)
+    assert text == _oracle(doc)
+    out = io.StringIO()
+    dump(doc, out)
+    assert out.getvalue() == text
+
+
+@pytest.fixture(scope="module")
+def cli_documents():
+    """One document of each kind the CLI writes."""
+    poset = enumerate_xi(build_coxeter("A", 2))
+    E = build_e1(poset)
+    sizes = [e.orbit_size for e in poset.elements]
+    # a zero map on an anodyne covering fails MBS3
+    (m, n), mat = next((mn, mat) for mn, mat in sorted(E.dprime.items())
+                       if sizes[mn[0]] == sizes[mn[1]])
+    broken = E.copy_with(E.dims, {**E.dprime, (m, n): RationalMatrix.zeros(*mat.shape)},
+                         E.dsecond)
+    skipped = Report(ran=False)
+    return {
+        "xi": xi_dump(poset),
+        "sheaf": mbs_to_json(E),
+        "sheaf-with-action": mbs_to_json(E, include_action=True),
+        "check-pass": check_dump(check_mbs(E), support_check(E), coperversity_check(E),
+                                 constructibility_check(E)),
+        "check-fail": check_dump(check_mbs(broken), skipped, skipped, skipped),
+        "poly": poly_dump(poset, {m: orbit_poly(poset, m) for m in range(len(poset.elements))},
+                          property_suite(poset)),
+        "hecke": {"n": 3, "q": 2, "quadratic": "PASS", "braid": "FAIL"},
+        "orbits": {"n": 2, "q": 3, "checked": 12, "status": "FAIL",
+                   "failures": ["('orbit', 1)", "('orbit', 2)"]},
+    }
+
+
+@pytest.mark.parametrize("kind", ["xi", "sheaf", "sheaf-with-action", "check-pass",
+                                  "check-fail", "poly", "hecke", "orbits"])
+def test_emitter_matches_json_dumps_on_cli_documents(cli_documents, kind):
+    """dumps and dump write json.dumps(indent=2) byte for byte."""
+    doc = cli_documents[kind]
+    if kind.startswith("check"):
+        assert doc["axioms"]["status"] == ("FAIL" if kind == "check-fail" else "PASS")
+    _assert_emits_as_json(doc)
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.text() | inner) | st.lists(st.text())
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_VALUES)
+def test_emitter_matches_json_dumps_on_generated_values(doc):
+    """Empty and nested containers, non-ASCII text, and lists mixing strings
+    with other values emit as json.dumps does."""
+    _assert_emits_as_json(doc)
+
+
+_E1 = {}
+
+
+def _rescaled_e1(label, rank, rng):
+    """E_1 with each cell's basis scaled by a random nonzero rational, every
+    covering map conjugated to match: an isomorphic sheaf whose maps carry
+    negative and non-integer entries."""
+    if (label, rank) not in _E1:
+        _E1[(label, rank)] = build_e1(enumerate_xi(build_coxeter(label, rank)))
+    E = _E1[(label, rank)]
+    scale = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+             for _ in E.dims]
+    maps = [{}, {}]
+    for side in (PRIME, SECOND):
+        for (m, n), mat in E.maps(side).items():
+            src, dst = arrow(side, m, n)
+            maps[side][(m, n)] = mat.scale(scale[dst] / scale[src])
+    return E.copy_with(E.dims, *maps)
+
+
+@settings(max_examples=8, deadline=None)
+@given(datum=st.sampled_from([("A", 1), ("A", 2), ("B", 2), ("G", 2)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mbs_round_trip_on_rescaled_e1(datum, seed):
+    E = _rescaled_e1(*datum, random.Random(seed))
+    text = dumps(mbs_to_json(E))
+    parsed = mbs_from_json(loads(text))
+    assert parsed.dims == E.dims
+    assert parsed.dprime == E.dprime
+    assert parsed.dsecond == E.dsecond
+    assert dumps(mbs_to_json(parsed)) == text
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -292,6 +401,18 @@ def _rational(text):
     return corrupt
 
 
+def _matrix(edit):
+    def corrupt(doc):
+        edit(doc["dprime"][0]["matrix"])
+    return corrupt
+
+
+def _two_bad_entries(rows):
+    # the second row's bad entry comes first in column order, not in row order
+    rows[0][1] = "2/4"
+    rows[1][0] = "3/6"
+
+
 def _self_covering(doc):
     size = doc["dims"][":0|:0"]
     doc["dprime"].append({"from": ":0|:0", "to": ":0|:0", "matrix": [
@@ -369,6 +490,12 @@ NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
     (_rational(1), r"\$\.dprime\[0\]: matrix entries must be \"num/den\" strings"),
     (_rational("1/0"), r"\$\.dprime\[0\]: bad rational entry"),
     (_rational("x"), r"\$\.dprime\[0\]: bad rational entry"),
+    (_rational(["1/1"]), r"\$\.dprime\[0\]: matrix entries must be \"num/den\" strings"),
+    (_matrix(lambda rows: rows.__setitem__(0, "1/1")),
+     r"\$\.dprime\[0\]: matrix shape must be 2x2"),
+    (_matrix(lambda rows: rows[0].pop()), r"\$\.dprime\[0\]: matrix shape must be 2x2"),
+    (_matrix(_two_bad_entries),
+     r"\$\.dprime\[0\]\.matrix: '2/4' is not canonical; write '1/2'"),
 ] + [(_rational(text), r"\$\.dprime\[0\]\.matrix: .* is not canonical")
      for text in NON_CANONICAL
 ] + [(_cell_id(text), r"\$\.dprime\[0\]: cell id .* is not canonical; the cell's id is ':0\|:0'")
@@ -378,7 +505,8 @@ NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
          "non-covering-dsecond", "alias-dim", "float-rank", "bool-rank", "string-rank",
          "list-type", "deeply-nested", "list-document", "datum-H3", "list-dims",
          "dims-missing-cell", "object-dprime", "int-entry", "zero-denominator",
-         "non-numeric-entry"] + [f"rational-{t!r}" for t in NON_CANONICAL]
+         "non-numeric-entry", "list-entry", "row-not-list", "short-row",
+         "two-bad-entries"] + [f"rational-{t!r}" for t in NON_CANONICAL]
     + [f"cell-id-{t!r}" for t in NON_CANONICAL_IDS])
 def test_cli_check_malformed_sheaf_exits_2(tmp_path, capsys, corrupt, where):
     path = tmp_path / "e1_a1.json"
@@ -426,6 +554,24 @@ def test_cli_poly_hecke_orbits(capsys):
 def test_cli_size_gates_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command,name", [("check", "loads"), ("example", "mbs_to_json")])
+def test_cli_out_of_memory_exits_2(monkeypatch, tmp_path, capsys, command, name):
+    """Running out of memory is exit 2, as for a size gate, not a traceback."""
+    path = tmp_path / "e1_a1.json"
+    assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0
+    if command == "example":
+        path.unlink()
+    monkeypatch.setattr(cli, name, _out_of_memory)
+    argv = ["check", str(path)] if command == "check" else ["example", "e1", "-o", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
+    assert path.exists() == (command == "check")
 
 
 def _misread_flags(monkeypatch, tmp_path):
