@@ -210,9 +210,9 @@ def _maps_from_json(doc, side, poset, dims):
 
 
 def _emit(x, indent, write):
-    """Write json.dumps(x, indent=2, ensure_ascii=True) nested at indent, a container
-    holding no container as one piece made in C: a list of strings (a matrix row) by a
-    join, else by json's encoder with the newline and indent as its item separator."""
+    """Write json.dumps(x, indent=2, ensure_ascii=True) of string-keyed x nested at indent,
+    a container holding no container as one piece made in C: a list of strings (a matrix
+    row) by a join, else by json's encoder with the newline and indent as item separator."""
     if not x or not isinstance(x, _CONTAINERS):
         write(json.dumps(x))
         return
@@ -220,7 +220,7 @@ def _emit(x, indent, write):
     sep = ",\n" + inner
     values = x.values() if isinstance(x, dict) else x
     try:
-        text = values is x and f"[{sep.join(map(_encode_str, x))}]"
+        text = values is x and f"[{sep.join(map(_encode_str, x))}]"    # False for a dict
     except TypeError:       # an element that is not a string
         text = False
     if not (text or any(map(isinstance, values, repeat(_CONTAINERS)))):
