@@ -407,6 +407,14 @@ def _matrix(edit):
     return corrupt
 
 
+def _row_not_list(rows):
+    rows[0] = "1/1"
+
+
+def _short_row(rows):
+    rows[0].pop()
+
+
 def _two_bad_entries(rows):
     # the second row's bad entry comes first in column order, not in row order
     rows[0][1] = "2/4"
@@ -491,9 +499,8 @@ NON_CANONICAL_IDS = [": 0|:0", ":-0|:0", ":00|:0", ":+0|:0"]
     (_rational("1/0"), r"\$\.dprime\[0\]: bad rational entry"),
     (_rational("x"), r"\$\.dprime\[0\]: bad rational entry"),
     (_rational(["1/1"]), r"\$\.dprime\[0\]: matrix entries must be \"num/den\" strings"),
-    (_matrix(lambda rows: rows.__setitem__(0, "1/1")),
-     r"\$\.dprime\[0\]: matrix shape must be 2x2"),
-    (_matrix(lambda rows: rows[0].pop()), r"\$\.dprime\[0\]: matrix shape must be 2x2"),
+    (_matrix(_row_not_list), r"\$\.dprime\[0\]: matrix shape must be 2x2"),
+    (_matrix(_short_row), r"\$\.dprime\[0\]: matrix shape must be 2x2"),
     (_matrix(_two_bad_entries),
      r"\$\.dprime\[0\]\.matrix: '2/4' is not canonical; write '1/2'"),
 ] + [(_rational(text), r"\$\.dprime\[0\]\.matrix: .* is not canonical")
