@@ -53,7 +53,7 @@ def cmd_check(args):
     ok = report.ok and support.ok and cosupport.ok and constr.ok
     print("PASS" if ok else "FAIL")
     if args.json:
-        _write(check_dump(report, support, cosupport, constr), args.output)
+        _write(check_dump(sheaf.poset, report, support, cosupport, constr), args.output)
     return 0 if ok else 1
 
 
@@ -146,7 +146,7 @@ def build_parser():
     def add_out(p):
         p.add_argument("-o", "--output", default=None)
         p.add_argument("--json", action="store_true",
-                       help="emit the machine-readable report")
+                       help="write the JSON report to -o, or to stdout after the verdict line")
 
     p = sub.add_parser("xi", help="dump the 2-sided complex")
     add_datum(p)

@@ -271,18 +271,22 @@ def poly_dump(poset, polys, report):
     }
 
 
-def check_dump(axioms, support, cosupport, constructibility):
+def check_dump(poset, axioms, support, cosupport, constructibility):
+    """The ``mbsheaf check`` report; axiom witnesses name cells by ``xi_id``."""
     def entry(rep):
         return {"status": "PASS" if rep.ok else "FAIL",
                 "failures": [repr(f) for f in rep.failures]}
-    witnesses = axioms.witnesses
+
+    def spelled(name):
+        return [repr(tuple(xi_id(poset, x) if isinstance(x, int) else x for x in w))
+                for w in axioms.witnesses[name]]
     return {
         "axioms": {
             "status": "PASS" if axioms.ok else "FAIL",
-            "mbs1": [repr(f) for f in witnesses["MBS1"]],
-            "mbs2": [repr(f) for f in witnesses["MBS2"]],
-            "mbs3": [repr(f) for f in witnesses["MBS3"]],
-            "shape": [repr(f) for f in witnesses["shape"]],
+            "mbs1": spelled("MBS1"),
+            "mbs2": spelled("MBS2"),
+            "mbs3": spelled("MBS3"),
+            "shape": spelled("shape"),
         },
         "support": entry(support),
         "cosupport": entry(cosupport),

@@ -30,7 +30,7 @@ class MixedBruhatSheaf:
         self.dims = tuple(dims)
         self.dprime = dict(dprime)      # (m, n) with m >=' n covering: E(m) -> E(n)
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
-        self._composites = ({}, {})     # per side: (m, n) -> distinct chain products
+        self._composites = ({}, {})     # per side: (m, n) -> composite matrix
         self._stalks = {}               # cell -> cohomology of its stalk complex
         self._moves = None              # generated_sub's moves, built on first use
 
@@ -49,19 +49,37 @@ class MixedBruhatSheaf:
 def _compose(E, side, m, n):
     """Composite matrix along m >= n on `side`: E(m) -> E(n) or E(n) -> E(m).
 
-    The composite is the product of every maximal covering chain of [m, n];
-    chains with different products raise PathDependenceError (a transitivity
-    violation).
+    Every maximal covering chain of [m, n] starts with a covering step
+    m -> phi_s m and goes on by a maximal chain of [phi_s m, n], so the
+    composite is that of [phi_s m, n] times d(m -> phi_s m), memoised per
+    interval.  A dprime map runs down the interval, so the first step comes
+    first in the product; a dsecond map runs up it, so it comes last.  Two
+    first steps with different products raise PathDependenceError (a
+    transitivity violation) naming their interval: [m, n], or the first
+    path-dependent [t, n] below it that the recursion meets.
     """
     if m == n:
         return RationalMatrix.identity(E.dims[m])
-    if (m, n) not in E._composites[side] and not E.poset.leq_side(side, n, m):
-        order = ">=" + "'" * (side + 1)
-        raise OrderError(f"compose_{SIDE_NAMES[side]} requires m {order} n")
-    prods = _chain_products(E, side, m, n)
-    if len(prods) > 1:
-        raise PathDependenceError((SIDE_NAMES[side], m, n))
-    return prods[0]
+    cache = E._composites[side]
+    got = cache.get((m, n))
+    if got is None:
+        if not E.poset.leq_side(side, n, m):
+            order = ">=" + "'" * (side + 1)
+            raise OrderError(f"compose_{SIDE_NAMES[side]} requires m {order} n")
+        target = E.poset.elements[n].typeIJ[side]
+        step = E.maps(side)
+        for s, t in E.poset.cov[side][m]:
+            if t == n:
+                got = step[(m, t)]
+                break
+            if s in target:
+                rest = _compose(E, side, t, n)
+                p = rest @ step[(m, t)] if side == PRIME else step[(m, t)] @ rest
+                if got is not None and p != got:
+                    raise PathDependenceError((SIDE_NAMES[side], m, n))
+                got = p
+        cache[(m, n)] = got
+    return got
 
 
 def compose_prime(E, m, n):
@@ -74,46 +92,17 @@ def compose_second(E, m, n):
     return _compose(E, SECOND, m, n)
 
 
-def _chain_products(E, side, m, n):
-    """The distinct products of the maximal covering chains of [m, n], m > n.
-
-    The chains of an interval with k added generators are the k! orders of
-    adding them, but every chain starts with one covering step m -> phi_s m
-    and goes on by a maximal chain of [phi_s m, n], so the products of [m, n]
-    are those of [phi_s m, n] times d(m -> phi_s m), over the first steps.
-    A dprime map runs down the interval, so the first step comes first in
-    the product; a dsecond map runs up it, so the first step comes last.  A
-    covering m > n has one chain, its own matrix.  The products are kept
-    per interval, so a path-dependent one is multiplied out once.
-    """
-    cache = E._composites[side]
-    got = cache.get((m, n))
-    if got is None:
-        target = E.poset.elements[n].typeIJ[side]
-        step = E.maps(side)
-        got = []
-        for s, t in E.poset.cov[side][m]:
-            if t == n:
-                got = [step[(m, t)]]
-                break
-            if s in target:
-                for rest in _chain_products(E, side, t, n):
-                    p = rest @ step[(m, t)] if side == PRIME else step[(m, t)] @ rest
-                    if p not in got:
-                        got.append(p)
-        got = cache[(m, n)] = tuple(got)
-    return got
-
-
 def check_mbs(E):
     """Verify MBS1-3; ok means E is a mixed Bruhat sheaf.  Witnesses: shape (order, m,
-    n, message), MBS1 (order, m, n) with path-dependent composites, MBS2 (m', n', n)
-    failing the supremum sum, MBS3 (order, m, n) anodyne covering not invertible.
+    n, message), MBS1 (order, m, n) a square that does not commute, n two
+    generators below m, MBS2 (m', n', n) a covering configuration failing the
+    supremum sum, MBS3 (order, m, n) anodyne covering not invertible.
 
-    A passing sheaf is read off the covering tables and maps alone: MBS1 on
-    the squares, MBS2 on the covering configurations; MBS3 passes a monomial
-    matrix without elimination (``is_invertible``).  A failure of MBS1 or MBS2
-    reruns the full loop (``_compose``, ``XiPoset.sup``) to list the witnesses.
+    Passing or failing, a sheaf is read off the covering tables and maps
+    alone: MBS1 on the squares, MBS2 on the covering configurations, which
+    fail exactly when the axioms do (proofs below); MBS3 passes a monomial
+    matrix without elimination (``is_invertible``).  No composite, up-set or
+    supremum is built, and each witness names covering maps to repair.
 
     MBS1 on squares.  On a side, with T(x) the type of x there, [m, n] is the
     Boolean lattice of the cells phi(m, side, K), T(m) <= K <= T(n): its
@@ -134,8 +123,7 @@ def check_mbs(E):
     where sup(m', n) is the set of m with m' <='' m >=' n; an empty supremum
     asks for a zero lhs.  Its legs have lengths k = |I(n')| - |I(m')| and
     l = |J(n')| - |J(n)|.  Given MBS1, the covering configurations (k = l = 1)
-    imply all the others, so the loop runs over those alone; on a failure
-    the loop over every configuration lists the witnesses, in its order.
+    imply all the others, so the loop runs over those alone.
     There every m in sup(m', n) has I_m = I(m') and J_m = J(n), so both its
     legs have length 1: sup(m', n) = up_covers[PRIME][n] & up_covers[SECOND][m'].
 
@@ -178,32 +166,10 @@ def check_mbs(E):
     if shape:
         return rep
 
-    # MBS1 on the squares; on a failure, path independence of the composite
-    # of every interval, both orders: downs lists m, then the cells covering
-    # m, which have one chain each, then those 2 or more steps below
-    if not all(_squares_commute(E, side) for side in (PRIME, SECOND)):
-        compose = (compose_prime, compose_second)
-        for m in range(len(poset.elements)):
-            for side in (PRIME, SECOND):
-                for n in poset.downs(side)[m][1 + len(poset.cov[side][m]):]:
-                    try:
-                        compose[side](E, m, n)
-                    except PathDependenceError as exc:
-                        mbs1.append(exc.args[0])
+    mbs1.extend(_mbs1_failures(E))
     if mbs1:
         return rep
-
-    # MBS2 on the covering configurations, straight off the covering maps;
-    # on a failure, on every configuration m' >=' n' <='' n with m' != n' != n,
-    # through the composites, to list each witness
-    if next(_mbs2_failures(_covering_configurations(poset), E.dprime.__getitem__,
-                           E.dsecond.__getitem__), None):
-        ups = poset.ups(PRIME), poset.ups(SECOND)
-        configs = ((mp, np_, n, poset.sup(mp, n)) for np_ in range(len(poset.elements))
-                   for mp in ups[PRIME][np_] if mp != np_
-                   for n in ups[SECOND][np_] if n != np_)
-        mbs2.extend(_mbs2_failures(configs, lambda k: compose_prime(E, *k),
-                                   lambda k: compose_second(E, *k)))
+    mbs2.extend(_mbs2_failures(E))
 
     # MBS3: anodyne coverings must be invertible
     for side, m, n in poset.coverings():
@@ -214,21 +180,21 @@ def check_mbs(E):
     return rep
 
 
-def _squares_commute(E, side):
-    """Whether every square of `side` commutes: the two chains from a cell m
-    through a = phi_s m and b = phi_t m, s < t, to n = phi_t a = phi_s b."""
-    cov, d = E.poset.cov[side], E.maps(side)
-    step = [dict(below) for below in cov]
-    for m, below in enumerate(cov):
-        for i, (_s, a) in enumerate(below):
-            for t, b in below[i + 1:]:
-                n = step[a][t]
-                if side == PRIME:
-                    if d[(a, n)] @ d[(m, a)] != d[(b, n)] @ d[(m, b)]:
-                        return False
-                elif d[(m, a)] @ d[(a, n)] != d[(m, b)] @ d[(b, n)]:
-                    return False
-    return True
+def _mbs1_failures(E):
+    """Each (order, m, n) whose square does not commute: the two chains from m
+    through a = phi_s m and b = phi_t m, s < t, to n = phi_t a = phi_s b; by
+    m, then side, then (s, t)."""
+    cov = E.poset.cov
+    steps = [[dict(below) for below in cov[side]] for side in (PRIME, SECOND)]
+    for m in range(len(E.poset.elements)):
+        for side in (PRIME, SECOND):
+            below, d, step = cov[side][m], E.maps(side), steps[side]
+            for i, (_s, a) in enumerate(below):
+                for t, b in below[i + 1:]:
+                    n = step[a][t]
+                    if (d[(a, n)] @ d[(m, a)] != d[(b, n)] @ d[(m, b)] if side == PRIME
+                            else d[(m, a)] @ d[(a, n)] != d[(m, b)] @ d[(b, n)]):
+                        yield SIDE_NAMES[side], m, n
 
 
 def _covering_configurations(poset):
@@ -241,13 +207,13 @@ def _covering_configurations(poset):
                 yield mp, np_, n, [m for m in ups_p[n] if m in ups_s[mp]]
 
 
-def _mbs2_failures(configs, prime, second):
-    """Each (m', n', n) of the configurations (m', n', n, sup(m', n)) failing
-    MBS2, with C'(x, y) = prime((x, y)) and C''(x, y) = second((x, y)); each
-    supremum sum starts at its first term."""
-    for mp, np_, n, sup in configs:
-        lhs = second((n, np_)) @ prime((mp, np_))
-        terms = [prime((m, n)) @ second((m, mp)) for m in sup]
+def _mbs2_failures(E):
+    """Each covering configuration (m', n', n) failing MBS2, read off dprime
+    and dsecond; each supremum sum starts at its first term."""
+    prime, second = E.dprime, E.dsecond
+    for mp, np_, n, sup in _covering_configurations(E.poset):
+        lhs = second[(n, np_)] @ prime[(mp, np_)]
+        terms = [prime[(m, n)] @ second[(m, mp)] for m in sup]
         if sum(terms[1:], terms[0]) != lhs if terms else not lhs.is_zero():
             yield mp, np_, n
 

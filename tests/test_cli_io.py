@@ -23,7 +23,7 @@ from mbsheaf.io import (
     ParseError, check_dump, dump, dumps, loads, mbs_from_json, mbs_to_json, poly_dump, xi_dump,
     xi_id,
 )
-from mbsheaf.linalg import RationalMatrix
+from mbsheaf.linalg import RationalMatrix, fraction_to_str
 from mbsheaf.orbitpoly import orbit_poly, property_suite
 from mbsheaf.report import Report
 from mbsheaf.sheaf import PathDependenceError, check_mbs
@@ -114,9 +114,9 @@ def cli_documents():
         "xi": xi_dump(poset),
         "sheaf": mbs_to_json(E),
         "sheaf-with-action": mbs_to_json(E, include_action=True),
-        "check-pass": check_dump(check_mbs(E), support_check(E), coperversity_check(E),
+        "check-pass": check_dump(poset, check_mbs(E), support_check(E), coperversity_check(E),
                                  constructibility_check(E)),
-        "check-fail": check_dump(check_mbs(broken), skipped, skipped, skipped),
+        "check-fail": check_dump(poset, check_mbs(broken), skipped, skipped, skipped),
         "poly": poly_dump(poset, {m: orbit_poly(poset, m) for m in range(len(poset.elements))},
                           property_suite(poset)),
         "hecke": {"n": 3, "q": 2, "quadratic": "PASS", "braid": "FAIL"},
@@ -360,6 +360,53 @@ def test_cli_check_detects_corruption(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
     detail = json.loads(report.read_text())
     assert len(detail["axioms"]["mbs3"]) == 1
+
+
+def _scale(entry, factor):
+    entry["matrix"] = [[fraction_to_str(Fraction(x) * factor) for x in row]
+                       for row in entry["matrix"]]
+
+
+def _double_a_square_side(doc):
+    """The first dprime map out of a cell of empty I-type doubled: MBS1 fails."""
+    _scale(next(e for e in doc["dprime"] if e["from"].startswith(":")), 2)
+
+
+def _gauge_a_cell(doc):
+    """dprime out of 0:0|:0 doubled and into it halved: MBS2 alone fails."""
+    for e in doc["dprime"]:
+        if "0:0|:0" in (e["from"], e["to"]):
+            _scale(e, 2 if e["from"] == "0:0|:0" else Fraction(1, 2))
+
+
+def _zero_an_anodyne_map(doc):
+    """A dprime map between stalks of one dimension zeroed: MBS3 fails."""
+    dims = doc["dims"]
+    _scale(next(e for e in doc["dprime"] if dims[e["from"]] == dims[e["to"]]), 0)
+
+
+@pytest.mark.parametrize("rank,axiom,corrupt", [(2, "mbs1", _double_a_square_side),
+                                                (2, "mbs2", _gauge_a_cell),
+                                                (1, "mbs3", _zero_an_anodyne_map)])
+def test_cli_check_witnesses_name_cells_of_the_file(tmp_path, rank, axiom, corrupt):
+    """Each cell of an axiom witness in check --json is the id of a cell of
+    the checked file; MBS1 and MBS3 witnesses name their order first.  In
+    A2 every anodyne map lies on a square, so MBS3 is broken in A1."""
+    path, report = tmp_path / "e1.json", tmp_path / "report.json"
+    assert main(["example", "e1", "--type", "A", "--rank", str(rank), "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--json", "-o", str(report)]) == 1
+    axioms = json.loads(report.read_text())["axioms"]
+    assert axioms[axiom]
+    for name in ("mbs1", "mbs2", "mbs3"):
+        for text in axioms[name]:
+            w = ast.literal_eval(text)
+            order, cells = (None, w) if name == "mbs2" else (w[0], w[1:])
+            assert order in (None, "prime", "second"), text
+            assert len(cells) == (3 if order is None else 2), text
+            assert set(cells) <= set(doc["dims"]), text
 
 
 def test_cli_check_parse_error(tmp_path, capsys):

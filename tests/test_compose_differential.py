@@ -1,28 +1,30 @@
-"""Memoised chain products against full chain enumeration.
+"""Memoised composites and check_mbs's covering witnesses against full loops.
 
-``sheaf._chain_products`` finds the distinct products of the maximal
-covering chains of an interval by recursing on the first step, memoised per
-interval; the definition multiplies out all k! chains, which
-``_all_chain_products`` below lists.  Both must give the same products on
-every interval of perturbed sheaves.  On every built-in sheaf each composite
-must equal every chain product.  ``check_mbs`` checks MBS1 on the squares
-and, when one does not commute, on every interval; on perturbed sheaves it
-must name the same MBS1 witnesses as a check that enumerates every chain,
-including when a 2-step sub-interval of a 3-step interval is path-dependent.
+``sheaf._compose`` multiplies out one chain per interval, recursing on the
+first step and memoised per interval; the definition multiplies out all k!
+chains, which ``_all_chain_products`` below lists.  On every built-in sheaf
+each composite must equal every chain product.  On perturbed sheaves
+``_compose`` must give the one chain product of [m, n] exactly when no
+interval [x, n], m >= x > n, has two, and otherwise raise
+PathDependenceError naming such an interval, even when every chain of
+[m, n] itself gives the same product.
 
-``check_mbs`` checks MBS2 on the covering configurations (m' covers n' in
->=' and n covers n' in >=''), reading the maps and suprema off the covering
-tables, so a passing sheaf costs no composite, up-set or supremum; on a
-failure it lists the witnesses over
-every configuration with m' != n' and n != n'; each supremum sum starts at
-its first term.  ``full_mbs2`` is the definition's loop: every
-configuration, every sum seeded with a zero matrix, suprema by the
-definition.  Both must name the same MBS2 witnesses in the same order: on
-the built-in sheaves, on one-sided gauge perturbations of them, which break
-MBS2 and nothing else (and always at some covering configuration), on the
-constant sheaf, which fails MBS2 wherever a supremum has more than one
-cell, covering or not, and where a supremum is made empty.  Twisted
-duality is an involution on the built-in and gauged sheaves.
+``check_mbs`` reports MBS1 on the squares that do not commute and MBS2 on
+the covering configurations (m' covers n' in >=' and n covers n' in >='')
+whose supremum sum fails, reading the maps and suprema off the covering
+tables, so no sheaf, passing or failing, costs a composite, up-set or
+supremum; each supremum sum starts at its first term.  The oracles check
+the definitions: ``chain_mbs1`` every interval by all its chains, and
+``full_mbs2`` every configuration, every sum seeded with a zero matrix,
+suprema by the definition.  check_mbs's witnesses must be the oracles'
+lists filtered to squares and covering configurations, in the same order,
+and must be empty exactly when the oracles' are: on perturbed sheaves,
+including where a 2-step sub-interval of a 3-step interval is
+path-dependent, on the built-in sheaves, on one-sided gauge perturbations
+of them, which break MBS2 and nothing else, on the constant sheaf, which
+fails MBS2 wherever a supremum has more than one cell, covering or not,
+and where a supremum is made empty.  Twisted duality is an involution on
+the built-in and gauged sheaves.
 """
 
 import itertools
@@ -40,8 +42,8 @@ from mbsheaf.faces import subsets_sorted
 from mbsheaf.fq import b_invariant_sub, build_eq
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import (
-    MixedBruhatSheaf, PathDependenceError, _chain_products, _compose, check_mbs,
-    compose_prime, compose_second, dual,
+    MixedBruhatSheaf, PathDependenceError, _compose, check_mbs, compose_prime,
+    compose_second, dual,
 )
 from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, arrow, enumerate_xi
 
@@ -168,53 +170,45 @@ def sub_interval_break(E, side):
     return scaled(E, side, [(t, u)], 2), m, t, n
 
 
+def squares(poset, witnesses):
+    """The MBS1 witnesses (order, m, n) with n two generators below m."""
+    return [w for w in witnesses if length(poset, *w) == 2]
+
+
 @pytest.mark.parametrize("side", [PRIME, SECOND])
-def test_path_dependent_sub_interval_falls_back(side):
+def test_path_dependent_sub_interval_is_a_square_witness(side):
+    """[t, n] is a path-dependent square inside the 3-step interval [m, n]:
+    _compose of either raises naming [t, n], and check_mbs names the square,
+    not the path-dependent [m, n] that chain enumeration also lists."""
     bad, m, t, n = sub_interval_break(e1("A", 3), side)
-    with pytest.raises(PathDependenceError):
-        _compose(bad, side, t, n)
-    fresh = bad.copy_with(bad.dims, bad.dprime, bad.dsecond)
-    with pytest.raises(PathDependenceError) as exc:
-        _compose(fresh, side, m, n)
-    assert exc.value.args[0] == (SIDE_NAMES[side], m, n)
+    for top in (t, m):
+        fresh = bad.copy_with(bad.dims, bad.dprime, bad.dsecond)
+        with pytest.raises(PathDependenceError) as exc:
+            _compose(fresh, side, top, n)
+        assert exc.value.args[0] == (SIDE_NAMES[side], t, n)
     witnesses = check_mbs(bad).witnesses["MBS1"]
+    full = chain_mbs1(bad)
     assert (SIDE_NAMES[side], t, n) in witnesses
-    assert (SIDE_NAMES[side], m, n) in witnesses
-    assert witnesses == chain_mbs1(bad)
+    assert (SIDE_NAMES[side], m, n) in full
+    assert witnesses == squares(bad.poset, full)
 
 
 @pytest.mark.parametrize("side", [PRIME, SECOND])
-def test_path_dependent_interval_is_multiplied_out_once(side, monkeypatch):
-    """A failing interval keeps its products: a second _compose raises again
-    without a matrix product."""
-    bad, m, _t, n = sub_interval_break(e1("A", 3), side)
-    with pytest.raises(PathDependenceError):
-        _compose(bad, side, m, n)
-    calls = []
-    matmul = RationalMatrix.__matmul__
-
-    def counted(a, b):
-        calls.append(1)
-        return matmul(a, b)
-
-    monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
-    with pytest.raises(PathDependenceError) as exc:
-        _compose(bad, side, m, n)
-    assert exc.value.args[0] == (SIDE_NAMES[side], m, n)
-    assert calls == []
-
-
-@pytest.mark.parametrize("side", [PRIME, SECOND])
-def test_fallback_keeps_an_interval_its_chains_agree_on(side):
-    """With every covering out of m zeroed, all chains of [m, n] give zero
-    although [t, n] is path-dependent: [m, n] has the one product zero, no witness."""
+def test_compose_names_a_path_dependent_sub_interval(side):
+    """With every covering out of m zeroed, all chains of [m, n] give zero,
+    but [t, n] is path-dependent: _compose of [m, n] raises naming [t, n],
+    which check_mbs and chain enumeration name too, and neither names [m, n]."""
     bad, m, t, n = sub_interval_break(e1("A", 3), side)
     bad = scaled(bad, side, [(m, x) for _s, x in bad.poset.cov[side][m]], 0)
-    assert _compose(bad, side, m, n).is_zero()
+    assert all(p.is_zero() for p in _all_chain_products(bad, side, m, n))
+    with pytest.raises(PathDependenceError) as exc:
+        _compose(bad, side, m, n)
+    assert exc.value.args[0] == (SIDE_NAMES[side], t, n)
     witnesses = check_mbs(bad).witnesses["MBS1"]
+    full = chain_mbs1(bad)
     assert (SIDE_NAMES[side], t, n) in witnesses
-    assert (SIDE_NAMES[side], m, n) not in witnesses
-    assert witnesses == chain_mbs1(bad)
+    assert (SIDE_NAMES[side], m, n) not in full
+    assert witnesses == squares(bad.poset, full)
 
 
 def perturbed(E, seed, count=6):
@@ -235,31 +229,45 @@ def distinct(prods):
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
 def test_chain_products_match_chain_enumeration(label, rank):
-    """On every interval of every perturbed sheaf, both sides, the memoised
-    recursion holds the distinct chain products, in some order."""
+    """On every interval [m, n] of every perturbed sheaf, both sides, _compose
+    gives the one chain product when no [x, n], m >= x > n, has two
+    distinct chain products, and otherwise raises naming such an [x, n]."""
     E = e1(label, rank)
     failing = 0
     for bad in perturbed(E, seed=rank * 100 + ord(label)):
+        poset, dependent = bad.poset, {}
         for side, m, n in intervals(bad):
-            got = _chain_products(bad, side, m, n)
-            want = distinct(_all_chain_products(bad, side, m, n))
-            assert len(got) == len(want), (label, rank, SIDE_NAMES[side], m, n)
-            assert all(p in got for p in want), (label, rank, SIDE_NAMES[side], m, n)
-            failing += len(got) > 1
+            prods = _all_chain_products(bad, side, m, n)
+            dependent[(side, m, n)] = len(distinct(prods)) > 1
+        for side, m, n in intervals(bad):
+            below = [(SIDE_NAMES[side], x, n) for x in poset.downs(side)[m]
+                     if x != n and poset.leq_side(side, n, x) and dependent[(side, x, n)]]
+            if below:
+                with pytest.raises(PathDependenceError) as exc:
+                    _compose(bad, side, m, n)
+                assert exc.value.args[0] in below, (label, rank, SIDE_NAMES[side], m, n)
+                failing += 1
+            else:
+                got = _compose(bad, side, m, n)
+                assert all(p == got for p in _all_chain_products(bad, side, m, n)), \
+                    (label, rank, SIDE_NAMES[side], m, n)
     assert failing
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
 def test_mbs1_witnesses_match_chain_enumeration(label, rank):
-    """check_mbs finds a square whose chains differ, then lists every
-    path-dependent interval: 2-step ones, and at rank 3 also 3-step ones."""
+    """check_mbs names the failing squares: chain enumeration's witnesses,
+    which at rank 3 include 3-step intervals, filtered to squares, in the
+    same order, and none exactly when chain enumeration finds none."""
     E = e1(label, rank)
-    failing = set()
+    lengths = set()
     for bad in perturbed(E, seed=rank * 100 + ord(label)):
         witnesses = check_mbs(bad).witnesses["MBS1"]
-        assert witnesses == chain_mbs1(bad)
-        failing.update(length(bad.poset, *w) for w in witnesses)
-    assert failing >= ({2, 3} if rank == 3 else {2})
+        full = chain_mbs1(bad)
+        assert witnesses == squares(bad.poset, full)
+        assert bool(witnesses) == bool(full)
+        lengths.update(length(bad.poset, *w) for w in full)
+    assert lengths >= ({2, 3} if rank == 3 else {2})
 
 
 def length(poset, side, m, n):
@@ -293,18 +301,22 @@ def test_mbs2_witnesses_match_full_loop_on_built_ins(name):
     assert check_mbs(E).witnesses["MBS2"] == full_mbs2(E) == []
 
 
-@pytest.mark.parametrize("name", sorted(BUILT_IN))
-def test_a_passing_sheaf_is_read_off_its_coverings(name, monkeypatch):
-    """On a passing sheaf check_mbs multiplies out no chain and builds no
-    up-set, down-set or supremum: it reads cov, up_covers and the maps."""
-    E = BUILT_IN[name]()
-
+def forbid_composites(monkeypatch, poset):
+    """Make _compose and the poset's downs, ups and sup raise AssertionError."""
     def unused(*args):
         raise AssertionError(args)
 
     monkeypatch.setattr(sheaf, "_compose", unused)
     for attr in ("downs", "ups", "sup"):
-        monkeypatch.setattr(E.poset, attr, unused)
+        monkeypatch.setattr(poset, attr, unused)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN))
+def test_a_passing_sheaf_is_read_off_its_coverings(name, monkeypatch):
+    """On a passing sheaf check_mbs multiplies out no chain and builds no
+    up-set, down-set or supremum: it reads cov, up_covers and the maps."""
+    E = BUILT_IN[name]()
+    forbid_composites(monkeypatch, E.poset)
     assert check_mbs(E).ok
 
 
@@ -326,18 +338,43 @@ def is_covering(poset, mp, np_, n):
             and np_ in dict(poset.cov[SECOND][n]).values())
 
 
+def at_coverings(poset, witnesses):
+    """The MBS2 witnesses (m', n', n) that are covering configurations."""
+    return [w for w in witnesses if is_covering(poset, *w)]
+
+
+def gauge_samples(E, seed):
+    """Four gauged copies of E, at seeded cells of nonzero stalk."""
+    cells = [m for m, d in enumerate(E.dims) if d]
+    return [(cell, gauged(E, cell)) for cell in random.Random(seed).sample(cells, 4)]
+
+
 @pytest.mark.parametrize("name", ["E_1(A2)", "E_1(B2)", "E_1(G2)", "E_1(A3)",
                                   "E_1^reflection(B2)", "E_q(3,2)"])
 def test_mbs2_witnesses_match_full_loop_on_gauge_perturbations(name):
+    """Gauged sheaves fail MBS2 alone, at the covering configurations that
+    the full loop finds, in its order."""
     E = BUILT_IN[name]()
-    cells = [m for m, d in enumerate(E.dims) if d]
-    for cell in random.Random(name).sample(cells, 4):
-        bad = gauged(E, cell)
+    for cell, bad in gauge_samples(E, name):
         rep = check_mbs(bad)
         assert rep.witnesses["MBS1"] == rep.witnesses["MBS3"] == [], (name, cell)
         full = full_mbs2(bad)
-        assert any(is_covering(E.poset, *w) for w in full), (name, cell)
-        assert rep.witnesses["MBS2"] == full, (name, cell)
+        assert rep.witnesses["MBS2"] == at_coverings(E.poset, full), (name, cell)
+        assert rep.witnesses["MBS2"], (name, cell)
+        assert full, (name, cell)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_a_failing_sheaf_is_read_off_its_coverings(label, rank, monkeypatch):
+    """Failing MBS1 or MBS2 costs check_mbs no composite, up-set, down-set
+    or supremum either: its witnesses come off the same tables."""
+    E = e1(label, rank)
+    bad = list(perturbed(E, seed=rank * 100 + ord(label)))
+    bad += [g for _cell, g in gauge_samples(E, f"{label}{rank}")]
+    forbid_composites(monkeypatch, E.poset)
+    reports = [check_mbs(b) for b in bad]
+    assert any(rep.witnesses["MBS1"] for rep in reports)
+    assert any(rep.witnesses["MBS2"] for rep in reports)
 
 
 def constant_sheaf(xi, dim=1):
@@ -353,7 +390,7 @@ def constant_sheaf(xi, dim=1):
 def test_mbs2_witnesses_match_full_loop_on_constant_sheaves(label, rank):
     """Q on every cell and 1 on every covering: MBS1 and MBS3 hold, and MBS2
     fails exactly where the supremum has more than one cell, at covering
-    configurations and beyond them."""
+    configurations and beyond them; check_mbs names the covering ones."""
     xi = poset_for(label, rank)
     E = constant_sheaf(xi)
     pups, sups = xi.ups(PRIME), xi.ups(SECOND)
@@ -361,21 +398,21 @@ def test_mbs2_witnesses_match_full_loop_on_constant_sheaves(label, rank):
             for n in sups[np_] if len(xi.sup(mp, n)) > 1]
     assert any(is_covering(xi, *w) for w in many)
     assert not all(is_covering(xi, *w) for w in many)
-    assert check_mbs(E).witnesses["MBS2"] == full_mbs2(E) == many
+    assert full_mbs2(E) == many
+    assert check_mbs(E).witnesses["MBS2"] == at_coverings(xi, many)
 
 
 def test_empty_supremum_asks_for_a_zero_lhs(monkeypatch):
-    """With sup(m', n) made empty at one covering configuration, both where
-    check_mbs reads it off the covering tables and in XiPoset.sup, E_1(A2)
-    fails MBS2 there and only there, and the zero sheaf still passes."""
+    """With sup(m', n) made empty at one covering configuration, where
+    check_mbs reads it off the covering tables, E_1(A2) fails MBS2 there and
+    only there, and the zero sheaf still passes."""
     E = e1("A", 2)
     xi = E.poset
     mp, np_, n = next((mp, np_, n) for np_ in range(len(xi.elements))
                        for mp in xi.ups(PRIME)[np_] for n in xi.ups(SECOND)[np_]
                        if is_covering(xi, mp, np_, n))
     assert not (compose_second(E, n, np_) @ compose_prime(E, mp, np_)).is_zero()
-    sup, configs = xi.sup, sheaf._covering_configurations
-    monkeypatch.setattr(xi, "sup", lambda a, b: [] if (a, b) == (mp, n) else sup(a, b))
+    configs = sheaf._covering_configurations
     monkeypatch.setattr(sheaf, "_covering_configurations", lambda poset: (
         (a, b, c, [] if (a, c) == (mp, n) else s) for a, b, c, s in configs(poset)))
     assert check_mbs(E).witnesses["MBS2"] == [(mp, np_, n)]
