@@ -2,12 +2,9 @@
 
 build_e1 carries the space of functions on each orbit, with pushforward
 along the point projections in the first order and pullback in the second.
-build_e1v cuts out the W-invariants of E_1 tensor V for an explicit
-representation V by Frobenius reciprocity: on an orbit W/H,
-(Fun(W/H) tensor V)^W = V^H, so each cell's basis is built from values at
-its base point.  The ambient sheaf E_1 tensor V, of V-valued functions on
-the orbits, is built by E_1's own code with dim V values per point, and its
-covering maps are solved in those bases.
+build_e1v computes the W-invariants of E_1 tensor V for an explicit
+representation V at the base points: an invariant on an orbit W/H is fixed
+by its value there, so (Fun(W/H) tensor V)^W = V^H (Frobenius reciprocity).
 """
 
 from __future__ import annotations
@@ -16,7 +13,8 @@ import itertools
 
 from .coxeter import UnsupportedTypeError, _simple_reflections
 from .linalg import RationalMatrix, column_space_basis
-from .sheaf import MixedBruhatSheaf, subsheaf
+from .sheaf import MixedBruhatSheaf
+from .xi import PRIME, SECOND
 
 
 class E1Sheaf(MixedBruhatSheaf):
@@ -30,28 +28,19 @@ class E1Sheaf(MixedBruhatSheaf):
             [e.point_index[(act[w][c], act[w][d])] for c, d in e.points], e.orbit_size)
 
 
-def _orbit_functions(poset, dim):
-    """Q^dim-valued functions on the orbits: the dims, and the pushforward
-    (dprime) and pullback (dsecond) along each covering's point projection.
-
-    Point k's values are the coordinates k*dim .. k*dim + dim - 1, so for
-    the point map f each map is E_1's tensor 1_{Q^dim}: the pushforward or
-    pullback along k*dim + a -> f(k)*dim + a.
-    """
-    dims = [e.orbit_size * dim for e in poset.elements]
-    maps = ({}, {})
+def _orbit_functions(poset):
+    """Functions on the orbits: the dims, and the pushforward (dprime) and
+    pullback (dsecond) along each covering's point projection."""
+    dims, maps = [e.orbit_size for e in poset.elements], ({}, {})
     move = (RationalMatrix.pushforward, RationalMatrix.pullback)    # by side
     for side, m, n in poset.coverings():
-        f = poset.pi_map(m, n)
-        if dim != 1:
-            f = [y * dim + a for y in f for a in range(dim)]
-        maps[side][(m, n)] = move[side](f, dims[n])
+        maps[side][(m, n)] = move[side](poset.pi_map(m, n), dims[n])
     return dims, *maps
 
 
 def build_e1(poset):
     """Functions on orbits: dims are orbit sizes, maps are (pi)_* and pi^*."""
-    return E1Sheaf(poset, *_orbit_functions(poset, 1))
+    return E1Sheaf(poset, *_orbit_functions(poset))
 
 
 # -- explicit W-representations -----------------------------------------------
@@ -243,30 +232,42 @@ def _partitions(n, maxpart=None):
 # -- multiplicity sheaves -------------------------------------------------------
 
 def build_e1v(poset, rep):
-    """The invariants (E_1 tensor V)^W, each basis built at the base point.
+    """The invariants (E_1 tensor V)^W, computed at each cell's base point.
 
-    An invariant is fixed by its value at x0 = e.points[0], so the columns
-    (x0, i) of S = sum_w A_w tensor rho(w), namely sum_w e_{w.x0} tensor
-    rho(w) e_i, span S's image: they are S's first dim V columns, and S's
-    pivot columns are theirs.  S is |W| times the averaging projector, and
-    the 1/|W| is left out on purpose: for c != 0 the pivot columns of c M
-    are those of M, so each basis is |W| times the projector's, and it is
-    integral whenever rho is, so its eliminations start from ints.  The
-    covering matrices are unchanged: scaling every basis by the same |W|
-    leaves the unique solution X of B_dst X = (A tensor 1_V) B_src as it
-    was, since each basis has full column rank; A tensor 1_V is the covering
-    map of the ambient sheaf ``_orbit_functions(poset, dim V)``.
+    One pass over W gives the stabilizer H of x0 = e.points[0] and some g_k
+    with g_k.x0 = x_k for each point.  ``.bases[m]`` is B, the pivot columns
+    of P = sum_{h in H} rho(h); its column i stands for the invariant whose
+    value at x_k is rho(g_k) B e_i, whichever g_k, as rho(h) P = P.  B and
+    its solver depend on H alone and are cached by it (4 stabilizers on
+    each rank-2 type).  Pivots: column (x0, i) of sum_w A_w tensor rho(w)
+    has the block rho(g_k) P e_i at x_k, so these columns satisfy P's
+    linear relations and have P's pivots.  Maps: an invariant is fixed by
+    its value at x0, so a covering map's unique solution in the whole,
+    full-rank bases is that of its x0 block, with pi = pi_map(m, n):
+      dprime, the pushforward:  B_n X = (sum_{k : pi(k) = 0} rho(g_k)) B_m,
+      dsecond, the pullback:    B_m X = rho(g^n_{pi(0)}) B_n.
     """
     order, act, dim = poset.datum.order, poset.complex.action, rep.dim
-    bases = []
+    blocks, bases, solvers, g = {}, [], [], []
     for e in poset.elements:
         c, d = e.points[0]
-        rows = [[] for _ in range(e.orbit_size * dim)]
-        for w in range(order):
-            off = e.point_index[(act[w][c], act[w][d])] * dim
-            for r, row in enumerate(rep.evaluate(w).sparse_rows):
-                rows[off + r] += row
-        x0_cols = RationalMatrix.from_sparse(rows, dim)
-        bases.append(RationalMatrix.from_columns(column_space_basis(x0_cols),
-                                                 e.orbit_size * dim))
-    return subsheaf(MixedBruhatSheaf(poset, *_orbit_functions(poset, dim)), bases)
+        at = [e.point_index[(act[w][c], act[w][d])] for w in range(order)]
+        stab = tuple(w for w, k in enumerate(at) if k == 0)
+        if stab not in blocks:
+            p = sum(map(rep.evaluate, stab[1:]), rep.evaluate(stab[0]))
+            b = RationalMatrix.from_columns(column_space_basis(p), dim)
+            blocks[stab] = b, b.solver()
+        bases.append(blocks[stab][0])
+        solvers.append(blocks[stab][1])
+        g.append(dict(zip(at, range(order))))
+    maps = ({}, {})
+    for side, m, n in poset.coverings():
+        f = poset.pi_map(m, n)
+        if side == PRIME:
+            fibre = [rep.evaluate(g[m][k]) for k, y in enumerate(f) if y == 0]
+            maps[PRIME][(m, n)] = solvers[n](sum(fibre[1:], fibre[0]) @ bases[m])
+        else:
+            maps[SECOND][(m, n)] = solvers[m](rep.evaluate(g[n][f[0]]) @ bases[n])
+    sheaf = MixedBruhatSheaf(poset, [b.ncols for b in bases], *maps)
+    sheaf.bases = bases
+    return sheaf

@@ -272,10 +272,10 @@ def poly_dump(poset, polys, report):
 
 
 def check_dump(poset, axioms, support, cosupport, constructibility):
-    """The ``mbsheaf check`` report; axiom witnesses name cells by ``xi_id``."""
+    """The ``mbsheaf check`` report; witnesses name cells by ``xi_id`` (Cousin: the first)."""
     def entry(rep):
         return {"status": "PASS" if rep.ok else "FAIL",
-                "failures": [repr(f) for f in rep.failures]}
+                "failures": [repr((xi_id(poset, f[0]), *f[1:])) for f in rep.failures]}
 
     def spelled(name):
         return [repr(tuple(xi_id(poset, x) if isinstance(x, int) else x for x in w))

@@ -463,11 +463,10 @@ def _span_closure(E, seeds):
 def subsheaf(E, bases):
     """The subsheaf whose stalk at cell m is the column span of bases[m].
 
-    .bases holds the given bases unchanged; build_e1v's are integral, |W|
-    times the averaging projector's pivot columns.  Each covering map of E
-    is applied to its source basis and solved against its target basis,
-    which is factored once; the solves are exact, so a span that a map does
-    not preserve raises ValueError.
+    .bases holds the given bases unchanged.  Each covering map of E is
+    applied to its source basis and solved against its target basis, which
+    is factored once; the solves are exact, so a span that a map does not
+    preserve raises ValueError.
     """
     solve = [b.solver() for b in bases]
     maps = ({}, {})

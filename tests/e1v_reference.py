@@ -7,6 +7,12 @@ Kronecker product (``_kron``), by a dense augmented rref
 (``dense_reference.RationalMatrix.solve``).  ``mbsheaf.f1.build_e1v``
 must give the same dimensions and matrices, and |W| times these bases.
 
+``build_e1v_ambient`` is the construction that ``build_e1v`` replaced: the
+ambient sheaf E_1 tensor V, of Q^dim V-valued functions on the orbits, and
+each of its covering maps solved in bases of the whole of E_1(m) tensor V.
+``lift_bases`` spells a base-point block of ``build_e1v`` as that whole
+basis, so the two constructions compare basis for basis.
+
 ``pair_stabilizer`` and ``invariant_dim`` give dim V^H for the stabilizer H
 of each cell's pair, the Frobenius-reciprocity count of the same dimension.
 """
@@ -16,7 +22,7 @@ from fractions import Fraction
 from dense_reference import RationalMatrix as Dense
 from mbsheaf.f1 import build_e1
 from mbsheaf.linalg import RationalMatrix, column_space_basis
-from mbsheaf.sheaf import MixedBruhatSheaf
+from mbsheaf.sheaf import MixedBruhatSheaf, subsheaf
 from mbsheaf.xi import PRIME, SECOND
 
 
@@ -78,3 +84,60 @@ def build_e1v_projector(poset, rep):
     sheaf = MixedBruhatSheaf(poset, dims, dprime, dsecond)
     sheaf.bases = bases
     return sheaf
+
+
+def _orbit_functions(poset, dim):
+    """Q^dim-valued functions on the orbits: the dims, and the pushforward
+    (dprime) and pullback (dsecond) along each covering's point projection.
+
+    Point k's values are the coordinates k*dim .. k*dim + dim - 1, so for
+    the point map f each map is E_1's tensor 1_{Q^dim}: the pushforward or
+    pullback along k*dim + a -> f(k)*dim + a.
+    """
+    dims = [e.orbit_size * dim for e in poset.elements]
+    maps = ({}, {})
+    move = (RationalMatrix.pushforward, RationalMatrix.pullback)    # by side
+    for side, m, n in poset.coverings():
+        f = [y * dim + a for y in poset.pi_map(m, n) for a in range(dim)]
+        maps[side][(m, n)] = move[side](f, dims[n])
+    return dims, *maps
+
+
+def build_e1v_ambient(poset, rep):
+    """(E_1 tensor V)^W as a subsheaf of the ambient sheaf E_1 tensor V.
+
+    Each basis is the pivot columns of the columns (x0, i) of
+    sum_w A_w tensor rho(w), namely sum_w e_{w.x0} tensor rho(w) e_i, and
+    every covering map of ``_orbit_functions(poset, dim V)`` is solved in
+    those bases by ``subsheaf``.
+    """
+    order, act, dim = poset.datum.order, poset.complex.action, rep.dim
+    bases = []
+    for e in poset.elements:
+        c, d = e.points[0]
+        rows = [[] for _ in range(e.orbit_size * dim)]
+        for w in range(order):
+            off = e.point_index[(act[w][c], act[w][d])] * dim
+            for r, row in enumerate(rep.evaluate(w).sparse_rows):
+                rows[off + r] += row
+        x0_cols = RationalMatrix.from_sparse(rows, dim)
+        bases.append(RationalMatrix.from_columns(column_space_basis(x0_cols),
+                                                 e.orbit_size * dim))
+    return subsheaf(MixedBruhatSheaf(poset, *_orbit_functions(poset, dim)), bases)
+
+
+def lift_bases(sheaf, rep):
+    """The whole bases of E_1^V from build_e1v's base-point blocks B_m: the
+    block of point x_k is rho(g_k) B_m, for any g_k taking x0 to x_k."""
+    poset = sheaf.poset
+    act = poset.complex.action
+    out = []
+    for e, block in zip(poset.elements, sheaf.bases):
+        c, d = e.points[0]
+        reps = {}
+        for w in range(poset.datum.order):
+            reps.setdefault(e.point_index[(act[w][c], act[w][d])], w)
+        rows = [r for k in range(e.orbit_size)
+                for r in (rep.evaluate(reps[k]) @ block).sparse_rows]
+        out.append(RationalMatrix.from_sparse(rows, block.ncols))
+    return out

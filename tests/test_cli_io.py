@@ -28,6 +28,7 @@ from mbsheaf.orbitpoly import orbit_poly, property_suite
 from mbsheaf.report import Report
 from mbsheaf.sheaf import PathDependenceError, check_mbs
 from mbsheaf.xi import PRIME, SECOND, arrow, enumerate_xi
+from test_cousin import a1_cells
 from test_fq import MisreadContext
 
 
@@ -248,11 +249,14 @@ def test_cli_example_e1_with_action(tmp_path, capsys):
 
 
 # sha256 of `mbsheaf example e1v REP --type T --rank R`, recorded from the
-# averaging-projector construction; the base-point construction must keep them.
+# averaging-projector construction (the rank-3 rows from the ambient-solve
+# one); the base-point construction must keep them.
 E1V_DUMP_SHA256 = [
     ("A", 2, "specht:2,1", "f6fb24d10b22a3bc5785ed1f2d1c203db581e87623d9867bd81ff85ca8f28758"),
     ("B", 2, "reflection", "2e9bf3375f434d731a58baef7535a592703adbc69ee8c947fcf79fff40a81da0"),
     ("G", 2, "reflection*sign", "a6d5cb7d34281cab6b680bf35e2bfc4930c89f1be4a57aeaeb37640042a89ed6"),
+    ("A", 3, "specht:2,2", "9390077a4507a154d606f8dbaafa2cae3180550f69929d129ff19a08811a1e33"),
+    ("B", 3, "reflection", "df58c7350a06ba63c0012f2a541d69dc73497539bcde52d616547e3d97a1a34b"),
 ]
 
 
@@ -407,6 +411,29 @@ def test_cli_check_witnesses_name_cells_of_the_file(tmp_path, rank, axiom, corru
             assert order in (None, "prime", "second"), text
             assert len(cells) == (3 if order is None else 2), text
             assert set(cells) <= set(doc["dims"]), text
+
+
+def test_check_dump_names_cousin_witness_cells(xi_a1):
+    """Each Cousin witness names its cell by its id, degree and dimension
+    staying integers.  The CLI runs Cousin only after the axioms pass, so
+    check_dump is called directly, on the A1 sheaf with the anodyne dprime
+    maps into the real-axis cell zeroed (support and constructibility fail)
+    and the dsecond maps out of the imaginary-axis cell too (cosupport fails;
+    the dual keeps the poset, so its witnesses take the same ids)."""
+    e1 = build_e1(xi_a1)
+    _m0, m_neg1, m1, mi, mni = a1_cells(xi_a1)
+    zero = RationalMatrix.zeros(2, 2)
+    bad = e1.copy_with(e1.dims, {**e1.dprime, (mi, m1): zero, (mni, m1): zero},
+                       {**e1.dsecond, (mi, m_neg1): zero, (mni, m_neg1): zero})
+    reports = support_check(bad), coperversity_check(bad), constructibility_check(bad)
+    doc = check_dump(xi_a1, check_mbs(bad), *reports)
+    ids = [xi_id(xi_a1, m) for m in range(len(xi_a1.elements))]
+    for name, rep in zip(("support", "cosupport", "constructibility"), reports):
+        assert doc[name]["status"] == "FAIL"
+        got = [ast.literal_eval(text) for text in doc[name]["failures"]]
+        assert got == [(ids[w[0]], *w[1:]) for w in rep.failures], name
+    cell, deg, h, dim, _ok = ast.literal_eval(doc["support"]["failures"][0])
+    assert (cell, deg, h, dim) == (ids[m1], 0, 2, 1)
 
 
 def test_cli_check_parse_error(tmp_path, capsys):
