@@ -1,36 +1,36 @@
-"""Local-system transport, wall loops, and the rank-one reduction.
+"""Local-system transport, braid loops, and the rank-one reduction.
 
-Anodyne steps inside one stratum transport stalks by invertible maps.
-Circling a wall gives the monodromy of the associated local system: the
-regular swap for orbit functions, a Hecke-type operator with eigenvalues
-q and -1 for finite-field functions.  The rank-one reduction packages a
-sheaf into two spaces with maps both ways and an invertible Id - uv.
+Anodyne steps inside one stratum transport stalks by invertible maps.  The
+open stratum's local system is a representation of the braid group of W:
+transport along braid_loops(poset)[s], a loop at W(C0, C0) around the wall
+of the dominant chamber fixed by s, is the generator sigma_s.  It is the
+regular swap for orbit functions, a Hecke operator with eigenvalues q and
+-1 for finite-field functions, and on B2 the generators satisfy the braid
+relation of length 4.  The rank-one reduction packages a sheaf into two
+spaces with maps both ways and an invertible Id - uv.
 """
 
 from mbsheaf import (
-    RationalMatrix, build_coxeter, build_e1, build_e1v, build_eq, enumerate_xi,
-    monodromy, phi_psi, rep_catalog, standard_loops,
+    RationalMatrix, braid_loops, build_coxeter, build_e1, build_e1v, build_eq, enumerate_xi,
+    phi_psi, rep_catalog, transport,
 )
 from mbsheaf.io import xi_id
 
 xi = enumerate_xi(build_coxeter("A", 1))
-(loop,) = standard_loops(xi)
-print("the loop around the single wall visits:",
-      " -> ".join(xi_id(xi, m) for m in loop))
+(loop,) = braid_loops(xi)
+print("the A1 braid loop visits:", " -> ".join(xi_id(xi, m) for m in loop))
 
 e1 = build_e1(xi)
-print(f"\nE_1 monodromy (regular representation of Z/2):")
-for row in monodromy(e1, loop).rows:
+print("\nE_1 braid generator (regular representation of Z/2):")
+for row in transport(e1, loop).rows:
     print(f"  {row}")
 
 for q in (2, 3):
-    eq = build_eq(2, q, poset=xi)
-    mono = monodromy(eq, loop)
-    size = mono.nrows
-    ident = RationalMatrix.identity(size)
-    first = ((mono - ident.scale(q)) @ (mono + ident)).is_zero()
-    print(f"\nE_q monodromy for q={q} on Fun(P^1(F_{q})) "
-          f"satisfies (M-{q})(M+1)=0: {first}")
+    sigma = transport(build_eq(2, q, poset=xi), loop)
+    ident = RationalMatrix.identity(sigma.nrows)
+    first = ((sigma - ident.scale(q)) @ (sigma + ident)).is_zero()
+    print(f"\nE_q braid generator for q={q} on Fun(P^1(F_{q})) "
+          f"satisfies (sigma-{q})(sigma+1)=0: {first}")
 
 print("\nrank-one reductions (Phi, Psi, T = Id - uv):")
 for name, sheaf in [("E_1", e1),
@@ -41,14 +41,21 @@ for name, sheaf in [("E_1", e1),
     print(f"  {name:<10} Phi dim {pp.phi_dim}, Psi dim {pp.psi_dim}, "
           f"T invertible: {pp.t_invertible}")
 
-print("\nrank-two wall loops (one per hyperplane orbit):")
+print("\nB2 braid loops (one per simple reflection):")
 xi_b2 = enumerate_xi(build_coxeter("B", 2))
-for k, lp in enumerate(standard_loops(xi_b2)):
-    mono = monodromy(build_e1(xi_b2), lp)
+e1_b2 = build_e1(xi_b2)
+sigmas = []
+for s, lp in enumerate(braid_loops(xi_b2)):
+    sigma = transport(e1_b2, lp)
+    sigmas.append(sigma)
     order = 1
-    acc = mono
-    ident = RationalMatrix.identity(mono.nrows)
+    acc = sigma
+    ident = RationalMatrix.identity(sigma.nrows)
     while acc != ident:
-        acc = acc @ mono
+        acc = acc @ sigma
         order += 1
-    print(f"  loop {k}: monodromy of E_1 has order {order}")
+    print(f"  s{s}: {' -> '.join(xi_id(xi_b2, m) for m in lp)}; "
+          f"sigma_{s} on E_1 has order {order}")
+a, b = sigmas
+print(f"  sigma_0 sigma_1 sigma_0 sigma_1 = sigma_1 sigma_0 sigma_1 sigma_0: "
+      f"{a @ b @ a @ b == b @ a @ b @ a}")

@@ -18,9 +18,8 @@ from .linalg import RationalMatrix
 from .orbitpoly import dim_flag, dim_orbit, orbit_poly, property_suite, validate_counts
 from .report import Report
 from .sheaf import (
-    BicubeData, MixedBruhatSheaf, bicube, check_mbs, compose_prime,
-    compose_second, dual, generated_sub, is_simple, monodromy, phi_psi,
-    standard_loops, transport,
+    BicubeData, MixedBruhatSheaf, bicube, braid_loops, check_mbs, compose_prime,
+    compose_second, dual, generated_sub, is_simple, phi_psi, transport,
 )
 from .xi import FlatOrbit, OrderError, XiElement, XiPoset, enumerate_xi
 
@@ -36,8 +35,8 @@ __all__ = [
     "RationalMatrix",
     "dim_flag", "dim_orbit", "orbit_poly", "property_suite", "validate_counts",
     "Report",
-    "BicubeData", "MixedBruhatSheaf", "bicube", "check_mbs",
+    "BicubeData", "MixedBruhatSheaf", "bicube", "braid_loops", "check_mbs",
     "compose_prime", "compose_second", "dual", "generated_sub", "is_simple",
-    "monodromy", "phi_psi", "standard_loops", "transport",
+    "phi_psi", "transport",
     "FlatOrbit", "OrderError", "XiElement", "XiPoset", "enumerate_xi",
 ]

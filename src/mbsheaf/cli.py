@@ -22,7 +22,7 @@ from .io import ParseError, check_dump, dump, loads, mbs_from_json, mbs_to_json,
 from .linalg import RationalMatrix
 from .orbitpoly import HorVerMismatchError, orbit_poly, property_suite, validate_counts
 from .report import Report
-from .sheaf import PathDependenceError, check_mbs
+from .sheaf import check_mbs
 from .xi import enumerate_xi
 
 
@@ -206,8 +206,7 @@ def main(argv=None):
     except MemoryError:
         print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return 2
-    except (SignConventionError, FibrewiseConstancyError, PathDependenceError,
-            HorVerMismatchError) as exc:
+    except (SignConventionError, FibrewiseConstancyError, HorVerMismatchError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -18,10 +18,6 @@ class PathDependenceError(RuntimeError):
     """Two covering chains between the same cells compose differently."""
 
 
-class OpenLoopError(RuntimeError):
-    """A cell path meant to be a loop ends away from its start."""
-
-
 class MixedBruhatSheaf:
     """Dimensions per cell plus covering matrices for both orders."""
 
@@ -338,7 +334,8 @@ def transport(E, path):
     """Ordered product of generalization maps along an anodyne cell path.
 
     A PRIME map runs hi -> lo and a SECOND map lo -> hi, so a step against
-    its map's direction takes the inverse.
+    its map's direction takes the inverse.  Around braid_loops(poset)[s] it
+    is the braid generator sigma_s, the monodromy of the open stratum.
     """
     steps = validate_path(E.poset, path)
     mat = RationalMatrix.identity(E.dims[path[0]])
@@ -349,47 +346,25 @@ def transport(E, path):
     return mat
 
 
-def monodromy(E, loop):
-    if loop[0] != loop[-1]:
-        raise ValueError("monodromy requires a closed path")
-    return transport(E, loop)
+def braid_loops(poset):
+    """One loop per simple reflection s, in ascending order, all based at
+    d = W(C0, C0): [d, W(C0, P_s), W(C0, sC0), W(P_s, sC0), d].
 
-
-def standard_loops(poset):
-    """One generating loop in the open stratum around each W-orbit of walls.
-
-    The loop around a wall face P with adjacent chambers C, C' visits
-    W(P,C) -> W(C,C) -> W(C,P) -> W(C,C') -> W(P,C') = W(P,C).
+    C0 is the dominant chamber, P_s its wall K_{s}, and sC0 the chamber
+    across that wall.  The loop closes by construction: s fixes P_s, so
+    W(P_s, sC0) = W(P_s, C0), which d covers on the first side.  Its
+    transport(E, loop) is the braid generator sigma_s of E's local system
+    on the open stratum.
     """
     cx = poset.complex
+    c0 = cx.dominant_face(())
+    d = poset.xi_orbit(c0, c0).index
     loops = []
-    seen_flats = set()
-    walls = [f for f in cx.faces if cx.face_dim(f) == poset.datum.rank - 1]
-    chambers = [f for f in cx.faces if f.type_I == ()]
-    for p in sorted(walls, key=lambda f: f.key):
-        flat = poset.flat_of_type(p.type_I)
-        if flat in seen_flats:
-            continue
-        seen_flats.add(flat)
-        adj = [c for c in chambers if cx.face_leq(p, c)]
-        loops.append(_wall_loop(poset, p, adj[0], adj[1]))
+    for s in range(poset.datum.rank):
+        p, sc0 = cx.dominant_face((s,)), cx.face((), poset.datum.tables["right"][0][s])
+        loops.append([d, poset.xi_orbit(c0, p).index, poset.xi_orbit(c0, sc0).index,
+                      poset.xi_orbit(p, sc0).index, d])
     return loops
-
-
-def _wall_loop(poset, p, c, cp):
-    """The cell path W(P,C) -> W(C,C) -> W(C,P) -> W(C,C') -> W(P,C').
-
-    It closes when C and C' are the chambers on the two sides of the wall
-    P; a path that does not close raises OpenLoopError.
-    """
-    loop = [poset.xi_orbit(p, c).index,
-            poset.xi_orbit(c, c).index,
-            poset.xi_orbit(c, p).index,
-            poset.xi_orbit(c, cp).index,
-            poset.xi_orbit(p, cp).index]
-    if loop[0] != loop[-1]:
-        raise OpenLoopError(f"path around wall {p!r} ends at cell {loop[-1]}, not {loop[0]}")
-    return loop
 
 
 # -- subobjects --------------------------------------------------------------------

@@ -180,8 +180,9 @@ class XiPoset:
         return self.pair_to_elem[(coarse, d.index) if side == PRIME else (c.index, coarse)]
 
     def leq_side(self, side, n, m):
-        """True iff m >= n in the order of `side` (>=' or >='')."""
-        return n in self.downs(side)[m]
+        """True iff m >= n on `side`: n is m contracted into n's type there."""
+        K = self.elements[n].typeIJ[side]
+        return set(self.elements[m].typeIJ[side]) <= set(K) and self.phi(m, side, K) == n
 
     def leq(self, n, m):
         """Joint order: true iff m >= n, i.e. m's pair coarsens into n's orbit.

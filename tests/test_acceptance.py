@@ -17,7 +17,7 @@ from mbsheaf.fq import (
 from mbsheaf.io import dumps, loads, mbs_from_json, mbs_to_json
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.orbitpoly import property_suite, validate_counts
-from mbsheaf.sheaf import bicube, check_mbs, monodromy, phi_psi, standard_loops
+from mbsheaf.sheaf import bicube, braid_loops, check_mbs, phi_psi, transport
 from mbsheaf.xi import enumerate_xi
 
 _POSETS = {}
@@ -232,7 +232,7 @@ def test_criterion_10_bicube_matches_induction_restriction():
     report_line(10, "bicube(E_q) equals pushforward/pullback along flag projections", elapsed)
 
 
-def test_criterion_11_phi_psi_and_monodromy():
+def test_criterion_11_phi_psi_and_braid_generator():
     t0 = time.time()
     xi = poset_for("A", 1)
     e1 = build_e1(xi)
@@ -243,11 +243,11 @@ def test_criterion_11_phi_psi_and_monodromy():
     for name, sheaf in sheaves:
         pp = phi_psi(sheaf)
         assert pp.t_invertible, name
-    (loop,) = standard_loops(xi)
+    (loop,) = braid_loops(xi)
     variants = []
     for q in (2, 3):
         eq = build_eq(2, q, poset=xi)
-        mono = monodromy(eq, loop)
+        mono = transport(eq, loop)
         size = mono.nrows
         ident = RationalMatrix.identity(size)
         zero = RationalMatrix.zeros(size, size)
@@ -257,7 +257,7 @@ def test_criterion_11_phi_psi_and_monodromy():
         variants.append(first)
     assert variants[0] == variants[1]    # the satisfied variant is stable across q
     elapsed = time.time() - t0
-    report_line(11, "T invertible; monodromy variant (M-q)(M+1) = 0 stable in q", elapsed)
+    report_line(11, "T invertible; braid generator variant (M-q)(M+1) = 0 stable in q", elapsed)
 
 
 def test_criterion_12_point_level_geometry():

@@ -26,7 +26,7 @@ from mbsheaf.io import (
 from mbsheaf.linalg import RationalMatrix, fraction_to_str
 from mbsheaf.orbitpoly import orbit_poly, property_suite
 from mbsheaf.report import Report
-from mbsheaf.sheaf import PathDependenceError, check_mbs
+from mbsheaf.sheaf import check_mbs
 from mbsheaf.xi import PRIME, SECOND, arrow, enumerate_xi
 from test_cousin import a1_cells
 from test_fq import MisreadContext
@@ -418,8 +418,10 @@ def test_check_dump_names_cousin_witness_cells(xi_a1):
     staying integers.  The CLI runs Cousin only after the axioms pass, so
     check_dump is called directly, on the A1 sheaf with the anodyne dprime
     maps into the real-axis cell zeroed (support and constructibility fail)
-    and the dsecond maps out of the imaginary-axis cell too (cosupport fails;
-    the dual keeps the poset, so its witnesses take the same ids)."""
+    and the dsecond maps out of the imaginary-axis cell too (cosupport fails).
+    A cosupport witness m of the twisted dual is the file's stalk at tau(m),
+    so the report names tau(m): the cell :0|0:0 whose dsecond maps were
+    zeroed."""
     e1 = build_e1(xi_a1)
     _m0, m_neg1, m1, mi, mni = a1_cells(xi_a1)
     zero = RationalMatrix.zeros(2, 2)
@@ -428,12 +430,14 @@ def test_check_dump_names_cousin_witness_cells(xi_a1):
     reports = support_check(bad), coperversity_check(bad), constructibility_check(bad)
     doc = check_dump(xi_a1, check_mbs(bad), *reports)
     ids = [xi_id(xi_a1, m) for m in range(len(xi_a1.elements))]
-    for name, rep in zip(("support", "cosupport", "constructibility"), reports):
+    for name, rep, cell in zip(("support", "cosupport", "constructibility"), reports,
+                               (int, xi_a1.tau, int)):
         assert doc[name]["status"] == "FAIL"
         got = [ast.literal_eval(text) for text in doc[name]["failures"]]
-        assert got == [(ids[w[0]], *w[1:]) for w in rep.failures], name
+        assert got == [(ids[cell(w[0])], *w[1:]) for w in rep.failures], name
     cell, deg, h, dim, _ok = ast.literal_eval(doc["support"]["failures"][0])
     assert (cell, deg, h, dim) == (ids[m1], 0, 2, 1)
+    assert ast.literal_eval(doc["cosupport"]["failures"][0]) == (ids[m_neg1], 0, 2, 1, False)
 
 
 def test_cli_check_parse_error(tmp_path, capsys):
@@ -660,15 +664,6 @@ def _misread_flags(monkeypatch, tmp_path):
     return ["example", "eq", "2", "2"]
 
 
-def _path_dependent_check(monkeypatch, tmp_path):
-    def check_mbs(sheaf):
-        raise PathDependenceError(("prime", 0, 1))
-    monkeypatch.setattr(cli, "check_mbs", check_mbs)
-    path = tmp_path / "e1_a1.json"
-    assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0
-    return ["check", str(path)]
-
-
 def _hor_ver_mismatch(monkeypatch, tmp_path):
     poincare = orbitpoly.poincare_poly
     monkeypatch.setattr(orbitpoly, "poincare_poly",
@@ -676,8 +671,8 @@ def _hor_ver_mismatch(monkeypatch, tmp_path):
     return ["poly", "--type", "A", "--rank", "2"]
 
 
-@pytest.mark.parametrize("setup", [_misread_flags, _path_dependent_check, _hor_ver_mismatch],
-                         ids=["fibrewise-constancy", "path-dependence", "hor-ver-mismatch"])
+@pytest.mark.parametrize("setup", [_misread_flags, _hor_ver_mismatch],
+                         ids=["fibrewise-constancy", "hor-ver-mismatch"])
 def test_cli_verification_error_exits_1(monkeypatch, tmp_path, capsys, setup):
     argv = setup(monkeypatch, tmp_path)
     capsys.readouterr()

@@ -399,6 +399,16 @@ def test_table_walks_match_subset_scans(label, rank):
             assert all(m in xi.ups(side)[n] for n in below)
 
 
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_leq_side_matches_downs(label, rank):
+    """leq_side contracts m into n's type on demand: true exactly on downs."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    cells = range(len(xi.elements))
+    for side in (PRIME, SECOND):
+        for m, below in enumerate(xi.downs(side)):
+            assert [n for n in cells if xi.leq_side(side, n, m)] == sorted(below)
+
+
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
 def test_factorization_uniqueness(label, rank):
     xi = enumerate_xi(build_coxeter(label, rank))

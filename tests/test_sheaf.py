@@ -7,9 +7,8 @@ from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import (
-    OpenLoopError, _span_closure, _wall_loop, bicube, check_mbs, compose_prime,
-    compose_second, dual, generated_sub, is_simple, monodromy, phi_psi, standard_loops,
-    transport,
+    _span_closure, bicube, braid_loops, check_mbs, compose_prime, compose_second, dual,
+    generated_sub, is_simple, phi_psi, transport,
 )
 from mbsheaf.xi import PRIME, SECOND, enumerate_xi
 
@@ -213,32 +212,14 @@ def test_transport_constant_path(xi_a1, e1_a1):
 
 
 def test_a1_loop_monodromy_is_swap(xi_a1, e1_a1):
-    loops = standard_loops(xi_a1)
-    assert len(loops) == 1
-    mono = monodromy(e1_a1, loops[0])
-    swap = RationalMatrix(((0, 1), (1, 0)))
-    assert mono == swap or mono == swap.scale(-1)
-    assert mono == swap
-
-
-def test_wall_loop_raises_when_open(xi_a2):
-    cx = xi_a2.complex
-    wall = next(f for f in cx.faces if cx.face_dim(f) == 1)
-    chambers = [f for f in cx.faces if f.type_I == ()]
-    c, cp = [ch for ch in chambers if cx.face_leq(wall, ch)]
-    far = next(ch for ch in chambers if not cx.face_leq(wall, ch))
-    loop = _wall_loop(xi_a2, wall, c, cp)
-    assert loop[0] == loop[-1]
-    with pytest.raises(OpenLoopError):
-        _wall_loop(xi_a2, wall, c, far)
+    (loop,) = braid_loops(xi_a1)
+    assert transport(e1_a1, loop) == RationalMatrix(((0, 1), (1, 0)))
 
 
 def test_transport_rejects_bad_paths(xi_a1, e1_a1):
     m0, m_neg1, m1, mi, mni = a1_cells(xi_a1)
     with pytest.raises(ValueError):
         transport(e1_a1, [m1, m0])      # leaves the stratum / not anodyne
-    with pytest.raises(ValueError):
-        monodromy(e1_a1, [m1, mi])      # not closed
 
 
 def test_transport_elementary_move_invariance(xi_a2, e1_a2):
@@ -264,7 +245,7 @@ def test_transport_elementary_move_invariance(xi_a2, e1_a2):
                 right = transport(e1_a2, [a, c, d])
                 assert left == right
     assert squares > 0
-    for loop in standard_loops(xi):
+    for loop in braid_loops(xi):
         assert transport(e1_a2, loop).is_invertible()
 
 
