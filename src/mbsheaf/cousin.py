@@ -1,19 +1,19 @@
 """Stalk complexes of the Cousin resolution and the perversity support checks.
 
-For a cell with first type I0, the stalk complex collects the spaces at
-its up-set in the first order >=', the cells of Xi(I, J) with I inside I0
-that contract to it, each placed in degree |I| - r.  The differential
-composes the first-order maps with the alternating sign of inserting the
-new index into the ordered subset.  d^2 = 0 is equivalent to transitivity plus the sign
-bookkeeping and is verified on construction.
+One algorithm serves both orders.  On a side, with T(n) the type of n there,
+the stalk complex at a cell m collects the spaces at its up-set on that side,
+each n in degree |T(n)| - r.  Its blocks are the side's coverings adding an
+index of T(m), signed by the sign of inserting it: dprime maps on PRIME,
+transposed dsecond maps on SECOND, so the SECOND complex at m is the PRIME
+complex of the twisted dual at tau(m).  d^2 = 0 is read off MBS1's squares.
 """
 
 from __future__ import annotations
 
 from .linalg import RationalMatrix
 from .report import Report
-from .sheaf import dual
-from .xi import PRIME
+from .sheaf import _mbs1_failures
+from .xi import PRIME, SECOND, xi_id
 
 
 class SignConventionError(RuntimeError):
@@ -31,7 +31,7 @@ class StalkComplex:
     def __init__(self, cell, degrees, labels, dims, differentials, cohomology):
         self.cell = cell
         self.degrees = degrees              # sorted tuple of degrees present
-        self.labels = labels                # degree -> tuple of (I, element) blocks
+        self.labels = labels                # degree -> tuple of (type, element) blocks
         self.dims = dims                    # degree -> total dimension
         self.differentials = differentials  # degree -> matrix deg -> deg+1
         self.cohomology = cohomology        # degree -> cohomology dimension
@@ -48,79 +48,82 @@ def _profile(cohomology):
     return tuple(sorted((d, h) for d, h in cohomology.items() if h))
 
 
-def stalk_complex(E, m):
-    """Build and verify the stalk complex of the Cousin resolution at cell m.
+def stalk_complex(E, m, side=PRIME):
+    """The stalk complex at cell m on `side`, its terms ordered by (T(n), n).
 
-    Its terms are the up-set of m in >=', each cell n in degree |I(n)| - r,
-    ordered by (I(n), n); the blocks of its differential are their
-    coverings that add an index of I(m), signed by _insert_sign.
+    d^2 = 0 at every cell exactly when the side's squares commute, checked
+    once per sheaf and side by _mbs1_failures.  With e(I, a) = (-1)^#{b in I :
+    b > a} and a < b, e(I + a, b) = e(I, b) and e(I + b, a) = -e(I, a): the
+    two paths round a square carry opposite signs, and the block of d^2 from
+    n to phi_b phi_a n is their difference.  Every square of a side lies in
+    the complex at its last cell.
     """
     poset = E.poset
+    failed = E._squares.get(side)
+    if failed is None:
+        failed = E._squares[side] = next(_mbs1_failures(E, (side,)), ())
+    if failed:
+        order, top, bottom = failed
+        raise SignConventionError(f"d^2 != 0: the {order} square from {xi_id(poset, top)} "
+                                  f"to {xi_id(poset, bottom)} does not commute")
     r = poset.datum.rank
-    I0 = poset.elements[m].typeIJ[PRIME]
-    labels = {size - r: [] for size in range(len(I0) + 1)}
+    T0 = poset.elements[m].typeIJ[side]
+    labels = {size - r: [] for size in range(len(T0) + 1)}
     dims = dict.fromkeys(labels, 0)
     offset = {}                     # term -> its first index in its degree's space
-    terms = [(poset.elements[n].typeIJ[PRIME], n) for n in poset.ups(PRIME)[m]]
-    for I, n in sorted(terms, key=lambda t: (len(t[0]), t)):
-        deg = len(I) - r
-        labels[deg].append((I, n))
+    terms = [(poset.elements[n].typeIJ[side], n) for n in poset.ups(side)[m]]
+    for T, n in sorted(terms, key=lambda t: (len(t[0]), t)):
+        deg = len(T) - r
+        labels[deg].append((T, n))
         offset[n] = dims[deg]
         dims[deg] += E.dims[n]
     diffs = {}
     for deg in list(labels)[:-1]:
         rows = [[] for _ in range(dims[deg + 1])]
-        for I1, n1 in labels[deg]:
-            for alpha, n2 in poset.cov[PRIME][n1]:
-                if alpha not in I0:
+        for T1, n1 in labels[deg]:
+            for alpha, n2 in poset.cov[side][n1]:
+                if alpha not in T0:
                     continue
-                sign = _insert_sign(I1, alpha)
+                sign = _insert_sign(T1, alpha)
                 ro, co = offset[n2], offset[n1]
-                for i, row in enumerate(E.dprime[(n1, n2)].sparse_rows):
+                block = E.maps(side)[(n1, n2)]
+                block = block.transpose() if side == SECOND else block
+                for i, row in enumerate(block.sparse_rows):
                     rows[ro + i].extend([(co + j, sign * x) for j, x in row])
         diffs[deg] = RationalMatrix.from_sparse(rows, dims[deg])
     labels = {deg: tuple(blocks) for deg, blocks in labels.items()}
-    for deg in diffs:
-        nxt = diffs.get(deg + 1)
-        if nxt is not None and not (nxt @ diffs[deg]).is_zero():
-            raise SignConventionError(f"d^2 != 0 at cell {m}, degree {deg}")
     ranks = {deg: d.rank() for deg, d in diffs.items()}
     cohomology = {deg: dim - ranks.get(deg, 0) - ranks.get(deg - 1, 0)
                   for deg, dim in dims.items()}
-    degrees = tuple(sorted(dims))
-    return StalkComplex(m, degrees, labels, dims, diffs, cohomology)
+    return StalkComplex(m, tuple(sorted(dims)), labels, dims, diffs, cohomology)
 
 
-def _stalk_cohomology(E, m):
-    """Cohomology of the stalk complex at m, by degree, built once per sheaf.
-
-    The differentials are not kept.  A complex with d^2 != 0 is never
-    stored, so every check that reaches it raises SignConventionError.
-    """
-    got = E._stalks.get(m)
+def _stalk_cohomology(E, side, m):
+    """Cohomology of the stalk complex at m on `side`, by degree, built once
+    per sheaf; the differentials are not kept."""
+    got = E._stalks.get((side, m))
     if got is None:
-        got = E._stalks[m] = stalk_complex(E, m).cohomology
+        got = E._stalks[(side, m)] = stalk_complex(E, m, side).cohomology
     return got
 
 
-def support_check(E):
-    """Perversity support: nonzero H^d at a cell forces stratum dimension <= -d.
-
-    Every cell and degree is examined; a witness is (cell, degree, h_dim,
-    stratum_dim, False).  A degree with no terms has no cohomology.
+def support_check(E, side=PRIME):
+    """Perversity support on `side`: nonzero H^d at a cell forces stratum
+    dimension <= -d.  Every cell and degree is examined; a witness is (cell,
+    degree, h_dim, stratum_dim, False).  A degree with no terms has none.
     """
     rep = Report("support")
     for m in range(len(E.poset.elements)):
         stratum_dim = E.poset.elements[m].flat.dim
-        for deg, h in sorted(_stalk_cohomology(E, m).items()):
+        for deg, h in sorted(_stalk_cohomology(E, side, m).items()):
             if h and stratum_dim > -deg:
                 rep.witnesses["support"].append((m, deg, h, stratum_dim, False))
     return rep
 
 
 def coperversity_check(E):
-    """The dual-side support condition: support_check of the twisted dual."""
-    return support_check(dual(E))
+    """The dual-side support condition, on the SECOND stalks of E itself."""
+    return support_check(E, SECOND)
 
 
 def constructibility_check(E):
@@ -130,7 +133,7 @@ def constructibility_check(E):
     """
     profiles = {}
     for m in range(len(E.poset.elements)):
-        profiles[m] = _profile(_stalk_cohomology(E, m))
+        profiles[m] = _profile(_stalk_cohomology(E, PRIME, m))
     s0, _s1, _tau = E.poset.stratification_classes()
     rep = Report("constructibility")
     for cls in s0:

@@ -272,15 +272,10 @@ def poly_dump(poset, polys, report):
 
 
 def check_dump(poset, axioms, support, cosupport, constructibility):
-    """The ``mbsheaf check`` report; witnesses name cells by ``xi_id`` (Cousin: the first).
-
-    A cosupport witness is found on the twisted dual, whose stalk at m is the
-    file's stalk at tau(m), so it is spelled ``xi_id(poset, poset.tau(m))``:
-    the file's cell, whose maps break it.
-    """
-    def entry(rep, cell=lambda m: m):
+    """The ``mbsheaf check`` report; witnesses name cells by ``xi_id`` (Cousin: the first)."""
+    def entry(rep):
         return {"status": "PASS" if rep.ok else "FAIL",
-                "failures": [repr((xi_id(poset, cell(f[0])), *f[1:])) for f in rep.failures]}
+                "failures": [repr((xi_id(poset, f[0]), *f[1:])) for f in rep.failures]}
 
     def spelled(name):
         return [repr(tuple(xi_id(poset, x) if isinstance(x, int) else x for x in w))
@@ -294,6 +289,6 @@ def check_dump(poset, axioms, support, cosupport, constructibility):
             "shape": spelled("shape"),
         },
         "support": entry(support),
-        "cosupport": entry(cosupport, poset.tau),
+        "cosupport": entry(cosupport),
         "constructibility": entry(constructibility),
     }

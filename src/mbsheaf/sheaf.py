@@ -27,7 +27,8 @@ class MixedBruhatSheaf:
         self.dprime = dict(dprime)      # (m, n) with m >=' n covering: E(m) -> E(n)
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
         self._composites = ({}, {})     # per side: (m, n) -> composite matrix
-        self._stalks = {}               # cell -> cohomology of its stalk complex
+        self._stalks = {}               # (side, cell) -> cohomology of its stalk complex
+        self._squares = {}              # side -> its first square that fails, or ()
         self._moves = None              # generated_sub's moves, built on first use
 
     @property
@@ -61,7 +62,8 @@ def _compose(E, side, m, n):
     if got is None:
         if not E.poset.leq_side(side, n, m):
             order = ">=" + "'" * (side + 1)
-            raise OrderError(f"compose_{SIDE_NAMES[side]} requires m {order} n")
+            raise OrderError(f"compose_{SIDE_NAMES[side]} requires m {order} n, not "
+                             f"{xi_id(E.poset, m)} and {xi_id(E.poset, n)}")
         target = E.poset.elements[n].typeIJ[side]
         step = E.maps(side)
         for s, t in E.poset.cov[side][m]:
@@ -176,14 +178,14 @@ def check_mbs(E):
     return rep
 
 
-def _mbs1_failures(E):
-    """Each (order, m, n) whose square does not commute: the two chains from m
-    through a = phi_s m and b = phi_t m, s < t, to n = phi_t a = phi_s b; by
-    m, then side, then (s, t)."""
+def _mbs1_failures(E, sides=(PRIME, SECOND)):
+    """Each (order, m, n) on `sides` whose square does not commute: the two
+    chains from m through a = phi_s m and b = phi_t m, s < t, to
+    n = phi_t a = phi_s b; by m, then side, then (s, t)."""
     cov = E.poset.cov
-    steps = [[dict(below) for below in cov[side]] for side in (PRIME, SECOND)]
+    steps = {side: [dict(below) for below in cov[side]] for side in sides}
     for m in range(len(E.poset.elements)):
-        for side in (PRIME, SECOND):
+        for side in sides:
             below, d, step = cov[side][m], E.maps(side), steps[side]
             for i, (_s, a) in enumerate(below):
                 for t, b in below[i + 1:]:
@@ -261,11 +263,8 @@ def bicube(E):
         m_prime[I] = poset.xi_orbit(zero, ki).index
         m_diag[I] = poset.xi_orbit(ki, ki).index
         m_second[I] = poset.xi_orbit(ki, zero).index
-    phi_inv = {}     # a_I b_I: E(m''_I) -> Q_I, the inverse of phi_I
-    for I in subsets:
-        a = compose_prime(E, m_diag[I], m_prime[I])      # E(m_I) -> E(m'_I), anodyne
-        b = compose_second(E, m_diag[I], m_second[I])    # E(m''_I) -> E(m_I), anodyne
-        phi_inv[I] = a @ b
+    # E(m''_I) -> E(m_I) -> E(m'_I) = Q_I, the inverse of phi_I
+    phi_inv = {I: transport(E, [m_second[I], m_diag[I], m_prime[I]]) for I in subsets}
     phi = {I: x.inverse() for I, x in phi_inv.items()}   # Q_I -> E(m''_I)
     spaces = {I: E.dims[m_prime[I]] for I in subsets}
     v = {}
@@ -307,25 +306,26 @@ def phi_psi(E):
 # -- local system transport ------------------------------------------------------
 
 def validate_path(poset, path):
-    """Check a cell path: one stratum, consecutive pure anodyne steps.
+    """Check a cell path: one stratum, consecutive pure steps, which are then
+    anodyne, since the cells of a stratum share their orbit size.
 
     Returns (side, hi, lo) per step: the step runs up from lo to hi or
     down from hi to lo, with hi >= lo on that side.
     """
-    if len(path) < 1:
+    if not path:
         raise ValueError("empty path")
     flat = poset.elements[path[0]].flat
     for m in path:
         if poset.elements[m].flat != flat:
-            raise ValueError("path leaves its stratum")
+            raise ValueError(f"path leaves the stratum of {xi_id(poset, path[0])} "
+                             f"at {xi_id(poset, m)}")
     steps = []
     for a, b in zip(path, path[1:]):
         step = next(((side, hi, lo) for hi, lo in ((b, a), (a, b)) for side in (PRIME, SECOND)
                      if poset.leq_side(side, lo, hi)), None)
         if step is None:
-            raise ValueError(f"step {a} -> {b} is not a pure <=' or <='' step")
-        if poset.elements[step[1]].orbit_size != poset.elements[step[2]].orbit_size:
-            raise ValueError(f"step {a} -> {b} is not anodyne")
+            raise ValueError(f"step {xi_id(poset, a)} -> {xi_id(poset, b)} "
+                             "is not a pure <=' or <='' step")
         steps.append(step)
     return steps
 

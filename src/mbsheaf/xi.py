@@ -241,7 +241,7 @@ class XiPoset:
     def pi_map(self, m, n):
         """Point-level surjection m -> n for m >= n, as a list over m.points."""
         if not self.leq(n, m):
-            raise OrderError("pi_map requires m >= n")
+            raise OrderError(f"pi_map requires m >= n, not {xi_id(self, m)} and {xi_id(self, n)}")
         en = self.elements[n]
         left, right = map(self.complex.coarsen_table, en.typeIJ)
         index = en.point_index
@@ -250,7 +250,8 @@ class XiPoset:
     def is_anodyne(self, m, n):
         """Same-stratum test for a comparable pair, via orbit sizes."""
         if not self.leq(n, m):
-            raise OrderError("is_anodyne requires m >= n")
+            raise OrderError(f"is_anodyne requires m >= n, not {xi_id(self, m)} "
+                             f"and {xi_id(self, n)}")
         return self.elements[m].orbit_size == self.elements[n].orbit_size
 
     def sup(self, mp, n):

@@ -3,8 +3,10 @@
 This is the assembly ``stalk_complex`` ran before it read its terms off
 ``ups(PRIME)`` and its differential blocks off ``cov[PRIME]``: for each
 subset I of I(m), scan the block Xi(I, J(m)) for cells contracting to m,
-and find the target of each block of the differential with ``phi``.  It is
-kept so that tests can compare both on the same cells (see test_cousin.py).
+and find the target of each block of the differential with ``phi``.  It
+also keeps the d^2 = 0 check by products of consecutive differentials,
+which ``stalk_complex`` reads off the squares instead.  It is kept so that
+tests can compare both on the same cells (see test_cousin.py).
 """
 
 from __future__ import annotations

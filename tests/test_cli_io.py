@@ -419,9 +419,8 @@ def test_check_dump_names_cousin_witness_cells(xi_a1):
     check_dump is called directly, on the A1 sheaf with the anodyne dprime
     maps into the real-axis cell zeroed (support and constructibility fail)
     and the dsecond maps out of the imaginary-axis cell too (cosupport fails).
-    A cosupport witness m of the twisted dual is the file's stalk at tau(m),
-    so the report names tau(m): the cell :0|0:0 whose dsecond maps were
-    zeroed."""
+    A cosupport witness is the file's cell whose SECOND stalk fails: the cell
+    :0|0:0 whose dsecond maps were zeroed."""
     e1 = build_e1(xi_a1)
     _m0, m_neg1, m1, mi, mni = a1_cells(xi_a1)
     zero = RationalMatrix.zeros(2, 2)
@@ -430,11 +429,10 @@ def test_check_dump_names_cousin_witness_cells(xi_a1):
     reports = support_check(bad), coperversity_check(bad), constructibility_check(bad)
     doc = check_dump(xi_a1, check_mbs(bad), *reports)
     ids = [xi_id(xi_a1, m) for m in range(len(xi_a1.elements))]
-    for name, rep, cell in zip(("support", "cosupport", "constructibility"), reports,
-                               (int, xi_a1.tau, int)):
+    for name, rep in zip(("support", "cosupport", "constructibility"), reports):
         assert doc[name]["status"] == "FAIL"
         got = [ast.literal_eval(text) for text in doc[name]["failures"]]
-        assert got == [(ids[cell(w[0])], *w[1:]) for w in rep.failures], name
+        assert got == [(ids[w[0]], *w[1:]) for w in rep.failures], name
     cell, deg, h, dim, _ok = ast.literal_eval(doc["support"]["failures"][0])
     assert (cell, deg, h, dim) == (ids[m1], 0, 2, 1)
     assert ast.literal_eval(doc["cosupport"]["failures"][0]) == (ids[m_neg1], 0, 2, 1, False)

@@ -1,5 +1,7 @@
 """Stalk complexes, perversity support, and constructibility along strata."""
 
+import re
+
 import pytest
 
 from cousin_reference import block_scan_stalk_complex
@@ -11,8 +13,8 @@ from mbsheaf.cousin import (
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
 from mbsheaf.fq import build_eq
 from mbsheaf.linalg import RationalMatrix
-from mbsheaf.sheaf import check_mbs
-from mbsheaf.xi import PRIME, enumerate_xi
+from mbsheaf.sheaf import check_mbs, dual
+from mbsheaf.xi import PRIME, SECOND, SIDE_NAMES, enumerate_xi, xi_id
 from xi_reference import blocks
 
 
@@ -180,7 +182,7 @@ def test_d_squared_error_on_broken_transitivity(xi_a2):
 
 def test_each_stalk_differential_ranked_once(xi_a2, monkeypatch):
     # each differential is the outgoing map of one degree and the incoming
-    # map of the next; its rank serves both
+    # map of the next; its rank serves both, on either side
     e1 = build_e1(xi_a2)
     ranked = []
     rank = RationalMatrix.rank
@@ -190,10 +192,23 @@ def test_each_stalk_differential_ranked_once(xi_a2, monkeypatch):
         return rank(mat)
 
     monkeypatch.setattr(RationalMatrix, "rank", counting)
-    for m in range(len(xi_a2.elements)):
-        ranked.clear()
-        sc = stalk_complex(e1, m)
-        assert sorted(ranked) == sorted(id(d) for d in sc.differentials.values())
+    for side in (PRIME, SECOND):
+        for m in range(len(xi_a2.elements)):
+            ranked.clear()
+            sc = stalk_complex(e1, m, side)
+            assert sorted(ranked) == sorted(id(d) for d in sc.differentials.values())
+
+
+def _scaled(E, side, factor=3):
+    """E with its first covering map of `side` that has two rows scaled."""
+    maps = [dict(E.dprime), dict(E.dsecond)]
+    key = next(k for k in maps[side] if maps[side][k].nrows > 1)
+    maps[side][key] = maps[side][key].scale(factor)
+    return E.copy_with(E.dims, *maps)
+
+
+# the checks that read each side's stalk complexes
+SIDE_CHECKS = {PRIME: (support_check, constructibility_check), SECOND: (coperversity_check,)}
 
 
 def test_stalk_complexes_built_once_per_sheaf(xi_a2, monkeypatch):
@@ -201,28 +216,64 @@ def test_stalk_complexes_built_once_per_sheaf(xi_a2, monkeypatch):
     built = []
     original = cousin.stalk_complex
 
-    def counting(E, m):
-        built.append(m)
-        return original(E, m)
+    def counting(E, m, side=PRIME):
+        built.append((side, m))
+        return original(E, m, side)
 
     monkeypatch.setattr(cousin, "stalk_complex", counting)
     e1 = build_e1(xi_a2)
-    assert support_check(e1).ok and constructibility_check(e1).ok
+    checks = (support_check, coperversity_check, constructibility_check)
+    assert all(check(e1).ok for check in checks)
     first = dict(e1._stalks)
-    assert support_check(e1).ok and constructibility_check(e1).ok
-    assert sorted(built) == list(range(len(xi_a2.elements)))
+    assert all(check(e1).ok for check in checks)
+    keys = [(side, m) for side in (PRIME, SECOND) for m in range(len(xi_a2.elements))]
+    assert sorted(built) == keys
     # every cell's memoised cohomology, passing cells included, is the
     # cohomology a fresh stalk complex computes
-    assert e1._stalks == first == {m: original(e1, m).cohomology
-                                   for m in range(len(xi_a2.elements))}
-    # a complex with d^2 != 0 is not memoised: every check that meets it raises
-    key = next(k for k in e1.dprime if e1.dprime[k].nrows > 1)
-    bad_dprime = dict(e1.dprime)
-    bad_dprime[key] = e1.dprime[key].scale(3)
-    bad = e1.copy_with(e1.dims, bad_dprime, e1.dsecond)
-    for check in (support_check, constructibility_check):
-        with pytest.raises(SignConventionError):
+    assert e1._stalks == first == {(side, m): original(e1, m, side).cohomology
+                                   for side, m in keys}
+    # a sheaf whose squares fail on a side has no stalk complex there: every
+    # check that reads one raises
+    for side, side_checks in SIDE_CHECKS.items():
+        bad = _scaled(e1, side)
+        for check in side_checks:
+            with pytest.raises(SignConventionError):
+                check(bad)
+
+
+@pytest.mark.parametrize("side", [PRIME, SECOND], ids=SIDE_NAMES)
+def test_square_failure_on_one_side(xi_a2, side):
+    """A covering map of one side scaled by 3: check_mbs reports MBS1 squares
+    of that side alone, the other side's support check passes, and this side's
+    raises SignConventionError naming the first failing square by its cells."""
+    bad = _scaled(build_e1(xi_a2), side)
+    squares = check_mbs(bad).witnesses["MBS1"]
+    assert squares and {order for order, _m, _n in squares} == {SIDE_NAMES[side]}
+    assert all(check(bad).ok for check in SIDE_CHECKS[1 - side])
+    order, top, bottom = squares[0]
+    message = (f"the {order} square from {xi_id(xi_a2, top)} to {xi_id(xi_a2, bottom)} "
+               "does not commute")
+    for check in SIDE_CHECKS[side]:
+        with pytest.raises(SignConventionError, match=re.escape(message)):
             check(bad)
+
+
+def test_squares_walked_once_per_side(xi_a2, monkeypatch):
+    """The whole suite on a passing sheaf walks each side's squares once."""
+    import mbsheaf.cousin as cousin
+    walked = []
+    original = cousin._mbs1_failures
+
+    def counting(E, sides):
+        walked.append(sides)
+        return original(E, sides)
+
+    monkeypatch.setattr(cousin, "_mbs1_failures", counting)
+    e1 = build_e1(xi_a2)
+    for check in (support_check, coperversity_check, constructibility_check) * 2:
+        assert check(e1).ok
+    assert sorted(walked) == [(PRIME,), (SECOND,)]
+    assert e1._squares == {PRIME: (), SECOND: ()}
 
 
 def _e1v(label, rank, name):
@@ -253,3 +304,43 @@ def test_stalk_complex_matches_block_scan(name):
         assert got.dims == ref.dims, (name, m)
         assert got.differentials == ref.differentials, (name, m)
         assert got.cohomology == ref.cohomology, (name, m)
+
+
+DUAL_ORACLE_SHEAVES = {
+    **{f"E_1{tag}({label}{rank})": (lambda label=label, rank=rank, name=name:
+                                    _e1v(label, rank, name) if name else
+                                    build_e1(enumerate_xi(build_coxeter(label, rank))))
+       for label, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+       for tag, name in [("", None), ("^sign", "sign"), ("^reflection", "reflection")]},
+    **{f"E_q({n},{q})": (lambda n=n, q=q: build_eq(n, q))
+       for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]},
+}
+
+
+def _coords(labels, dims, cell=lambda n: n):
+    """Each coordinate of one degree of a stalk complex: (cell(term), index)."""
+    return [(cell(n), k) for _T, n in labels for k in range(dims[n])]
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_ORACLE_SHEAVES))
+def test_second_stalks_are_the_dual_prime_stalks(name):
+    """The SECOND stalk complex at m against the PRIME one of the twisted dual
+    at tau(m): the same degrees, dims, cohomology and terms up to tau, and
+    the same differentials once each term n is moved to where tau(n) is."""
+    E = DUAL_ORACLE_SHEAVES[name]()
+    D, tau = dual(E), E.poset.tau
+    for m in range(len(E.poset.elements)):
+        got, ref = stalk_complex(E, m, SECOND), stalk_complex(D, tau(m))
+        assert got.degrees == ref.degrees, (name, m)
+        assert got.dims == ref.dims, (name, m)
+        assert got.cohomology == ref.cohomology, (name, m)
+        place = {}
+        for deg, labels in got.labels.items():
+            assert sorted((T, tau(n)) for T, n in labels) == sorted(ref.labels[deg]), (name, m)
+            theirs = {c: i for i, c in enumerate(_coords(ref.labels[deg], D.dims))}
+            place[deg] = [theirs[c] for c in _coords(labels, E.dims, tau)]
+        for deg, d in got.differentials.items():
+            rows = [()] * d.nrows
+            for i, row in enumerate(d.sparse_rows):
+                rows[place[deg + 1][i]] = [(place[deg][j], x) for j, x in row]
+            assert RationalMatrix.from_sparse(rows, d.ncols) == ref.differentials[deg], (name, m)

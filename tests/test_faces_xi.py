@@ -4,6 +4,7 @@ import ast
 import itertools
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from dense_reference import Span
 from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.faces import FaceComplex
 from mbsheaf.sheaf import _covering_configurations
-from mbsheaf.xi import PRIME, SECOND, OrderError, XiPoset, enumerate_xi
+from mbsheaf.xi import PRIME, SECOND, OrderError, XiPoset, enumerate_xi, xi_id
 from tables_reference import coarsen
 from xi_reference import (
     block_scan_sup, blocks, bruhat_block_leq, factor_through, span_closure_flats,
@@ -286,7 +287,9 @@ def test_a1_pi_maps(xi_a1):
     m2 = xi.pi_map(lab["m_minus_1"], lab["m0"])
     assert m2 == [0, 0]                   # 2-to-1
     assert xi.pi_map(lab["m0"], lab["m0"]) == [0]
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=re.escape(
+            f"pi_map requires m >= n, not {xi_id(xi, lab['m_1'])} "
+            f"and {xi_id(xi, lab['m_minus_1'])}")):
         xi.pi_map(lab["m_1"], lab["m_minus_1"])
 
 
@@ -304,7 +307,9 @@ def test_a1_anodyne_and_flats(xi_a1):
     assert xi.is_anodyne(lab["m_i"], lab["m_1"])
     assert not xi.is_anodyne(lab["m_1"], lab["m0"])
     assert xi.is_anodyne(lab["m0"], lab["m0"])
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=re.escape(
+            f"is_anodyne requires m >= n, not {xi_id(xi, lab['m_1'])} "
+            f"and {xi_id(xi, lab['m_minus_1'])}")):
         xi.is_anodyne(lab["m_1"], lab["m_minus_1"])    # incomparable
     dims = {k: xi.elements[v].flat.dim for k, v in lab.items()}
     assert dims == {"m0": 0, "m_minus_1": 1, "m_1": 1, "m_i": 1, "m_minus_i": 1}

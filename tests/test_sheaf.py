@@ -1,5 +1,7 @@
 """Axiom checker, duality, bicube, transport, and subsheaf machinery on E_1."""
 
+import re
+
 import pytest
 
 from dense_reference import generated_sub_bases
@@ -10,7 +12,7 @@ from mbsheaf.sheaf import (
     _span_closure, bicube, braid_loops, check_mbs, compose_prime, compose_second, dual,
     generated_sub, is_simple, phi_psi, transport,
 )
-from mbsheaf.xi import PRIME, SECOND, enumerate_xi
+from mbsheaf.xi import PRIME, SECOND, OrderError, enumerate_xi, xi_id
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +130,11 @@ def test_compose_identity_and_single(xi_a1, e1_a1):
     assert compose_prime(e1_a1, m1, m1) == RationalMatrix.identity(2)
     assert compose_prime(e1_a1, m_neg1, m0) == e1_a1.dprime[(m_neg1, m0)]
     assert compose_second(e1_a1, m1, m0) == e1_a1.dsecond[(m1, m0)]
+    # m0 lies below m_neg1 on the first side only: the error names both cells
+    with pytest.raises(OrderError, match=re.escape(
+            f"compose_second requires m >='' n, not {xi_id(xi_a1, m_neg1)} "
+            f"and {xi_id(xi_a1, m0)}")):
+        compose_second(e1_a1, m_neg1, m0)
 
 
 def test_compose_chain_matches_point_pushforward(xi_a2, e1_a2):
@@ -218,8 +225,16 @@ def test_a1_loop_monodromy_is_swap(xi_a1, e1_a1):
 
 def test_transport_rejects_bad_paths(xi_a1, e1_a1):
     m0, m_neg1, m1, mi, mni = a1_cells(xi_a1)
-    with pytest.raises(ValueError):
-        transport(e1_a1, [m1, m0])      # leaves the stratum / not anodyne
+    with pytest.raises(ValueError, match="empty path"):
+        transport(e1_a1, [])
+    with pytest.raises(ValueError, match=re.escape(
+            f"path leaves the stratum of {xi_id(xi_a1, m1)} at {xi_id(xi_a1, m0)}")):
+        transport(e1_a1, [m1, m0])
+    # both cells lie on the open stratum, but neither contracts to the other
+    # in one coordinate
+    with pytest.raises(ValueError, match=re.escape(
+            f"step {xi_id(xi_a1, m1)} -> {xi_id(xi_a1, m_neg1)} is not a pure <=' or <='' step")):
+        transport(e1_a1, [m1, m_neg1])
 
 
 def test_transport_elementary_move_invariance(xi_a2, e1_a2):
