@@ -51,12 +51,12 @@ def _profile(cohomology):
 def stalk_complex(E, m, side=PRIME):
     """The stalk complex at cell m on `side`, its terms ordered by (T(n), n).
 
-    d^2 = 0 at every cell exactly when the side's squares commute, checked
-    once per sheaf and side by _mbs1_failures.  With e(I, a) = (-1)^#{b in I :
-    b > a} and a < b, e(I + a, b) = e(I, b) and e(I + b, a) = -e(I, a): the
-    two paths round a square carry opposite signs, and the block of d^2 from
-    n to phi_b phi_a n is their difference.  Every square of a side lies in
-    the complex at its last cell.
+    d^2 = 0 at every cell exactly when the side's squares commute, walked
+    once per sheaf and side by _mbs1_failures, or read from check_mbs's walk.
+    With e(I, a) = (-1)^#{b in I : b > a} and a < b, e(I + a, b) = e(I, b)
+    and e(I + b, a) = -e(I, a): the two paths round a square carry opposite
+    signs, and the block of d^2 from n to phi_b phi_a n is their difference.
+    Every square of a side lies in the complex at its last cell.
     """
     poset = E.poset
     failed = E._squares.get(side)
@@ -86,10 +86,11 @@ def stalk_complex(E, m, side=PRIME):
                     continue
                 sign = _insert_sign(T1, alpha)
                 ro, co = offset[n2], offset[n1]
-                block = E.maps(side)[(n1, n2)]
-                block = block.transpose() if side == SECOND else block
-                for i, row in enumerate(block.sparse_rows):
-                    rows[ro + i].extend([(co + j, sign * x) for j, x in row])
+                # entry (i, j) of a dsecond block lands at (j, i): its transpose
+                for i, row in enumerate(E.maps(side)[(n1, n2)].sparse_rows):
+                    for j, x in row:
+                        r, c = (i, j) if side == PRIME else (j, i)
+                        rows[ro + r].append((co + c, sign * x))
         diffs[deg] = RationalMatrix.from_sparse(rows, dims[deg])
     labels = {deg: tuple(blocks) for deg, blocks in labels.items()}
     ranks = {deg: d.rank() for deg, d in diffs.items()}

@@ -22,10 +22,7 @@ class E1Sheaf(MixedBruhatSheaf):
 
     def action_matrix(self, w, m):
         """Permutation matrix of w on the point basis of cell m."""
-        act = self.poset.complex.action
-        e = self.poset.elements[m]
-        return RationalMatrix.pushforward(
-            [e.point_index[(act[w][c], act[w][d])] for c, d in e.points], e.orbit_size)
+        return RationalMatrix.pushforward(self.poset.point_action(w, m), self.dims[m])
 
 
 def _orbit_functions(poset):

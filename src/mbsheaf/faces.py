@@ -47,10 +47,6 @@ class Face:
     def __repr__(self):
         return f"Face(I={self.type_I}, w={self.rep_idx})"
 
-    @property
-    def key(self):
-        return (len(self.type_I), self.type_I, self.rep_idx)
-
 
 def subsets_sorted(rank):
     """All subsets of {0..rank-1} as sorted tuples, ordered by (size, entries)."""

@@ -6,8 +6,9 @@ subspaces as the tuple of their indices.  The relative position of two flags
 is the contingency matrix of graded intersection dimensions, the tuple of
 its row tuples, which matches the orbit labels of the 2-sided complex for
 the type A datum of rank n-1.
-Relative position, the Hor-reading refinement, flag coarsening and the
-Borel action are all table lookups; no elimination runs per flag pair.
+Relative position, the Hor-reading refinement and flag coarsening are all
+table lookups; no elimination runs per flag pair.  The Borel orbits on one
+type are the relative positions to the standard flag (Bruhat decomposition).
 E_q carries functions on the flag space of the horizontal reading of each
 cell; pullback maps come from flag coarsening, pushforward maps are
 computed on orbit points and factored back through the reading, verifying
@@ -72,12 +73,12 @@ class FqContext:
     its subspace indices: ``chains(comp)`` lists the flags of one type, and
     ``chain_index(comp)`` inverts the list.  On chains, relative position
     is dimension lookups of ``meet[x][y]``, the Hor-reading refinement is
-    ``join[base][meet[x][y]]`` steps, coarsening keeps the indices at the
-    coarser type's dimensions, and a matrix acts through
-    ``lattice.image_table``, from subspace index to subspace index; no
-    elimination runs per flag or flag pair.  At (n, q) = (4, 2) the
-    lattice has 67 subspaces, and ``build_eq(4, 2)`` runs in 1.8-2.0 s at
-    124 MB peak RSS (two runs, 2-vCPU VM, Python 3.11.7).
+    ``join[base][meet[x][y]]`` steps, and coarsening keeps the indices at the
+    coarser type's dimensions; no elimination runs per flag or flag pair.
+    The Borel orbits of one type are its relative positions to the standard
+    flag (``borel_orbits``).  At (n, q) = (4, 2) the lattice has 67 subspaces, and
+    ``build_eq(4, 2)`` runs in 1.8-2.0 s at 124 MB peak RSS (two runs,
+    2-vCPU VM, Python 3.11.7).
     """
 
     def __init__(self, n, q):
@@ -385,42 +386,26 @@ def hecke_generators(n, q):
 
 # -- Borel invariants ---------------------------------------------------------------
 
-def _borel_generators(n, p):
-    gens = []
-    for i in range(n):
-        for u in range(2, p):
-            g = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            g[i][i] = u
-            gens.append(tuple(tuple(r) for r in g))
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            g[i][j] = 1
-            gens.append(tuple(tuple(r) for r in g))
-    return gens
-
-
 def borel_orbits(ctx, composition):
-    """Partition of the flag list into orbits of the standard Borel subgroup."""
-    chains = ctx.chains(composition)
-    index = ctx.chain_index(composition)
-    tables = [ctx.lattice.image_table(g) for g in _borel_generators(ctx.n, ctx.q)]
-    moves = [[index[tuple(t[x] for x in c)] for c in chains] for t in tables]
-    seen = [False] * len(chains)
-    orbits = []
-    for start in range(len(chains)):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        for k in orbit:
-            for move in moves:
-                img = move[k]
-                if not seen[img]:
-                    seen[img] = True
-                    orbit.append(img)
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+    """Partition of the flag list into orbits of the standard Borel subgroup.
+
+    B is the stabiliser of the standard flag std = span(e_0) < span(e_0, e_1)
+    < ...  The orbits of G = GL_n(F_q) on pairs of flags are their relative
+    positions, and G is transitive on full flags, so the B-orbits on one type
+    are the relative positions to std: a flag z lies in B y exactly when
+    (std, z) lies in the G-orbit of (std, y).  Each is one U-orbit, as
+    B w P = U T w P = U w (w^-1 T w) P = U w P with w^-1 T w = T inside P, so
+    F_2, whose torus is trivial, is no exception.  Orbits are ascending, in
+    the order of their first flag.
+    """
+    n = ctx.n
+    index = ctx.lattice.index
+    std = tuple(index[tuple(tuple(int(i == j) for j in range(n)) for i in range(k))]
+                for k in range(1, n + 1))
+    orbits = {}
+    for y, chain in enumerate(ctx.chains(composition)):
+        orbits.setdefault(ctx.relative_position(std, chain), []).append(y)
+    return tuple(map(tuple, orbits.values()))
 
 
 def b_invariant_sub(E):

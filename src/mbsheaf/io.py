@@ -131,15 +131,9 @@ def mbs_to_json(E, include_action=False):
                     for (m, n), mat in sorted(E.maps(side).items())]
     if include_action:
         # point permutations per group element, for sheaves carrying an action
-        act = poset.complex.action
-        block = {}
-        for w in range(poset.datum.order):
-            per_cell = {}
-            for m, e in enumerate(poset.elements):
-                per_cell[xi_id(poset, m)] = [
-                    e.point_index[(act[w][c], act[w][d])] for (c, d) in e.points]
-            block[str(w)] = per_cell
-        doc["group_action"] = block
+        doc["group_action"] = {
+            str(w): {xi_id(poset, m): poset.point_action(w, m) for m in range(len(poset.elements))}
+            for w in range(poset.datum.order)}
     return doc
 
 

@@ -28,7 +28,7 @@ class MixedBruhatSheaf:
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
         self._composites = ({}, {})     # per side: (m, n) -> composite matrix
         self._stalks = {}               # (side, cell) -> cohomology of its stalk complex
-        self._squares = {}              # side -> its first square that fails, or ()
+        self._squares = {}              # side -> its first failing square, or (): MBS1's walk
         self._moves = None              # generated_sub's moves, built on first use
 
     @property
@@ -165,6 +165,8 @@ def check_mbs(E):
         return rep
 
     mbs1.extend(_mbs1_failures(E))
+    for side in (PRIME, SECOND):    # the Cousin suite reads these squares
+        E._squares[side] = next((w for w in mbs1 if w[0] == SIDE_NAMES[side]), ())
     if mbs1:
         return rep
     mbs2.extend(_mbs2_failures(E))

@@ -26,9 +26,9 @@ class ResourceError(RuntimeError):
 
 
 # -- F_p row-space arithmetic ---------------------------------------------------
-# The lattice calls nullspace_fp once per subspace and rref_fp once per
-# subspace and matrix it tabulates the action of.  The elimination-based
-# flag geometry in the tests uses all three.
+# The lattice calls nullspace_fp once per subspace, for its complement.
+# rref_fp and in_span_fp serve the elimination-based flag geometry of the
+# tests, which uses all three.
 
 def _rref_fp(rows, p, ncols):
     """``linalg._gauss_jordan`` over F_p, on the rows reduced mod p."""
@@ -122,7 +122,6 @@ class SubspaceLattice:
         if len(spaces) > MAX_SUBSPACES:
             raise ResourceError(f"F_{p}^{n} has {len(spaces)} subspaces; the lattice "
                                 f"tables hold at most {MAX_SUBSPACES}")
-        self.p = p
         self.spaces = tuple(spaces)
         self.index = {s: x for x, s in enumerate(spaces)}
         self.dim = tuple(len(s) for s in spaces)
@@ -133,10 +132,3 @@ class SubspaceLattice:
         perp = [by_mask[_members(nullspace_fp(s, p, n), p)] for s in spaces]
         self.join = tuple(tuple(perp[self.meet[perp[x]][perp[y]]] for y in range(len(spaces)))
                           for x in range(len(spaces)))
-
-    def image_table(self, g):
-        """subspace index -> index of its image under the invertible matrix g."""
-        p = self.p
-        return tuple(self.index[rref_fp(
-            [[sum(gi[k] * r[k] for k in range(len(r))) % p for gi in g] for r in s], p)]
-            for s in self.spaces)

@@ -247,6 +247,11 @@ class XiPoset:
         index = en.point_index
         return [index[(left[c], right[d])] for c, d in self.elements[m].points]
 
+    def point_action(self, w, m):
+        """Where w sends each point of cell m, as positions in m's points."""
+        act, e = self.complex.action[w], self.elements[m]
+        return [e.point_index[(act[c], act[d])] for c, d in e.points]
+
     def is_anodyne(self, m, n):
         """Same-stratum test for a comparable pair, via orbit sizes."""
         if not self.leq(n, m):

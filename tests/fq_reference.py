@@ -10,6 +10,9 @@ tuple of its nonzero rows, and a flag is the tuple of its subspaces.
 ``dense_rref_fp`` is the dense F_p Gauss-Jordan that ``rref_fp`` ran before
 both fields shared the sparse elimination of ``mbsheaf.linalg``; it is the
 oracle of ``rref_fp``, ``in_span_fp`` and ``nullspace_fp``.
+``borel_orbits`` searches the orbits of the Borel generators breadth first
+through ``act_flag``, the oracle of ``mbsheaf.fq.borel_orbits``'s grouping
+by relative position to the standard flag.
 ``hecke_generators`` builds each sigma_alpha from fibre lists, row by row,
 the oracle of ``mbsheaf.fq.hecke_generators``'s pullback product.
 ``pairwise_point_checks`` forms each fiber product of
@@ -19,7 +22,7 @@ oracle of its image buckets.
 
 from __future__ import annotations
 
-from mbsheaf.fq import FqContext, _borel_generators, _cell_compositions, composition_of_subset
+from mbsheaf.fq import FqContext, _cell_compositions, composition_of_subset
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.report import Report
 from mbsheaf.xi import PRIME, SECOND
@@ -157,6 +160,24 @@ def act_flag(g, flag, p):
                 for v in s]
         chain.append(rref_fp(rows, p))
     return tuple(chain)
+
+
+def _borel_generators(n, p):
+    """Generators of the upper triangular Borel subgroup of GL_n(F_p): the
+    diagonal matrices with one entry u in 2..p-1, and the elementary upper
+    unipotents with a single 1 above the diagonal."""
+    gens = []
+    for i in range(n):
+        for u in range(2, p):
+            g = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+            g[i][i] = u
+            gens.append(tuple(tuple(r) for r in g))
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+            g[i][j] = 1
+            gens.append(tuple(tuple(r) for r in g))
+    return gens
 
 
 def borel_orbits(flags, index, n, q):

@@ -283,6 +283,8 @@ EXAMPLE_DUMP_SHA256 = [
      "00eb0fea184662c182c7ae96f0025422c634e979cbaf3e820b5123b6f3b6f54e"),
     (["eq", "3", "2"], "2fe1ed6920ed332ca9d468a602e624373ec22e68ada00ffe1491906db942431b"),
     (["eq-binv", "3", "2"], "82894992712865185c967c974ff4ee06b54b373dc9e7f765f8f95e1fc79e158b"),
+    (["eq-binv", "2", "3"], "c38f809deb21cca5b7da46c8dbc8faa683431b950ee74e97a06e09d8a84df6b6"),
+    (["eq-binv", "3", "3"], "a05a90e5c4a1cf53c2e1004edd4faf0a9cac84e8a7f769c0fbb28c3bb72381e4"),
     (["eq", "3", "3"], "639c3719554ec876509c39624001066d38f80815369c149dbd19a242765fa63c"),
 ]
 

@@ -259,20 +259,30 @@ def test_square_failure_on_one_side(xi_a2, side):
 
 
 def test_squares_walked_once_per_side(xi_a2, monkeypatch):
-    """The whole suite on a passing sheaf walks each side's squares once."""
+    """The whole suite on a passing sheaf walks each side's squares once; after
+    check_mbs, which walks both sides, the suite walks none again."""
     import mbsheaf.cousin as cousin
+    import mbsheaf.sheaf as sheaf
     walked = []
-    original = cousin._mbs1_failures
+    original = sheaf._mbs1_failures
 
-    def counting(E, sides):
+    def counting(E, sides=(PRIME, SECOND)):
         walked.append(sides)
         return original(E, sides)
 
     monkeypatch.setattr(cousin, "_mbs1_failures", counting)
+    monkeypatch.setattr(sheaf, "_mbs1_failures", counting)
+    suite = (support_check, coperversity_check, constructibility_check) * 2
     e1 = build_e1(xi_a2)
-    for check in (support_check, coperversity_check, constructibility_check) * 2:
+    for check in suite:
         assert check(e1).ok
     assert sorted(walked) == [(PRIME,), (SECOND,)]
+    assert e1._squares == {PRIME: (), SECOND: ()}
+    walked.clear()
+    e1 = build_e1(xi_a2)
+    for check in (check_mbs, *suite):
+        assert check(e1).ok
+    assert walked == [(PRIME, SECOND)]
     assert e1._squares == {PRIME: (), SECOND: ()}
 
 

@@ -1,11 +1,12 @@
 """Finite-field flags, relative position, E_q, Hecke operators, Borel invariants."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from fq_reference import subspaces
-from mbsheaf.coxeter import build_coxeter
+from fq_reference import act_flag, subspaces
+from mbsheaf.coxeter import build_coxeter, poincare_poly
 from mbsheaf.f1 import build_e1
 from mbsheaf.fq import (
     FibrewiseConstancyError, FqContext, ResourceError, b_invariant_sub, borel_orbits, build_eq,
@@ -240,12 +241,15 @@ def test_eq_reading_equivariance_gl3f2(xi_a2):
     flags = ctx.chains((1, 1, 1))
     partial = ctx.chains((1, 2))
     pairs = [(flags[0], flags[0]), (flags[3], flags[17]), (flags[0], partial[5])]
-    tables = [ctx.lattice.image_table(mat) for mat in gl]
+    spaces, index = ctx.lattice.spaces, ctx.lattice.index
+
+    def act(g, chain):
+        return tuple(index[s] for s in act_flag(g, tuple(spaces[s] for s in chain), 2))
+
     for x, y in pairs:
         base = ctx.refine(x, y)
-        for t in tables:
-            gx, gy, gbase = (tuple(t[s] for s in chain) for chain in (x, y, base))
-            assert ctx.refine(gx, gy) == gbase
+        for g in gl:
+            assert ctx.refine(act(g, x), act(g, y)) == act(g, base)
 
 
 def test_intertwiner_between_associated_faces_invertible(xi_a2):
@@ -395,6 +399,19 @@ def test_borel_orbit_counts():
     assert len(borel_orbits(ctx, (1, 1, 1))) == 6      # |W| = 3!
     assert len(borel_orbits(ctx, (1, 2))) == 3
     assert len(borel_orbits(ctx, (3,))) == 1
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_borel_orbit_sizes_follow_bruhat(n, q):
+    """The B-orbits on flags of type K are the cells B w P_K / P_K, one per
+    minimal coset representative w of W/W_K, each of q^l(w) flags: coefficient
+    k of the Poincare polynomial counts the orbits of size q^k."""
+    datum = build_coxeter("A", n - 1)
+    ctx = FqContext(n, q)
+    for k in range(n):
+        for K in itertools.combinations(range(n - 1), k):
+            sizes = Counter(len(orbit) for orbit in borel_orbits(ctx, composition_of_subset(K, n)))
+            assert dict(sizes) == {q ** d: c for d, c in enumerate(poincare_poly(datum, K)) if c}
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
