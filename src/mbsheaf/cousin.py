@@ -132,12 +132,12 @@ def constructibility_check(E):
 
     A witness is (cell, its profile, the class's first profile, None, False).
     """
-    profiles = {}
-    for m in range(len(E.poset.elements)):
-        profiles[m] = _profile(_stalk_cohomology(E, PRIME, m))
-    s0, _s1, _tau = E.poset.stratification_classes()
+    profiles, classes = [], {}      # classes: cells by flat, in order of first appearance
+    for m, e in enumerate(E.poset.elements):
+        profiles.append(_profile(_stalk_cohomology(E, PRIME, m)))
+        classes.setdefault(e.flat, []).append(m)
     rep = Report("constructibility")
-    for cls in s0:
+    for cls in classes.values():
         ref = profiles[cls[0]]
         rep.witnesses["constructibility"].extend(
             (m, profiles[m], ref, None, False) for m in cls if profiles[m] != ref)

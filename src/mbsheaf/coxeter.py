@@ -169,28 +169,14 @@ class CoxeterDatum:
         return got
 
     def conjugacy_classes(self):
-        """Partition of element indices into conjugacy classes, deterministic order."""
-        n = self.order
-        seen = [False] * n
-        classes = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            orbit = {i}
-            frontier = [i]
-            while frontier:
-                new = []
-                for j in frontier:
-                    for s in range(self.rank):
-                        k = self.tables["left"][s][self.tables["right"][j][s]]
-                        if k not in orbit:
-                            orbit.add(k)
-                            new.append(k)
-                frontier = new
-            cls = tuple(sorted(orbit))
-            for j in cls:
-                seen[j] = True
-            classes.append(cls)
+        """Conjugacy classes, each the sorted set {g i g^-1} read off the
+        product table, in order of least element."""
+        mul, inv = self.tables["mul"], self.tables["inv"]
+        classes, seen = [], set()
+        for i in range(self.order):
+            if i not in seen:
+                classes.append(tuple(sorted({mul[mul[g][i]][inv[g]] for g in range(self.order)})))
+                seen.update(classes[-1])
         return tuple(classes)
 
     def coxeter_order(self, i, j):

@@ -10,6 +10,7 @@ by its value there, so (Fun(W/H) tensor V)^W = V^H (Frobenius reciprocity).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .coxeter import UnsupportedTypeError, _simple_reflections
 from .linalg import RationalMatrix, column_space_basis
@@ -89,119 +90,67 @@ class WRepresentation:
         return self.evaluate(w).trace()
 
 
-def _standard_tableaux(shape):
-    """Standard Young tableaux of the given partition shape."""
-    cells = [(r, c) for r, row in enumerate(shape) for c in range(row)]
-    n = len(cells)
-    out = []
-
-    def grow(filling):
-        if len(filling) == n:
-            out.append(dict(filling))
-            return
-        k = len(filling) + 1
-        for (r, c) in cells:
-            if (r, c) in filling:
-                continue
-            if c > 0 and (r, c - 1) not in filling:
-                continue
-            if r > 0 and (r - 1, c) not in filling:
-                continue
-            filling[(r, c)] = k
-            grow(filling)
-            del filling[(r, c)]
-
-    grow({})
-    return out
-
-
-def _sign_of(orig, img):
-    """Sign of the permutation taking the list orig to the list img."""
-    inv = sum(1 for i in range(len(img)) for j in range(i + 1, len(img))
-              if orig.index(img[i]) > orig.index(img[j]))
-    return (-1) ** inv
-
-
 def _specht(datum, shape):
     """Specht module for S_n (type A datum of rank n-1) via polytabloids.
 
-    Basis: polytabloids of standard tableaux inside the tabloid module;
-    generator matrices are obtained by solving in that explicit basis, so
-    no straightening is needed.
+    A standard tableau is the tuple of the cells holding 0..n-1, in the
+    lexicographic order of permutations of the cells; a tabloid is the
+    tuple of each entry's row, so s_k swaps its places k and k+1.  The
+    polytabloid of a tableau sums the tabloids of its column permutations,
+    each signed by its parity.  Generator matrices are solved in that
+    explicit basis, so no straightening is needed.
     """
     n = datum.rank + 1
     if sum(shape) != n:
         raise UnsupportedTypeError(f"partition {shape} is not a partition of {n}")
     if any(a < b for a, b in zip(shape, shape[1:])) or any(a <= 0 for a in shape):
         raise UnsupportedTypeError(f"{shape} is not a partition")
+    cells = [(r, c) for r, row in enumerate(shape) for c in range(row)]
+    # standard: each cell's left and upper neighbours hold smaller entries
+    tableaux = [t for t in itertools.permutations(cells)
+                if all((c == 0 or (r, c - 1) in t[:k]) and (r == 0 or (r - 1, c) in t[:k])
+                       for k, (r, c) in enumerate(t))]
+    tabloids = {}
+    for rows in itertools.permutations(r for r, _c in cells):
+        tabloids.setdefault(rows, len(tabloids))
 
-    def fill_rows(rows, remaining):
-        if not rows:
-            yield ()
-            return
-        head, *tail = rows
-        for combo in itertools.combinations(sorted(remaining), head):
-            for rest in fill_rows(tail, remaining - set(combo)):
-                yield (frozenset(combo),) + rest
+    def parity(p):
+        return (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
 
-    tabloids = list(fill_rows(list(shape), set(range(1, n + 1))))
-    tab_index = {t: i for i, t in enumerate(tabloids)}
-
-    def apply_perm(perm, tabloid):
-        return tuple(frozenset(perm.get(x, x) for x in row) for row in tabloid)
-
-    def tabloid_of(filling):
-        rows = {}
-        for (r, _c), val in filling.items():
-            rows.setdefault(r, set()).add(val)
-        return tuple(frozenset(rows[r]) for r in range(len(shape)))
-
-    def polytabloid(filling):
-        cols = {}
-        for (r, c), val in filling.items():
-            cols.setdefault(c, []).append((r, val))
-        col_lists = [[val for _r, val in sorted(cl)] for cl in cols.values()]
-        base = tabloid_of(filling)
+    # a column permutation f moves the entry of cell (r, c) to row f[c][r]
+    heights = [sum(row > c for row in shape) for c in range(shape[0])]
+    flips = [(f, math.prod(map(parity, f)))
+             for f in itertools.product(*(itertools.permutations(range(h)) for h in heights))]
+    cols = []
+    for t in tableaux:
         vec = [0] * len(tabloids)
-        for perms in itertools.product(*[itertools.permutations(cl) for cl in col_lists]):
-            perm = {}
-            sign = 1
-            for orig, img in zip(col_lists, perms):
-                perm.update(dict(zip(orig, img)))
-                sign *= _sign_of(orig, list(img))
-            vec[tab_index[apply_perm(perm, base)]] += sign
-        return vec
-
-    std = _standard_tableaux(shape)
-    basis = RationalMatrix.from_columns([tuple(polytabloid(t)) for t in std],
-                                        len(tabloids))
-    gen_mats = []
-    for s in range(datum.rank):
-        perm = {s + 1: s + 2, s + 2: s + 1}
-        big = RationalMatrix.pushforward(
-            [tab_index[apply_perm(perm, t)] for t in tabloids], len(tabloids))
-        gen_mats.append(basis.solve(big @ basis))
+        for f, sign in flips:
+            vec[tabloids[tuple(f[c][r] for r, c in t)]] += sign
+        cols.append(vec)
+    basis = RationalMatrix.from_columns(cols, len(tabloids))
+    solve, gen_mats = basis.solver(), []
+    for k in range(datum.rank):
+        swapped = [tabloids[t[:k] + (t[k + 1], t[k]) + t[k + 2:]] for t in tabloids]
+        gen_mats.append(solve(RationalMatrix.pushforward(swapped, len(tabloids)) @ basis))
     return gen_mats
 
 
 def rep_catalog(datum, name):
     """Explicit representations: trivial, sign, reflection, reflection*sign,
     and specht:<parts> for type A (for example specht:2,1)."""
-    key = name.strip().lower().replace("⊗", "*")
+    key = name.strip().lower()
     if key == "trivial":
         gens = [RationalMatrix(((1,),)) for _ in range(datum.rank)]
     elif key == "sign":
         gens = [RationalMatrix(((-1,),)) for _ in range(datum.rank)]
     elif key == "reflection":
         gens = [RationalMatrix(g) for g in _simple_reflections(datum.cartan)]
-    elif key in ("reflection*sign", "reflection-sign", "reflection_sign"):
+    elif key == "reflection*sign":
         gens = [RationalMatrix(g).scale(-1) for g in _simple_reflections(datum.cartan)]
-    elif key.startswith("specht:") or key.startswith("specht("):
+    elif key.startswith("specht:"):
         if datum.type_label != "A":
             raise UnsupportedTypeError("Specht modules require a type A datum")
-        parts = key.split(":", 1)[1] if ":" in key else key[7:].rstrip(")")
-        shape = tuple(int(p) for p in parts.replace("(", "").replace(")", "").split(","))
-        gens = _specht(datum, shape)
+        gens = _specht(datum, tuple(int(p) for p in key[7:].split(",")))
     else:
         raise UnsupportedTypeError(f"unknown representation name {name!r}")
     return WRepresentation(datum, name, gens)

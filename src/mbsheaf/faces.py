@@ -118,51 +118,3 @@ class FaceComplex:
         signs = tuple(sd if sc == 0 else sc
                       for sc, sd in zip(c.sign_vector, d.sign_vector))
         return self.faces[self.by_sign[signs]]
-
-    def face_leq(self, a, b):
-        """Closure order: a lies in the closure of b."""
-        return all(sa == 0 or sa == sb for sa, sb in zip(a.sign_vector, b.sign_vector))
-
-    def face_dim(self, face):
-        """Dimension of the face's linear span: rank - |I|."""
-        return self.datum.rank - len(face.type_I)
-
-    def associated(self, c, d):
-        """Equal linear spans, i.e. equal (span-closed) zero sets."""
-        return c.zero_set == d.zero_set
-
-    def delta_faces(self, c, d):
-        """Number of roots alpha (over all of Delta) with alpha|_c > 0 > alpha|_d."""
-        if not self.associated(c, d):
-            raise ValueError("delta_faces requires associated faces")
-        # a positive root alpha counts when sc > 0 > sd, its negative when sc < 0 < sd
-        return sum(1 for sc, sd in zip(c.sign_vector, d.sign_vector) if sc * sd < 0)
-
-    def face_distance(self, c, d):
-        """Minimal gallery length between associated faces, by breadth-first search."""
-        if not self.associated(c, d):
-            raise ValueError("face_distance requires associated faces")
-        if c.index == d.index:
-            return 0
-        cls = [f for f in self.faces if f.zero_set == c.zero_set]
-        m = self.face_dim(c)
-        walls = [f for f in self.faces if self.face_dim(f) == m - 1]
-        adjacent = {f.index: [] for f in cls}
-        for i, f in enumerate(cls):
-            for g in cls[i + 1:]:
-                if any(self.face_leq(p, f) and self.face_leq(p, g) for p in walls):
-                    adjacent[f.index].append(g.index)
-                    adjacent[g.index].append(f.index)
-        dist = {c.index: 0}
-        frontier = [c.index]
-        while frontier:
-            new = []
-            for i in frontier:
-                for j in adjacent[i]:
-                    if j not in dist:
-                        dist[j] = dist[i] + 1
-                        if j == d.index:
-                            return dist[j]
-                        new.append(j)
-            frontier = new
-        raise ValueError("faces not connected by a gallery")

@@ -6,7 +6,8 @@ are the identity on bytes.  Rationals travel as "num/den" strings in
 lowest terms with a positive denominator.  The parser accepts nothing
 else: a rational in any other spelling, two covering matrices for the same
 pair of cells, or a matrix on a pair that is not a covering, is a
-ParseError naming its JSON path.
+ParseError naming its JSON path, and a key repeated in one object is a
+ParseError naming the key.
 """
 
 from __future__ import annotations
@@ -244,9 +245,19 @@ def dump(doc, fh):
     fh.write("\n")
 
 
+def _unique_keys(pairs):
+    """json's object hook: an object as a dict, a repeated key a ParseError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for i, (k, _v) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ParseError(f"$: duplicate key {key!r}")
+    return doc
+
+
 def loads(text):
+    """Parse a JSON document; invalid JSON or a repeated key is a ParseError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"$: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
     except RecursionError as exc:

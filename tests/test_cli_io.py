@@ -250,12 +250,16 @@ def test_cli_example_e1_with_action(tmp_path, capsys):
 
 # sha256 of `mbsheaf example e1v REP --type T --rank R`, recorded from the
 # averaging-projector construction (the rank-3 rows from the ambient-solve
-# one); the base-point construction must keep them.
+# one, the A3 specht:3,1 and specht:2,1,1 rows from the base-point one with
+# Specht modules from a tableau search); the base-point construction must
+# keep them.
 E1V_DUMP_SHA256 = [
     ("A", 2, "specht:2,1", "f6fb24d10b22a3bc5785ed1f2d1c203db581e87623d9867bd81ff85ca8f28758"),
     ("B", 2, "reflection", "2e9bf3375f434d731a58baef7535a592703adbc69ee8c947fcf79fff40a81da0"),
     ("G", 2, "reflection*sign", "a6d5cb7d34281cab6b680bf35e2bfc4930c89f1be4a57aeaeb37640042a89ed6"),
     ("A", 3, "specht:2,2", "9390077a4507a154d606f8dbaafa2cae3180550f69929d129ff19a08811a1e33"),
+    ("A", 3, "specht:3,1", "c5192ee10fd3a456b122965990253efe8e5b13f983271dd1428f7df181d87c05"),
+    ("A", 3, "specht:2,1,1", "7e9adc3ca1d97d1dd1f6598c8b487c81bcbc2035e0f2670dae7515dfa0fd26d0"),
     ("B", 3, "reflection", "df58c7350a06ba63c0012f2a541d69dc73497539bcde52d616547e3d97a1a34b"),
 ]
 
@@ -445,6 +449,25 @@ def test_cli_check_parse_error(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["check", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,before,key", [
+    ('":0|:0": 7,', '":0|:0": 2,', ":0|:0"),
+    ('"to": ":0|:0",', '"to": "0:0|:0",', "to"),
+    ('"dims": {},', '"datum": {', "dims"),
+], ids=["dims", "dprime-entry", "top-level"])
+def test_cli_check_duplicate_key(tmp_path, capsys, line, before, key):
+    # json.loads alone keeps the last of two equal keys, so the first would
+    # vanish and the file would pass without re-emitting to its own bytes
+    path = tmp_path / "a1.json"
+    assert main(["example", "e1", "--type", "A", "--rank", "1", "-o", str(path)]) == 0
+    text = path.read_text()
+    assert before in text
+    path.write_text(text.replace(before, line + "\n" + before, 1))
+    with pytest.raises(ParseError, match=re.escape(f"$: duplicate key {key!r}")):
+        loads(path.read_text())
+    assert main(["check", str(path)]) == 2
+    assert f"duplicate key {key!r}" in capsys.readouterr().err
 
 
 def _drop_from(doc):

@@ -16,6 +16,7 @@ from mbsheaf.fq import (
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import check_mbs
 from mbsheaf.xi import PRIME, SECOND, enumerate_xi
+from xi_reference import associated
 
 
 def margins(mat):
@@ -261,7 +262,7 @@ def test_intertwiner_between_associated_faces_invertible(xi_a2):
         checked = 0
         for m, e in enumerate(xi_a2.elements):
             c, d = e.pair
-            if c.index == d.index or not cx.associated(c, d):
+            if c.index == d.index or not associated(c, d):
                 continue
             points = ctx.orbit_points(xi_a2, m)
             comp_c = composition_of_subset(set(e.typeIJ[0]), 3)

@@ -9,6 +9,11 @@ themselves (``blocks``), the double-coset Bruhat order and
 ``factor_through`` live here too: only tests read them.
 ``span_closure_flats`` is the per-cell flat computation that ``XiPoset``
 ran before it read each cell's flat off its Hor type.
+
+The face geometry that no construction reads lives here as well: the
+closure order ``face_leq``, ``face_dim``, ``associated``, the separating
+root count ``delta_faces``, and ``face_distance``, a breadth-first gallery
+search that tests compare ``delta_faces`` against.
 """
 
 from __future__ import annotations
@@ -142,3 +147,56 @@ def span_closure_flats(xi):
             registry[canon] = (canon, dim, len(registry))
         out.append(registry[canon])
     return out
+
+
+def face_leq(a, b):
+    """Closure order: a lies in the closure of b."""
+    return all(sa == 0 or sa == sb for sa, sb in zip(a.sign_vector, b.sign_vector))
+
+
+def face_dim(cx, face):
+    """Dimension of the face's linear span: rank - |I|."""
+    return cx.datum.rank - len(face.type_I)
+
+
+def associated(c, d):
+    """Equal linear spans, i.e. equal (span-closed) zero sets."""
+    return c.zero_set == d.zero_set
+
+
+def delta_faces(c, d):
+    """Number of roots alpha (over all of Delta) with alpha|_c > 0 > alpha|_d."""
+    if not associated(c, d):
+        raise ValueError("delta_faces requires associated faces")
+    # a positive root alpha counts when sc > 0 > sd, its negative when sc < 0 < sd
+    return sum(1 for sc, sd in zip(c.sign_vector, d.sign_vector) if sc * sd < 0)
+
+
+def face_distance(cx, c, d):
+    """Minimal gallery length between associated faces, by breadth-first search."""
+    if not associated(c, d):
+        raise ValueError("face_distance requires associated faces")
+    if c.index == d.index:
+        return 0
+    cls = [f for f in cx.faces if f.zero_set == c.zero_set]
+    m = face_dim(cx, c)
+    walls = [f for f in cx.faces if face_dim(cx, f) == m - 1]
+    adjacent = {f.index: [] for f in cls}
+    for i, f in enumerate(cls):
+        for g in cls[i + 1:]:
+            if any(face_leq(p, f) and face_leq(p, g) for p in walls):
+                adjacent[f.index].append(g.index)
+                adjacent[g.index].append(f.index)
+    dist = {c.index: 0}
+    frontier = [c.index]
+    while frontier:
+        new = []
+        for i in frontier:
+            for j in adjacent[i]:
+                if j not in dist:
+                    dist[j] = dist[i] + 1
+                    if j == d.index:
+                        return dist[j]
+                    new.append(j)
+        frontier = new
+    raise ValueError("faces not connected by a gallery")
