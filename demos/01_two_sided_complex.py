@@ -38,4 +38,4 @@ print(f"\nA2 stratification classes: {len(s0)} "
 for cls in s0:
     dims = xi2.elements[cls[0]].flat.dim
     print(f"  flat dim {dims}: {len(cls)} cells")
-print(f"join of the two one-sided partitions matches: {xi2.stratification_join_matches()}")
+print(f"S1 classes by (I, Hor): {len(s1)}; tau-S1 classes by (J, Ver): {len(tau_s1)}")

@@ -69,7 +69,11 @@ def _parse_example_name(args):
 
 def cmd_example(args):
     name, params = _parse_example_name(args)
+    if args.with_action and name != "e1":
+        raise UnsupportedTypeError("--with-action applies to e1 only")
     if name == "e1":
+        if params:
+            raise UnsupportedTypeError("e1 takes no parameters")
         sheaf = build_e1(_poset(args))
     elif name == "e1v":
         if len(params) != 1:
@@ -85,8 +89,7 @@ def cmd_example(args):
             sheaf = b_invariant_sub(sheaf)
     else:
         raise UnsupportedTypeError(f"unknown example {name!r}")
-    include_action = args.with_action and name == "e1"
-    _write(mbs_to_json(sheaf, include_action=include_action), args.output)
+    _write(mbs_to_json(sheaf, include_action=args.with_action), args.output)
     return 0
 
 

@@ -138,19 +138,18 @@ def _specht(datum, shape):
 def rep_catalog(datum, name):
     """Explicit representations: trivial, sign, reflection, reflection*sign,
     and specht:<parts> for type A (for example specht:2,1)."""
-    key = name.strip().lower()
-    if key == "trivial":
+    if name == "trivial":
         gens = [RationalMatrix(((1,),)) for _ in range(datum.rank)]
-    elif key == "sign":
+    elif name == "sign":
         gens = [RationalMatrix(((-1,),)) for _ in range(datum.rank)]
-    elif key == "reflection":
+    elif name == "reflection":
         gens = [RationalMatrix(g) for g in _simple_reflections(datum.cartan)]
-    elif key == "reflection*sign":
+    elif name == "reflection*sign":
         gens = [RationalMatrix(g).scale(-1) for g in _simple_reflections(datum.cartan)]
-    elif key.startswith("specht:"):
+    elif name.startswith("specht:"):
         if datum.type_label != "A":
             raise UnsupportedTypeError("Specht modules require a type A datum")
-        gens = _specht(datum, tuple(int(p) for p in key[7:].split(",")))
+        gens = _specht(datum, tuple(int(p) for p in name[7:].split(",")))
     else:
         raise UnsupportedTypeError(f"unknown representation name {name!r}")
     return WRepresentation(datum, name, gens)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 
 from .coxeter import UnsupportedTypeError, build_coxeter
 from .linalg import RationalMatrix
@@ -211,24 +211,20 @@ def _root_pairs(datum):
 
 
 def face_to_osp(cx, face):
-    """Ordered set partition of {0..n-1} read off a type A face's sign vector."""
-    n = cx.datum.rank + 1
-    sign = dict(zip(_root_pairs(cx.datum), face.sign_vector))
+    """Ordered set partition of {0..n-1} of a type A face w(C_I), w = face.rep_idx.
 
-    def cmp(a, b):
-        if a == b:
-            return 0
-        s = sign[(a, b)] if a < b else -sign[(b, a)]
-        return -s
-
-    order = sorted(range(n), key=cmp_to_key(cmp))
-    blocks = []
-    for x in order:
-        if blocks and cmp(blocks[-1][0], x) == 0:
-            blocks[-1].append(x)
-        else:
-            blocks.append([x])
-    return tuple(frozenset(b) for b in blocks)
+    C_I's blocks are the consecutive runs glued by I, in decreasing coordinate
+    order, and w moves coordinate a to pi(a), where w(e_a - e_{a+1}) is
+    e_pi(a) - e_pi(a+1): the root action at the simple roots.
+    """
+    datum = cx.datum
+    pairs, act = _root_pairs(datum), datum.tables["root_act"][face.rep_idx]
+    pi = [None] * (datum.rank + 1)
+    for a, r in enumerate(datum.simple_positions):
+        p, q = pairs[abs(act[r]) - 1]
+        pi[a], pi[a + 1] = (p, q) if act[r] > 0 else (q, p)
+    ends = tuple(itertools.accumulate(composition_of_subset(set(face.type_I), len(pi))))
+    return tuple(frozenset(pi[i:j]) for i, j in zip((0,) + ends, ends))
 
 
 def osp_to_face(cx, blocks):

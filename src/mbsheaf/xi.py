@@ -302,42 +302,32 @@ class XiPoset:
 
     # -- stratifications ----------------------------------------------------------
 
-    def _anodyne_classes(self, *sides):
-        """Classes generated by the anodyne coverings of the given sides."""
-        parent = list(range(len(self.elements)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for side, a, b in self.coverings():
-            if side not in sides or (self.elements[a].orbit_size
-                                     != self.elements[b].orbit_size):
-                continue
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        groups = {}
-        for i in range(len(self.elements)):
-            groups.setdefault(find(i), []).append(i)
-        return tuple(tuple(g) for _, g in sorted(groups.items()))
-
     def stratification_classes(self):
-        """Partitions of Xi: (S0 by flats, S1 by anodyne >='', tau-S1 by anodyne >=')."""
-        groups = {}
-        for e in self.elements:
-            groups.setdefault(e.flat.ident, []).append(e.index)
-        s0 = tuple(tuple(g) for _, g in sorted(groups.items(),
-                                               key=lambda kv: kv[1][0]))
-        return s0, self._anodyne_classes(SECOND), self._anodyne_classes(PRIME)
+        """Partitions of Xi: S0 by flat, S1 by (I, Hor) and tau-S1 by (J, Ver).
 
-    def stratification_join_matches(self):
-        """Whether the join of S1 and tau-S1 equals the flat partition S0."""
-        s0, _, _ = self.stratification_classes()
-        joined = self._anodyne_classes(PRIME, SECOND)
-        return set(map(frozenset, joined)) == set(map(frozenset, s0))
+        Classes are ascending, in order of their first cell.  S1 is the
+        partition generated by the anodyne coverings of >='':
+        - Stab c & Stab d = Stab(c o d) (Steinberg: a stabiliser is generated
+          by the reflections fixing the face), so a >='' covering
+          (c, d) -> (c, d') is anodyne iff c o d' = c o d: a face below c o d
+          with the same stabiliser is c o d.  Anodyne coverings keep (I, Hor).
+        - Conversely, a segment from d into c o d stays in one face of the hyperplanes
+          through c, so a zigzag of anodyne >='' steps joins (c, d) to t = (c, c o d).
+        - With c = K_I, every face of type H = Hor above K_I is u K_H for some
+          u in W_I, so t is the one cell W(K_I, K_H).
+        tau swaps the sides: tau-S1 is generated by the anodyne coverings of
+        >='.  Both refine S0, as c o d and d o c span one flat, and their join
+        is S0: t and W(K_H, K_H) share the tau-S1 key (H, H), and if w K_H'
+        spans K_H's flat, W(K_H, w K_H') shares the S1 key (H, H) with
+        W(K_H, K_H) and the tau-S1 key (H', H') with W(K_H', K_H').
+        """
+        def classes(key):
+            groups = {}
+            for e in self.elements:
+                groups.setdefault(key(e), []).append(e.index)
+            return tuple(map(tuple, groups.values()))
+        return (classes(lambda e: e.flat), classes(lambda e: (e.typeIJ[0], e.hor)),
+                classes(lambda e: (e.typeIJ[1], e.ver)))
 
 
 def enumerate_xi(datum):

@@ -18,11 +18,16 @@ the oracle of ``mbsheaf.fq.hecke_generators``'s pullback product.
 ``pairwise_point_checks`` forms each fiber product of
 ``mbsheaf.fq.orbit_point_checks`` pair by pair, with no size gate: the
 oracle of its image buckets.
+``face_to_osp`` sorts {0..n-1} by a comparator built from a type A face's
+sign vector, the oracle of ``mbsheaf.fq.face_to_osp``'s reading of the
+face's coset minimum as a permutation.
 """
 
 from __future__ import annotations
 
-from mbsheaf.fq import FqContext, _cell_compositions, composition_of_subset
+from functools import cmp_to_key
+
+from mbsheaf.fq import FqContext, _cell_compositions, _root_pairs, composition_of_subset
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.report import Report
 from mbsheaf.xi import PRIME, SECOND
@@ -270,3 +275,24 @@ def pairwise_point_checks(n, q, poset):
         if not ok:
             failures.append(("anodyne-fibers", m, nn))
     return rep
+
+
+def face_to_osp(cx, face):
+    """Ordered set partition of {0..n-1} read off a type A face's sign vector."""
+    n = cx.datum.rank + 1
+    sign = dict(zip(_root_pairs(cx.datum), face.sign_vector))
+
+    def cmp(a, b):
+        if a == b:
+            return 0
+        s = sign[(a, b)] if a < b else -sign[(b, a)]
+        return -s
+
+    order = sorted(range(n), key=cmp_to_key(cmp))
+    blocks = []
+    for x in order:
+        if blocks and cmp(blocks[-1][0], x) == 0:
+            blocks[-1].append(x)
+        else:
+            blocks.append([x])
+    return tuple(frozenset(b) for b in blocks)

@@ -708,7 +708,13 @@ def test_cli_verification_error_exits_1(monkeypatch, tmp_path, capsys, setup):
     (["example", "eq", "3"], "eq needs n and q"),
     (["example", "eq-binv"], "eq-binv needs n and q"),
     (["example", "nosuch"], "unknown example 'nosuch'"),
-], ids=["e1v-no-rep", "eq-one-param", "eq-binv-no-params", "unknown-example"])
+    (["example", "e1", "extra"], "e1 takes no parameters"),
+    (["example", "e1", "--type", "A", "--rank", "1", "a", "b", "c"], "e1 takes no parameters"),
+    (["example", "eq", "2", "2", "--with-action"], "--with-action applies to e1 only"),
+    (["example", "e1v", "SIGN", "--type", "A", "--rank", "1"],
+     "unknown representation name 'SIGN'"),
+], ids=["e1v-no-rep", "eq-one-param", "eq-binv-no-params", "unknown-example", "e1-param",
+        "e1-params-after-options", "eq-with-action", "e1v-uppercase-rep"])
 def test_cli_example_bad_params_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "f.json"
     assert main([*argv, "-o", str(out)]) == 2

@@ -210,13 +210,11 @@ def _scaled(E, side, factor=3):
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("A", 3)])
 def test_constructibility_witnesses_walk_flat_classes(label, rank, monkeypatch):
     """With a profile that varies along every flat, the witnesses are those of
-    the S0 partition of stratification_classes, class by class and in order,
-    and no anodyne partition (S1 or tau-S1) is built for them."""
+    the S0 partition of stratification_classes, class by class and in order."""
     import mbsheaf.cousin as cousin
     xi = enumerate_xi(build_coxeter(label, rank))
     s0, _s1, _tau = xi.stratification_classes()
     monkeypatch.setattr(cousin, "_stalk_cohomology", lambda E, side, m: {-1: m % 3})
-    monkeypatch.setattr(type(xi), "_anodyne_classes", None)
 
     def profile(m):
         return ((-1, m % 3),) if m % 3 else ()

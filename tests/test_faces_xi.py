@@ -18,8 +18,9 @@ from mbsheaf.sheaf import _covering_configurations
 from mbsheaf.xi import PRIME, SECOND, OrderError, XiPoset, enumerate_xi, xi_id
 from tables_reference import coarsen
 from xi_reference import (
-    block_scan_sup, blocks, bruhat_block_leq, delta_faces, face_dim, face_distance, face_leq,
-    factor_through, span_closure_flats, subset_scan_comparable_pairs, subset_scan_ups,
+    anodyne_classes, block_scan_sup, blocks, bruhat_block_leq, delta_faces, face_dim,
+    face_distance, face_leq, factor_through, span_closure_flats, subset_scan_comparable_pairs,
+    subset_scan_ups,
 )
 
 
@@ -600,16 +601,21 @@ def test_s0_class_counts(label, rank, classes):
     xi = enumerate_xi(build_coxeter(label, rank))
     s0, s1, tau_s1 = xi.stratification_classes()
     assert len(s0) == classes
-    assert xi.stratification_join_matches()
     full_rank_class = [c for c in s0
                        if xi.elements[c[0]].flat.dim == rank]
     assert len(full_rank_class) == 1
 
 
-@pytest.mark.parametrize("label,rank", [("B", 2), ("G", 2)])
-def test_stratification_join(label, rank):
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_stratification_classes_match_anodyne_union_find(label, rank):
+    """S0, S1 and tau-S1 read off the cells' flats, (I, Hor) and (J, Ver) are
+    the classes generated by the anodyne coverings of both orders, of >=''
+    and of >=', tuple for tuple; S1 has one class per pair of types Hor within I."""
     xi = enumerate_xi(build_coxeter(label, rank))
-    assert xi.stratification_join_matches()
+    classes = xi.stratification_classes()
+    assert classes == (anodyne_classes(xi, PRIME, SECOND), anodyne_classes(xi, SECOND),
+                       anodyne_classes(xi, PRIME))
+    assert len(classes[1]) == len(classes[2]) == 3 ** rank
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])

@@ -4,7 +4,7 @@ For every (n, q) below, every flag pair of every pair of compositions is
 compared: relative position and the Hor-reading refinement, coarsening to
 every coarser type, the flag enumeration order, and the Borel orbits of
 every composition.  The lattice's meet and join are checked on every pair
-of subspaces.  The Hecke generators are compared with the oracle's fibre
+of subspaces, and ``face_to_osp`` on every face of A1-A4.  The Hecke generators are compared with the oracle's fibre
 lists up to n = 4, and the point checks' bucketed fiber products with the
 pairwise loop.
 """
@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import fq_reference as ref
 from mbsheaf.coxeter import build_coxeter
+from mbsheaf.faces import FaceComplex
 from mbsheaf.fq import (
-    SUPPORTED_PRIMES, FqContext, borel_orbits, composition_of_subset, hecke_generators,
-    in_span_fp, nullspace_fp, orbit_point_checks, rref_fp,
+    SUPPORTED_PRIMES, FqContext, borel_orbits, composition_of_subset, face_to_osp,
+    hecke_generators, in_span_fp, nullspace_fp, orbit_point_checks, osp_to_face, rref_fp,
 )
 from mbsheaf.xi import XiPoset, enumerate_xi
 
@@ -121,6 +122,15 @@ def test_point_checks_match_pairwise_loop(n, q, broken, monkeypatch):
     assert got.checked == want.checked > 0
     assert got.failures == want.failures
     assert bool(got.failures) == broken
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_face_to_osp_matches_comparator_sort(rank):
+    cx = FaceComplex(build_coxeter("A", rank))
+    for face in cx.faces:
+        osp = face_to_osp(cx, face)
+        assert osp == ref.face_to_osp(cx, face)
+        assert osp_to_face(cx, osp) is face
 
 
 @st.composite

@@ -46,7 +46,7 @@ def test_character_keys_are_class_minima(label, rank):
 
 
 @pytest.mark.parametrize("name", ["specht(2,1)", "reflection-sign", "reflection_sign",
-                                  "reflection⊗sign"])
+                                  "reflection⊗sign", "SIGN", " sign", "Specht:2,1"])
 def test_aliases_are_unknown_names(name):
     with pytest.raises(ValueError):
         rep_catalog(build_coxeter("A", 2), name)

@@ -8,7 +8,10 @@ can compare both on the same cells (see test_faces_xi.py).  The blocks
 themselves (``blocks``), the double-coset Bruhat order and
 ``factor_through`` live here too: only tests read them.
 ``span_closure_flats`` is the per-cell flat computation that ``XiPoset``
-ran before it read each cell's flat off its Hor type.
+ran before it read each cell's flat off its Hor type, and
+``anodyne_classes`` the union-find over anodyne coverings that found the
+S1 and tau-S1 partitions before ``stratification_classes`` read them off
+each cell's (I, Hor) and (J, Ver).
 
 The face geometry that no construction reads lives here as well: the
 closure order ``face_leq``, ``face_dim``, ``associated``, the separating
@@ -147,6 +150,29 @@ def span_closure_flats(xi):
             registry[canon] = (canon, dim, len(registry))
         out.append(registry[canon])
     return out
+
+
+def anodyne_classes(xi, *sides):
+    """Classes generated by the anodyne coverings of the given sides."""
+    parent = list(range(len(xi.elements)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for side, a, b in xi.coverings():
+        if side not in sides or (xi.elements[a].orbit_size
+                                 != xi.elements[b].orbit_size):
+            continue
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for i in range(len(xi.elements)):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(g) for _, g in sorted(groups.items()))
 
 
 def face_leq(a, b):
