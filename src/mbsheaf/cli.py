@@ -9,7 +9,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .coxeter import UnsupportedTypeError, build_coxeter
+from .coxeter import build_coxeter
 from .cousin import (
     SignConventionError, constructibility_check, coperversity_check, support_check,
 )
@@ -18,7 +18,7 @@ from .fq import (
     FibrewiseConstancyError, ResourceError, b_invariant_sub, build_eq, hecke_generators,
     orbit_point_checks,
 )
-from .io import ParseError, check_dump, dump, loads, mbs_from_json, mbs_to_json, poly_dump, xi_dump
+from .io import check_dump, dump, loads, mbs_from_json, mbs_to_json, poly_dump, xi_dump
 from .linalg import RationalMatrix
 from .orbitpoly import HorVerMismatchError, orbit_poly, property_suite, validate_counts
 from .report import Report
@@ -57,38 +57,15 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
-def _parse_example_name(args):
-    name = args.name
-    params = list(args.params)
-    if ":" in name:
-        head, *rest = name.split(":")
-        name = head
-        params = rest + params
-    return name, params
-
-
 def cmd_example(args):
-    name, params = _parse_example_name(args)
-    if args.with_action and name != "e1":
-        raise UnsupportedTypeError("--with-action applies to e1 only")
-    if name == "e1":
-        if params:
-            raise UnsupportedTypeError("e1 takes no parameters")
-        sheaf = build_e1(_poset(args))
-    elif name == "e1v":
-        if len(params) != 1:
-            raise UnsupportedTypeError("e1v needs a representation name")
-        poset = _poset(args)
-        sheaf = build_e1v(poset, rep_catalog(poset.datum, params[0]))
-    elif name in ("eq", "eq-binv"):
-        if len(params) != 2:
-            raise UnsupportedTypeError(f"{name} needs n and q")
-        n, q = int(params[0]), int(params[1])
-        sheaf = build_eq(n, q)
-        if name == "eq-binv":
+    if args.example in ("eq", "eq-binv"):
+        sheaf = build_eq(args.n, args.q)
+        if args.example == "eq-binv":
             sheaf = b_invariant_sub(sheaf)
     else:
-        raise UnsupportedTypeError(f"unknown example {name!r}")
+        poset = _poset(args)
+        sheaf = (build_e1(poset) if args.example == "e1"
+                 else build_e1v(poset, rep_catalog(poset.datum, args.rep)))
     _write(mbs_to_json(sheaf, include_action=args.with_action), args.output)
     return 0
 
@@ -98,7 +75,7 @@ def cmd_poly(args):
     polys = {m: orbit_poly(poset, m) for m in range(len(poset.elements))}
     report = property_suite(poset)
     ok = report.ok
-    if args.validate and poset.datum.type_label == "A":
+    if args.validate:
         for q in (2, 3):
             counts = validate_counts(poset, q)
             ok = ok and counts.ok
@@ -162,14 +139,23 @@ def build_parser():
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("example", help="emit a built-in sheaf")
-    p.add_argument("name", help="e1 | e1v REP | eq N Q | eq-binv N Q")
-    p.add_argument("params", nargs="*")
-    p.add_argument("--type", default="A", choices=["A", "B", "C", "G"])
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--with-action", action="store_true",
-                   help="attach the group_action block (e1 only)")
-    p.set_defaults(fn=cmd_example)
+    p.set_defaults(fn=cmd_example, with_action=False)
+    examples = p.add_subparsers(dest="example", required=True)
+    e1 = examples.add_parser("e1", help="E_1 of a Coxeter datum")
+    e1.add_argument("--with-action", action="store_true",
+                    help="attach the group_action block")
+    e1v = examples.add_parser("e1v", help="E_1^V of a W-representation")
+    e1v.add_argument("rep", help="trivial | sign | reflection | reflection*sign | specht:PARTS")
+    for e in (e1, e1v):
+        e.add_argument("--type", default="A", choices=["A", "B", "C", "G"])
+        e.add_argument("--rank", type=int, default=1)
+    eq = examples.add_parser("eq", help="E_q of flags in F_q^n")
+    eqb = examples.add_parser("eq-binv", help="the B-invariant subsheaf of E_q")
+    for e in (eq, eqb):
+        e.add_argument("n", type=int)
+        e.add_argument("q", type=int)
+    for e in (e1, e1v, eq, eqb):
+        e.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("poly", help="orbit-count polynomials and their laws")
     add_datum(p)
@@ -193,17 +179,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    # argparse fills a nargs="*" positional before any option, so the
-    # parameters of `example` that follow an option arrive as extras
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        if args.command != "example" or any(a.startswith("-") for a in extra):
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        args.params += extra
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UnsupportedTypeError, ParseError, ResourceError, OSError, ValueError) as exc:
+    except (ValueError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -91,7 +91,8 @@ class WRepresentation:
 
 
 def _specht(datum, shape):
-    """Specht module for S_n (type A datum of rank n-1) via polytabloids.
+    """Specht module for S_n (type A datum of rank n-1) via polytabloids;
+    shape is a partition of n, as rep_catalog ensures.
 
     A standard tableau is the tuple of the cells holding 0..n-1, in the
     lexicographic order of permutations of the cells; a tabloid is the
@@ -100,11 +101,6 @@ def _specht(datum, shape):
     each signed by its parity.  Generator matrices are solved in that
     explicit basis, so no straightening is needed.
     """
-    n = datum.rank + 1
-    if sum(shape) != n:
-        raise UnsupportedTypeError(f"partition {shape} is not a partition of {n}")
-    if any(a < b for a, b in zip(shape, shape[1:])) or any(a <= 0 for a in shape):
-        raise UnsupportedTypeError(f"{shape} is not a partition")
     cells = [(r, c) for r, row in enumerate(shape) for c in range(row)]
     # standard: each cell's left and upper neighbours hold smaller entries
     tableaux = [t for t in itertools.permutations(cells)
@@ -137,7 +133,8 @@ def _specht(datum, shape):
 
 def rep_catalog(datum, name):
     """Explicit representations: trivial, sign, reflection, reflection*sign,
-    and specht:<parts> for type A (for example specht:2,1)."""
+    and specht:<parts> for type A, spelled as catalog_names spells it
+    (for example specht:2,1)."""
     if name == "trivial":
         gens = [RationalMatrix(((1,),)) for _ in range(datum.rank)]
     elif name == "sign":
@@ -146,10 +143,10 @@ def rep_catalog(datum, name):
         gens = [RationalMatrix(g) for g in _simple_reflections(datum.cartan)]
     elif name == "reflection*sign":
         gens = [RationalMatrix(g).scale(-1) for g in _simple_reflections(datum.cartan)]
-    elif name.startswith("specht:"):
-        if datum.type_label != "A":
-            raise UnsupportedTypeError("Specht modules require a type A datum")
-        gens = _specht(datum, tuple(int(p) for p in name[7:].split(",")))
+    elif name.startswith("specht:") and datum.type_label != "A":
+        raise UnsupportedTypeError("Specht modules require a type A datum")
+    elif name.startswith("specht:") and name in catalog_names(datum):
+        gens = _specht(datum, tuple(map(int, name[7:].split(","))))
     else:
         raise UnsupportedTypeError(f"unknown representation name {name!r}")
     return WRepresentation(datum, name, gens)

@@ -317,28 +317,31 @@ def test_cli_example_e1v_dump_digest(tmp_path, label, rank, rep, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_cli_example_colon_form(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["example", "eq:2:2", "-o", str(a)]) == 0
-    assert main(["example", "eq", "2", "2", "-o", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_cli_example_colon_form(tmp_path, capsys):
+    """An example is a subcommand: a name with its parameters after colons is none."""
+    out = tmp_path / "f.json"
+    for argv in (["eq:2:2"], ["e1v:specht:2,1", "--type", "A", "--rank", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["example", *argv, "-o", str(out)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
-E1V_A2 = ["e1v", "reflection", "--type", "A", "--rank", "2"]
+E1V_A2 = ["e1v", "reflection", "--type", "A", "--rank", "2", "-o", "OUT"]
 
 
 @pytest.mark.parametrize("argv,canonical", [
-    (["e1v", "--type", "A", "--rank", "2", "reflection"], E1V_A2),
-    (["e1v", "--type", "A", "reflection", "--rank", "2"], E1V_A2),
-    (["eq", "--type", "A", "2", "3"], ["eq", "2", "3"]),
-    (["eq", "2", "--rank", "1", "3"], ["eq", "2", "3"]),
+    (["e1v", "--type", "A", "--rank", "2", "reflection", "-o", "OUT"], E1V_A2),
+    (["e1v", "--type", "A", "reflection", "--rank", "2", "-o", "OUT"], E1V_A2),
+    (["eq", "-o", "OUT", "2", "3"], ["eq", "2", "3", "-o", "OUT"]),
+    (["eq", "2", "-o", "OUT", "3"], ["eq", "2", "3", "-o", "OUT"]),
 ], ids=["rep-last", "rep-between", "eq-last", "eq-split"])
 def test_cli_example_params_after_options(tmp_path, argv, canonical):
     want = tmp_path / "want.json"
     got = tmp_path / "got.json"
-    assert main(["example", *canonical, "-o", str(want)]) == 0
-    assert main(["example", *argv, "-o", str(got)]) == 0
+    assert main(["example", *(str(want) if a == "OUT" else a for a in canonical)]) == 0
+    assert main(["example", *(str(got) if a == "OUT" else a for a in argv)]) == 0
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -658,6 +661,7 @@ def test_cli_poly_hecke_orbits(capsys):
     ["example", "eq", "4", "3"], ["example", "eq", "5", "2"], ["orbits", "4", "2"],
     ["orbits", "3", "7"],
     ["poly", "--type", "A", "--rank", "3", "--validate"],
+    ["poly", "--type", "B", "--rank", "2", "--validate"],
     ["hecke", "1", "2"], ["hecke", "0", "2"]], ids=" ".join)
 def test_cli_size_gates_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -704,21 +708,44 @@ def test_cli_verification_error_exits_1(monkeypatch, tmp_path, capsys, setup):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["example", "e1v", "--type", "A", "--rank", "2"], "e1v needs a representation name"),
-    (["example", "eq", "3"], "eq needs n and q"),
-    (["example", "eq-binv"], "eq-binv needs n and q"),
-    (["example", "nosuch"], "unknown example 'nosuch'"),
-    (["example", "e1", "extra"], "e1 takes no parameters"),
-    (["example", "e1", "--type", "A", "--rank", "1", "a", "b", "c"], "e1 takes no parameters"),
-    (["example", "eq", "2", "2", "--with-action"], "--with-action applies to e1 only"),
+    (["example", "e1v", "--type", "A", "--rank", "2"],
+     "mbsheaf example e1v: error: the following arguments are required: rep"),
+    (["example", "eq", "3"], "mbsheaf example eq: error: the following arguments are required: q"),
+    (["example", "eq-binv"],
+     "mbsheaf example eq-binv: error: the following arguments are required: n, q"),
+    (["example", "nosuch"], "mbsheaf example: error: argument example: invalid choice: "
+     "'nosuch' (choose from 'e1', 'e1v', 'eq', 'eq-binv')"),
+    (["example", "e1", "extra"], "mbsheaf: error: unrecognized arguments: extra"),
+    (["example", "e1", "--type", "A", "--rank", "1", "a", "b", "c"],
+     "mbsheaf: error: unrecognized arguments: a b c"),
+    (["example", "eq", "2", "2", "--with-action"],
+     "mbsheaf: error: unrecognized arguments: --with-action"),
+    (["example", "eq", "2", "2", "--type", "G", "--rank", "2"],
+     "mbsheaf: error: unrecognized arguments: --type G --rank 2"),
+    (["example", "eq", "2", "x"], "mbsheaf example eq: error: argument q: invalid int value: 'x'"),
     (["example", "e1v", "SIGN", "--type", "A", "--rank", "1"],
-     "unknown representation name 'SIGN'"),
+     "error: unknown representation name 'SIGN'"),
+    (["example", "e1v", "specht:02,1", "--type", "A", "--rank", "2"],
+     "error: unknown representation name 'specht:02,1'"),
+    (["example", "e1v", "specht:2,1", "--type", "B", "--rank", "2"],
+     "error: Specht modules require a type A datum"),
 ], ids=["e1v-no-rep", "eq-one-param", "eq-binv-no-params", "unknown-example", "e1-param",
-        "e1-params-after-options", "eq-with-action", "e1v-uppercase-rep"])
+        "e1-params-after-options", "eq-with-action", "eq-type-rank", "eq-non-integer",
+        "e1v-uppercase-rep", "e1v-specht-leading-zero", "e1v-specht-type-b"])
 def test_cli_example_bad_params_exit_2(tmp_path, capsys, argv, message):
+    """argparse refuses a malformed invocation with its usage (SystemExit 2);
+    rep_catalog refuses a representation it does not name (returned 2)."""
     out = tmp_path / "f.json"
-    assert main([*argv, "-o", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    argv = [*argv, "-o", str(out)]
+    if message.startswith("error: "):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.endswith(message + "\n")
     assert not out.exists()
 
 

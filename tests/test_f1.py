@@ -54,6 +54,14 @@ def test_unknown_name():
         rep_catalog(datum, "nonsense")
 
 
+@pytest.mark.parametrize("name", ["specht:02,1", "specht: 2,1", "specht:1,2", "specht:2,1,0",
+                                  "specht:3,1", "specht:", "specht:x"])
+def test_specht_name_outside_the_catalog(name):
+    """One spelling per Specht module: the one catalog_names gives."""
+    with pytest.raises(UnsupportedTypeError, match="unknown representation name"):
+        rep_catalog(build_coxeter("A", 2), name)
+
+
 def test_specht_modules_a3():
     datum = build_coxeter("A", 3)
     dims = {}
