@@ -1,7 +1,8 @@
 """Flags over a prime field, relative position, E_q, and the Hecke relations.
 
+Flags are keyed by their type, a tuple of simple reflections of A_{n-1}.
 Pairs of flags fall into orbits labeled by contingency matrices; E_q puts
-functions on the flag space of each orbit's horizontal reading.  The
+functions on the flags of each orbit's Hor type.  The
 intertwiners on full-flag functions satisfy the quadratic relation with
 eigenvalues q and -1, and adjacent ones braid.
 """
@@ -14,7 +15,7 @@ from mbsheaf.fq import xi_to_contingency
 
 n, q = 3, 2
 ctx = FqContext(n, q)
-full = ctx.chains((1, 1, 1))
+full = ctx.chains(())    # type (): no simple reflection, the full flags
 print(f"full flags of F_{q}^{n}: {len(full)}")
 f, g = full[0], full[7]
 print(f"relative position of two of them: {ctx.relative_position(f, g)}")
@@ -27,7 +28,7 @@ print("orbit sizes vs reading dimensions for a few cells:")
 for m in range(0, len(xi.elements), 7):
     mat = xi_to_contingency(xi, m)
     print(f"  cell {m:2d} position {mat}: |O| = {len(eq.orbit_tables[m]):3d},"
-          f" dim E_q = {eq.dims[m]:2d} = |flags{eq.hor_compositions[m]}|")
+          f" dim E_q = {eq.dims[m]:2d} = |flags of Hor type {xi.elements[m].hor}|")
 
 sub = b_invariant_sub(eq)
 print(f"\nBorel-invariant subsheaf dims equal orbit sizes: "

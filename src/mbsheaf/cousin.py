@@ -89,8 +89,8 @@ def stalk_complex(E, m, side=PRIME):
                 # entry (i, j) of a dsecond block lands at (j, i): its transpose
                 for i, row in enumerate(E.maps(side)[(n1, n2)].sparse_rows):
                     for j, x in row:
-                        r, c = (i, j) if side == PRIME else (j, i)
-                        rows[ro + r].append((co + c, sign * x))
+                        dst, src = (i, j) if side == PRIME else (j, i)
+                        rows[ro + dst].append((co + src, sign * x))
         diffs[deg] = RationalMatrix.from_sparse(rows, dims[deg])
     labels = {deg: tuple(blocks) for deg, blocks in labels.items()}
     ranks = {deg: d.rank() for deg, d in diffs.items()}

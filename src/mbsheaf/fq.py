@@ -2,24 +2,25 @@
 
 Every subspace of F_p^n is indexed once, and meet, join and dimension are
 tabulated by index (``mbsheaf.subspaces``); a flag is the chain of its
-subspaces as the tuple of their indices.  The relative position of two flags
-is the contingency matrix of graded intersection dimensions, the tuple of
-its row tuples, which matches the orbit labels of the 2-sided complex for
-the type A datum of rank n-1.
-Relative position, the Hor-reading refinement and flag coarsening are all
-table lookups; no elimination runs per flag pair.  The Borel orbits on one
-type are the relative positions to the standard flag (Bruhat decomposition).
-E_q carries functions on the flag space of the horizontal reading of each
-cell; pullback maps come from flag coarsening, pushforward maps are
-computed on orbit points and factored back through the reading, verifying
-on the way that pushforwards of pulled-back functions stay pulled back.
+subspaces as the tuple of their indices.  Flags are keyed by their type K,
+the sorted tuple of simple reflections of A_{n-1} that cells of the 2-sided
+complex carry: a type-K flag, a point of G/P_K, has the subspace dimensions
+``type_dims(K, n)``.  The relative position of two flags is the contingency
+matrix of graded intersection dimensions, the tuple of its row tuples, which
+matches the orbit labels of the 2-sided complex for the type A datum of rank
+n-1.  Relative position, the Hor-reading refinement and flag coarsening are
+all table lookups; no elimination runs per flag pair.  The Borel orbits on
+one type are the relative positions to the standard flag (Bruhat
+decomposition).  E_q carries functions on the flags of each cell's Hor type;
+pullback maps come from flag coarsening, pushforward maps are computed on
+orbit points and factored back through the reading, verifying on the way
+that pushforwards of pulled-back functions stay pulled back.
 E_q(4, 2), total dimension 69,561, is the largest size build_eq accepts:
 1.8-2.0 s at 124 MB peak RSS (two runs, 2-vCPU VM, Python 3.11.7).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from functools import cached_property
 
@@ -39,18 +40,19 @@ class FibrewiseConstancyError(RuntimeError):
     """A pushforward of a pulled-back function is not pulled back."""
 
 
-def composition_of_subset(members, n):
-    """Block sizes of {0..n-1} with positions i, i+1 glued iff i in members."""
-    parts = []
-    cur = 1
-    for i in range(n - 1):
-        if i in members:
-            cur += 1
-        else:
-            parts.append(cur)
-            cur = 1
-    parts.append(cur)
-    return tuple(parts)
+def type_dims(K, n):
+    """The subspace dimensions of a type-K flag of F_q^n."""
+    return tuple(i + 1 for i in range(n - 1) if i not in K) + (n,)
+
+
+def _type_a_poset(n, poset):
+    """The 2-sided complex of A_{n-1}: built when poset is None, else checked."""
+    if poset is None:
+        return enumerate_xi(build_coxeter("A", n - 1))
+    datum = poset.datum
+    if (datum.type_label, datum.rank) != ("A", n - 1):
+        raise ValueError(f"n = {n} needs an A{n - 1} poset, not {datum.type_label}{datum.rank}")
+    return poset
 
 
 def _entries(dims, width):
@@ -69,16 +71,16 @@ class FqContext:
     """Flags of F_q^n for one (n, q), computed on the lattice of its subspaces.
 
     ``lattice`` (built on first use) indexes every subspace of F_q^n once
-    and tabulates meet, join and dimension by index.  A flag is the tuple of
-    its subspace indices: ``chains(comp)`` lists the flags of one type, and
-    ``chain_index(comp)`` inverts the list.  On chains, relative position
-    is dimension lookups of ``meet[x][y]``, the Hor-reading refinement is
-    ``join[base][meet[x][y]]`` steps, and coarsening keeps the indices at the
-    coarser type's dimensions; no elimination runs per flag or flag pair.
-    The Borel orbits of one type are its relative positions to the standard
-    flag (``borel_orbits``).  At (n, q) = (4, 2) the lattice has 67 subspaces, and
-    ``build_eq(4, 2)`` runs in 1.8-2.0 s at 124 MB peak RSS (two runs,
-    2-vCPU VM, Python 3.11.7).
+    and tabulates meet, join and dimension by index.  Every method keys flags
+    by their type K: ``chains(K)`` lists the type-K flags as subspace-index
+    tuples, and ``chain_index(K)`` inverts the list.  On chains, relative
+    position is dimension lookups of ``meet[x][y]``, the Hor-reading
+    refinement is ``join[base][meet[x][y]]`` steps, and coarsening keeps the
+    indices at the coarser type's dimensions; no elimination runs per flag or
+    flag pair.  The Borel orbits of one type are its relative positions to
+    the standard flag (``borel_orbits``).  At (n, q) = (4, 2) the lattice has
+    67 subspaces, and ``build_eq(4, 2)`` runs in 1.8-2.0 s at 124 MB peak RSS
+    (two runs, 2-vCPU VM, Python 3.11.7).
     """
 
     def __init__(self, n, q):
@@ -99,15 +101,15 @@ class FqContext:
 
     # -- enumeration ---------------------------------------------------------
 
-    def chains(self, composition):
-        """The flags of one type, as subspace-index tuples in lattice order."""
-        got = self._chains.get(composition)
+    def chains(self, K):
+        """The flags of type K, as subspace-index tuples in lattice order."""
+        got = self._chains.get(K)
         if got is None:
-            if sum(composition) != self.n or any(c <= 0 for c in composition):
-                raise ValueError(f"{composition} is not a composition of {self.n}")
+            if not set(K) <= set(range(self.n - 1)):
+                raise ValueError(f"{K} is not a type of A{self.n - 1}")
             lat = self.lattice
             chains = [()]
-            for dim in itertools.accumulate(composition):
+            for dim in type_dims(K, self.n):
                 new = []
                 for chain in chains:
                     for s in range(lat.start[dim], lat.start[dim + 1]):
@@ -116,14 +118,14 @@ class FqContext:
                         new.append(chain + (s,))
                 chains = new
             got = tuple(chains)
-            self._chains[composition] = got
+            self._chains[K] = got
         return got
 
-    def chain_index(self, composition):
-        got = self._chain_index.get(composition)
+    def chain_index(self, K):
+        got = self._chain_index.get(K)
         if got is None:
-            got = {c: i for i, c in enumerate(self.chains(composition))}
-            self._chain_index[composition] = got
+            got = {c: i for i, c in enumerate(self.chains(K))}
+            self._chain_index[K] = got
         return got
 
     # -- the algorithms, on chains of subspace indices ---------------------------
@@ -145,11 +147,11 @@ class FqContext:
             prev = xi
         return tuple(out)
 
-    def coarsen(self, chain, dst_composition):
-        """Keep the subspaces at the cumulative dimensions of the coarser type."""
+    def coarsen(self, chain, K):
+        """Keep the subspaces at the dimensions of the coarser type K."""
         dim = self.lattice.dim
         by_dim = {dim[s]: s for s in chain}
-        return tuple(by_dim[c] for c in itertools.accumulate(dst_composition))
+        return tuple(by_dim[d] for d in type_dims(K, self.n))
 
     def projection(self, src, dst):
         """Position in chains(src) -> position of its coarsening in chains(dst)."""
@@ -168,12 +170,12 @@ class FqContext:
 
     # -- orbits --------------------------------------------------------------------
 
-    def block_buckets(self, comp_i, comp_j):
-        """All flag pairs of the two types, bucketed by relative position."""
-        key = (comp_i, comp_j)
+    def block_buckets(self, I, J):
+        """All flag pairs of types I and J, bucketed by relative position."""
+        key = (I, J)
         got = self._buckets.get(key)
         if got is None:
-            xs, ys = self.chains(comp_i), self.chains(comp_j)
+            xs, ys = self.chains(I), self.chains(J)
             meet_dim = self.lattice.meet_dim
             # bucket by the graded intersection dimensions, which determine
             # the relative position; convert each distinct key once
@@ -187,16 +189,14 @@ class FqContext:
                         buckets[dims] = [(a, b)]
                     else:
                         bucket.append((a, b))
-            got = {_entries(k, len(comp_j)): tuple(v) for k, v in buckets.items()}
+            got = {_entries(k, len(type_dims(J, self.n))): tuple(v) for k, v in buckets.items()}
             self._buckets[key] = got
         return got
 
     def orbit_points(self, poset, m):
         """Indices (into the two flag lists) of the points of the orbit of cell m."""
-        e = poset.elements[m]
-        comp_i = composition_of_subset(set(e.typeIJ[0]), self.n)
-        comp_j = composition_of_subset(set(e.typeIJ[1]), self.n)
-        return self.block_buckets(comp_i, comp_j).get(xi_to_contingency(poset, m), ())
+        I, J = poset.elements[m].typeIJ
+        return self.block_buckets(I, J).get(xi_to_contingency(poset, m), ())
 
 
 # -- the contingency-matrix dictionary -------------------------------------------
@@ -223,7 +223,7 @@ def face_to_osp(cx, face):
     for a, r in enumerate(datum.simple_positions):
         p, q = pairs[abs(act[r]) - 1]
         pi[a], pi[a + 1] = (p, q) if act[r] > 0 else (q, p)
-    ends = tuple(itertools.accumulate(composition_of_subset(set(face.type_I), len(pi))))
+    ends = type_dims(face.type_I, len(pi))
     return tuple(frozenset(pi[i:j]) for i, j in zip((0,) + ends, ends))
 
 
@@ -281,64 +281,53 @@ def contingency_to_xi(poset, mat):
 class FqMBS(MixedBruhatSheaf):
     """E_q with its geometric provenance: orbit point tables and readings."""
 
-    def __init__(self, poset, dims, dprime, dsecond, ctx, orbit_tables,
-                 hor_compositions, hor_maps):
+    def __init__(self, poset, dims, dprime, dsecond, ctx, orbit_tables, hor_maps):
         super().__init__(poset, dims, dprime, dsecond)
         self.ctx = ctx
-        self.orbit_tables = orbit_tables            # element -> tuple of point pairs
-        self.hor_compositions = hor_compositions    # element -> composition
-        self.hor_maps = hor_maps                    # element -> tuple: point -> flag idx
-
-
-def _cell_compositions(poset, n):
-    """Per cell: the compositions of its two face types and of its Hor reading."""
-    return [(composition_of_subset(set(e.typeIJ[0]), n),
-             composition_of_subset(set(e.typeIJ[1]), n),
-             composition_of_subset(set(e.hor), n)) for e in poset.elements]
+        self.orbit_tables = orbit_tables    # element -> tuple of point pairs
+        self.hor_maps = hor_maps            # element -> tuple: point -> type-Hor flag idx
 
 
 def build_eq(n, q, poset=None, ctx=None):
     """The function sheaf on F_q-points of the type A orbit diagram.
 
-    Sizes up to (4, 2) build: E_q(4, 2) has total dimension 69,561, and a
-    larger size raises ResourceError.  Raises FibrewiseConstancyError if a
-    pushforward of a pulled-back function is not pulled back.
+    Cell m carries functions on the type-Hor(m) flags.  Sizes up to (4, 2)
+    build (E_q(4, 2) has total dimension 69,561); a larger size raises
+    ResourceError, and a poset not of type A_{n-1} ValueError.  Raises
+    FibrewiseConstancyError if a pushforward of a pulled-back function is
+    not pulled back.
     """
     if q not in (2, 3):
         raise UnsupportedTypeError("build_eq supports q in {2, 3}")
     if n > 4 or (n == 4 and q > 2):
         raise ResourceError(f"E_q({n}, {q}) is past the largest supported size, E_q(4, 2)")
-    if poset is None:
-        poset = enumerate_xi(build_coxeter("A", n - 1))
+    poset = _type_a_poset(n, poset)
     if ctx is None:
         ctx = FqContext(n, q)
-    nelem = len(poset.elements)
-    comps = _cell_compositions(poset, n)
     orbit_tables = []
     hor_maps = []
     dims = []
     point_index = []
     refine = ctx.refine
-    for m in range(nelem):
-        comp_i, comp_j, hor_comp = comps[m]
+    for m, e in enumerate(poset.elements):
         points = ctx.orbit_points(poset, m)
-        xs, ys = ctx.chains(comp_i), ctx.chains(comp_j)
-        hindex = ctx.chain_index(hor_comp)
+        xs, ys = ctx.chains(e.typeIJ[0]), ctx.chains(e.typeIJ[1])
+        hindex = ctx.chain_index(e.hor)
         hmap = tuple(hindex[refine(xs[a], ys[b])]    # lands in F_Hor: exact type check
                      for a, b in points)
         orbit_tables.append(points)
         hor_maps.append(hmap)
-        dims.append(len(ctx.chains(hor_comp)))
+        dims.append(len(ctx.chains(e.hor)))
         point_index.append({p: k for k, p in enumerate(points)})
     dprime = {}
     dsecond = {}
-    for m in range(nelem):
+    for m, e in enumerate(poset.elements):
         for _s, nn in poset.cov[SECOND][m]:
             # pullback along the flag coarsening of the readings
-            proj = ctx.projection(comps[m][2], comps[nn][2])
+            proj = ctx.projection(e.hor, poset.elements[nn].hor)
             dsecond[(m, nn)] = RationalMatrix.pullback(proj, dims[nn])
         for _s, nn in poset.cov[PRIME][m]:
-            proj = ctx.projection(comps[m][0], comps[nn][0])
+            proj = ctx.projection(e.typeIJ[0], poset.elements[nn].typeIJ[0])
             targets = point_index[nn]
             # acc[o][x]: how many points of m over target point o read x
             acc = [{} for _ in orbit_tables[nn]]
@@ -359,8 +348,7 @@ def build_eq(n, q, poset=None, ctx=None):
                         f"{sorted(rows[y].items())} and {sorted(counts.items())}")
             dprime[(m, nn)] = RationalMatrix.from_sparse(
                 [r.items() if r is not None else () for r in rows], dims[m])
-    return FqMBS(poset, dims, dprime, dsecond, ctx, tuple(orbit_tables),
-                 tuple(c[2] for c in comps), tuple(hor_maps))
+    return FqMBS(poset, dims, dprime, dsecond, ctx, tuple(orbit_tables), tuple(hor_maps))
 
 
 # -- Hecke generators ---------------------------------------------------------------
@@ -370,20 +358,18 @@ def hecke_generators(n, q):
     if not 2 <= n <= 4 or q not in (2, 3):
         raise UnsupportedTypeError("hecke_generators supports 2 <= n <= 4, q in {2, 3}")
     ctx = FqContext(n, q)
-    full = (1,) * n
-    one = RationalMatrix.identity(len(ctx.chains(full)))
+    one = RationalMatrix.identity(len(ctx.chains(())))
     out = []
     for alpha in range(n - 1):
-        coarse = composition_of_subset({alpha}, n)
-        pull = RationalMatrix.pullback(ctx.projection(full, coarse), len(ctx.chains(coarse)))
+        pull = RationalMatrix.pullback(ctx.projection((), (alpha,)), len(ctx.chains((alpha,))))
         out.append(pull @ pull.transpose() - one)
     return out
 
 
 # -- Borel invariants ---------------------------------------------------------------
 
-def borel_orbits(ctx, composition):
-    """Partition of the flag list into orbits of the standard Borel subgroup.
+def borel_orbits(ctx, K):
+    """Partition of the type-K flag list into orbits of the standard Borel subgroup.
 
     B is the stabiliser of the standard flag std = span(e_0) < span(e_0, e_1)
     < ...  The orbits of G = GL_n(F_q) on pairs of flags are their relative
@@ -392,25 +378,25 @@ def borel_orbits(ctx, composition):
     (std, z) lies in the G-orbit of (std, y).  Each is one U-orbit, as
     B w P = U T w P = U w (w^-1 T w) P = U w P with w^-1 T w = T inside P, so
     F_2, whose torus is trivial, is no exception.  Orbits are ascending, in
-    the order of their first flag.
+    the order of their first flag, one per ``min_coset_reps(datum, K)``.
     """
     n = ctx.n
     index = ctx.lattice.index
     std = tuple(index[tuple(tuple(int(i == j) for j in range(n)) for i in range(k))]
                 for k in range(1, n + 1))
     orbits = {}
-    for y, chain in enumerate(ctx.chains(composition)):
+    for y, chain in enumerate(ctx.chains(K)):
         orbits.setdefault(ctx.relative_position(std, chain), []).append(y)
     return tuple(map(tuple, orbits.values()))
 
 
 def b_invariant_sub(E):
     """The subsheaf of Borel-invariant functions on each reading's flag space."""
-    poset = E.poset
-    orbits_of = {c: borel_orbits(E.ctx, c) for c in set(E.hor_compositions)}
+    hors = [e.hor for e in E.poset.elements]
+    orbits_of = {K: borel_orbits(E.ctx, K) for K in set(hors)}
     bases = []
-    for m in range(len(poset.elements)):
-        orbits = orbits_of[E.hor_compositions[m]]
+    for m, K in enumerate(hors):
+        orbits = orbits_of[K]
         label = [None] * E.dims[m]
         for o, orbit in enumerate(orbits):
             for x in orbit:
@@ -427,24 +413,23 @@ def orbit_point_checks(n, q, poset=None):
     For each n', the points of every n >='' n' are bucketed by their image
     in n', and each fiber product over n' reads, for every point of an
     m' >=' n', the bucket of its image: the work is the size of the fiber
-    products, not the product of the orbit sizes.  n = 3 takes q <= 5.
+    products, not the product of the orbit sizes.  n = 3 takes q <= 5.  A
+    poset not of type A_{n-1} raises ValueError.
     """
     if n > 3:
         raise ResourceError("point checks support n <= 3")
     if n == 3 and q > 5:
         raise ResourceError(f"point checks at n = 3 support q <= 5, not q = {q}")
-    if poset is None:
-        poset = enumerate_xi(build_coxeter("A", n - 1))
+    poset = _type_a_poset(n, poset)
     ctx = FqContext(n, q)
-    comps = _cell_compositions(poset, n)
     rep = Report("points", checked=0)
     failures = rep.witnesses["points"]
     points = [ctx.orbit_points(poset, m) for m in range(len(poset.elements))]
     pindex = [{p: k for k, p in enumerate(pts)} for pts in points]
 
     def point_map(m, nn):
-        proj_i = ctx.projection(comps[m][0], comps[nn][0])
-        proj_j = ctx.projection(comps[m][1], comps[nn][1])
+        (I, J), (I2, J2) = poset.elements[m].typeIJ, poset.elements[nn].typeIJ
+        proj_i, proj_j = ctx.projection(I, I2), ctx.projection(J, J2)
         return [pindex[nn][(proj_i[a], proj_j[b])] for a, b in points[m]]
 
     pups = poset.ups(PRIME)

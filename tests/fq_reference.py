@@ -6,7 +6,9 @@ image is an F_q row reduction (``rref_fp``) on the flags' echelon rows.
 They are kept, as functions of the field size, so that tests can compare
 the table lookups with them on the same flags (see
 test_fq_differential.py).  A subspace is its reduced echelon form, the
-tuple of its nonzero rows, and a flag is the tuple of its subspaces.
+tuple of its nonzero rows, and a flag is the tuple of its subspaces.  The
+oracle names a flag's type by its composition of n, the block sizes
+(``composition``), where ``mbsheaf.fq`` keys it by the type K itself.
 ``dense_rref_fp`` is the dense F_p Gauss-Jordan that ``rref_fp`` ran before
 both fields shared the sparse elimination of ``mbsheaf.linalg``; it is the
 oracle of ``rref_fp``, ``in_span_fp`` and ``nullspace_fp``.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from mbsheaf.fq import FqContext, _cell_compositions, _root_pairs, composition_of_subset
+from mbsheaf.fq import FqContext, _root_pairs
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.report import Report
 from mbsheaf.xi import PRIME, SECOND
@@ -60,6 +62,20 @@ def dense_rref_fp(rows, p):
         if prow == len(m):
             break
     return tuple(tuple(r) for r in m[:prow] if any(r))
+
+
+def composition(K, n):
+    """Block sizes of {0..n-1} with positions i, i+1 glued iff i in K."""
+    parts = []
+    cur = 1
+    for i in range(n - 1):
+        if i in K:
+            cur += 1
+        else:
+            parts.append(cur)
+            cur = 1
+    parts.append(cur)
+    return tuple(parts)
 
 
 def subspaces(lattice, d):
@@ -216,7 +232,7 @@ def hecke_generators(lattice, n, q):
     full = enumerate_flags(lattice, n, q, (1,) * n)
     out = []
     for alpha in range(n - 1):
-        images = [coarsen_flag(f, composition_of_subset({alpha}, n)) for f in full]
+        images = [coarsen_flag(f, composition({alpha}, n)) for f in full]
         fibres = {}
         for y, image in enumerate(images):
             fibres.setdefault(image, []).append(y)
@@ -229,15 +245,15 @@ def pairwise_point_checks(n, q, poset):
     """The checks of ``orbit_point_checks(n, q, poset)``, each fiber product
     formed by testing every pair of points of m' and n, quadratic in orbit size."""
     ctx = FqContext(n, q)
-    comps = _cell_compositions(poset, n)
+    types = [e.typeIJ for e in poset.elements]
     rep = Report("points", checked=0)
     failures = rep.witnesses["points"]
     points = [ctx.orbit_points(poset, m) for m in range(len(poset.elements))]
     pindex = [{p: k for k, p in enumerate(pts)} for pts in points]
 
     def point_map(m, nn):
-        proj_i = ctx.projection(comps[m][0], comps[nn][0])
-        proj_j = ctx.projection(comps[m][1], comps[nn][1])
+        proj_i = ctx.projection(types[m][0], types[nn][0])
+        proj_j = ctx.projection(types[m][1], types[nn][1])
         return [pindex[nn][(proj_i[a], proj_j[b])] for a, b in points[m]]
 
     for np_ in range(len(poset.elements)):

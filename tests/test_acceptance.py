@@ -11,8 +11,7 @@ from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.cousin import constructibility_check, coperversity_check, stalk_complex, support_check
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
 from mbsheaf.fq import (
-    FqContext, b_invariant_sub, build_eq, composition_of_subset, hecke_generators,
-    orbit_point_checks,
+    FqContext, b_invariant_sub, build_eq, hecke_generators, orbit_point_checks,
 )
 from mbsheaf.io import dumps, loads, mbs_from_json, mbs_to_json
 from mbsheaf.linalg import RationalMatrix
@@ -211,16 +210,15 @@ def test_criterion_10_bicube_matches_induction_restriction():
             got = bicube(eq)
             ctx = FqContext(n, q)
             subsets = sorted(got.spaces, key=lambda t: (len(t), t))
-            comps = {I: composition_of_subset(set(I), n) for I in subsets}
             for I in subsets:
-                assert got.spaces[I] == len(ctx.chains(comps[I]))
+                assert got.spaces[I] == len(ctx.chains(I))
             for I in subsets:
                 for J in subsets:
                     if not set(I) <= set(J):
                         continue
-                    fi = ctx.chains(comps[I])
-                    fj_index = ctx.chain_index(comps[J])
-                    images = [fj_index[ctx.coarsen(x, comps[J])] for x in fi]
+                    fi = ctx.chains(I)
+                    fj_index = ctx.chain_index(J)
+                    images = [fj_index[ctx.coarsen(x, J)] for x in fi]
                     push = [[0] * len(fi) for _ in range(len(fj_index))]
                     for x, y in enumerate(images):
                         push[y][x] = 1

@@ -290,6 +290,8 @@ EXAMPLE_DUMP_SHA256 = [
     (["eq-binv", "2", "3"], "c38f809deb21cca5b7da46c8dbc8faa683431b950ee74e97a06e09d8a84df6b6"),
     (["eq-binv", "3", "3"], "a05a90e5c4a1cf53c2e1004edd4faf0a9cac84e8a7f769c0fbb28c3bb72381e4"),
     (["eq", "3", "3"], "639c3719554ec876509c39624001066d38f80815369c149dbd19a242765fa63c"),
+    # every type of A3 over F_2 through borel_orbits: an 8.6 MB file
+    (["eq-binv", "4", "2"], "ed1144e5953dee02a9a7ccf31f8281e78bec072f7016bbe49432e530939e763b"),
 ]
 
 

@@ -5,12 +5,12 @@ from collections import Counter
 
 import pytest
 
-from fq_reference import act_flag, subspaces
-from mbsheaf.coxeter import build_coxeter, poincare_poly
+from fq_reference import act_flag, composition, subspaces
+from mbsheaf.coxeter import build_coxeter, min_coset_reps, poincare_poly
 from mbsheaf.f1 import build_e1
 from mbsheaf.fq import (
     FibrewiseConstancyError, FqContext, ResourceError, b_invariant_sub, borel_orbits, build_eq,
-    composition_of_subset, contingency_to_xi, hecke_generators, orbit_point_checks,
+    contingency_to_xi, hecke_generators, orbit_point_checks,
     rref_fp, xi_to_contingency,
 )
 from mbsheaf.linalg import RationalMatrix
@@ -58,14 +58,25 @@ def xi_a2():
     (2, 2, (1, 1), 3), (3, 2, (1, 1, 1), 21), (3, 2, (3,), 1),
     (3, 3, (1, 1, 1), 52), (3, 3, (1, 2), 13), (4, 2, (1, 1, 1, 1), 315)])
 def test_flag_counts(n, q, comp, count):
-    ctx = FqContext(n, q)
-    assert len(ctx.chains(comp)) == count == gaussian_multinomial(comp, q)
+    # the Gaussian multinomial counts flags by their block sizes comp; the
+    # type K glues positions i, i + 1 that no block boundary separates
+    ends = set(itertools.accumulate(comp))
+    K = tuple(i for i in range(n - 1) if i + 1 not in ends)
+    assert composition(K, n) == comp
+    assert len(FqContext(n, q).chains(K)) == count == gaussian_multinomial(comp, q)
 
 
 def test_subspace_table_guard():
     # F_7^4 has 3,652 subspaces, past what the meet and join tables hold
     with pytest.raises(ResourceError):
-        FqContext(4, 7).chains((4,))
+        FqContext(4, 7).chains((0, 1, 2))
+
+
+@pytest.mark.parametrize("K", [(3,), (-1,), (0, 3)])
+def test_chains_refuse_a_member_outside_the_type(K):
+    # A3 has the simple reflections 0, 1 and 2; the check runs before the lattice
+    with pytest.raises(ValueError, match="is not a type of A3"):
+        FqContext(4, 7).chains(K)
 
 
 def test_rref_canonical():
@@ -79,17 +90,17 @@ def test_poincare_counts_flags():
     # evaluates to the finite-field flag count
     from mbsheaf.coxeter import poincare_poly
     from mbsheaf.orbitpoly import poly_value
-    for n, q in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]:
+    for n, q in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]:
         datum = build_coxeter("A", n - 1)
         ctx = FqContext(n, q)
-        for members in [(), tuple(range(n - 1))] + [(s,) for s in range(n - 1)]:
-            comp = composition_of_subset(set(members), n)
-            assert poly_value(poincare_poly(datum, members), q) == len(ctx.chains(comp))
+        for k in range(n):
+            for K in itertools.combinations(range(n - 1), k):
+                assert len(ctx.chains(K)) == poly_value(poincare_poly(datum, K), q)
 
 
 def test_larger_prime_fields():
     ctx = FqContext(2, 5)
-    assert len(ctx.chains((1, 1))) == 6
+    assert len(ctx.chains(())) == 6
     ctx7 = FqContext(2, 7)
     assert len(subspaces(ctx7.lattice, 1)) == 8
     from mbsheaf.coxeter import UnsupportedTypeError
@@ -99,7 +110,7 @@ def test_larger_prime_fields():
 
 def test_zassenhaus_full_sweep():
     ctx = FqContext(3, 2)
-    full = ctx.chains((1, 1, 1))
+    full = ctx.chains(())
     for f in full:
         for g in full:
             assert ctx.relative_position(g, f) == tuple(zip(*ctx.relative_position(f, g)))
@@ -109,10 +120,10 @@ def test_zassenhaus_full_sweep():
 
 def test_relpos_diagonal_and_transpose():
     ctx = FqContext(3, 2)
-    flags = ctx.chains((1, 2))
+    flags = ctx.chains((1,))    # lines, type_dims (1, 3); (0,) gives planes
     for f in flags:
         assert ctx.relative_position(f, f) == ((1, 0), (0, 2))
-    other = ctx.chains((2, 1))
+    other = ctx.chains((0,))
     for f in flags:
         for g in other:
             m = ctx.relative_position(f, g)
@@ -122,7 +133,7 @@ def test_relpos_diagonal_and_transpose():
 
 def test_relpos_two_lines():
     ctx = FqContext(2, 2)
-    lines = ctx.chains((1, 1))
+    lines = ctx.chains(())
     for f in lines:
         for g in lines:
             m = ctx.relative_position(f, g)
@@ -168,8 +179,7 @@ def test_contingency_margins_match_types(xi_a2):
     n = 3
     for m, e in enumerate(xi_a2.elements):
         mat = xi_to_contingency(xi_a2, m)
-        assert margins(mat) == (composition_of_subset(set(e.typeIJ[0]), n),
-                                composition_of_subset(set(e.typeIJ[1]), n))
+        assert margins(mat) == (composition(e.typeIJ[0], n), composition(e.typeIJ[1], n))
 
 
 def test_contingency_order_orientation(xi_a2):
@@ -201,6 +211,17 @@ def test_eq_dims_a1(xi_a1):
         assert dims == [1, q + 1, q + 1, q + 1, q + 1]
 
 
+@pytest.mark.parametrize("build,n,rank", [
+    (build_eq, 3, 1), (build_eq, 2, 2), (orbit_point_checks, 2, 2), (build_eq, 3, 3)],
+    ids=["eq-3-A1", "eq-2-A2", "points-2-A2", "eq-3-A3"])
+def test_poset_of_the_wrong_rank_is_refused(build, n, rank):
+    # an A_rank poset with rank != n - 1 once built E_q with MBS3 failures
+    # (or spurious point-check failures) instead of an error
+    poset = enumerate_xi(build_coxeter("A", rank))
+    with pytest.raises(ValueError, match=rf"n = {n} needs an A{n - 1} poset, not A{rank}"):
+        build(n, 2, poset=poset)
+
+
 def test_eq_gate():
     with pytest.raises(ResourceError):
         build_eq(4, 3)
@@ -212,7 +233,7 @@ class MisreadContext(FqContext):
 
     def refine(self, x, y):
         got = super().refine(x, y)
-        full = self.chains((1,) * self.n)
+        full = self.chains(())
         return full[1] if got == full[0] and x != y else got
 
 
@@ -239,8 +260,8 @@ def test_eq_reading_equivariance_gl3f2(xi_a2):
         if len(rref_fp(rows, 2)) == 3:
             gl.append(rows)
     assert len(gl) == 168
-    flags = ctx.chains((1, 1, 1))
-    partial = ctx.chains((1, 2))
+    flags = ctx.chains(())
+    partial = ctx.chains((1,))
     pairs = [(flags[0], flags[0]), (flags[3], flags[17]), (flags[0], partial[5])]
     spaces, index = ctx.lattice.spaces, ctx.lattice.index
 
@@ -265,9 +286,7 @@ def test_intertwiner_between_associated_faces_invertible(xi_a2):
             if c.index == d.index or not associated(c, d):
                 continue
             points = ctx.orbit_points(xi_a2, m)
-            comp_c = composition_of_subset(set(e.typeIJ[0]), 3)
-            comp_d = composition_of_subset(set(e.typeIJ[1]), 3)
-            nc, nd = len(ctx.chains(comp_c)), len(ctx.chains(comp_d))
+            nc, nd = (len(ctx.chains(K)) for K in e.typeIJ)
             assert nc == nd
             rows = [[0] * nc for _ in range(nd)]
             for (a, b) in points:
@@ -281,10 +300,10 @@ def test_intertwiner_between_associated_faces_invertible(xi_a2):
 class _ReversedContext(FqContext):
     """Deterministic alternative enumeration: flag lists reversed."""
 
-    def chains(self, composition):
-        if composition not in self._chains:
-            self._chains[composition] = tuple(reversed(FqContext.chains(self, composition)))
-        return self._chains[composition]
+    def chains(self, K):
+        if K not in self._chains:
+            self._chains[K] = tuple(reversed(FqContext.chains(self, K)))
+        return self._chains[K]
 
 
 def _relabel_matrix(dst_perm, mat, src_perm):
@@ -304,10 +323,9 @@ def test_eq_matrices_independent_of_enumeration_order(n, q):
     b = build_eq(n, q, poset=poset, ctx=_ReversedContext(n, q))
     assert a.dims == b.dims
     perms = {}
-    for m in range(len(poset.elements)):
-        comp = a.hor_compositions[m]
-        ib = b.ctx.chain_index(comp)
-        perms[m] = [ib[x] for x in a.ctx.chains(comp)]
+    for m, e in enumerate(poset.elements):
+        ib = b.ctx.chain_index(e.hor)
+        perms[m] = [ib[x] for x in a.ctx.chains(e.hor)]
     for key, mat in a.dprime.items():
         m, nn = key
         assert b.dprime[key] == _relabel_matrix(perms[nn], mat, perms[m])
@@ -324,14 +342,11 @@ def test_eq_matrices_conjugate_point_level_maps(xi_a2):
     ctx = eq.ctx
     embeddings = [RationalMatrix.from_sparse([((x, 1),) for x in hmap], d)
                   for hmap, d in zip(eq.hor_maps, eq.dims)]
-    n = 3
     pindex = [{p: k for k, p in enumerate(pts)} for pts in eq.orbit_tables]
     for m in range(len(xi_a2.elements)):
-        em = xi_a2.elements[m]
-        ci = composition_of_subset(set(em.typeIJ[0]), n)
-        cj = composition_of_subset(set(em.typeIJ[1]), n)
+        ci, cj = xi_a2.elements[m].typeIJ
         for _s, nn in xi_a2.cov[PRIME][m]:
-            ti = composition_of_subset(set(xi_a2.elements[nn].typeIJ[0]), n)
+            ti = xi_a2.elements[nn].typeIJ[0]
             idx = ctx.chain_index(ti)
             fi = ctx.chains(ci)
             push = [[0] * len(eq.orbit_tables[m]) for _ in eq.orbit_tables[nn]]
@@ -342,7 +357,7 @@ def test_eq_matrices_conjugate_point_level_maps(xi_a2):
                                       len(eq.orbit_tables[m]))
             assert embeddings[nn] @ eq.dprime[(m, nn)] == push_mat @ embeddings[m]
         for _s, nn in xi_a2.cov[SECOND][m]:
-            tj = composition_of_subset(set(xi_a2.elements[nn].typeIJ[1]), n)
+            tj = xi_a2.elements[nn].typeIJ[1]
             idx = ctx.chain_index(tj)
             fj = ctx.chains(cj)
             pull = [[0] * len(eq.orbit_tables[nn]) for _ in eq.orbit_tables[m]]
@@ -397,9 +412,9 @@ def test_hecke_eigenvalues():
 
 def test_borel_orbit_counts():
     ctx = FqContext(3, 2)
-    assert len(borel_orbits(ctx, (1, 1, 1))) == 6      # |W| = 3!
-    assert len(borel_orbits(ctx, (1, 2))) == 3
-    assert len(borel_orbits(ctx, (3,))) == 1
+    assert len(borel_orbits(ctx, ())) == 6      # |W| = 3!
+    assert len(borel_orbits(ctx, (1,))) == 3
+    assert len(borel_orbits(ctx, (0, 1))) == 1
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
@@ -411,7 +426,9 @@ def test_borel_orbit_sizes_follow_bruhat(n, q):
     ctx = FqContext(n, q)
     for k in range(n):
         for K in itertools.combinations(range(n - 1), k):
-            sizes = Counter(len(orbit) for orbit in borel_orbits(ctx, composition_of_subset(K, n)))
+            orbits = borel_orbits(ctx, K)
+            assert len(orbits) == len(min_coset_reps(datum, K))
+            sizes = Counter(len(orbit) for orbit in orbits)
             assert dict(sizes) == {q ** d: c for d, c in enumerate(poincare_poly(datum, K)) if c}
 
 

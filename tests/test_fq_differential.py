@@ -1,12 +1,13 @@
 """The subspace-lattice tables of mbsheaf.fq against the elimination oracle.
 
-For every (n, q) below, every flag pair of every pair of compositions is
+For every (n, q) below, every flag pair of every pair of types is
 compared: relative position and the Hor-reading refinement, coarsening to
 every coarser type, the flag enumeration order, and the Borel orbits of
-every composition.  The lattice's meet and join are checked on every pair
-of subspaces, and ``face_to_osp`` on every face of A1-A4.  The Hecke generators are compared with the oracle's fibre
-lists up to n = 4, and the point checks' bucketed fiber products with the
-pairwise loop.
+every type.  The oracle names each type K by its composition of n.  The
+lattice's meet and join are checked on every pair of subspaces, and
+``face_to_osp`` on every face of A1-A4.  The Hecke generators are compared
+with the oracle's fibre lists up to n = 4, and the point checks' bucketed
+fiber products with the pairwise loop.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import fq_reference as ref
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.faces import FaceComplex
 from mbsheaf.fq import (
-    SUPPORTED_PRIMES, FqContext, borel_orbits, composition_of_subset, face_to_osp,
+    SUPPORTED_PRIMES, FqContext, borel_orbits, face_to_osp,
     hecke_generators, in_span_fp, nullspace_fp, orbit_point_checks, osp_to_face, rref_fp,
 )
 from mbsheaf.xi import XiPoset, enumerate_xi
@@ -28,19 +29,14 @@ SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
-def compositions(n):
-    return [composition_of_subset(set(members), n)
-            for k in range(n) for members in itertools.combinations(range(n - 1), k)]
+def types(n):
+    """Every type of A_{n-1}: the sorted tuples of simple reflections."""
+    return [K for k in range(n) for K in itertools.combinations(range(n - 1), k)]
 
 
-def flags(ctx, comp):
+def flags(ctx, K):
     """The chains of one type as the oracle's flags: tuples of echelon forms."""
-    return [tuple(ctx.lattice.spaces[x] for x in chain) for chain in ctx.chains(comp)]
-
-
-def coarser(src, dst):
-    """Whether dst's cumulative dimensions are among src's."""
-    return set(itertools.accumulate(dst)) <= set(itertools.accumulate(src))
+    return [tuple(ctx.lattice.spaces[x] for x in chain) for chain in ctx.chains(K)]
 
 
 @pytest.mark.parametrize("n,q", SIZES)
@@ -59,47 +55,47 @@ def test_lattice_meet_and_join(n, q):
 @pytest.mark.parametrize("n,q", SIZES)
 def test_flag_order_matches_elimination_enumeration(n, q):
     ctx = FqContext(n, q)
-    for comp in compositions(n):
-        assert tuple(flags(ctx, comp)) == ref.enumerate_flags(ctx.lattice, n, q, comp)
+    for K in types(n):
+        comp = ref.composition(K, n)
+        assert tuple(flags(ctx, K)) == ref.enumerate_flags(ctx.lattice, n, q, comp)
 
 
 @pytest.mark.parametrize("n,q", SIZES)
 def test_pair_geometry_matches_oracle(n, q):
     ctx = FqContext(n, q)
-    comps = compositions(n)
     spaces = ctx.lattice.spaces
-    for ci, cj in itertools.product(comps, comps):
-        pairs = itertools.product(zip(ctx.chains(ci), flags(ctx, ci)),
-                                  zip(ctx.chains(cj), flags(ctx, cj)))
+    for I, J in itertools.product(types(n), repeat=2):
+        pairs = itertools.product(zip(ctx.chains(I), flags(ctx, I)),
+                                  zip(ctx.chains(J), flags(ctx, J)))
         for (x, f), (y, g) in pairs:
             assert ctx.relative_position(x, y) == ref.relative_position(f, g, q)
             refined = ctx.refine(x, y)
             assert tuple(spaces[s] for s in refined) == ref.refinement_flag(f, g, q)
-        if coarser(ci, cj):
-            for x, f in zip(ctx.chains(ci), flags(ctx, ci)):
-                coarse = ctx.coarsen(x, cj)
-                assert tuple(spaces[s] for s in coarse) == ref.coarsen_flag(f, cj)
+        if set(I) <= set(J):    # type J is coarser
+            for x, f in zip(ctx.chains(I), flags(ctx, I)):
+                coarse = ctx.coarsen(x, J)
+                want = ref.coarsen_flag(f, ref.composition(J, n))
+                assert tuple(spaces[s] for s in coarse) == want
 
 
 @pytest.mark.parametrize("n,q", SIZES)
 def test_block_buckets_match_oracle(n, q):
     ctx = FqContext(n, q)
-    comps = compositions(n)
-    for ci, cj in itertools.product(comps, comps):
-        fi, fj = flags(ctx, ci), flags(ctx, cj)
+    for I, J in itertools.product(types(n), repeat=2):
+        fi, fj = flags(ctx, I), flags(ctx, J)
         expected = {}
         for (a, f), (b, g) in itertools.product(enumerate(fi), enumerate(fj)):
             expected.setdefault(ref.relative_position(f, g, q), []).append((a, b))
-        assert ctx.block_buckets(ci, cj) == {k: tuple(v) for k, v in expected.items()}
+        assert ctx.block_buckets(I, J) == {k: tuple(v) for k, v in expected.items()}
 
 
 @pytest.mark.parametrize("n,q", SIZES)
 def test_borel_orbits_match_oracle(n, q):
     ctx = FqContext(n, q)
-    for comp in compositions(n):
-        fl = flags(ctx, comp)
+    for K in types(n):
+        fl = flags(ctx, K)
         index = {f: i for i, f in enumerate(fl)}
-        assert borel_orbits(ctx, comp) == ref.borel_orbits(fl, index, n, q)
+        assert borel_orbits(ctx, K) == ref.borel_orbits(fl, index, n, q)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
