@@ -113,6 +113,14 @@ def cmd_orbits(args):
     return 0 if report.ok else 1
 
 
+class _Stray(argparse.Action):
+    """An option that another example reads, kept with its value so that main
+    refuses it by name; undeclared, argparse would read its value as N."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.stray = (*namespace.stray, option_string, values)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mbsheaf",
@@ -154,6 +162,9 @@ def build_parser():
     for e in (eq, eqb):
         e.add_argument("n", type=int)
         e.add_argument("q", type=int)
+        for option in ("--type", "--rank"):
+            e.add_argument(option, dest="stray", action=_Stray, default=(),
+                           help=argparse.SUPPRESS)
     for e in (e1, e1v, eq, eqb):
         e.add_argument("-o", "--output", default=None)
 
@@ -179,7 +190,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "stray", ()):
+        parser.error("unrecognized arguments: " + " ".join(args.stray))
     try:
         return args.fn(args)
     except (ValueError, ResourceError, OSError) as exc:

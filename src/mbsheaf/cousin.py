@@ -6,6 +6,39 @@ each n in degree |T(n)| - r.  Its blocks are the side's coverings adding an
 index of T(m), signed by the sign of inserting it: dprime maps on PRIME,
 transposed dsecond maps on SECOND, so the SECOND complex at m is the PRIME
 complex of the twisted dual at tau(m).  d^2 = 0 is read off MBS1's squares.
+
+On a sheaf that passed check_mbs, a side's stalk cohomology is constant on
+its stratum classes (``XiPoset.stratification_classes``): PRIME on the S1
+classes, keyed by (I, Hor), and SECOND on the tau-S1 classes, keyed by
+(J, Ver).  So the suite builds one complex per class, at the class's cell
+with the fewest term dimensions, and files its cohomology under every cell
+of the class; a report still names every failing cell, in cell order.  The
+lemma rests on MBS1-3, so a sheaf that failed an axiom, or was never
+checked, has a complex built at every cell: a reduced scan is no proof there.
+
+The lemma.  Let m = W(c, d_m) >'' n = W(c, d_n) be an anodyne covering; S1
+is generated by these, so it is enough that the PRIME complexes at n and m
+have the same cohomology.
+- Terms.  Those at n are the cells x = W(c', d_n) with c' a face having c
+  in its closure, and those at m the cells x' = W(c', d_m), each c' taken
+  up to Stab c & Stab d_n, resp. Stab c & Stab d_m.  Both groups are
+  Stab(c o d_n) = Stab(c o d_m), as the covering is anodyne, so x -> x' is
+  a bijection.  It keeps c', hence the type, the degree and _insert_sign,
+  and it takes the block from x to y = W(c'', d_n) to the block from x' to
+  y' = W(c'', d_m).
+- Each x' >'' x is an anodyne covering: c' o c = c', so by associativity of
+  the Tits product c' o d_m = c' o (c o d_m) = c' o (c o d_n) = c' o d_n.
+- For each block, x >=' y <='' y' is a covering configuration whose SECOND
+  leg is anodyne, and there sup(x, y') is the one cell x', anodyne over x
+  (checked on every supported type by tests/test_faces_xi.py).  So MBS2
+  reads C''(y', y) C'(x, y) = C'(x', y') C''(x', x): the maps C''(x', x)
+  form a chain map from the complex at n to the one at m, invertible term
+  by term by MBS3.
+tau swaps the orders and takes sup(m', n) to sup(tau n, tau m'), so the
+mirror argument runs through the configurations whose PRIME leg is anodyne:
+along an anodyne PRIME covering W(c_m, d) >' W(c_n, d), the maps
+C'(W(c_m, d'), W(c_n, d')), transposed, form a chain map between the SECOND
+complexes, and SECOND cohomology is constant on tau-S1 classes.
 """
 
 from __future__ import annotations
@@ -100,17 +133,27 @@ def stalk_complex(E, m, side=PRIME):
 
 
 def _stalk_cohomology(E, side, m):
-    """Cohomology of the stalk complex at m on `side`, by degree, built once
-    per sheaf; the differentials are not kept."""
+    """Cohomology of the stalk complex at m on `side`, by degree, memoised per
+    sheaf; the differentials are not kept.  On a sheaf that passed check_mbs,
+    the first call on a side builds one complex per class of the side and
+    files it under each cell of the class (module docstring)."""
     got = E._stalks.get((side, m))
-    if got is None:
+    if got is None and not E._mbs_passed:
         got = E._stalks[(side, m)] = stalk_complex(E, m, side).cohomology
+    elif got is None:
+        ups = E.poset.ups(side)
+        for cls in E.poset.stratification_classes()[1 + side]:
+            rep = min(cls, key=lambda n: sum(E.dims[k] for k in ups[n]))
+            E._stalks.update(dict.fromkeys([(side, n) for n in cls],
+                                           stalk_complex(E, rep, side).cohomology))
+        got = E._stalks[(side, m)]
     return got
 
 
 def support_check(E, side=PRIME):
     """Perversity support on `side`: nonzero H^d at a cell forces stratum
-    dimension <= -d.  Every cell and degree is examined; a witness is (cell,
+    dimension <= -d.  Every cell and degree is examined, its cohomology read
+    off its class's complex once check_mbs passed; a witness is (cell,
     degree, h_dim, stratum_dim, False).  A degree with no terms has none.
     """
     rep = Report("support")
@@ -130,7 +173,9 @@ def coperversity_check(E):
 def constructibility_check(E):
     """Stalk cohomology profiles must be constant along every flat class.
 
-    A witness is (cell, its profile, the class's first profile, None, False).
+    Once check_mbs passed, each cell's PRIME profile is its S1 class's, so
+    this compares the classes' profiles within each flat.  A witness is
+    (cell, its profile, the class's first profile, None, False).
     """
     profiles, classes = [], {}      # classes: cells by flat, in order of first appearance
     for m, e in enumerate(E.poset.elements):

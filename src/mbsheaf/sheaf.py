@@ -27,8 +27,9 @@ class MixedBruhatSheaf:
         self.dprime = dict(dprime)      # (m, n) with m >=' n covering: E(m) -> E(n)
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
         self._composites = ({}, {})     # per side: (m, n) -> composite matrix
-        self._stalks = {}               # (side, cell) -> cohomology of its stalk complex
+        self._stalks = {}               # (side, cell) -> cohomology of its (class's) stalk complex
         self._squares = {}              # side -> its first failing square, or (): MBS1's walk
+        self._mbs_passed = False        # check_mbs passed: one Cousin stalk per stratum class
         self._moves = None              # generated_sub's moves, built on first use
 
     @property
@@ -101,6 +102,8 @@ def check_mbs(E):
     fail exactly when the axioms do (proofs below); MBS3 passes a monomial
     matrix without elimination (``is_invertible``).  No composite, up-set or
     supremum is built, and each witness names covering maps to repair.
+    The verdict is recorded on E: the Cousin suite reads one stalk complex
+    per stratum class of a sheaf that passed, and every cell of one that did not.
 
     MBS1 on squares.  On a side, with T(x) the type of x there, [m, n] is the
     Boolean lattice of the cells phi(m, side, K), T(m) <= K <= T(n): its
@@ -154,6 +157,7 @@ def check_mbs(E):
     poset = E.poset
     rep = Report("shape", "MBS1", "MBS2", "MBS3")
     shape, mbs1, mbs2, mbs3 = rep.witnesses.values()
+    E._mbs_passed = False
 
     # shapes on every covering relation
     for side, m, n in poset.coverings():
@@ -177,6 +181,7 @@ def check_mbs(E):
             mat = E.maps(side)[(m, n)]
             if not mat.is_invertible():
                 mbs3.append((SIDE_NAMES[side], m, n))
+    E._mbs_passed = rep.ok
     return rep
 
 

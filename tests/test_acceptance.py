@@ -169,10 +169,15 @@ def test_criterion_08_cousin_suite():
         for name in ("sign", "reflection"):
             rep = rep_catalog(xi.datum, name)
             sheaves.append((f"E_1^{name}({label}{rank})", build_e1v(xi, rep), False))
+    sheaves.append(("E_1(A4)", build_e1(poset_for("A", 4)), True))
     for n, q in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
         sheaves.append((f"E_q({n},{q})", eq_for(n, q), False))
+    # check_mbs first: its pass lets the suite build one stalk complex per
+    # stratum class, and the degree -r concentration below is read at every
+    # cell off a stalk complex of its own
     for name, sheaf, e1_concentrated in sheaves:
         r = sheaf.poset.datum.rank
+        assert check_mbs(sheaf).ok, name
         assert support_check(sheaf).ok, name
         assert coperversity_check(sheaf).ok, name
         assert constructibility_check(sheaf).ok, name
@@ -182,7 +187,8 @@ def test_criterion_08_cousin_suite():
                 assert all(d == -r for d, _h in profile), (name, m, profile)
     elapsed = time.time() - t0
     assert elapsed < 120.0
-    report_line(8, "Cousin suite: support, dual side, constructibility, degree -r", elapsed, 120.0)
+    report_line(8, "check_mbs, then the Cousin suite: support, dual side, constructibility, "
+                "degree -r; E_1 to A4", elapsed, 120.0)
 
 
 def test_criterion_09_orbit_polynomials():

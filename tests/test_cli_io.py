@@ -724,6 +724,10 @@ def test_cli_verification_error_exits_1(monkeypatch, tmp_path, capsys, setup):
      "mbsheaf: error: unrecognized arguments: --with-action"),
     (["example", "eq", "2", "2", "--type", "G", "--rank", "2"],
      "mbsheaf: error: unrecognized arguments: --type G --rank 2"),
+    (["example", "eq", "--type", "A", "2", "3"],
+     "mbsheaf: error: unrecognized arguments: --type A"),
+    (["example", "eq-binv", "2", "--rank", "1", "3"],
+     "mbsheaf: error: unrecognized arguments: --rank 1"),
     (["example", "eq", "2", "x"], "mbsheaf example eq: error: argument q: invalid int value: 'x'"),
     (["example", "e1v", "SIGN", "--type", "A", "--rank", "1"],
      "error: unknown representation name 'SIGN'"),
@@ -732,7 +736,8 @@ def test_cli_verification_error_exits_1(monkeypatch, tmp_path, capsys, setup):
     (["example", "e1v", "specht:2,1", "--type", "B", "--rank", "2"],
      "error: Specht modules require a type A datum"),
 ], ids=["e1v-no-rep", "eq-one-param", "eq-binv-no-params", "unknown-example", "e1-param",
-        "e1-params-after-options", "eq-with-action", "eq-type-rank", "eq-non-integer",
+        "e1-params-after-options", "eq-with-action", "eq-type-rank", "eq-type-before-params",
+        "eq-binv-rank-between-params", "eq-non-integer",
         "e1v-uppercase-rep", "e1v-specht-leading-zero", "e1v-specht-type-b"])
 def test_cli_example_bad_params_exit_2(tmp_path, capsys, argv, message):
     """argparse refuses a malformed invocation with its usage (SystemExit 2);

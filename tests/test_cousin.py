@@ -371,3 +371,83 @@ def test_second_stalks_are_the_dual_prime_stalks(name):
             for i, row in enumerate(d.sparse_rows):
                 rows[place[deg + 1][i]] = [(place[deg][j], x) for j, x in row]
             assert RationalMatrix.from_sparse(rows, d.ncols) == ref.differentials[deg], (name, m)
+
+
+def _count_stalk_complexes(monkeypatch):
+    """The (side, cell) of every stalk complex built from here on."""
+    import mbsheaf.cousin as cousin
+    built, original = [], cousin.stalk_complex
+
+    def counting(E, m, side=PRIME):
+        built.append((side, m))
+        return original(E, m, side)
+
+    monkeypatch.setattr(cousin, "stalk_complex", counting)
+    return built
+
+
+def _suite_failures(E):
+    return [check(E).failures
+            for check in (support_check, coperversity_check, constructibility_check)]
+
+
+def _every_cell(poset):
+    return [(side, m) for side in (PRIME, SECOND) for m in range(len(poset.elements))]
+
+
+CLASS_SCAN_SHEAVES = {**ORACLE_SHEAVES, **DUAL_ORACLE_SHEAVES}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_SCAN_SHEAVES))
+def test_class_scan_matches_all_cell_scan(name, monkeypatch):
+    """After check_mbs the suite builds one stalk complex per S1 class on
+    PRIME and per tau-S1 class on SECOND, 3^r a side, and gives the all-cell
+    scan of a never-checked copy at every cell of both sides, with its reports."""
+    E = CLASS_SCAN_SHEAVES[name]()
+    oracle = E.copy_with(E.dims, E.dprime, E.dsecond)
+    built = _count_stalk_complexes(monkeypatch)
+    want = _suite_failures(oracle)
+    assert sorted(built) == _every_cell(E.poset)
+    built.clear()
+    assert check_mbs(E).ok
+    assert _suite_failures(E) == want
+    assert E._stalks == oracle._stalks
+    _s0, s1, tau_s1 = E.poset.stratification_classes()
+    assert len(built) == len(s1) + len(tau_s1) == 2 * 3 ** E.poset.datum.rank
+    for side, classes in ((PRIME, s1), (SECOND, tau_s1)):
+        reps = {m for s, m in built if s == side}
+        assert all(len(reps.intersection(cls)) == 1 for cls in classes), (name, side)
+
+
+def test_failed_axioms_scan_every_cell(xi_a2, monkeypatch):
+    """The class lemma rests on MBS1-3, so a sheaf that failed check_mbs has a
+    stalk complex built at every cell.  With the six anodyne dprime maps into
+    01:0|:0 zeroed, MBS1 holds but MBS2 and MBS3 fail, and support and
+    constructibility fail there.  With one zeroed, MBS1 fails on PRIME: that
+    side has no complex, and SECOND has one at every cell."""
+    e1 = build_e1(xi_a2)
+    n = next(m for m in range(len(xi_a2.elements)) if xi_id(xi_a2, m) == "01:0|:0")
+    above = xi_a2.up_covers[PRIME][n]
+    assert len(above) == 6 and all(xi_a2.elements[m].orbit_size == xi_a2.elements[n].orbit_size
+                                   for m in above)
+    dprime = dict(e1.dprime)
+    for m in above:
+        dprime[(m, n)] = RationalMatrix.zeros(*dprime[(m, n)].shape)
+    bad = e1.copy_with(e1.dims, dprime, e1.dsecond)
+    report = check_mbs(bad)
+    assert [len(report.witnesses[k]) for k in ("MBS1", "MBS2", "MBS3")] == [0, 8, 6]
+    built = _count_stalk_complexes(monkeypatch)
+    assert _suite_failures(bad) == [
+        [(n, -1, 6, 2, False), (n, 0, 6, 2, False)], [],
+        [(n, ((-2, 6), (-1, 6), (0, 6)), ((-2, 6),), None, False)]]
+    assert sorted(built) == _every_cell(xi_a2)
+
+    dprime = dict(e1.dprime)
+    dprime[(above[0], n)] = RationalMatrix.zeros(*dprime[(above[0], n)].shape)
+    bad = e1.copy_with(e1.dims, dprime, e1.dsecond)
+    assert {order for order, _m, _n in check_mbs(bad).witnesses["MBS1"]} == {"prime"}
+    built.clear()
+    assert coperversity_check(bad).ok
+    assert sorted(built) == _every_cell(xi_a2)[len(xi_a2.elements):]
+    with pytest.raises(SignConventionError):
+        support_check(bad)

@@ -524,6 +524,30 @@ def test_sup_pastes_along_either_leg(label, rank):
     assert inner or rank == 1
 
 
+# covering configurations whose SECOND leg is anodyne, per supported type
+ANODYNE_LEG_CONFIGURATIONS = {("A", 1): 0, ("A", 2): 20, ("A", 3): 590, ("A", 4): 13620,
+                              ("B", 2): 28, ("B", 3): 1268, ("C", 3): 1268, ("G", 2): 44}
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_anodyne_leg_has_one_supremum(label, rank):
+    """The combinatorial step of the Cousin suite's class lemma: at every
+    covering configuration m' >=' n' <='' n whose SECOND leg is anodyne,
+    sup(m', n) is one cell, anodyne over m'; and, its image under tau, where
+    the PRIME leg is anodyne, sup(m', n) is one cell, anodyne over n."""
+    xi = enumerate_xi(build_coxeter(label, rank))
+    size = [e.orbit_size for e in xi.elements]
+    counts = [0, 0]
+    for mp, np_, n, sup in _covering_configurations(xi):
+        if size[n] == size[np_]:
+            assert len(sup) == 1 and size[sup[0]] == size[mp], (mp, np_, n, sup)
+            counts[SECOND] += 1
+        if size[mp] == size[np_]:
+            assert len(sup) == 1 and size[sup[0]] == size[n], (mp, np_, n, sup)
+            counts[PRIME] += 1
+    assert counts == [ANODYNE_LEG_CONFIGURATIONS[(label, rank)]] * 2
+
+
 @pytest.mark.parametrize("label,rank", SUPPORTED)
 def test_two_generators_close_a_square(label, rank):
     """The squares check_mbs checks MBS1 on: for every cell m and generators
