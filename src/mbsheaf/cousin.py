@@ -7,14 +7,16 @@ index of T(m), signed by the sign of inserting it: dprime maps on PRIME,
 transposed dsecond maps on SECOND, so the SECOND complex at m is the PRIME
 complex of the twisted dual at tau(m).  d^2 = 0 is read off MBS1's squares.
 
-On a sheaf that passed check_mbs, a side's stalk cohomology is constant on
-its stratum classes (``XiPoset.stratification_classes``): PRIME on the S1
-classes, keyed by (I, Hor), and SECOND on the tau-S1 classes, keyed by
-(J, Ver).  So the suite builds one complex per class, at the class's cell
-with the fewest term dimensions, and files its cohomology under every cell
-of the class; a report still names every failing cell, in cell order.  The
-lemma rests on MBS1-3, so a sheaf that failed an axiom, or was never
-checked, has a complex built at every cell: a reduced scan is no proof there.
+The suite reads one verdict, E._axioms: the Report that check_mbs stores
+on E once it has finished, run on first use where there is none.  On a
+sheaf that passed, a side's stalk cohomology is constant on its stratum
+classes (``XiPoset.stratification_classes``): PRIME on the S1 classes,
+keyed by (I, Hor), and SECOND on the tau-S1 classes, keyed by (J, Ver).
+So the suite builds one complex per class, at the class's cell with the
+fewest term dimensions, and files its cohomology under every cell of the
+class; a report still names every failing cell, in cell order.  The lemma
+rests on MBS1-3, so a sheaf that failed an axiom has a complex built at
+every cell: a reduced scan is no proof there.
 
 The lemma.  Let m = W(c, d_m) >'' n = W(c, d_n) be an anodyne covering; S1
 is generated by these, so it is enough that the PRIME complexes at n and m
@@ -45,8 +47,8 @@ from __future__ import annotations
 
 from .linalg import RationalMatrix
 from .report import Report
-from .sheaf import _mbs1_failures
-from .xi import PRIME, SECOND, xi_id
+from .sheaf import check_mbs
+from .xi import PRIME, SECOND, SIDE_NAMES, xi_id
 
 
 class SignConventionError(RuntimeError):
@@ -84,21 +86,23 @@ def _profile(cohomology):
 def stalk_complex(E, m, side=PRIME):
     """The stalk complex at cell m on `side`, its terms ordered by (T(n), n).
 
-    d^2 = 0 at every cell exactly when the side's squares commute, walked
-    once per sheaf and side by _mbs1_failures, or read from check_mbs's walk.
+    E's axiom report (module docstring) must hold no shape witness and no
+    failing square of `side`: d^2 = 0 exactly when the side's squares commute.
     With e(I, a) = (-1)^#{b in I : b > a} and a < b, e(I + a, b) = e(I, b)
     and e(I + b, a) = -e(I, a): the two paths round a square carry opposite
     signs, and the block of d^2 from n to phi_b phi_a n is their difference.
     Every square of a side lies in the complex at its last cell.
     """
     poset = E.poset
-    failed = E._squares.get(side)
-    if failed is None:
-        failed = E._squares[side] = next(_mbs1_failures(E, (side,)), ())
-    if failed:
-        order, top, bottom = failed
-        raise SignConventionError(f"d^2 != 0: the {order} square from {xi_id(poset, top)} "
-                                  f"to {xi_id(poset, bottom)} does not commute")
+    axioms = (check_mbs(E) if E._axioms is None else E._axioms).witnesses
+    if axioms["shape"]:
+        order, top, bottom, message = axioms["shape"][0]
+        raise ValueError(f"{message}: the {order} covering from {xi_id(poset, top)} "
+                         f"to {xi_id(poset, bottom)}")
+    for order, top, bottom in axioms["MBS1"]:
+        if order == SIDE_NAMES[side]:
+            raise SignConventionError(f"d^2 != 0: the {order} square from {xi_id(poset, top)} "
+                                      f"to {xi_id(poset, bottom)} does not commute")
     r = poset.datum.rank
     T0 = poset.elements[m].typeIJ[side]
     labels = {size - r: [] for size in range(len(T0) + 1)}
@@ -136,18 +140,18 @@ def _stalk_cohomology(E, side, m):
     """Cohomology of the stalk complex at m on `side`, by degree, memoised per
     sheaf; the differentials are not kept.  On a sheaf that passed check_mbs,
     the first call on a side builds one complex per class of the side and
-    files it under each cell of the class (module docstring)."""
-    got = E._stalks.get((side, m))
-    if got is None and not E._mbs_passed:
-        got = E._stalks[(side, m)] = stalk_complex(E, m, side).cohomology
-    elif got is None:
-        ups = E.poset.ups(side)
-        for cls in E.poset.stratification_classes()[1 + side]:
-            rep = min(cls, key=lambda n: sum(E.dims[k] for k in ups[n]))
-            E._stalks.update(dict.fromkeys([(side, n) for n in cls],
-                                           stalk_complex(E, rep, side).cohomology))
-        got = E._stalks[(side, m)]
-    return got
+    files it under each cell of the class (module docstring); on one that
+    failed, each call builds the complex at its own cell."""
+    if (side, m) not in E._stalks:
+        if (check_mbs(E) if E._axioms is None else E._axioms).ok:
+            ups = E.poset.ups(side)
+            for cls in E.poset.stratification_classes()[1 + side]:
+                rep = min(cls, key=lambda n: sum(E.dims[k] for k in ups[n]))
+                E._stalks.update(dict.fromkeys([(side, n) for n in cls],
+                                               stalk_complex(E, rep, side).cohomology))
+        else:
+            E._stalks[(side, m)] = stalk_complex(E, m, side).cohomology
+    return E._stalks[(side, m)]
 
 
 def support_check(E, side=PRIME):

@@ -251,6 +251,8 @@ def contingency_to_xi(poset, mat):
         raise UnsupportedTypeError("contingency matrices require a type A datum")
     if any(x < 0 for row in mat for x in row):
         raise ValueError("entries must be nonnegative")
+    if len({len(row) for row in mat}) > 1:
+        raise ValueError("matrix rows differ in length")
     n = poset.datum.rank + 1
     row_margins = [sum(row) for row in mat]
     col_margins = [sum(col) for col in zip(*mat)]

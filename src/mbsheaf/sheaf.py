@@ -28,8 +28,7 @@ class MixedBruhatSheaf:
         self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
         self._composites = ({}, {})     # per side: (m, n) -> composite matrix
         self._stalks = {}               # (side, cell) -> cohomology of its (class's) stalk complex
-        self._squares = {}              # side -> its first failing square, or (): MBS1's walk
-        self._mbs_passed = False        # check_mbs passed: one Cousin stalk per stratum class
+        self._axioms = None             # check_mbs's finished Report: the Cousin suite's verdict
         self._moves = None              # generated_sub's moves, built on first use
 
     @property
@@ -102,8 +101,8 @@ def check_mbs(E):
     fail exactly when the axioms do (proofs below); MBS3 passes a monomial
     matrix without elimination (``is_invertible``).  No composite, up-set or
     supremum is built, and each witness names covering maps to repair.
-    The verdict is recorded on E: the Cousin suite reads one stalk complex
-    per stratum class of a sheaf that passed, and every cell of one that did not.
+    The finished report is stored as E._axioms, and the Cousin suite reads
+    it (``cousin`` docstring); a check that raises partway stores nothing.
 
     MBS1 on squares.  On a side, with T(x) the type of x there, [m, n] is the
     Boolean lattice of the cells phi(m, side, K), T(m) <= K <= T(n): its
@@ -152,12 +151,11 @@ def check_mbs(E):
     over sup(m', n).  If l >= 2, the mirror argument through c and
     d in sup(m', c), on (m', n', c) and (d, c, n), shortens the second leg
     and keeps the first.  Every step composes along chains, so it needs
-    MBS1; check_mbs returns before MBS2 whenever MBS1 fails.
+    MBS1; check_mbs skips MBS2 and MBS3 whenever MBS1 fails.
     """
     poset = E.poset
     rep = Report("shape", "MBS1", "MBS2", "MBS3")
     shape, mbs1, mbs2, mbs3 = rep.witnesses.values()
-    E._mbs_passed = False
 
     # shapes on every covering relation
     for side, m, n in poset.coverings():
@@ -165,34 +163,29 @@ def check_mbs(E):
         src, dst = arrow(side, m, n)
         if mat is None or mat.shape != (E.dims[dst], E.dims[src]):
             shape.append((SIDE_NAMES[side], m, n, "missing or misshaped matrix"))
-    if shape:
-        return rep
-
-    mbs1.extend(_mbs1_failures(E))
-    for side in (PRIME, SECOND):    # the Cousin suite reads these squares
-        E._squares[side] = next((w for w in mbs1 if w[0] == SIDE_NAMES[side]), ())
-    if mbs1:
-        return rep
-    mbs2.extend(_mbs2_failures(E))
-
-    # MBS3: anodyne coverings must be invertible
-    for side, m, n in poset.coverings():
-        if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
-            mat = E.maps(side)[(m, n)]
-            if not mat.is_invertible():
-                mbs3.append((SIDE_NAMES[side], m, n))
-    E._mbs_passed = rep.ok
+    # each stage runs only on a sheaf that passed every stage before it
+    if rep.ok:
+        mbs1.extend(_mbs1_failures(E))
+    if rep.ok:
+        mbs2.extend(_mbs2_failures(E))
+        # MBS3: anodyne coverings must be invertible
+        for side, m, n in poset.coverings():
+            if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
+                mat = E.maps(side)[(m, n)]
+                if not mat.is_invertible():
+                    mbs3.append((SIDE_NAMES[side], m, n))
+    E._axioms = rep
     return rep
 
 
-def _mbs1_failures(E, sides=(PRIME, SECOND)):
-    """Each (order, m, n) on `sides` whose square does not commute: the two
-    chains from m through a = phi_s m and b = phi_t m, s < t, to
-    n = phi_t a = phi_s b; by m, then side, then (s, t)."""
+def _mbs1_failures(E):
+    """Each (order, m, n) whose square does not commute: the two chains from
+    m through a = phi_s m and b = phi_t m, s < t, to n = phi_t a = phi_s b;
+    by m, then side, then (s, t)."""
     cov = E.poset.cov
-    steps = {side: [dict(below) for below in cov[side]] for side in sides}
+    steps = [[dict(below) for below in cov[side]] for side in (PRIME, SECOND)]
     for m in range(len(E.poset.elements)):
-        for side in sides:
+        for side in (PRIME, SECOND):
             below, d, step = cov[side][m], E.maps(side), steps[side]
             for i, (_s, a) in enumerate(below):
                 for t, b in below[i + 1:]:

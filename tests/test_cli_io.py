@@ -424,6 +424,25 @@ def test_cli_check_witnesses_name_cells_of_the_file(tmp_path, rank, axiom, corru
             assert set(cells) <= set(doc["dims"]), text
 
 
+def test_cli_check_missing_map(tmp_path, capsys):
+    """An A2 file with its first dprime entry deleted: check --json exits 1
+    with the missing map as the one shape witness, named by the file's cell
+    ids, and the Cousin sections FAIL unrun, with no failures."""
+    path, report = tmp_path / "e1.json", tmp_path / "report.json"
+    assert main(["example", "e1", "--type", "A", "--rank", "2", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    del doc["dprime"][0]
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--json", "-o", str(report)]) == 1
+    assert capsys.readouterr().out == "FAIL\n"
+    detail = json.loads(report.read_text())
+    assert detail["axioms"] == {
+        "status": "FAIL", "mbs1": [], "mbs2": [], "mbs3": [],
+        "shape": [repr(("prime", ":0|:0", "0:0|:0", "missing or misshaped matrix"))]}
+    for name in ("support", "cosupport", "constructibility"):
+        assert detail[name] == {"status": "FAIL", "failures": []}
+
+
 def test_check_dump_names_cousin_witness_cells(xi_a1):
     """Each Cousin witness names its cell by its id, degree and dimension
     staying integers.  The CLI runs Cousin only after the axioms pass, so

@@ -228,27 +228,34 @@ def test_constructibility_witnesses_walk_flat_classes(label, rank, monkeypatch):
 SIDE_CHECKS = {PRIME: (support_check, constructibility_check), SECOND: (coperversity_check,)}
 
 
+def _count_calls(monkeypatch, module, name):
+    """The arguments of every call of module.name from here on."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_stalk_complexes_built_once_per_sheaf(xi_a2, monkeypatch):
+    """The whole suite, twice, on a fresh passing sheaf runs check_mbs once
+    and builds one stalk complex per stratum class, 2 * 3^r in all; each
+    cell's memoised cohomology is the one a fresh complex at it computes."""
     import mbsheaf.cousin as cousin
-    built = []
-    original = cousin.stalk_complex
-
-    def counting(E, m, side=PRIME):
-        built.append((side, m))
-        return original(E, m, side)
-
-    monkeypatch.setattr(cousin, "stalk_complex", counting)
+    built = _count_stalk_complexes(monkeypatch)
+    checked = _count_calls(monkeypatch, cousin, "check_mbs")
     e1 = build_e1(xi_a2)
     checks = (support_check, coperversity_check, constructibility_check)
     assert all(check(e1).ok for check in checks)
     first = dict(e1._stalks)
     assert all(check(e1).ok for check in checks)
-    keys = [(side, m) for side in (PRIME, SECOND) for m in range(len(xi_a2.elements))]
-    assert sorted(built) == keys
-    # every cell's memoised cohomology, passing cells included, is the
-    # cohomology a fresh stalk complex computes
-    assert e1._stalks == first == {(side, m): original(e1, m, side).cohomology
-                                   for side, m in keys}
+    assert len(checked) == 1 and e1._axioms.ok
+    assert len(built) == len(set(built)) == 2 * 3 ** 2
+    assert e1._stalks == first == {(side, m): stalk_complex(e1, m, side).cohomology
+                                   for side, m in _every_cell(xi_a2)}
     # a sheaf whose squares fail on a side has no stalk complex there: every
     # check that reads one raises
     for side, side_checks in SIDE_CHECKS.items():
@@ -276,31 +283,70 @@ def test_square_failure_on_one_side(xi_a2, side):
 
 
 def test_squares_walked_once_per_side(xi_a2, monkeypatch):
-    """The whole suite on a passing sheaf walks each side's squares once; after
-    check_mbs, which walks both sides, the suite walks none again."""
+    """The whole suite on a fresh passing sheaf runs check_mbs once, whose
+    walk covers both sides' squares; after an explicit check_mbs the suite
+    walks none again.  A check_mbs that raises partway leaves no verdict, so
+    the suite runs it again."""
     import mbsheaf.cousin as cousin
     import mbsheaf.sheaf as sheaf
-    walked = []
-    original = sheaf._mbs1_failures
-
-    def counting(E, sides=(PRIME, SECOND)):
-        walked.append(sides)
-        return original(E, sides)
-
-    monkeypatch.setattr(cousin, "_mbs1_failures", counting)
-    monkeypatch.setattr(sheaf, "_mbs1_failures", counting)
+    checked = _count_calls(monkeypatch, cousin, "check_mbs")
+    walked = _count_calls(monkeypatch, sheaf, "_mbs1_failures")
     suite = (support_check, coperversity_check, constructibility_check) * 2
     e1 = build_e1(xi_a2)
     for check in suite:
         assert check(e1).ok
-    assert sorted(walked) == [(PRIME,), (SECOND,)]
-    assert e1._squares == {PRIME: (), SECOND: ()}
+    assert len(checked) == len(walked) == 1
+    checked.clear()
     walked.clear()
     e1 = build_e1(xi_a2)
     for check in (check_mbs, *suite):
         assert check(e1).ok
-    assert walked == [(PRIME, SECOND)]
-    assert e1._squares == {PRIME: (), SECOND: ()}
+    assert (len(checked), len(walked)) == (0, 1)
+
+    def interrupted(E):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(sheaf, "_mbs2_failures", interrupted)
+    e1 = build_e1(xi_a2)
+    for check in (check_mbs, support_check):
+        with pytest.raises(RuntimeError, match="interrupted"):
+            check(e1)
+        assert e1._axioms is None
+    assert len(checked) == 1 and e1._stalks == {}
+
+
+def _deleted_entry(E):
+    """E with its first dprime entry deleted."""
+    dprime = dict(E.dprime)
+    del dprime[next(iter(dprime))]
+    return E.copy_with(E.dims, dprime, E.dsecond)
+
+
+def _misshaped(E):
+    """E with its first dsecond map replaced by a zero matrix one row taller."""
+    dsecond = dict(E.dsecond)
+    key = next(iter(dsecond))
+    dsecond[key] = RationalMatrix.zeros(dsecond[key].nrows + 1, dsecond[key].ncols)
+    return E.copy_with(E.dims, E.dprime, dsecond)
+
+
+@pytest.mark.parametrize("broken,order", [(_deleted_entry, "prime"), (_misshaped, "second")],
+                         ids=["deleted", "misshaped"])
+def test_missing_or_misshaped_map_raises_value_error(xi_a2, broken, order):
+    """A map missing or of the wrong shape, on either side, leaves neither side
+    a stalk complex: each entry point of the suite, on a fresh copy, raises
+    ValueError naming the map by its cells, check_mbs's one shape witness."""
+    e1 = build_e1(xi_a2)
+    [(got, m, n, message)] = check_mbs(broken(e1)).witnesses["shape"]
+    assert got == order
+    text = f"{message}: the {order} covering from {xi_id(xi_a2, m)} to {xi_id(xi_a2, n)}"
+    if broken is _deleted_entry:
+        assert text == "missing or misshaped matrix: the prime covering from :0|:0 to 0:0|:0"
+    entry_points = (lambda E: stalk_complex(E, 0, PRIME), lambda E: stalk_complex(E, 0, SECOND),
+                    support_check, coperversity_check, constructibility_check)
+    for call in entry_points:
+        with pytest.raises(ValueError, match=re.escape(text)):
+            call(broken(e1))
 
 
 def _e1v(label, rank, name):
@@ -402,16 +448,19 @@ CLASS_SCAN_SHEAVES = {**ORACLE_SHEAVES, **DUAL_ORACLE_SHEAVES}
 def test_class_scan_matches_all_cell_scan(name, monkeypatch):
     """After check_mbs the suite builds one stalk complex per S1 class on
     PRIME and per tau-S1 class on SECOND, 3^r a side, and gives the all-cell
-    scan of a never-checked copy at every cell of both sides, with its reports."""
+    scan, a stalk complex at every cell of both sides, everywhere, with the
+    reports the suite makes when it reads that scan."""
+    import mbsheaf.cousin as cousin
     E = CLASS_SCAN_SHEAVES[name]()
-    oracle = E.copy_with(E.dims, E.dprime, E.dsecond)
+    scan = {(side, m): stalk_complex(E, m, side).cohomology for side, m in _every_cell(E.poset)}
+    with monkeypatch.context() as patched:
+        patched.setattr(cousin, "_stalk_cohomology", lambda _E, side, m: scan[(side, m)])
+        want = _suite_failures(E)
+    assert E._stalks == {}
     built = _count_stalk_complexes(monkeypatch)
-    want = _suite_failures(oracle)
-    assert sorted(built) == _every_cell(E.poset)
-    built.clear()
     assert check_mbs(E).ok
     assert _suite_failures(E) == want
-    assert E._stalks == oracle._stalks
+    assert E._stalks == scan
     _s0, s1, tau_s1 = E.poset.stratification_classes()
     assert len(built) == len(s1) + len(tau_s1) == 2 * 3 ** E.poset.datum.rank
     for side, classes in ((PRIME, s1), (SECOND, tau_s1)):

@@ -166,13 +166,18 @@ def test_contingency_round_trip(rank):
     assert len(seen) == len(xi.elements)
 
 
-def test_contingency_domain_errors(xi_a2):
+def test_contingency_domain_errors(xi_a1, xi_a2):
     with pytest.raises(ValueError, match="content"):
         contingency_to_xi(xi_a2, ((2,),))
     with pytest.raises(ValueError, match="zero row"):
         contingency_to_xi(xi_a2, ((3, 0), (0, 0)))
     with pytest.raises(ValueError, match="nonnegative"):
         contingency_to_xi(xi_a2, ((4, -1),))
+    # ragged rows of the right content: zip(*mat) would drop the long rows' tails
+    for poset, mat in [(xi_a1, ((1, 0), (1,))), (xi_a1, ((1,), (0, 1))),
+                       (xi_a2, ((1, 1), (1,))), (xi_a2, ((2,), (0, 1)))]:
+        with pytest.raises(ValueError, match="differ in length"):
+            contingency_to_xi(poset, mat)
 
 
 def test_contingency_margins_match_types(xi_a2):
