@@ -2,7 +2,9 @@
 
 Entries are Python ints or Fractions (a Fraction with denominator 1 is
 demoted to int so that the common all-integer case stays in fast int
-arithmetic).  Everything is immutable; no floating point anywhere.
+arithmetic, and a bool becomes its int); any other entry, a float, a
+string or a Decimal, raises TypeError.  Everything is immutable; no floating
+point anywhere.
 
 A RationalMatrix stores only its nonzero entries.  Row i is a tuple of
 (column, value) pairs sorted by column, and every empty row is the one shared
@@ -12,24 +14,36 @@ products and sums touch few entries, and a row holding a single 1 takes the
 other factor's row object as it is.
 ``sparse_rows`` is the storage itself.  ``rows`` is a dense tuple-of-tuples
 view for output and for callers that want dense rows; it is built on every
-access and never kept, so only the sparse copy stays alive.  ``rref`` runs
-``_gauss_jordan``, the one elimination loop (F_p's too), on dict rows; rank,
-inverse and solve rest on it, and a subspace of Q^n is the nonzero rows of an
-rref with their pivots.  ``solver`` factors a system once, then costs one
-product and one exact check per right-hand side.
+access and never kept, so only the sparse copy stays alive.
+
+One elimination loop serves Q and F_p alike, on dict rows, in two parts:
+``_echelon``, forward elimination, gives the pivot rows and the pivot
+columns, and ``_back_substitute`` then reduces them to the rref.  A rank or a
+pivot set takes the forward part alone (``rank``, ``solver``'s choice of
+rows, ``column_space_basis``); ``rref`` and ``inverse`` take both, and a
+subspace of Q^n is the nonzero rows of an rref with their pivots.
+``is_invertible`` certifies a matrix that is not monomial by its rank modulo
+a word-size prime: full rank there proves full rank over Q, and anything
+less falls back to the exact rank, so every "not invertible" is exact.
+``solver`` factors a system once, then costs one product and one exact check
+per right-hand side.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
 def _norm(x):
+    """The canonical form of an exact entry; any other entry raises TypeError."""
     if type(x) is int:
         return x
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    if isinstance(x, int):      # a bool, or another int subclass
         return int(x)
-    return x
+    raise TypeError(f"matrix entries are ints or Fractions, not {type(x).__name__}")
 
 
 def _collect(pairs):
@@ -55,28 +69,28 @@ def _neg_row(r):
     return tuple([(j, -x) for j, x in r])
 
 
-def _gauss_jordan(rows, ncols, inv, norm):
-    """The nonzero rows of the reduced row echelon form over a field, and their
-    pivot columns: the one elimination loop of mbsheaf.
+def _clear(r, col, prow, norm):
+    """Subtract r[col] times prow, whose entry at col is 1, from the dict row r."""
+    f = r[col]
+    for j, x in prow.items():
+        y = norm(r.get(j, 0) - f * x)
+        if y:
+            r[j] = y
+        else:
+            del r[j]
+
+
+def _echelon(rows, ncols, inv, norm):
+    """Forward elimination over a field: the pivot rows, each scaled to 1 at
+    its pivot, and their pivot columns, ascending.  The pivots are those of
+    the reduced row echelon form, so a rank or a pivot set needs no more.
 
     rows are {column: nonzero value} dicts, reduced in place; inv(x) inverts a
     nonzero value and norm(x) is its canonical form (``_norm`` over Q, x % p
-    over F_p).  Pivots go in ascending column order.  A row waits at the column
-    of its first entry, so only the rows waiting at a pivot column hold it; the
-    first is scaled to 1 and cleared from the others.  Back-substitution then
-    runs from the last pivot row up: the rows below are reduced and hold no
-    other pivot column, so each row is cleared once at each later pivot column
-    it holds, and no new one appears.
+    over F_p).  A row waits at the column of its first entry, so only the
+    rows waiting at a pivot column hold it; the first is scaled to 1 and
+    cleared from the others.
     """
-    def clear(r, col, prow):
-        f = r[col]
-        for j, x in prow.items():
-            y = norm(r.get(j, 0) - f * x)
-            if y:
-                r[j] = y
-            else:
-                del r[j]
-
     waiting = {}
     for r in rows:
         if r:
@@ -91,17 +105,61 @@ def _gauss_jordan(rows, ncols, inv, norm):
             c = inv(prow[col])
             prow = {j: norm(x * c) for j, x in prow.items()}
         for r in rs:
-            clear(r, col, prow)
+            _clear(r, col, prow, norm)
             if r:
                 waiting.setdefault(min(r), []).append(r)
         out.append(prow)
         pivots.append(col)
+    return out, pivots
+
+
+def _back_substitute(out, pivots, norm):
+    """The nonzero rows of the reduced row echelon form, from ``_echelon``'s
+    output, reduced in place, and the same pivots.
+
+    Back-substitution runs from the last pivot row up: the rows below are
+    reduced and hold no other pivot column, so each row is cleared once at
+    each later pivot column it holds, and no new one appears.
+    """
     row_of = {col: k for k, col in enumerate(pivots)}
     for k in range(len(out) - 2, -1, -1):
         r = out[k]
         for col in [j for j in r if j in row_of and j != pivots[k]]:
-            clear(r, col, out[row_of[col]])
+            _clear(r, col, out[row_of[col]], norm)
     return out, pivots
+
+
+def _inv_q(x):
+    return Fraction(1, 1) / x
+
+
+def _pivots(mat):
+    """The pivot columns of mat's reduced row echelon form, by forward
+    elimination alone."""
+    return _echelon([dict(r) for r in mat.sparse_rows], mat.ncols, _inv_q, _norm)[1]
+
+
+def _is_monomial(rows):
+    """One entry in every row, in pairwise distinct columns."""
+    return all(len(r) == 1 for r in rows) and len({r[0][0] for r in rows}) == len(rows)
+
+
+# The prime of ``_full_rank_mod_p``: below 2^31, so entries and products
+# reduced modulo it stay small ints.
+_P = 2_147_483_629
+
+
+def _full_rank_mod_p(rows, ncols):
+    """Whether the sparse rows, each scaled by the lcm of its denominators,
+    are independent modulo _P.  Scaling a row keeps the rank over Q, and a
+    nonzero maximal minor modulo _P is a nonzero integer, so True proves the
+    rows independent over Q; False proves nothing."""
+    p = _P
+    red = []
+    for r in rows:
+        d = math.lcm(*[x.denominator for _j, x in r if type(x) is not int])
+        red.append({j: y for j, x in r if (y := int(x * d) % p)})
+    return len(_echelon(red, ncols, lambda x: pow(x, -1, p), p.__rmod__)[1]) == len(rows)
 
 
 _IDENTITY_CACHE = {}
@@ -120,7 +178,7 @@ class RationalMatrix:
             ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError(f"a row's length is not the column count {ncols}")
-        _set_rows(self, tuple([tuple([(j, _norm(x)) for j, x in enumerate(r) if x])
+        _set_rows(self, tuple([tuple([(j, x) for j, x in enumerate(map(_norm, r)) if x])
                                for r in rows]))
         _set_nrows(self, len(rows))
         _set_ncols(self, ncols)
@@ -139,7 +197,7 @@ class RationalMatrix:
         """
         out = []
         for row in rows:
-            row = _collect([(j, _norm(x)) for j, x in row if x])
+            row = _collect([(j, y) for j, x in row if (y := _norm(x))])
             if row and (row[0][0] < 0 or row[-1][0] >= ncols):
                 raise ValueError(f"column index out of range for {ncols} columns")
             out.append(row)
@@ -300,29 +358,41 @@ class RationalMatrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column indices)."""
-        red, pivots = _gauss_jordan([dict(r) for r in self.sparse_rows], self.ncols,
-                                    lambda x: Fraction(1, 1) / x, _norm)
+        red, pivots = _back_substitute(*_echelon([dict(r) for r in self.sparse_rows],
+                                                 self.ncols, _inv_q, _norm), _norm)
         red = [tuple(sorted(r.items())) for r in red] + [()] * (self.nrows - len(red))
         return _make(tuple(red), self.nrows, self.ncols), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        """The exact rank over Q, by forward elimination."""
+        return len(_pivots(self))
 
     def is_invertible(self):
         """Square and of full rank.  A monomial matrix (one entry in every row,
         pairwise distinct columns) is invertible whatever its entries, an O(nnz)
-        test; any other matrix is ranked."""
+        test.  Any other matrix is invertible if its rows, scaled to integers,
+        have full rank modulo the prime _P, which proves full rank over Q;
+        failing that, the exact ``rank`` decides, so a matrix is never called
+        singular but by exact arithmetic."""
         if not self.is_square():
             return False
         rows = self.sparse_rows
-        if all(len(r) == 1 for r in rows) and len({r[0][0] for r in rows}) == self.nrows:
+        if _is_monomial(rows):
             return True
-        return self.rank() == self.nrows
+        return _full_rank_mod_p(rows, self.ncols) or self.rank() == self.nrows
 
     def inverse(self):
+        """The exact inverse; a monomial matrix's, entry (i, j, x) sent to
+        (j, i, 1/x), costs O(nnz), and any other is read off an augmented rref.
+        Raises ValueError on a matrix that is not square or not invertible."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
+        if _is_monomial(self.sparse_rows):
+            out = [()] * n
+            for i, ((j, x),) in enumerate(self.sparse_rows):
+                out[j] = ((i, _norm(_inv_q(x))),)
+            return _make(tuple(out), n, n)
         aug = _make(tuple([r + ((n + i, 1),) for i, r in enumerate(self.sparse_rows)]),
                     n, 2 * n)
         red, pivots = aug.rref()
@@ -334,11 +404,11 @@ class RationalMatrix:
     def solver(self):
         """Factor self once; the returned rhs -> X solves self @ X == rhs exactly.
 
-        The transpose's rref pivots pick ncols independent rows, whose square block
+        The transpose's pivots pick ncols independent rows, whose square block
         is inverted here; a call returns inv @ rhs[rows] after checking self @ X == rhs
         and raises the ValueErrors of an augmented rref, in the same order.
         """
-        rows = self.transpose().rref()[1]
+        rows = _pivots(self.transpose())
         if len(rows) == self.ncols:
             inv = _make(tuple([self.sparse_rows[i] for i in rows]), len(rows), len(rows)).inverse()
 
@@ -374,8 +444,7 @@ def _make(sparse_rows, nrows, ncols):
 
 def column_space_basis(mat):
     """Pivot columns of mat: a deterministic basis of the column space."""
-    _, pivots = mat.rref()
-    return [mat.column(j) for j in pivots]
+    return [mat.column(j) for j in _pivots(mat)]
 
 
 def fraction_to_str(x):

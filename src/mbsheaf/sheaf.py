@@ -99,7 +99,9 @@ def check_mbs(E):
     Passing or failing, a sheaf is read off the covering tables and maps
     alone: MBS1 on the squares, MBS2 on the covering configurations, which
     fail exactly when the axioms do (proofs below); MBS3 passes a monomial
-    matrix without elimination (``is_invertible``).  No composite, up-set or
+    matrix without elimination and any other by its full rank modulo a prime,
+    a proof of invertibility over Q; a map it cannot certify there is ranked
+    exactly, so every MBS3 witness is exact (``is_invertible``).  No composite, up-set or
     supremum is built, and each witness names covering maps to repair.
     The finished report is stored as E._axioms, and the Cousin suite reads
     it (``cousin`` docstring); a check that raises partway stores nothing.

@@ -6,14 +6,15 @@ that represents a subspace here), and tabulates meet, join and dimension by
 index, so that flag geometry (``mbsheaf.fq``) is table lookups with no
 elimination per flag pair.  The row reductions ``rref_fp``, ``in_span_fp``
 and ``nullspace_fp`` reduce their inputs mod p and run the one elimination
-loop, ``linalg._gauss_jordan``; they are also importable from ``mbsheaf.fq``.
+loop, ``linalg._echelon`` then ``linalg._back_substitute``; they are also
+importable from ``mbsheaf.fq``.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .linalg import _gauss_jordan
+from .linalg import _back_substitute, _echelon
 
 # Bound on the subspaces of F_p^n that SubspaceLattice tabulates; each of its
 # tables has that many squared entries.  n <= 4 with p <= 5 fits, as does
@@ -31,9 +32,11 @@ class ResourceError(RuntimeError):
 # tests, which uses all three.
 
 def _rref_fp(rows, p, ncols):
-    """``linalg._gauss_jordan`` over F_p, on the rows reduced mod p."""
-    return _gauss_jordan([{j: y for j, x in enumerate(r) if (y := x % p)} for r in rows],
-                         ncols, lambda x: pow(x, p - 2, p), p.__rmod__)
+    """The rref over F_p of the rows reduced mod p: its nonzero rows and pivots."""
+    norm = p.__rmod__
+    return _back_substitute(*_echelon([{j: y for j, x in enumerate(r) if (y := x % p)}
+                                       for r in rows], ncols, lambda x: pow(x, p - 2, p), norm),
+                            norm)
 
 
 def rref_fp(rows, p):

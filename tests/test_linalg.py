@@ -1,5 +1,6 @@
 """Exact matrix arithmetic: elimination, inverses, solving, spans."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,27 @@ def test_fraction_strings():
     assert fraction_to_str(5) == "5/1"
     assert fraction_from_str("-1/2") == Fraction(-1, 2)
     assert fraction_from_str("4/2") == 2
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, 0.0, "1", "0", Decimal(1), Decimal("0.5")],
+                         ids=repr)
+def test_inexact_entries_raise_type_error(bad):
+    """Only ints and Fractions are entries: a float, a string or a Decimal,
+    zero or not, raises TypeError in every constructor and in scale."""
+    with pytest.raises(TypeError):
+        RationalMatrix([[1, bad]])
+    with pytest.raises(TypeError):
+        RationalMatrix.from_sparse([[(0, 1), (1, bad)]], 2)
+    with pytest.raises(TypeError):
+        RationalMatrix.from_columns([(1, bad)])
+    with pytest.raises(TypeError):
+        RationalMatrix.identity(2).scale(bad)
+
+
+def test_bool_entries_become_ints():
+    m = RationalMatrix([[True, False], [False, True]])
+    assert m == RationalMatrix.identity(2)
+    assert all(type(x) is int for _j, x in m.sparse_rows[0])
+    assert RationalMatrix.from_sparse([[(1, True)]], 2).sparse_rows == (((1, 1),),)
+    assert type(RationalMatrix.identity(2).scale(True).sparse_rows[0][0][1]) is int
+    assert RationalMatrix.identity(2).scale(False) == RationalMatrix.zeros(2, 2)

@@ -6,6 +6,13 @@ is an int) and the same ValueError messages.  Inputs mix ints, Fractions
 and negatives, favour zeros, and include the empty shapes 0 x n and n x 0.
 ``rref`` is also compared on every stalk differential of E_1(B2), E_1(G2)
 and E_q(3,2), matrices of up to 144 rows and columns.
+
+The fast paths have the exact ones as oracles: forward elimination's rank
+and pivots against the rref's and the dense reference's, the monomial
+inverse against the augmented rref's, and ``is_invertible``'s certificate
+modulo a prime against the exact rank, also with the prime patched to 2 and
+on every anodyne covering map of the catalog sheaves, whose MBS3 witnesses
+must be exactly the maps of less than full exact rank.
 """
 
 from fractions import Fraction
@@ -16,12 +23,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import RationalMatrix as Dense
+from mbsheaf import linalg
 from mbsheaf.cousin import stalk_complex
-from mbsheaf.coxeter import build_coxeter
-from mbsheaf.f1 import build_e1
-from mbsheaf.fq import build_eq
+from mbsheaf.coxeter import SUPPORTED, build_coxeter
+from mbsheaf.f1 import build_e1, build_e1v, catalog_names, rep_catalog
+from mbsheaf.fq import b_invariant_sub, build_eq
+from mbsheaf.io import mbs_from_json, mbs_to_json
 from mbsheaf.linalg import RationalMatrix as Sparse
-from mbsheaf.xi import enumerate_xi
+from mbsheaf.linalg import column_space_basis
+from mbsheaf.sheaf import check_mbs
+from mbsheaf.xi import SIDE_NAMES, enumerate_xi
 
 EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -211,11 +222,16 @@ def test_eq_and_hash(pair, other):
 @EXAMPLES
 @given(matrices())
 def test_rref_and_rank(m):
+    """Forward elimination alone gives the rref's pivots: rank and the column
+    space basis read them with no back-substitution (no rref call)."""
     s, d = both(m)
     (sred, spiv), (dred, dpiv) = s.rref(), d.rref()
     same(sred, dred)
     assert spiv == dpiv
-    assert s.rank() == d.rank()
+    with mock.patch.object(Sparse, "rref", side_effect=AssertionError("rref")):
+        assert tuple(linalg._pivots(s)) == tuple(dpiv)
+        assert s.rank() == d.rank()
+        assert column_space_basis(s) == [d.column(j) for j in dpiv]
 
 
 @pytest.mark.parametrize("build", [
@@ -283,6 +299,143 @@ def test_is_invertible_monomial(m):
         with mock.patch.object(Sparse, "rank", side_effect=AssertionError("ranked")):
             assert s.is_invertible()
     assert s.is_invertible() == d.is_invertible()
+
+
+def rref_inverse(s):
+    """The inverse read off the rref of [s | 1], as ``inverse`` reads it for
+    a matrix that is not monomial."""
+    n = s.nrows
+    aug = Sparse.from_sparse([[*r, (n + i, 1)] for i, r in enumerate(s.sparse_rows)], 2 * n)
+    red, pivots = aug.rref()
+    assert pivots == tuple(range(n))
+    return Sparse.from_sparse([[(j - n, x) for j, x in r if j >= n] for r in red.sparse_rows], n)
+
+
+@EXAMPLES
+@given(monomial_like())
+@example(([[0, Fraction(-1, 3), 0], [0, 0, 2], [Fraction(5, 2), 0, 0]], 3))
+def test_monomial_inverse(m):
+    """A monomial matrix is inverted entry by entry, with no elimination, to
+    the bytes of the augmented rref's inverse and the dense reference's."""
+    s, d = both(m)
+    same_outcome(outcome(Sparse.inverse, s), outcome(Dense.inverse, d))
+    if is_monomial(m[0]):
+        with mock.patch.object(linalg, "_echelon", side_effect=AssertionError("eliminated")):
+            got = s.inverse()
+        assert got == rref_inverse(s)
+        same(got, Dense.inverse(d))
+
+
+@st.composite
+def exact_squares(draw):
+    """Square matrices of ints or of rationals; a third are made singular (a
+    row replaced by a combination of two rows) and a third invertible (a
+    dominant diagonal)."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.sampled_from((st.integers(-9, 9), entries)))
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        a, b = draw(values), draw(values)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])] if j != i != k else [0] * n
+    elif kind == 1:
+        rows = [[x if i != j else 1 + sum(abs(y) for y in row) for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return rows, n
+
+
+@EXAMPLES
+@given(exact_squares())
+def test_is_invertible_against_dense(m):
+    """The certificate modulo the prime never calls a singular matrix
+    invertible, and the verdict is the dense reference's."""
+    s, d = both(m)
+    assert s.is_invertible() == d.is_invertible()
+    if not d.is_invertible():
+        assert not linalg._full_rank_mod_p(s.sparse_rows, s.ncols)
+
+
+def test_modulus_is_a_prime_below_two_to_the_31():
+    """A composite modulus would not make the certificate a proof."""
+    p = linalg._P
+    assert p < 2 ** 31 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_small_prime_takes_the_exact_fallback(monkeypatch):
+    """With the prime patched to 2: diag(2, 1) is monomial and invertible with
+    no rank; with an entry above its diagonal it is singular modulo 2, so the
+    exact rank certifies it; a singular matrix is never certified."""
+    monkeypatch.setattr(linalg, "_P", 2)
+    ranked = []
+    exact_rank = Sparse.rank
+    monkeypatch.setattr(Sparse, "rank", lambda self: ranked.append(self) or exact_rank(self))
+    assert Sparse([[2, 0], [0, 1]]).is_invertible() and not ranked
+    for rows in ([[2, 1], [0, 1]], [[1, 1], [1, -1]], [[Fraction(1, 2), Fraction(1, 2)],
+                                                        [Fraction(1, 3), Fraction(-1, 3)]]):
+        ranked.clear()
+        mat = Sparse(rows)
+        assert not linalg._full_rank_mod_p(mat.sparse_rows, 2)
+        assert mat.is_invertible() and ranked == [mat]
+    for rows in ([[1, 2], [2, 4]], [[1, 1], [1, 1]], [[Fraction(1, 2), 1], [1, 2]]):
+        mat = Sparse(rows)
+        assert not linalg._full_rank_mod_p(mat.sparse_rows, 2)
+        assert not mat.is_invertible()
+    assert linalg._full_rank_mod_p(Sparse([[1, 1], [0, 1]]).sparse_rows, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(exact_squares())
+def test_is_invertible_modulo_two(m):
+    s, d = both(m)
+    with mock.patch.object(linalg, "_P", 2):
+        assert s.is_invertible() == d.is_invertible()
+        if linalg._full_rank_mod_p(s.sparse_rows, s.ncols):
+            assert d.is_invertible()
+
+
+def exact_mbs3_witnesses(E):
+    """MBS3 read off the exact rank: each anodyne covering map that is not
+    square of full rank, as (order, m, n)."""
+    poset = E.poset
+    return [(SIDE_NAMES[side], m, n) for side, m, n in poset.coverings()
+            if poset.elements[m].orbit_size == poset.elements[n].orbit_size
+            and not ((mat := E.maps(side)[(m, n)]).is_square() and mat.rank() == mat.nrows)]
+
+
+def zeroed_a1():
+    """E_1(A1) with one anodyne map, a 2 x 2 identity, zeroed in its file."""
+    doc = mbs_to_json(build_e1(enumerate_xi(build_coxeter("A", 1))))
+    entry = next(e for e in doc["dprime"] if e["matrix"] == [["1/1", "0/1"], ["0/1", "1/1"]])
+    entry["matrix"] = [["0/1", "0/1"], ["0/1", "0/1"]]
+    return mbs_from_json(doc)
+
+
+def catalog(label, rank):
+    poset = enumerate_xi(build_coxeter(label, rank))
+    return [build_e1v(poset, rep_catalog(poset.datum, name)) for name in catalog_names(poset.datum)]
+
+
+SHEAVES = [(f"E_1^V({label}{rank})", lambda label=label, rank=rank: catalog(label, rank))
+           for label, rank in SUPPORTED if rank <= 3]
+SHEAVES += [(f"E_q({n},{q})", lambda n=n, q=q: [build_eq(n, q)])
+            for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))]
+SHEAVES += [(f"E_q^B({n},{q})", lambda n=n, q=q: [b_invariant_sub(build_eq(n, q))])
+            for n, q in ((2, 2), (3, 2), (3, 3))]
+SHEAVES += [("zeroed E_1(A1)", lambda: [zeroed_a1()])]
+
+
+@pytest.mark.parametrize("build", [b for _name, b in SHEAVES], ids=[n for n, _b in SHEAVES])
+def test_mbs3_witnesses_are_exact(build):
+    """check_mbs ranks MBS3 whenever shape and MBS1 pass."""
+    for E in build():
+        rep = check_mbs(E)
+        assert not (rep.witnesses["shape"] or rep.witnesses["MBS1"])
+        assert rep.witnesses["MBS3"] == exact_mbs3_witnesses(E)
+
+
+def test_zeroed_a1_fails_mbs3():
+    assert exact_mbs3_witnesses(zeroed_a1())
 
 
 @st.composite
