@@ -9,7 +9,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .coxeter import build_coxeter
+from .coxeter import SUPPORTED, build_coxeter
 from .cousin import (
     SignConventionError, constructibility_check, coperversity_check, support_check,
 )
@@ -126,9 +126,10 @@ def build_parser():
         prog="mbsheaf",
         description="2-sided Coxeter complex and mixed Bruhat sheaf toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    types = sorted({t for t, _ in SUPPORTED})
 
     def add_datum(p):
-        p.add_argument("--type", required=True, choices=["A", "B", "C", "G"])
+        p.add_argument("--type", required=True, choices=types)
         p.add_argument("--rank", required=True, type=int)
 
     def add_out(p):
@@ -155,7 +156,7 @@ def build_parser():
     e1v = examples.add_parser("e1v", help="E_1^V of a W-representation")
     e1v.add_argument("rep", help="trivial | sign | reflection | reflection*sign | specht:PARTS")
     for e in (e1, e1v):
-        e.add_argument("--type", default="A", choices=["A", "B", "C", "G"])
+        e.add_argument("--type", default="A", choices=types)
         e.add_argument("--rank", type=int, default=1)
     eq = examples.add_parser("eq", help="E_q of flags in F_q^n")
     eqb = examples.add_parser("eq-binv", help="the B-invariant subsheaf of E_q")

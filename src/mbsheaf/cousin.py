@@ -181,12 +181,9 @@ def constructibility_check(E):
     this compares the classes' profiles within each flat.  A witness is
     (cell, its profile, the class's first profile, None, False).
     """
-    profiles, classes = [], {}      # classes: cells by flat, in order of first appearance
-    for m, e in enumerate(E.poset.elements):
-        profiles.append(_profile(_stalk_cohomology(E, PRIME, m)))
-        classes.setdefault(e.flat, []).append(m)
+    profiles = [_profile(_stalk_cohomology(E, PRIME, m)) for m in range(len(E.poset.elements))]
     rep = Report("constructibility")
-    for cls in classes.values():
+    for cls in E.poset.stratification_classes()[0]:     # S0: cells by flat
         ref = profiles[cls[0]]
         rep.witnesses["constructibility"].extend(
             (m, profiles[m], ref, None, False) for m in cls if profiles[m] != ref)

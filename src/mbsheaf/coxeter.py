@@ -13,8 +13,12 @@ matrices, and reads one of these tables (N = |W|, r = rank, P = |Phi+|):
 - ``coset_minima(I)``: the minimal representative of each coset w W_I, N
   per type I, built on first use.
 
-All enumeration orders are deterministic: positive roots in graded
-lexicographic order, group elements by (length, matrix entries).
+The group is the one closure of the simple reflections, the generators
+``elements[tables["right"][0][s]]``, and the positive roots are read off it:
+every root is W-conjugate to a simple root, so the roots are the columns of
+the group's matrices.  All enumeration orders are deterministic: positive
+roots in graded lexicographic order, group elements by (length, matrix
+entries).
 """
 
 from __future__ import annotations
@@ -87,15 +91,12 @@ class CoxeterDatum:
     builds it), so instances are safe to share across threads.
     """
 
-    def __init__(self, type_label, rank, cartan, positive_roots):
+    def __init__(self, type_label, rank, cartan):
         self.type_label = type_label
         self.rank = rank
         self.cartan = cartan
         self.simple_roots = tuple(
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
-        self.positive_roots = positive_roots
-        self.root_index = {v: i for i, v in enumerate(positive_roots)}
-        self.simple_positions = tuple(self.root_index[s] for s in self.simple_roots)
         gens = _simple_reflections(cartan)
         products = {}                   # matrix -> its products with each generator
         frontier = [self.simple_roots]  # the identity matrix
@@ -103,11 +104,16 @@ class CoxeterDatum:
             for m in frontier:
                 products[m] = tuple(_mat_mul(m, g) for g in gens)
             frontier = list({mg for m in frontier for mg in products[m] if mg not in products})
+        # every root is W-conjugate to a simple one: column i of w is w(alpha_i)
+        roots = {v for m in products for v in zip(*m) if _root_sign(v) > 0}
+        self.positive_roots = tuple(sorted(roots, key=lambda v: (sum(v), v)))
+        self.root_index = {v: i for i, v in enumerate(self.positive_roots)}
+        self.simple_positions = tuple(self.root_index[s] for s in self.simple_roots)
         # w . alpha_a = sign * alpha_b, encoded as sign*(b+1)
         act = {}
         for m in products:
             row = []
-            for a in positive_roots:
+            for a in self.positive_roots:
                 img = _mat_apply(m, a)
                 s = _root_sign(img)
                 row.append(s * (self.root_index[img if s > 0 else tuple(-x for x in img)] + 1))
@@ -188,21 +194,7 @@ class CoxeterDatum:
 
 def build_coxeter(type_label, rank):
     """Construct the root datum for one of the supported (type, rank) pairs."""
-    cartan = cartan_matrix(type_label, rank)
-    gens = _simple_reflections(cartan)
-    roots = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for v in frontier:
-            for g in gens:
-                img = _mat_apply(g, v)
-                if _root_sign(img) > 0 and img not in roots:
-                    new.add(img)
-        roots |= new
-        frontier = new
-    positive = tuple(sorted(roots, key=lambda v: (sum(v), v)))
-    return CoxeterDatum(type_label, rank, cartan, positive)
+    return CoxeterDatum(type_label, rank, cartan_matrix(type_label, rank))
 
 
 def bruhat_leq(datum, i, j):

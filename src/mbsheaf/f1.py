@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .coxeter import UnsupportedTypeError, _simple_reflections
+from .coxeter import UnsupportedTypeError
 from .linalg import RationalMatrix, column_space_basis
 from .sheaf import MixedBruhatSheaf
 from .xi import PRIME, SECOND
@@ -139,10 +139,10 @@ def rep_catalog(datum, name):
         gens = [RationalMatrix(((1,),)) for _ in range(datum.rank)]
     elif name == "sign":
         gens = [RationalMatrix(((-1,),)) for _ in range(datum.rank)]
-    elif name == "reflection":
-        gens = [RationalMatrix(g) for g in _simple_reflections(datum.cartan)]
-    elif name == "reflection*sign":
-        gens = [RationalMatrix(g).scale(-1) for g in _simple_reflections(datum.cartan)]
+    elif name in ("reflection", "reflection*sign"):
+        gens = [RationalMatrix(datum.elements[g]) for g in datum.tables["right"][0]]
+        if name == "reflection*sign":
+            gens = [g.scale(-1) for g in gens]
     elif name.startswith("specht:") and datum.type_label != "A":
         raise UnsupportedTypeError("Specht modules require a type A datum")
     elif name.startswith("specht:") and name in catalog_names(datum):

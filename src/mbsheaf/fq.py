@@ -1,11 +1,11 @@
 """Type-A geometry over a prime field: flags, relative position, and E_q.
 
-Every subspace of F_p^n is indexed once, and meet, join and dimension are
-tabulated by index (``mbsheaf.subspaces``); a flag is the chain of its
-subspaces as the tuple of their indices.  Flags are keyed by their type K,
-the sorted tuple of simple reflections of A_{n-1} that cells of the 2-sided
-complex carry: a type-K flag, a point of G/P_K, has the subspace dimensions
-``type_dims(K, n)``.  The relative position of two flags is the contingency
+``FqContext`` indexes every subspace of F_p^n once and tabulates meet, join
+and dimension by index; a flag is the chain of its subspaces as the tuple of
+their indices.  Flags are keyed by their type K, the sorted tuple of simple
+reflections of A_{n-1} that cells of the 2-sided complex carry: a type-K
+flag, a point of G/P_K, has the subspace dimensions ``type_dims(K, n)``.
+The relative position of two flags is the contingency
 matrix of graded intersection dimensions, the tuple of its row tuples, which
 matches the orbit labels of the 2-sided complex for the type A datum of rank
 n-1.  Relative position, the Hor-reading refinement and flag coarsening are
@@ -17,27 +17,106 @@ orbit points and factored back through the reading, verifying on the way
 that pushforwards of pulled-back functions stay pulled back.
 E_q(4, 2), total dimension 69,561, is the largest size build_eq accepts:
 1.8-2.0 s at 124 MB peak RSS (two runs, 2-vCPU VM, Python 3.11.7).
+The F_p row reductions ``rref_fp``, ``in_span_fp`` and ``nullspace_fp``
+reduce their inputs mod p and run the one elimination loop of
+``mbsheaf.linalg``; the tables call nullspace_fp once per subspace.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from functools import cached_property
 
 from .coxeter import UnsupportedTypeError, build_coxeter
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, _back_substitute, _echelon
 from .report import Report
 from .sheaf import MixedBruhatSheaf, subsheaf
-from .subspaces import (  # noqa: F401  (rref_fp, in_span_fp, nullspace_fp re-exported)
-    ResourceError, SubspaceLattice, in_span_fp, nullspace_fp, rref_fp,
-)
 from .xi import PRIME, SECOND, enumerate_xi, xi_id
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
+# Bound on the subspaces of F_p^n that FqContext tabulates; each of its tables
+# has that many squared entries.  n <= 4 with p <= 5 fits, as does n <= 3 for
+# every supported prime.
+MAX_SUBSPACES = 2000
+
+
+class ResourceError(RuntimeError):
+    """Enumeration would exceed the configured size guard."""
+
 
 class FibrewiseConstancyError(RuntimeError):
     """A pushforward of a pulled-back function is not pulled back."""
+
+
+# -- F_p row-space arithmetic ---------------------------------------------------
+
+def _rref_fp(rows, p, ncols):
+    """The rref over F_p of the rows reduced mod p: its nonzero rows and pivots."""
+    norm = p.__rmod__
+    return _back_substitute(*_echelon([{j: y for j, x in enumerate(r) if (y := x % p)}
+                                       for r in rows], ncols, lambda x: pow(x, p - 2, p), norm),
+                            norm)
+
+
+def rref_fp(rows, p):
+    """Reduced row echelon form over F_p; returns the tuple of nonzero rows."""
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    return tuple([tuple([r.get(j, 0) for j in range(ncols)]) for r in _rref_fp(rows, p, ncols)[0]])
+
+
+def in_span_fp(vec, echelon, p):
+    """Whether vec lies in the span of echelon, the nonzero rows of an rref."""
+    return len(rref_fp([*echelon, vec], p)) == len(echelon)
+
+
+def nullspace_fp(rows, p, ncols):
+    """Basis of the right kernel of the matrix over F_p."""
+    red, pivots = _rref_fp(rows, p, ncols)
+    basis = []
+    for f in [j for j in range(ncols) if j not in pivots]:
+        v = [0] * ncols
+        v[f] = 1
+        for row, piv in zip(red, pivots):
+            v[piv] = -row.get(f, 0) % p
+        basis.append(tuple(v))
+    return basis
+
+
+def _echelon_subspaces(n, p, d):
+    """Every d-dimensional subspace of F_p^n as its reduced echelon rows, sorted."""
+    out = []
+    for pivots in itertools.combinations(range(n), d):
+        free_pos = [(i, j) for i in range(d) for j in range(n)
+                    if j > pivots[i] and j not in pivots]
+        for values in itertools.product(range(p), repeat=len(free_pos)):
+            rows = [[0] * n for _ in range(d)]
+            for i, piv in enumerate(pivots):
+                rows[i][piv] = 1
+            for (i, j), v in zip(free_pos, values):
+                rows[i][j] = v
+            out.append(tuple(tuple(r) for r in rows))
+    out.sort()
+    return out
+
+
+def _code(vec, p):
+    """A vector of F_p^n as the integer with base-p digits vec."""
+    c = 0
+    for x in vec:
+        c = c * p + x
+    return c
+
+
+def _members(rows, p):
+    """The span of the rows as a bit set over vector codes."""
+    mask = 0
+    n = len(rows[0]) if rows else 0
+    for coeffs in itertools.product(range(p), repeat=len(rows)):
+        vec = [sum(c * r[k] for c, r in zip(coeffs, rows)) % p for k in range(n)]
+        mask |= 1 << _code(vec, p)
+    return mask
 
 
 def type_dims(K, n):
@@ -68,19 +147,28 @@ def _entries(dims, width):
 
 
 class FqContext:
-    """Flags of F_q^n for one (n, q), computed on the lattice of its subspaces.
+    """Flags of F_q^n for one (n, q), computed on the table of all its subspaces.
 
-    ``lattice`` (built on first use) indexes every subspace of F_q^n once
-    and tabulates meet, join and dimension by index.  Every method keys flags
-    by their type K: ``chains(K)`` lists the type-K flags as subspace-index
-    tuples, and ``chain_index(K)`` inverts the list.  On chains, relative
-    position is dimension lookups of ``meet[x][y]``, the Hor-reading
-    refinement is ``join[base][meet[x][y]]`` steps, and coarsening keeps the
-    indices at the coarser type's dimensions; no elimination runs per flag or
-    flag pair.  The Borel orbits of one type are its relative positions to
-    the standard flag (``borel_orbits``).  At (n, q) = (4, 2) the lattice has
-    67 subspaces, and ``build_eq(4, 2)`` runs in 1.8-2.0 s at 124 MB peak RSS
-    (two runs, 2-vCPU VM, Python 3.11.7).
+    The constructor indexes every subspace of F_q^n once, as its reduced
+    echelon form, the tuple of its nonzero rows: ``spaces[x]`` is that tuple
+    and ``index`` maps it back to x.  Index order is by dimension, then by
+    echelon form, so the subspaces of dimension d are the run
+    ``start[d]:start[d + 1]`` and index 0 is the zero subspace.
+    ``meet[x][y]`` and ``join[x][y]`` are the indices of the intersection and
+    the sum, ``dim[x]`` the dimension and ``meet_dim[x][y]`` the dimension of
+    the intersection.  The tables are built from bit sets over the q^n
+    vectors: a meet is the AND of two bit sets, and a join is the orthogonal
+    complement of the meet of the complements.  Past MAX_SUBSPACES subspaces
+    the constructor raises ResourceError.
+
+    Every method keys flags by their type K: ``chains(K)`` lists the type-K
+    flags as subspace-index tuples, and ``chain_index(K)`` inverts the list.
+    On chains, relative position is dimension lookups of ``meet[x][y]``, the
+    Hor-reading refinement is ``join[base][meet[x][y]]`` steps, and
+    coarsening keeps the indices at the coarser type's dimensions; no
+    elimination runs per flag or flag pair.  The Borel orbits of one type are
+    its relative positions to the standard flag (``borel_orbits``).  F_2^4
+    has 67 subspaces, F_3^4 212.
     """
 
     def __init__(self, n, q):
@@ -90,30 +178,43 @@ class FqContext:
             raise UnsupportedTypeError(f"unsupported field size {q}")
         self.n = n
         self.q = q
+        spaces = []
+        self.start = [0]
+        for d in range(n + 1):
+            spaces.extend(_echelon_subspaces(n, q, d))
+            self.start.append(len(spaces))
+        if len(spaces) > MAX_SUBSPACES:
+            raise ResourceError(f"F_{q}^{n} has {len(spaces)} subspaces; the subspace "
+                                f"tables hold at most {MAX_SUBSPACES}")
+        self.spaces = tuple(spaces)
+        self.index = {s: x for x, s in enumerate(spaces)}
+        self.dim = tuple(len(s) for s in spaces)
+        masks = [_members(s, q) for s in spaces]
+        by_mask = {mask: x for x, mask in enumerate(masks)}
+        self.meet = tuple(tuple(by_mask[mx & my] for my in masks) for mx in masks)
+        self.meet_dim = tuple(tuple(self.dim[z] for z in row) for row in self.meet)
+        perp = [by_mask[_members(nullspace_fp(s, q, n), q)] for s in spaces]
+        self.join = tuple(tuple(perp[self.meet[perp[x]][perp[y]]] for y in range(len(spaces)))
+                          for x in range(len(spaces)))
         self._chains = {}
         self._chain_index = {}
         self._projections = {}
         self._buckets = {}
 
-    @cached_property
-    def lattice(self):
-        return SubspaceLattice(self.n, self.q)
-
     # -- enumeration ---------------------------------------------------------
 
     def chains(self, K):
-        """The flags of type K, as subspace-index tuples in lattice order."""
+        """The flags of type K, as subspace-index tuples in index order."""
         got = self._chains.get(K)
         if got is None:
             if not set(K) <= set(range(self.n - 1)):
                 raise ValueError(f"{K} is not a type of A{self.n - 1}")
-            lat = self.lattice
             chains = [()]
             for dim in type_dims(K, self.n):
                 new = []
                 for chain in chains:
-                    for s in range(lat.start[dim], lat.start[dim + 1]):
-                        if chain and lat.meet[chain[-1]][s] != chain[-1]:
+                    for s in range(self.start[dim], self.start[dim + 1]):
+                        if chain and self.meet[chain[-1]][s] != chain[-1]:
                             continue
                         new.append(chain + (s,))
                 chains = new
@@ -132,7 +233,7 @@ class FqContext:
 
     def refine(self, x, y):
         """The Hor-reading chain: V_{i-1} + (V_i cap V'_j) in row-major order."""
-        meet, join, dim = self.lattice.meet, self.lattice.join, self.lattice.dim
+        meet, join, dim = self.meet, self.join, self.dim
         out = []
         top = 0
         prev = 0
@@ -149,8 +250,7 @@ class FqContext:
 
     def coarsen(self, chain, K):
         """Keep the subspaces at the dimensions of the coarser type K."""
-        dim = self.lattice.dim
-        by_dim = {dim[s]: s for s in chain}
+        by_dim = {self.dim[s]: s for s in chain}
         return tuple(by_dim[d] for d in type_dims(K, self.n))
 
     def projection(self, src, dst):
@@ -165,7 +265,7 @@ class FqContext:
 
     def relative_position(self, x, y):
         """Contingency matrix of graded intersections of two chains; row tuples follow x."""
-        meet_dim = self.lattice.meet_dim
+        meet_dim = self.meet_dim
         return _entries(tuple([meet_dim[a][b] for a in x for b in y]), len(y))
 
     # -- orbits --------------------------------------------------------------------
@@ -176,7 +276,7 @@ class FqContext:
         got = self._buckets.get(key)
         if got is None:
             xs, ys = self.chains(I), self.chains(J)
-            meet_dim = self.lattice.meet_dim
+            meet_dim = self.meet_dim
             # bucket by the graded intersection dimensions, which determine
             # the relative position; convert each distinct key once
             buckets = {}
@@ -383,7 +483,7 @@ def borel_orbits(ctx, K):
     the order of their first flag, one per ``min_coset_reps(datum, K)``.
     """
     n = ctx.n
-    index = ctx.lattice.index
+    index = ctx.index
     std = tuple(index[tuple(tuple(int(i == j) for j in range(n)) for i in range(k))]
                 for k in range(1, n + 1))
     orbits = {}

@@ -8,7 +8,8 @@ transitivity of both families (MBS1), the mixed-supremum commutation rule
 
 from __future__ import annotations
 
-from .faces import subsets_sorted
+from types import MappingProxyType
+
 from .linalg import RationalMatrix
 from .report import Report
 from .xi import PRIME, SECOND, SIDE_NAMES, OrderError, arrow, xi_id
@@ -24,8 +25,10 @@ class MixedBruhatSheaf:
     def __init__(self, poset, dims, dprime, dsecond):
         self.poset = poset
         self.dims = tuple(dims)
-        self.dprime = dict(dprime)      # (m, n) with m >=' n covering: E(m) -> E(n)
-        self.dsecond = dict(dsecond)    # (m, n) with m >='' n covering: E(n) -> E(m)
+        # read-only (copy_with makes a sheaf with other maps): the verdict,
+        # stalks and composites cached below read them
+        self.dprime = MappingProxyType(dict(dprime))    # m >=' n covering: E(m) -> E(n)
+        self.dsecond = MappingProxyType(dict(dsecond))  # m >='' n covering: E(n) -> E(m)
         self._composites = ({}, {})     # per side: (m, n) -> composite matrix
         self._stalks = {}               # (side, cell) -> cohomology of its (class's) stalk complex
         self._axioms = None             # check_mbs's finished Report: the Cousin suite's verdict
@@ -256,7 +259,7 @@ def bicube(E):
     poset = E.poset
     cx = poset.complex
     zero = cx.zero_face()
-    subsets = subsets_sorted(poset.datum.rank)
+    subsets = cx.subsets
     m_prime = {}
     m_diag = {}
     m_second = {}

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .faces import FaceComplex, subsets_sorted
+from .faces import FaceComplex
 
 PRIME, SECOND = 0, 1
 SIDE_NAMES = ("prime", "second")
@@ -197,11 +197,11 @@ class XiPoset:
         """downs[m] = all n with m >= n on `side`, m first, then by target type.
 
         The contractions phi(m, side, K) over the types K containing m's,
-        in ``subsets_sorted`` order.  Built once per poset and shared.
+        in the complex's ``subsets`` order.  Built once per poset and shared.
         """
         got = self._downs.get(side)
         if got is None:
-            subsets = subsets_sorted(self.datum.rank)
+            subsets = self.complex.subsets
             supersets = {I: [K for K in subsets if set(I) <= set(K)] for I in subsets}
             got = self._downs[side] = tuple(
                 tuple(self.phi(m, side, K) for K in supersets[e.typeIJ[side]])

@@ -1,4 +1,4 @@
-"""Elimination-based flag geometry, the oracle of the subspace-lattice tables.
+"""Elimination-based flag geometry, the oracle of FqContext's subspace tables.
 
 These are the algorithms ``mbsheaf.fq`` ran before it indexed every
 subspace of F_q^n and tabulated meet and join: each intersection, sum and
@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from mbsheaf.fq import FqContext, _root_pairs
+from mbsheaf.fq import FqContext, _root_pairs, in_span_fp, nullspace_fp, rref_fp
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.report import Report
 from mbsheaf.xi import PRIME, SECOND
-from mbsheaf.subspaces import in_span_fp, nullspace_fp, rref_fp
 
 
 def dense_rref_fp(rows, p):
@@ -78,20 +77,20 @@ def composition(K, n):
     return tuple(parts)
 
 
-def subspaces(lattice, d):
-    """The subspaces of dimension d, in the lattice's order."""
-    return lattice.spaces[lattice.start[d]:lattice.start[d + 1]]
+def subspaces(ctx, d):
+    """The subspaces of dimension d, in the order of ctx's subspace index."""
+    return ctx.spaces[ctx.start[d]:ctx.start[d + 1]]
 
 
-def enumerate_flags(lattice, n, q, composition):
-    """Chains of the given type, from the lattice's subspaces in order."""
+def enumerate_flags(ctx, n, q, composition):
+    """Chains of the given type, from ctx's subspaces in order."""
     chains = [()]
     dim = 0
     for part in composition:
         dim += part
         new = []
         for chain in chains:
-            for s in subspaces(lattice, dim):
+            for s in subspaces(ctx, dim):
                 if chain and not all(in_span_fp(v, s, q) for v in chain[-1]):
                     continue
                 new.append(chain + (s,))
@@ -226,10 +225,10 @@ def borel_orbits(flags, index, n, q):
     return tuple(orbits)
 
 
-def hecke_generators(lattice, n, q):
+def hecke_generators(ctx, n, q):
     """sigma_alpha from fibre lists: row x holds a 1 at every other full flag
     with x's coarsening to the type that glues positions alpha and alpha + 1."""
-    full = enumerate_flags(lattice, n, q, (1,) * n)
+    full = enumerate_flags(ctx, n, q, (1,) * n)
     out = []
     for alpha in range(n - 1):
         images = [coarsen_flag(f, composition({alpha}, n)) for f in full]

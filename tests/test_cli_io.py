@@ -754,13 +754,19 @@ def test_cli_verification_error_exits_1(monkeypatch, tmp_path, capsys, setup):
      "error: unknown representation name 'specht:02,1'"),
     (["example", "e1v", "specht:2,1", "--type", "B", "--rank", "2"],
      "error: Specht modules require a type A datum"),
+    (["xi", "--type", "D", "--rank", "4"], "mbsheaf xi: error: argument --type: invalid choice: "
+     "'D' (choose from 'A', 'B', 'C', 'G')"),
+    (["example", "e1", "--type", "D"], "mbsheaf example e1: error: argument --type: invalid "
+     "choice: 'D' (choose from 'A', 'B', 'C', 'G')"),
+    (["xi", "--type", "C", "--rank", "2"], "error: unsupported Cartan type C2"),
 ], ids=["e1v-no-rep", "eq-one-param", "eq-binv-no-params", "unknown-example", "e1-param",
         "e1-params-after-options", "eq-with-action", "eq-type-rank", "eq-type-before-params",
         "eq-binv-rank-between-params", "eq-non-integer",
-        "e1v-uppercase-rep", "e1v-specht-leading-zero", "e1v-specht-type-b"])
+        "e1v-uppercase-rep", "e1v-specht-leading-zero", "e1v-specht-type-b",
+        "xi-type-d", "e1-type-d", "xi-unsupported-c2"])
 def test_cli_example_bad_params_exit_2(tmp_path, capsys, argv, message):
     """argparse refuses a malformed invocation with its usage (SystemExit 2);
-    rep_catalog refuses a representation it does not name (returned 2)."""
+    rep_catalog and cartan_matrix refuse a name they do not know (returned 2)."""
     out = tmp_path / "f.json"
     argv = [*argv, "-o", str(out)]
     if message.startswith("error: "):

@@ -500,3 +500,27 @@ def test_failed_axioms_scan_every_cell(xi_a2, monkeypatch):
     assert sorted(built) == _every_cell(xi_a2)[len(xi_a2.elements):]
     with pytest.raises(SignConventionError):
         support_check(bad)
+
+
+def test_maps_are_read_only_so_verdicts_stay_current(xi_a2):
+    """check_mbs's report, the stalks and the composites are cached on the
+    sheaf, so its maps cannot be edited in place: zeroing the six anodyne
+    dprime maps into 01:0|:0 of a sheaf that passed raises TypeError and
+    leaves its verdicts standing, and a copy_with of the same maps fails
+    both the axioms and the support condition."""
+    e1 = build_e1(xi_a2)
+    assert check_mbs(e1).ok and support_check(e1).ok
+    n = next(m for m in range(len(xi_a2.elements)) if xi_id(xi_a2, m) == "01:0|:0")
+    zeroed = {(m, n): RationalMatrix.zeros(*e1.dprime[(m, n)].shape)
+              for m in xi_a2.up_covers[PRIME][n]}
+    assert len(zeroed) == 6
+    for key, mat in zeroed.items():
+        with pytest.raises(TypeError):
+            e1.dprime[key] = mat
+    with pytest.raises(TypeError):
+        del e1.dsecond[next(iter(e1.dsecond))]
+    assert all(e1.dprime[key] != mat for key, mat in zeroed.items())
+    assert check_mbs(e1).ok and support_check(e1).ok
+    bad = e1.copy_with(e1.dims, {**e1.dprime, **zeroed}, e1.dsecond)
+    assert not check_mbs(bad).ok
+    assert not support_check(bad).ok

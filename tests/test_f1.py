@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from mbsheaf.coxeter import UnsupportedTypeError, build_coxeter
+from mbsheaf.coxeter import SUPPORTED, UnsupportedTypeError, _simple_reflections, build_coxeter
 from e1v_reference import invariant_dim, pair_stabilizer
 from mbsheaf.f1 import build_e1v, catalog_names, rep_catalog
+from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import check_mbs
 from mbsheaf.xi import enumerate_xi
 
@@ -46,6 +47,16 @@ def test_reflection_character_a2():
     char = refl.character()
     values = sorted(char.values())
     assert values == [-1, 0, 2]
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_reflection_generators_are_the_simple_reflections(label, rank):
+    """The catalog reads the group's generators, the matrices of s_i on the
+    root lattice that the Cartan matrix gives."""
+    datum = build_coxeter(label, rank)
+    want = [RationalMatrix(g) for g in _simple_reflections(datum.cartan)]
+    assert list(rep_catalog(datum, "reflection").gen_mats) == want
+    assert list(rep_catalog(datum, "reflection*sign").gen_mats) == [g.scale(-1) for g in want]
 
 
 def test_unknown_name():

@@ -1,10 +1,10 @@
-"""The subspace-lattice tables of mbsheaf.fq against the elimination oracle.
+"""The subspace tables of mbsheaf.fq's FqContext against the elimination oracle.
 
 For every (n, q) below, every flag pair of every pair of types is
 compared: relative position and the Hor-reading refinement, coarsening to
 every coarser type, the flag enumeration order, and the Borel orbits of
 every type.  The oracle names each type K by its composition of n.  The
-lattice's meet and join are checked on every pair of subspaces, and
+tables' meet and join are checked on every pair of subspaces, and
 ``face_to_osp`` on every face of A1-A4.  The Hecke generators are compared
 with the oracle's fibre lists up to n = 4, and the point checks' bucketed
 fiber products with the pairwise loop.
@@ -36,20 +36,19 @@ def types(n):
 
 def flags(ctx, K):
     """The chains of one type as the oracle's flags: tuples of echelon forms."""
-    return [tuple(ctx.lattice.spaces[x] for x in chain) for chain in ctx.chains(K)]
+    return [tuple(ctx.spaces[x] for x in chain) for chain in ctx.chains(K)]
 
 
 @pytest.mark.parametrize("n,q", SIZES)
 def test_lattice_meet_and_join(n, q):
     ctx = FqContext(n, q)
-    lat = ctx.lattice
-    assert list(lat.spaces) == [s for d in range(n + 1) for s in ref.subspaces(lat, d)]
-    for x, a in enumerate(lat.spaces):
-        assert lat.index[a] == x
-        for y, b in enumerate(lat.spaces):
-            assert lat.meet_dim[x][y] == lat.dim[lat.meet[x][y]] == ref.intersection_dim(a, b, q)
-            assert lat.spaces[lat.meet[x][y]] == ref.intersection_basis(a, b, q)
-            assert lat.spaces[lat.join[x][y]] == rref_fp(a + b, q)
+    assert list(ctx.spaces) == [s for d in range(n + 1) for s in ref.subspaces(ctx, d)]
+    for x, a in enumerate(ctx.spaces):
+        assert ctx.index[a] == x
+        for y, b in enumerate(ctx.spaces):
+            assert ctx.meet_dim[x][y] == ctx.dim[ctx.meet[x][y]] == ref.intersection_dim(a, b, q)
+            assert ctx.spaces[ctx.meet[x][y]] == ref.intersection_basis(a, b, q)
+            assert ctx.spaces[ctx.join[x][y]] == rref_fp(a + b, q)
 
 
 @pytest.mark.parametrize("n,q", SIZES)
@@ -57,13 +56,13 @@ def test_flag_order_matches_elimination_enumeration(n, q):
     ctx = FqContext(n, q)
     for K in types(n):
         comp = ref.composition(K, n)
-        assert tuple(flags(ctx, K)) == ref.enumerate_flags(ctx.lattice, n, q, comp)
+        assert tuple(flags(ctx, K)) == ref.enumerate_flags(ctx, n, q, comp)
 
 
 @pytest.mark.parametrize("n,q", SIZES)
 def test_pair_geometry_matches_oracle(n, q):
     ctx = FqContext(n, q)
-    spaces = ctx.lattice.spaces
+    spaces = ctx.spaces
     for I, J in itertools.product(types(n), repeat=2):
         pairs = itertools.product(zip(ctx.chains(I), flags(ctx, I)),
                                   zip(ctx.chains(J), flags(ctx, J)))
@@ -101,7 +100,7 @@ def test_borel_orbits_match_oracle(n, q):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("q", [2, 3])
 def test_hecke_generators_match_fibre_lists(n, q):
-    assert hecke_generators(n, q) == ref.hecke_generators(FqContext(n, q).lattice, n, q)
+    assert hecke_generators(n, q) == ref.hecke_generators(FqContext(n, q), n, q)
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["sup", "sup-drops-last"])
