@@ -109,6 +109,19 @@ def check_mbs(E):
     The finished report is stored as E._axioms, and the Cousin suite reads
     it (``cousin`` docstring); a check that raises partway stores nothing.
 
+    Each distinct product is computed once.  The covering maps are interned
+    by value, once per call: one dict keyed by RationalMatrix's content hash
+    and equality takes each map to the first equal one, so equal maps become
+    one object.  In each stage a product is memoised by the ids of its
+    interned factors, a supremum sum by those of its terms, and MBS3's
+    verdict by the id of its map; each product and sum is interned in turn.
+    Interning is by content, so two results are equal exactly when they are
+    one object, and the stages compare them with ``is``.  A memo lives for
+    one stage of one call: MBS1's products are dropped before MBS2 starts,
+    and nothing is kept on the sheaf.  The witnesses, their order and the
+    stop after a failed stage are those of the walk that multiplies every
+    square and configuration anew (tests/mbs_reference.py).
+
     MBS1 on squares.  On a side, with T(x) the type of x there, [m, n] is the
     Boolean lattice of the cells phi(m, side, K), T(m) <= K <= T(n): its
     maximal chains are the k! orders of adding the generators of T(n) - T(m).
@@ -162,41 +175,73 @@ def check_mbs(E):
     rep = Report("shape", "MBS1", "MBS2", "MBS3")
     shape, mbs1, mbs2, mbs3 = rep.witnesses.values()
 
-    # shapes on every covering relation
+    # shapes on every covering relation; each map interned by value
+    canon, maps = {}, ({}, {})
     for side, m, n in poset.coverings():
         mat = E.maps(side).get((m, n))
         src, dst = arrow(side, m, n)
         if mat is None or mat.shape != (E.dims[dst], E.dims[src]):
             shape.append((SIDE_NAMES[side], m, n, "missing or misshaped matrix"))
+        else:
+            maps[side][(m, n)] = canon.setdefault(mat, mat)
     # each stage runs only on a sheaf that passed every stage before it
     if rep.ok:
-        mbs1.extend(_mbs1_failures(E))
+        mbs1.extend(_mbs1_failures(poset, maps))
     if rep.ok:
-        mbs2.extend(_mbs2_failures(E))
-        # MBS3: anodyne coverings must be invertible
-        for side, m, n in poset.coverings():
-            if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
-                mat = E.maps(side)[(m, n)]
-                if not mat.is_invertible():
-                    mbs3.append((SIDE_NAMES[side], m, n))
+        mbs2.extend(_mbs2_failures(poset, maps))
+        mbs3.extend(_mbs3_failures(poset, maps))
     E._axioms = rep
     return rep
 
 
-def _mbs1_failures(E):
+class _Memo:
+    """One stage's products and sums of interned matrices, each distinct one
+    computed once.
+
+    Operands are interned, one object per value, so a product is keyed by
+    the ids of its factors and a sum by those of its terms; each result is
+    interned in turn, so two results are equal exactly when they are one
+    object.  The ids stay unique while the memo lives: it holds its
+    results, and check_mbs's interned maps outlive every stage.
+    """
+
+    def __init__(self):
+        self.seen, self.products, self.sums = {}, {}, {}
+
+    def mul(self, a, b):
+        key = id(a), id(b)
+        got = self.products.get(key)
+        if got is None:
+            p = a @ b
+            got = self.products[key] = self.seen.setdefault(p, p)
+        return got
+
+    def total(self, terms):
+        """The sum of a nonempty list, starting at its first term."""
+        key = tuple(map(id, terms))
+        got = self.sums.get(key)
+        if got is None:
+            s = sum(terms[1:], terms[0])
+            got = self.sums[key] = self.seen.setdefault(s, s)
+        return got
+
+
+def _mbs1_failures(poset, maps):
     """Each (order, m, n) whose square does not commute: the two chains from
     m through a = phi_s m and b = phi_t m, s < t, to n = phi_t a = phi_s b;
-    by m, then side, then (s, t)."""
-    cov = E.poset.cov
+    by m, then side, then (s, t).  maps are check_mbs's interned maps."""
+    cov, memo = poset.cov, _Memo()
     steps = [[dict(below) for below in cov[side]] for side in (PRIME, SECOND)]
-    for m in range(len(E.poset.elements)):
+    # the product of a chain's first step, then its second: a dprime map
+    # runs down the chain and a dsecond map up it
+    chain = (lambda x, y: memo.mul(y, x), memo.mul)
+    for m in range(len(poset.elements)):
         for side in (PRIME, SECOND):
-            below, d, step = cov[side][m], E.maps(side), steps[side]
+            below, d, step, mul = cov[side][m], maps[side], steps[side], chain[side]
             for i, (_s, a) in enumerate(below):
                 for t, b in below[i + 1:]:
                     n = step[a][t]
-                    if (d[(a, n)] @ d[(m, a)] != d[(b, n)] @ d[(m, b)] if side == PRIME
-                            else d[(m, a)] @ d[(a, n)] != d[(m, b)] @ d[(b, n)]):
+                    if mul(d[(m, a)], d[(a, n)]) is not mul(d[(m, b)], d[(b, n)]):
                         yield SIDE_NAMES[side], m, n
 
 
@@ -210,15 +255,29 @@ def _covering_configurations(poset):
                 yield mp, np_, n, [m for m in ups_p[n] if m in ups_s[mp]]
 
 
-def _mbs2_failures(E):
-    """Each covering configuration (m', n', n) failing MBS2, read off dprime
-    and dsecond; each supremum sum starts at its first term."""
-    prime, second = E.dprime, E.dsecond
-    for mp, np_, n, sup in _covering_configurations(E.poset):
-        lhs = second[(n, np_)] @ prime[(mp, np_)]
-        terms = [prime[(m, n)] @ second[(m, mp)] for m in sup]
-        if sum(terms[1:], terms[0]) != lhs if terms else not lhs.is_zero():
+def _mbs2_failures(poset, maps):
+    """Each covering configuration (m', n', n) failing MBS2, read off
+    check_mbs's interned maps; each supremum sum starts at its first term."""
+    (prime, second), memo = maps, _Memo()
+    for mp, np_, n, sup in _covering_configurations(poset):
+        lhs = memo.mul(second[(n, np_)], prime[(mp, np_)])
+        terms = [memo.mul(prime[(m, n)], second[(m, mp)]) for m in sup]
+        if memo.total(terms) is not lhs if terms else not lhs.is_zero():
             yield mp, np_, n
+
+
+def _mbs3_failures(poset, maps):
+    """Each anodyne covering (order, m, n) whose map is not invertible, by m,
+    then side; each distinct map of check_mbs's interned ones ranked once."""
+    invertible = {}
+    for side, m, n in poset.coverings():
+        if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
+            mat = maps[side][(m, n)]
+            ok = invertible.get(id(mat))
+            if ok is None:
+                ok = invertible[id(mat)] = mat.is_invertible()
+            if not ok:
+                yield SIDE_NAMES[side], m, n
 
 
 def dual(E):

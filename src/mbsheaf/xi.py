@@ -240,12 +240,20 @@ class XiPoset:
 
     def pi_map(self, m, n):
         """Point-level surjection m -> n for m >= n, as a list over m.points."""
+        return self._pi(m, n, self.elements[m].points)
+
+    def pi_base(self, m, n):
+        """pi_map(m, n)[0], the image of m's base point, alone; it raises
+        pi_map's OrderError."""
+        return self._pi(m, n, self.elements[m].points[:1])[0]
+
+    def _pi(self, m, n, points):
         if not self.leq(n, m):
             raise OrderError(f"pi_map requires m >= n, not {xi_id(self, m)} and {xi_id(self, n)}")
         en = self.elements[n]
         left, right = map(self.complex.coarsen_table, en.typeIJ)
         index = en.point_index
-        return [index[(left[c], right[d])] for c, d in self.elements[m].points]
+        return [index[(left[c], right[d])] for c, d in points]
 
     def point_action(self, w, m):
         """Where w sends each point of cell m, as positions in m's points."""

@@ -25,6 +25,13 @@ of them, which break MBS2 and nothing else, on the constant sheaf, which
 fails MBS2 wherever a supremum has more than one cell, covering or not,
 and where a supremum is made empty.  Twisted duality is an involution on
 the built-in and gauged sheaves.
+
+``check_mbs`` interns the covering maps by value and memoises products,
+sums and MBS3 verdicts by the identity of interned operands; its report
+must be that of the unmemoised walk (``mbs_reference``), witness for
+witness, whether every map is its own object, equal maps share one, or one
+object sits on every covering.  On E_1(A3) the counted products, sums and
+rank checks are one per distinct operand per stage.
 """
 
 import itertools
@@ -35,6 +42,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbs_reference import unmemoised_check_mbs
 from mbsheaf import sheaf
 from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
@@ -436,3 +444,90 @@ def test_dual_is_an_involution(name, gauge):
     assert back.dims == E.dims
     assert back.dprime == E.dprime
     assert back.dsecond == E.dsecond
+
+
+def distinct_copies(E):
+    """E with every covering map replaced by an equal copy of its own."""
+    maps = [{k: RationalMatrix.from_sparse(mat.sparse_rows, mat.ncols)
+             for k, mat in E.maps(side).items()} for side in (PRIME, SECOND)]
+    return E.copy_with(E.dims, *maps)
+
+
+def shared_maps(E):
+    """E with equal covering maps, on either side, one object."""
+    canon = {}
+    maps = [{k: canon.setdefault(mat, mat) for k, mat in E.maps(side).items()}
+            for side in (PRIME, SECOND)]
+    return E.copy_with(E.dims, *maps)
+
+
+def zero_maps(E):
+    """E with every covering map zero: MBS1 and MBS2 hold, and MBS3 fails at
+    every anodyne covering of nonzero stalk."""
+    maps = [{k: RationalMatrix.zeros(*mat.shape) for k, mat in E.maps(side).items()}
+            for side in (PRIME, SECOND)]
+    return E.copy_with(E.dims, *maps)
+
+
+def objects(E):
+    """The numbers of matrix objects and of distinct matrices on E's coverings."""
+    maps = [E.maps(side)[(m, n)] for side, m, n in E.poset.coverings()]
+    return len(set(map(id, maps))), len(set(maps))
+
+
+def sharing_cases():
+    """(name, sheaf, shared) triples: each built-in sheaf with a distinct copy
+    of every map and with equal maps shared, perturbed and gauged failing
+    copies of E_1 in both forms, and sheaves whose equal maps are one object
+    as built: zero maps, and constant sheaves, one object on every covering.
+    shared tells whether equal maps are one object."""
+    for name in sorted(BUILT_IN):
+        E = BUILT_IN[name]()
+        yield name, distinct_copies(E), False
+        yield name + " shared", shared_maps(E), True
+        yield name + " zero maps", zero_maps(E), True
+    for label, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
+        E = e1(label, rank)
+        bad = list(perturbed(E, seed=rank * 100 + ord(label)))
+        bad += [g for _cell, g in gauge_samples(E, f"{label}{rank}")]
+        for k, b in enumerate(bad):
+            yield f"E_1({label}{rank}) failing {k}", distinct_copies(b), False
+            yield f"E_1({label}{rank}) failing {k} shared", shared_maps(b), True
+        for dim in (0, 1, 2):
+            yield f"constant Q^{dim} on {label}{rank}", constant_sheaf(E.poset, dim), True
+
+
+def test_check_mbs_matches_the_unmemoised_walk_whatever_the_sharing():
+    """check_mbs interns the covering maps by value and memoises by identity:
+    its report equals the unmemoised walk's, witness for witness and in
+    order, whether every map is its own object, equal maps share one, or
+    one object sits on every covering; the cases fail every stage."""
+    failed = set()
+    for name, E, shared in sharing_cases():
+        ids, values = objects(E)
+        assert ids == (values if shared else sum(1 for _ in E.poset.coverings())), name
+        want = unmemoised_check_mbs(E).witnesses
+        assert check_mbs(E).witnesses == want, name
+        failed.update(check for check, ws in want.items() if ws)
+    assert failed == {"MBS1", "MBS2", "MBS3"}
+
+
+def test_check_mbs_computes_each_distinct_product_once(monkeypatch):
+    """On E_1(A3), whose 1,110 covering maps hold 224 distinct matrices,
+    check_mbs makes one product per distinct pair of factors in each stage,
+    one sum per distinct supremum, and one rank check per distinct anodyne
+    map; the unmemoised walk makes one per square, configuration and
+    anodyne covering."""
+    E = e1("A", 3)
+    counts = dict.fromkeys(("__matmul__", "__add__", "is_invertible"), 0)
+    for name in counts:
+        def counting(*args, name=name, original=getattr(RationalMatrix, name)):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(RationalMatrix, name, counting)
+    assert objects(E) == (1110, 224)
+    assert unmemoised_check_mbs(E).ok
+    assert counts == {"__matmul__": 3466, "__add__": 208, "is_invertible": 840}
+    counts.update(dict.fromkeys(counts, 0))
+    assert check_mbs(E).ok
+    assert counts == {"__matmul__": 1175, "__add__": 99, "is_invertible": 149}

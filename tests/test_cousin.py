@@ -303,7 +303,7 @@ def test_squares_walked_once_per_side(xi_a2, monkeypatch):
         assert check(e1).ok
     assert (len(checked), len(walked)) == (0, 1)
 
-    def interrupted(E):
+    def interrupted(poset, maps):
         raise RuntimeError("interrupted")
 
     monkeypatch.setattr(sheaf, "_mbs2_failures", interrupted)

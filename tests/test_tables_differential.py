@@ -4,8 +4,8 @@ The datum's product table, inverses and coset minima, the face complex's
 W-action and coarsening tables, ``XiPoset.pi_map`` and
 ``RationalMatrix.pushforward`` must give what the word walks, descent walks
 and point loops of ``tables_reference`` give: every entry on all eight
-supported types, and ``pi_map`` on every comparable pair of the types of
-rank at most 3.  A property test draws a group element and a covering of
+supported types, and ``pi_map`` and ``pi_base``, its value at the base
+point, on every comparable pair of the types of rank at most 3.  A property test draws a group element and a covering of
 E_1 and checks that the covering map commutes with the W-action at both
 ends, on every type of rank 2 and 3: it guards the face action that the
 action matrices read.
@@ -89,7 +89,9 @@ def test_pi_map_matches_point_loop(label, rank):
     xi = poset_for(label, rank)
     coarsen = WalkCoarsen(xi.complex)
     for m, n, _kind, _ano in xi.comparable_pairs():
-        assert xi.pi_map(m, n) == point_loop_pi_map(xi, coarsen, m, n)
+        want = point_loop_pi_map(xi, coarsen, m, n)
+        assert xi.pi_map(m, n) == want
+        assert xi.pi_base(m, n) == want[0]
     for m in range(len(xi.elements)):
         assert xi.pi_map(m, m) == list(range(xi.elements[m].orbit_size))
 
