@@ -1,7 +1,9 @@
 """Function sheaves on the W-orbits themselves and their isotypic pieces.
 
 build_e1 carries the space of functions on each orbit, with pushforward
-along the point projections in the first order and pullback in the second.
+along the point projections in the first order and pullback in the second,
+each built once per distinct key (side, dims[n], pi_map(m, n)) and interned
+by value: every covering with an equal map holds one object.
 build_e1v computes the W-invariants of E_1 tensor V for an explicit
 representation V at the base points: an invariant on an orbit W/H is fixed
 by its value there, so (Fun(W/H) tensor V)^W = V^H (Frobenius reciprocity).
@@ -26,19 +28,18 @@ class E1Sheaf(MixedBruhatSheaf):
         return RationalMatrix.pushforward(self.poset.point_action(w, m), self.dims[m])
 
 
-def _orbit_functions(poset):
-    """Functions on the orbits: the dims, and the pushforward (dprime) and
-    pullback (dsecond) along each covering's point projection."""
-    dims, maps = [e.orbit_size for e in poset.elements], ({}, {})
+def build_e1(poset):
+    """Functions on orbits: dims are orbit sizes, maps are (pi)_* and pi^*, shared as
+    the module docstring says (pi_* of a bijection is pi^* of its inverse)."""
+    dims, maps, built, canon = [e.orbit_size for e in poset.elements], ({}, {}), {}, {}
     move = (RationalMatrix.pushforward, RationalMatrix.pullback)    # by side
     for side, m, n in poset.coverings():
-        maps[side][(m, n)] = move[side](poset.pi_map(m, n), dims[n])
-    return dims, *maps
-
-
-def build_e1(poset):
-    """Functions on orbits: dims are orbit sizes, maps are (pi)_* and pi^*."""
-    return E1Sheaf(poset, *_orbit_functions(poset))
+        key = side, dims[n], tuple(poset.pi_map(m, n))
+        if key not in built:
+            mat = move[side](key[2], dims[n])
+            built[key] = canon.setdefault(mat, mat)
+        maps[side][(m, n)] = built[key]
+    return E1Sheaf(poset, dims, *maps)
 
 
 # -- explicit W-representations -----------------------------------------------
@@ -79,12 +80,7 @@ class WRepresentation:
 
     def character(self):
         """Class representative index -> trace; constant on conjugacy classes."""
-        out = {}
-        for cls in self.datum.conjugacy_classes():
-            rep = cls[0]
-            mat = self.evaluate(rep)
-            out[rep] = mat.trace()
-        return out
+        return {cls[0]: self.trace(cls[0]) for cls in self.datum.conjugacy_classes()}
 
     def trace(self, w):
         return self.evaluate(w).trace()

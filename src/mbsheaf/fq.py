@@ -16,7 +16,7 @@ pullback maps come from flag coarsening, pushforward maps are computed on
 orbit points and factored back through the reading, verifying on the way
 that pushforwards of pulled-back functions stay pulled back.
 E_q(4, 2), total dimension 69,561, is the largest size build_eq accepts:
-1.8-2.0 s at 124 MB peak RSS (two runs, 2-vCPU VM, Python 3.11.7).
+1.5-2.5 s at 86 MB peak RSS (five runs, shared 2-vCPU VM, Python 3.11.7).
 The F_p row reductions ``rref_fp``, ``in_span_fp`` and ``nullspace_fp``
 reduce their inputs mod p and run the one elimination loop of
 ``mbsheaf.linalg``; the tables call nullspace_fp once per subspace.
@@ -406,10 +406,7 @@ def build_eq(n, q, poset=None, ctx=None):
     poset = _type_a_poset(n, poset)
     if ctx is None:
         ctx = FqContext(n, q)
-    orbit_tables = []
-    hor_maps = []
-    dims = []
-    point_index = []
+    orbit_tables, hor_maps, dims, point_index = [], [], [], []
     refine = ctx.refine
     for m, e in enumerate(poset.elements):
         points = ctx.orbit_points(poset, m)
@@ -421,13 +418,15 @@ def build_eq(n, q, poset=None, ctx=None):
         hor_maps.append(hmap)
         dims.append(len(ctx.chains(e.hor)))
         point_index.append({p: k for k, p in enumerate(points)})
-    dprime = {}
-    dsecond = {}
+    dprime, dsecond, pulls, canon = {}, {}, {}, {}
     for m, e in enumerate(poset.elements):
         for _s, nn in poset.cov[SECOND][m]:
-            # pullback along the flag coarsening of the readings
-            proj = ctx.projection(e.hor, poset.elements[nn].hor)
-            dsecond[(m, nn)] = RationalMatrix.pullback(proj, dims[nn])
+            # pullback along the flag coarsening of the readings, one per pair
+            key = e.hor, poset.elements[nn].hor
+            if key not in pulls:
+                mat = RationalMatrix.pullback(ctx.projection(*key), dims[nn])
+                pulls[key] = canon.setdefault(mat, mat)
+            dsecond[(m, nn)] = pulls[key]
         for _s, nn in poset.cov[PRIME][m]:
             proj = ctx.projection(e.typeIJ[0], poset.elements[nn].typeIJ[0])
             targets = point_index[nn]
@@ -448,8 +447,9 @@ def build_eq(n, q, poset=None, ctx=None):
                         f"pulled-back function is not pulled back: two points of "
                         f"{xi_id(poset, nn)} reading flag {y} receive the reading counts "
                         f"{sorted(rows[y].items())} and {sorted(counts.items())}")
-            dprime[(m, nn)] = RationalMatrix.from_sparse(
-                [r.items() if r is not None else () for r in rows], dims[m])
+            mat = RationalMatrix.from_sparse([r.items() if r is not None else () for r in rows],
+                                             dims[m])
+            dprime[(m, nn)] = canon.setdefault(mat, mat)    # one object per value
     return FqMBS(poset, dims, dprime, dsecond, ctx, tuple(orbit_tables), tuple(hor_maps))
 
 
@@ -493,18 +493,14 @@ def borel_orbits(ctx, K):
 
 
 def b_invariant_sub(E):
-    """The subsheaf of Borel-invariant functions on each reading's flag space."""
-    hors = [e.hor for e in E.poset.elements]
-    orbits_of = {K: borel_orbits(E.ctx, K) for K in set(hors)}
-    bases = []
-    for m, K in enumerate(hors):
-        orbits = orbits_of[K]
-        label = [None] * E.dims[m]
-        for o, orbit in enumerate(orbits):
-            for x in orbit:
-                label[x] = o
-        bases.append(RationalMatrix.pullback(label, len(orbits)))
-    return subsheaf(E, bases)
+    """The subsheaf of Borel-invariant functions on each reading's flag space:
+    one basis per reading type K, held by every cell that reads K."""
+    basis_of = {}
+    for K in {e.hor for e in E.poset.elements}:
+        orbits = borel_orbits(E.ctx, K)
+        label = {x: o for o, orbit in enumerate(orbits) for x in orbit}
+        basis_of[K] = RationalMatrix.pullback([label[x] for x in range(len(label))], len(orbits))
+    return subsheaf(E, [basis_of[e.hor] for e in E.poset.elements])
 
 
 # -- point-level geometry -------------------------------------------------------------

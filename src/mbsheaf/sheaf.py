@@ -110,17 +110,16 @@ def check_mbs(E):
     it (``cousin`` docstring); a check that raises partway stores nothing.
 
     Each distinct product is computed once.  The covering maps are interned
-    by value, once per call: one dict keyed by RationalMatrix's content hash
-    and equality takes each map to the first equal one, so equal maps become
-    one object.  In each stage a product is memoised by the ids of its
-    interned factors, a supremum sum by those of its terms, and MBS3's
-    verdict by the id of its map; each product and sum is interned in turn.
-    Interning is by content, so two results are equal exactly when they are
-    one object, and the stages compare them with ``is``.  A memo lives for
-    one stage of one call: MBS1's products are dropped before MBS2 starts,
-    and nothing is kept on the sheaf.  The witnesses, their order and the
-    stop after a failed stage are those of the walk that multiplies every
-    square and configuration anew (tests/mbs_reference.py).
+    by identity, then by value: each distinct map object (the builders hold
+    one per distinct map) is looked up once in a dict keyed by
+    RationalMatrix's content hash and equality.  In each stage a product is
+    memoised by the ids of its interned factors, a supremum sum by those of
+    its terms and MBS3's verdict by the id of its map; each result is
+    interned in turn, so two results are equal exactly when they are one
+    object (``is``).  A memo lives for one stage of one call, and nothing is
+    kept on the sheaf.  The witnesses, their order and the stop after a
+    failed stage are those of the walk that multiplies every square and
+    configuration anew (tests/mbs_reference.py).
 
     MBS1 on squares.  On a side, with T(x) the type of x there, [m, n] is the
     Boolean lattice of the cells phi(m, side, K), T(m) <= K <= T(n): its
@@ -175,15 +174,16 @@ def check_mbs(E):
     rep = Report("shape", "MBS1", "MBS2", "MBS3")
     shape, mbs1, mbs2, mbs3 = rep.witnesses.values()
 
-    # shapes on every covering relation; each map interned by value
+    # shapes on every covering relation; each map interned by identity, then by value
     canon, maps = {}, ({}, {})
+    intern = _per_object(lambda mat: canon.setdefault(mat, mat))
     for side, m, n in poset.coverings():
         mat = E.maps(side).get((m, n))
         src, dst = arrow(side, m, n)
         if mat is None or mat.shape != (E.dims[dst], E.dims[src]):
             shape.append((SIDE_NAMES[side], m, n, "missing or misshaped matrix"))
         else:
-            maps[side][(m, n)] = canon.setdefault(mat, mat)
+            maps[side][(m, n)] = intern(mat)
     # each stage runs only on a sheaf that passed every stage before it
     if rep.ok:
         mbs1.extend(_mbs1_failures(poset, maps))
@@ -192,6 +192,13 @@ def check_mbs(E):
         mbs3.extend(_mbs3_failures(poset, maps))
     E._axioms = rep
     return rep
+
+
+def _per_object(fn):
+    """fn memoised by the identity of its argument, each distinct object
+    passed to fn once; the memo holds every argument, so no id is reused."""
+    memo = {}
+    return lambda x: (memo.get(id(x)) or memo.setdefault(id(x), (x, fn(x))))[1]
 
 
 class _Memo:
@@ -269,24 +276,20 @@ def _mbs2_failures(poset, maps):
 def _mbs3_failures(poset, maps):
     """Each anodyne covering (order, m, n) whose map is not invertible, by m,
     then side; each distinct map of check_mbs's interned ones ranked once."""
-    invertible = {}
+    invertible = _per_object(RationalMatrix.is_invertible)
     for side, m, n in poset.coverings():
-        if poset.elements[m].orbit_size == poset.elements[n].orbit_size:
-            mat = maps[side][(m, n)]
-            ok = invertible.get(id(mat))
-            if ok is None:
-                ok = invertible[id(mat)] = mat.is_invertible()
-            if not ok:
-                yield SIDE_NAMES[side], m, n
+        if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
+                and not invertible(maps[side][(m, n)])):
+            yield SIDE_NAMES[side], m, n
 
 
 def dual(E):
-    """The twisted dual: spaces at the coordinate swap, transposed matrices."""
-    tau = E.poset.tau
+    """The twisted dual: spaces at the coordinate swap, each map object transposed once."""
+    tau, transpose = E.poset.tau, _per_object(RationalMatrix.transpose)
     dims = [E.dims[tau(m)] for m in range(len(E.poset.elements))]
     maps = ({}, {})
     for side, m, n in E.poset.coverings():
-        maps[side][(m, n)] = E.maps(1 - side)[(tau(m), tau(n))].transpose()
+        maps[side][(m, n)] = transpose(E.maps(1 - side)[(tau(m), tau(n))])
     return E.copy_with(dims, *maps)
 
 
@@ -315,13 +318,9 @@ def bicube(E):
     and W(K_I,0) >=' W(K_J,0) for I inside J; u is read off the first chain
     directly and v is conjugated through the anodyne zig-zag phi_I.
     """
-    poset = E.poset
-    cx = poset.complex
-    zero = cx.zero_face()
-    subsets = cx.subsets
-    m_prime = {}
-    m_diag = {}
-    m_second = {}
+    poset, cx = E.poset, E.poset.complex
+    zero, subsets = cx.zero_face(), cx.subsets
+    m_prime, m_diag, m_second = {}, {}, {}
     for I in subsets:
         ki = cx.dominant_face(I)
         m_prime[I] = poset.xi_orbit(zero, ki).index
@@ -331,8 +330,7 @@ def bicube(E):
     phi_inv = {I: transport(E, [m_second[I], m_diag[I], m_prime[I]]) for I in subsets}
     phi = {I: x.inverse() for I, x in phi_inv.items()}   # Q_I -> E(m''_I)
     spaces = {I: E.dims[m_prime[I]] for I in subsets}
-    v = {}
-    u = {}
+    v, u = {}, {}
     for I in subsets:
         for J in subsets:
             if not set(I) <= set(J):
@@ -361,8 +359,7 @@ def phi_psi(E):
         raise ValueError("phi_psi is defined for rank-1 data only")
     q = bicube(E)
     full = (0,)
-    u = q.u[((), full)]
-    v = q.v[((), full)]
+    u, v = q.u[((), full)], q.v[((), full)]
     t = RationalMatrix.identity(q.spaces[()]) - (u @ v)
     return PhiPsi(q.spaces[full], q.spaces[()], u, v, t, t.is_invertible())
 
@@ -453,15 +450,18 @@ def generated_sub(E, seeds):
     seeds: mapping element index -> iterable of vectors in E(m); a vector
     whose length is not dim E(m) raises ValueError.
     """
-    return subsheaf(E, [RationalMatrix.from_sparse(rows, d).transpose()
-                        for rows, d in zip(_span_closure(E, seeds), E.dims)])
+    canon = {}      # equal bases become one object, which subsheaf factors once
+    bases = [RationalMatrix.from_sparse(rows, d).transpose()
+             for rows, d in zip(_span_closure(E, seeds), E.dims)]
+    return subsheaf(E, [canon.setdefault(b, b) for b in bases])
 
 
 def _span_closure(E, seeds):
     """Per cell, the reduced echelon rows spanning generated_sub(E, seeds) there.
 
     The spans are closed under all covering maps of both orders and under
-    inverses of anodyne covering maps; these moves are built once per sheaf.
+    inverses of anodyne covering maps; these moves are built once per sheaf,
+    each transpose and inverse transpose once per distinct map object.
     Each cell's span is kept in reduced echelon form (see _row_span); a cell
     whose span grew sends it along its moves, and only an image that fails
     the membership test is reduced again.
@@ -469,13 +469,15 @@ def _span_closure(E, seeds):
     poset, dims, moves = E.poset, E.dims, E._moves
     if moves is None:
         moves = E._moves = [[] for _ in dims]   # per source cell: (target, transposed map)
+        transpose = _per_object(RationalMatrix.transpose)
+        back = _per_object(lambda mat: mat.is_invertible() and mat.inverse().transpose())
         for side, m, n in poset.coverings():
             mat = E.maps(side)[(m, n)]
             src, dst = arrow(side, m, n)
-            moves[src].append((dst, mat.transpose()))
+            moves[src].append((dst, transpose(mat)))
             if (poset.elements[m].orbit_size == poset.elements[n].orbit_size
-                    and mat.is_invertible()):
-                moves[dst].append((src, mat.inverse().transpose()))
+                    and (inv_t := back(mat)) is not False):
+                moves[dst].append((src, inv_t))
     spans = [RationalMatrix.zeros(d, d) for d in dims]
     pending = [[] for _ in dims]    # per cell: image rows that failed its membership test
     for m, vecs in seeds.items():
@@ -502,16 +504,21 @@ def _span_closure(E, seeds):
 def subsheaf(E, bases):
     """The subsheaf whose stalk at cell m is the column span of bases[m].
 
-    .bases holds the given bases unchanged.  Each covering map of E is
-    applied to its source basis and solved against its target basis, which
-    is factored once; the solves are exact, so a span that a map does not
-    preserve raises ValueError.
+    .bases holds the given bases unchanged.  A covering map of E is applied
+    to its source basis and solved against its target basis once per
+    distinct (map, source basis, target basis) object triple, each basis
+    object factored once and equal solutions interned; the solves are exact,
+    so a span that a map does not preserve raises ValueError.
     """
-    solve = [b.solver() for b in bases]
-    maps = ({}, {})
+    solver, solved, canon, maps = _per_object(RationalMatrix.solver), {}, {}, ({}, {})
     for side, m, n in E.poset.coverings():
         src, dst = arrow(side, m, n)
-        maps[side][(m, n)] = solve[dst](E.maps(side)[(m, n)] @ bases[src])
+        mat = E.maps(side)[(m, n)]
+        key = id(mat), id(bases[src]), id(bases[dst])   # each held by E or bases
+        if key not in solved:
+            got = solver(bases[dst])(mat @ bases[src])
+            solved[key] = canon.setdefault(got, got)
+        maps[side][(m, n)] = solved[key]
     sub = MixedBruhatSheaf(E.poset, [b.ncols for b in bases], *maps)
     sub.bases = bases
     return sub

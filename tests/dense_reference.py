@@ -319,3 +319,18 @@ def generated_sub_bases(E):
                             work.append(dst)
         return [s.basis_matrix() for s in spans]
     return bases
+
+
+def per_covering_subsheaf(E, bases):
+    """The covering maps of mbsheaf.sheaf.subsheaf(E, bases), one dense
+    augmented rref per covering: each map applied to its source basis and
+    solved against its target basis anew, with no factor or solution shared.
+    Returns (dprime, dsecond); a span that a map does not preserve raises
+    ValueError."""
+    maps = ({}, {})
+    for side, m, n in E.poset.coverings():
+        src, dst = arrow(side, m, n)
+        rhs = E.maps(side)[(m, n)] @ bases[src]
+        basis = RationalMatrix(bases[dst].rows, bases[dst].ncols)
+        maps[side][(m, n)] = basis.solve(RationalMatrix(rhs.rows, rhs.ncols)).rows
+    return maps

@@ -7,6 +7,7 @@ import itertools
 import json
 import time
 
+from e1v_reference import _orbit_functions
 from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.cousin import constructibility_check, coperversity_check, stalk_complex, support_check
 from mbsheaf.f1 import build_e1, build_e1v, rep_catalog
@@ -102,8 +103,15 @@ def test_criterion_02_contingency_counts():
 def test_criterion_03_e1_axioms():
     t0 = time.time()
     for label, rank in SUPPORTED:
-        report = check_mbs(build_e1(poset_for(label, rank)))
+        E = build_e1(poset_for(label, rank))
+        report = check_mbs(E)
         assert report.ok, f"{label}{rank}: {report.summary()}"
+        if (label, rank) == ("A", 4):
+            # entry for entry the per-covering construction, which builds
+            # every covering anew (test_shared_maps.py: the other types)
+            dims, *maps = _orbit_functions(E.poset, 1)
+            assert list(E.dims) == dims
+            assert all(dict(E.maps(side)) == maps[side] for side in (0, 1))
     elapsed = time.time() - t0
     assert elapsed < 60.0
     report_line(3, "check_mbs(E_1) empty on A1, A2, A3, A4, B2, B3, C3, G2", elapsed, 60.0)

@@ -285,6 +285,16 @@ EXAMPLE_DUMP_SHA256 = [
      "343283044afba40d8a49ceffc64da3eef5cb0b85346d85ba2b5238e455da148e"),
     (["e1", "--type", "A", "--rank", "2", "--with-action"],
      "00eb0fea184662c182c7ae96f0025422c634e979cbaf3e820b5123b6f3b6f54e"),
+    # the other types, whose maps build_e1 shares one object per distinct map:
+    # B2 and G2 as bench/workloads.py pins them, B3 (a 67 MB file) as CI does
+    (["e1", "--type", "B", "--rank", "2"],
+     "eadf26a9c54be860c41973b10dee308da7d9942c2a87dabdeee2fbbc00b3e895"),
+    (["e1", "--type", "G", "--rank", "2"],
+     "a82603da56e076d455d932480e49202a2884c652efe49d4454aaef04356ffc8b"),
+    (["e1", "--type", "B", "--rank", "3"],
+     "85f3114f1681ead170a6153c9c24f80a5755ce673db2293672defe20cda3878a"),
+    (["e1", "--type", "C", "--rank", "3"],
+     "ddc0def289529df008fd610c6ce75793fcada6ff0c2534380b3ff59fb8b32a28"),
     (["eq", "3", "2"], "2fe1ed6920ed332ca9d468a602e624373ec22e68ada00ffe1491906db942431b"),
     (["eq-binv", "3", "2"], "82894992712865185c967c974ff4ee06b54b373dc9e7f765f8f95e1fc79e158b"),
     (["eq-binv", "2", "3"], "c38f809deb21cca5b7da46c8dbc8faa683431b950ee74e97a06e09d8a84df6b6"),
