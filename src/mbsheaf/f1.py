@@ -80,7 +80,12 @@ class WRepresentation:
 
     def character(self):
         """Class representative index -> trace; constant on conjugacy classes."""
-        return {cls[0]: self.trace(cls[0]) for cls in self.datum.conjugacy_classes()}
+        out = {}
+        for cls in self.datum.conjugacy_classes():
+            rep = cls[0]
+            mat = self.evaluate(rep)
+            out[rep] = mat.trace()
+        return out
 
     def trace(self, w):
         return self.evaluate(w).trace()

@@ -406,7 +406,10 @@ def build_eq(n, q, poset=None, ctx=None):
     poset = _type_a_poset(n, poset)
     if ctx is None:
         ctx = FqContext(n, q)
-    orbit_tables, hor_maps, dims, point_index = [], [], [], []
+    orbit_tables = []
+    hor_maps = []
+    dims = []
+    point_index = []
     refine = ctx.refine
     for m, e in enumerate(poset.elements):
         points = ctx.orbit_points(poset, m)
@@ -418,7 +421,10 @@ def build_eq(n, q, poset=None, ctx=None):
         hor_maps.append(hmap)
         dims.append(len(ctx.chains(e.hor)))
         point_index.append({p: k for k, p in enumerate(points)})
-    dprime, dsecond, pulls, canon = {}, {}, {}, {}
+    dprime = {}
+    dsecond = {}
+    pulls = {}
+    canon = {}
     for m, e in enumerate(poset.elements):
         for _s, nn in poset.cov[SECOND][m]:
             # pullback along the flag coarsening of the readings, one per pair

@@ -318,9 +318,13 @@ def bicube(E):
     and W(K_I,0) >=' W(K_J,0) for I inside J; u is read off the first chain
     directly and v is conjugated through the anodyne zig-zag phi_I.
     """
-    poset, cx = E.poset, E.poset.complex
-    zero, subsets = cx.zero_face(), cx.subsets
-    m_prime, m_diag, m_second = {}, {}, {}
+    poset = E.poset
+    cx = poset.complex
+    zero = cx.zero_face()
+    subsets = cx.subsets
+    m_prime = {}
+    m_diag = {}
+    m_second = {}
     for I in subsets:
         ki = cx.dominant_face(I)
         m_prime[I] = poset.xi_orbit(zero, ki).index
@@ -330,7 +334,8 @@ def bicube(E):
     phi_inv = {I: transport(E, [m_second[I], m_diag[I], m_prime[I]]) for I in subsets}
     phi = {I: x.inverse() for I, x in phi_inv.items()}   # Q_I -> E(m''_I)
     spaces = {I: E.dims[m_prime[I]] for I in subsets}
-    v, u = {}, {}
+    v = {}
+    u = {}
     for I in subsets:
         for J in subsets:
             if not set(I) <= set(J):
@@ -359,7 +364,8 @@ def phi_psi(E):
         raise ValueError("phi_psi is defined for rank-1 data only")
     q = bicube(E)
     full = (0,)
-    u, v = q.u[((), full)], q.v[((), full)]
+    u = q.u[((), full)]
+    v = q.v[((), full)]
     t = RationalMatrix.identity(q.spaces[()]) - (u @ v)
     return PhiPsi(q.spaces[full], q.spaces[()], u, v, t, t.is_invertible())
 

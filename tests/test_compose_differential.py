@@ -513,19 +513,21 @@ def test_check_mbs_matches_the_unmemoised_walk_whatever_the_sharing():
 
 
 def test_check_mbs_computes_each_distinct_product_once(monkeypatch):
-    """On E_1(A3), whose 1,110 covering maps hold 224 distinct matrices
-    (one object each, as build_e1 shares them), check_mbs makes one product
-    per distinct pair of factors in each stage, one sum per distinct
-    supremum, and one rank check per distinct anodyne map; the unmemoised
-    walk makes one per square, configuration and anodyne covering."""
-    E = e1("A", 3)
+    """On E_1(A3), whose 1,110 covering maps hold 224 distinct matrices,
+    each map its own object, check_mbs makes one product per distinct pair
+    of factors in each stage, one sum per distinct supremum, and one rank
+    check per distinct anodyne map, so it merges equal maps by value; the
+    unmemoised walk makes one per square, configuration and anodyne
+    covering.  build_e1 itself holds one object per distinct matrix."""
+    assert objects(e1("A", 3)) == (224, 224)
+    E = distinct_copies(e1("A", 3))
     counts = dict.fromkeys(("__matmul__", "__add__", "is_invertible"), 0)
     for name in counts:
         def counting(*args, name=name, original=getattr(RationalMatrix, name)):
             counts[name] += 1
             return original(*args)
         monkeypatch.setattr(RationalMatrix, name, counting)
-    assert objects(E) == (224, 224)
+    assert objects(E) == (1110, 224)
     assert unmemoised_check_mbs(E).ok
     assert counts == {"__matmul__": 3466, "__add__": 208, "is_invertible": 840}
     counts.update(dict.fromkeys(counts, 0))

@@ -9,8 +9,8 @@ from mbsheaf.coxeter import build_coxeter
 from mbsheaf.f1 import build_e1
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import (
-    _span_closure, bicube, braid_loops, check_mbs, compose_prime, compose_second, dual,
-    generated_sub, is_simple, phi_psi, transport,
+    MixedBruhatSheaf, _span_closure, bicube, braid_loops, check_mbs, compose_prime,
+    compose_second, dual, generated_sub, is_simple, phi_psi, transport,
 )
 from mbsheaf.xi import PRIME, SECOND, OrderError, enumerate_xi, xi_id
 
@@ -289,6 +289,24 @@ def test_generated_sub_matches_span_oracle(label, rank):
             assert [b.rows for b in got.bases] == [b.rows for b in oracle(seeds)], (m, k)
 
 
+def test_generated_sub_walks_anodyne_maps_back_along_their_inverses(xi_a1):
+    """One shear S = [[1, 1], [0, 1]] object on every covering of Xi(A1).
+    S sends (0, 1) to (1, 1) and S^-1 sends it to (-1, 1), so the span that
+    (0, 1) generates at one cell is a line at every cell only when each
+    invertible anodyne covering is walked back along S^-1; walking back
+    along S makes planes."""
+    shear = RationalMatrix.from_columns([(1, 0), (1, 1)], 2)
+    maps = ({}, {})
+    for side, m, n in xi_a1.coverings():
+        maps[side][(m, n)] = shear
+    E = MixedBruhatSheaf(xi_a1, [2] * len(xi_a1.elements), *maps)
+    oracle = generated_sub_bases(E)
+    for m in range(len(E.dims)):
+        got = generated_sub(E, {m: [(0, 1)]})
+        assert got.dims == (1,) * len(E.dims), m
+        assert [b.rows for b in got.bases] == [b.rows for b in oracle({m: [(0, 1)]})], m
+
+
 @pytest.mark.parametrize("vec", [(1,), (1, 0, 0)], ids=["short", "long"])
 def test_generated_sub_rejects_a_seed_of_the_wrong_length(e1_a1, vec):
     m = next(m for m, d in enumerate(e1_a1.dims) if d == 2)
@@ -322,7 +340,6 @@ def test_isotypic_pieces_are_simple(xi_a1):
 
 
 def test_zero_sheaf(xi_a1):
-    from mbsheaf.sheaf import MixedBruhatSheaf
     dims = [0] * len(xi_a1.elements)
     dp = {(m, n): RationalMatrix.zeros(0, 0)
           for m in range(len(xi_a1.elements)) for _s, n in xi_a1.cov[PRIME][m]}
