@@ -1,9 +1,11 @@
 """Function sheaves on the W-orbits themselves and their isotypic pieces.
 
 build_e1 carries the space of functions on each orbit, with pushforward
-along the point projections in the first order and pullback in the second,
-each built once per distinct key (side, dims[n], pi_map(m, n)) and interned
-by value: every covering with an equal map holds one object.
+along the point projections in the first order and pullback in the second.
+A projection is read off the coset tables of m and n and the image g.x0 of
+m's base point (``XiPoset.pi_map``), so each map is built once per distinct
+key (side, table of m, table of n, g) and interned by value: every covering
+with an equal map holds one object.
 build_e1v computes the W-invariants of E_1 tensor V for an explicit
 representation V at the base points: an invariant on an orbit W/H is fixed
 by its value there, so (Fun(W/H) tensor V)^W = V^H (Frobenius reciprocity).
@@ -33,10 +35,13 @@ def build_e1(poset):
     the module docstring says (pi_* of a bijection is pi^* of its inverse)."""
     dims, maps, built, canon = [e.orbit_size for e in poset.elements], ({}, {}), {}, {}
     move = (RationalMatrix.pushforward, RationalMatrix.pullback)    # by side
-    for side, m, n in poset.coverings():
-        key = side, dims[n], tuple(poset.pi_map(m, n))
+    tables, mul = poset.coset_tables, poset.datum.tables["mul"]
+    table = [e.table for e in poset.elements]
+    for side, m, n, j in poset.based_coverings():
+        key = side, table[m], table[n], tables[table[n]][1][j]
         if key not in built:
-            mat = move[side](key[2], dims[n])
+            at, g = tables[table[n]][0], key[3]
+            mat = move[side]([at[mul[h][g]] for h in tables[table[m]][1]], dims[n])
             built[key] = canon.setdefault(mat, mat)
         maps[side][(m, n)] = built[key]
     return E1Sheaf(poset, dims, *maps)
@@ -80,12 +85,7 @@ class WRepresentation:
 
     def character(self):
         """Class representative index -> trace; constant on conjugacy classes."""
-        out = {}
-        for cls in self.datum.conjugacy_classes():
-            rep = cls[0]
-            mat = self.evaluate(rep)
-            out[rep] = mat.trace()
-        return out
+        return {cls[0]: self.evaluate(cls[0]).trace() for cls in self.datum.conjugacy_classes()}
 
     def trace(self, w):
         return self.evaluate(w).trace()
@@ -156,9 +156,7 @@ def rep_catalog(datum, name):
 def catalog_names(datum):
     names = ["trivial", "sign", "reflection", "reflection*sign"]
     if datum.type_label == "A":
-        n = datum.rank + 1
-        for shape in _partitions(n):
-            names.append("specht:" + ",".join(map(str, shape)))
+        names += ["specht:" + ",".join(map(str, shape)) for shape in _partitions(datum.rank + 1)]
     return names
 
 
@@ -177,60 +175,54 @@ def _partitions(n, maxpart=None):
 def build_e1v(poset, rep):
     """The invariants (E_1 tensor V)^W, computed at each cell's base point.
 
-    One pass over W gives the stabilizer H of x0 = e.points[0] and some g_k
-    with g_k.x0 = x_k for each point.  ``.bases[m]`` is B, the pivot columns
-    of P = sum_{h in H} rho(h); its column i stands for the invariant whose
-    value at x_k is rho(g_k) B e_i, whichever g_k, as rho(h) P = P.  B and
-    its solver depend on H alone and are cached by it (4 stabilizers on
-    each rank-2 type).  Pivots: column (x0, i) of sum_w A_w tensor rho(w)
-    has the block rho(g_k) P e_i at x_k, so these columns satisfy P's
-    linear relations and have P's pivots.  Maps: an invariant is fixed by
-    its value at x0, so a covering map's unique solution in the whole,
-    full-rank bases is that of its x0 block, with pi = pi_map(m, n):
+    A cell's coset table (``XiPoset.coset_tables``) gives the stabilizer H
+    of x0 = e.points[0] and some g_k with g_k.x0 = x_k for each point.
+    ``.bases[m]`` is B, the pivot columns of P = sum_{h in H} rho(h); its
+    column i stands for the invariant whose value at x_k is rho(g_k) B e_i,
+    whichever g_k, as rho(h) P = P.  B and its solver depend on H alone and
+    are cached by it (4 stabilizers on each rank-2 type).  Pivots: column
+    (x0, i) of sum_w A_w tensor rho(w) has the block rho(g_k) P e_i at x_k,
+    so these columns satisfy P's linear relations and have P's pivots.
+    Maps: an invariant is fixed by its value at x0, so a covering map's
+    unique solution in the whole, full-rank bases is that of its x0 block,
+    with pi = pi_map(m, n):
       dprime, the pushforward:  B_n X = (sum_{k : pi(k) = 0} rho(g_k)) B_m,
       dsecond, the pullback:    B_m X = rho(g^n_{pi(0)}) B_n.
-    pi commutes with W, so with j = pi(0) (``pi_base``) the fibre
-    {k : pi(k) = 0} is the set of points w.x0, w in H_n (g^n_j)^-1, read
-    off the product table: no covering needs the whole of pi.  A map is
-    fixed by its side, the stabilizers at m and n and the coset elements it
-    uses (the sorted g_k of the fibre, or g^n_j); each distinct key is
-    solved once, and every covering with that key holds the one matrix (81
-    solves for the 1,110 coverings of A3).
+    pi commutes with W, so with j = pi(0), which ``cov_base`` records for
+    each covering, the fibre {k : pi(k) = 0} is the set of points w.x0, w in
+    H_n (g^n_j)^-1, read off the product table: no covering needs the whole
+    of pi.  A map is fixed by its side, the stabilizers at m and n and the
+    coset elements it uses (the sorted g_k of the fibre, or g^n_j); each
+    distinct key is solved once, and every covering with that key holds the
+    one matrix (81 solves for the 1,110 coverings of A3).
     """
-    order, act, dim = poset.datum.order, poset.complex.action, rep.dim
+    dim, tables, table = rep.dim, poset.coset_tables, [e.table for e in poset.elements]
     mul, inv = poset.datum.tables["mul"], poset.datum.tables["inv"]
-    blocks, block_of, stabs, at, g = {}, [], [], [], []
-    for e in poset.elements:
-        c, d = e.points[0]
-        at.append([e.point_index[(act[w][c], act[w][d])] for w in range(order)])
-        stab = tuple(w for w, k in enumerate(at[-1]) if k == 0)
+    blocks, block_of = {}, []     # per coset table: (index, B, its solver, H)
+    for at, _reps in tables:
+        stab = tuple(w for w, k in enumerate(at) if k == 0)
         if stab not in blocks:
             p = sum(map(rep.evaluate, stab[1:]), rep.evaluate(stab[0]))
             b = RationalMatrix.from_columns(column_space_basis(p), dim)
-            blocks[stab] = len(blocks), b, b.solver()
-        block_of.append(blocks[stab])    # (index, B, its solver)
-        stabs.append(stab)
-        g.append(dict(zip(at[-1], range(order))))
+            blocks[stab] = len(blocks), b, b.solver(), stab
+        block_of.append(blocks[stab])
     maps, solved = ({}, {}), {}
-    for side, m, n in poset.coverings():
-        j = poset.pi_base(m, n)
-        if side == PRIME:
-            # the fibre over n's base point: the points of H_n (g^n_j)^-1
-            t = inv[g[n][j]]
-            used = tuple(sorted({g[m][at[m][mul[h][t]]] for h in stabs[n]}))
-        else:
-            used = g[n][j]
-        key = side, block_of[m][0], block_of[n][0], used
+    for side, m, n, j in poset.based_coverings():
+        (at, reps), g = tables[table[m]], tables[table[n]][1][j]
+        bm, bn = block_of[table[m]], block_of[table[n]]
+        # dprime: the fibre over n's base point, the points of H_n g^-1
+        used = tuple(sorted({reps[at[mul[h][inv[g]]]] for h in bn[3]})) if side == PRIME else g
+        key = side, bm[0], bn[0], used
         got = solved.get(key)
         if got is None:
             if side == PRIME:
                 fibre = list(map(rep.evaluate, used))
-                got = block_of[n][2](sum(fibre[1:], fibre[0]) @ block_of[m][1])
+                got = bn[2](sum(fibre[1:], fibre[0]) @ bm[1])
             else:
-                got = block_of[m][2](rep.evaluate(used) @ block_of[n][1])
+                got = bm[2](rep.evaluate(used) @ bn[1])
             solved[key] = got
         maps[side][(m, n)] = got
-    bases = [b for _i, b, _solve in block_of]
+    bases = [block_of[t][1] for t in table]
     sheaf = MixedBruhatSheaf(poset, [b.ncols for b in bases], *maps)
     sheaf.bases = bases
     return sheaf

@@ -218,15 +218,13 @@ class FqContext:
                             continue
                         new.append(chain + (s,))
                 chains = new
-            got = tuple(chains)
-            self._chains[K] = got
+            got = self._chains[K] = tuple(chains)
         return got
 
     def chain_index(self, K):
         got = self._chain_index.get(K)
         if got is None:
-            got = {c: i for i, c in enumerate(self.chains(K))}
-            self._chain_index[K] = got
+            got = self._chain_index[K] = {c: i for i, c in enumerate(self.chains(K))}
         return got
 
     # -- the algorithms, on chains of subspace indices ---------------------------
@@ -235,8 +233,7 @@ class FqContext:
         """The Hor-reading chain: V_{i-1} + (V_i cap V'_j) in row-major order."""
         meet, join, dim = self.meet, self.join, self.dim
         out = []
-        top = 0
-        prev = 0
+        top = prev = 0
         for xi in x:
             base = prev
             row = meet[xi]
@@ -303,11 +300,8 @@ class FqContext:
 
 def _root_pairs(datum):
     """Positive root index -> (a, b) with the root e_a - e_b of the type A system."""
-    pairs = []
-    for v in datum.positive_roots:
-        support = [i for i, x in enumerate(v) if x]
-        pairs.append((support[0], support[-1] + 1))
-    return pairs
+    supports = ([i for i, x in enumerate(v) if x] for v in datum.positive_roots)
+    return [(support[0], support[-1] + 1) for support in supports]
 
 
 def face_to_osp(cx, face):
@@ -406,10 +400,7 @@ def build_eq(n, q, poset=None, ctx=None):
     poset = _type_a_poset(n, poset)
     if ctx is None:
         ctx = FqContext(n, q)
-    orbit_tables = []
-    hor_maps = []
-    dims = []
-    point_index = []
+    orbit_tables, hor_maps, dims, point_index = [], [], [], []
     refine = ctx.refine
     for m, e in enumerate(poset.elements):
         points = ctx.orbit_points(poset, m)
@@ -421,10 +412,7 @@ def build_eq(n, q, poset=None, ctx=None):
         hor_maps.append(hmap)
         dims.append(len(ctx.chains(e.hor)))
         point_index.append({p: k for k, p in enumerate(points)})
-    dprime = {}
-    dsecond = {}
-    pulls = {}
-    canon = {}
+    dprime, dsecond, pulls, canon = {}, {}, {}, {}
     for m, e in enumerate(poset.elements):
         for _s, nn in poset.cov[SECOND][m]:
             # pullback along the flag coarsening of the readings, one per pair

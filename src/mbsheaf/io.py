@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .coxeter import UnsupportedTypeError, build_coxeter
 from .linalg import _make, fraction_from_str, fraction_to_str
-from .sheaf import MixedBruhatSheaf
+from .sheaf import MixedBruhatSheaf, _per_object
 from .xi import PRIME, SECOND, arrow, enumerate_xi, xi_id
 
 MAP_KEYS = ("dprime", "dsecond")    # the file key of each side's covering matrices
@@ -49,26 +49,18 @@ def _parse_xi_id(poset, ident, path):
 
 def xi_dump(poset):
     """Poset dump: elements plus every strict comparability with its flags."""
-    elements = []
-    for m, e in enumerate(poset.elements):
-        elements.append({
-            "id": xi_id(poset, m),
-            "typeI": list(e.typeIJ[0]),
-            "typeJ": list(e.typeIJ[1]),
-            "orbit_size": e.orbit_size,
-            "hor": list(e.hor),
-            "ver": list(e.ver),
-            "flat_dim": e.flat.dim,
-            "flat_id": e.flat.ident,
-        })
-    relations = []
-    for m, n, kind, ano in sorted(poset.comparable_pairs()):
-        relations.append({
-            "from": xi_id(poset, m),
-            "to": xi_id(poset, n),
-            "kind": kind,
-            "anodyne": ano,
-        })
+    elements = [{
+        "id": xi_id(poset, m),
+        "typeI": list(e.typeIJ[0]),
+        "typeJ": list(e.typeIJ[1]),
+        "orbit_size": e.orbit_size,
+        "hor": list(e.hor),
+        "ver": list(e.ver),
+        "flat_dim": e.flat.dim,
+        "flat_id": e.flat.ident,
+    } for m, e in enumerate(poset.elements)]
+    relations = [{"from": xi_id(poset, m), "to": xi_id(poset, n), "kind": kind, "anodyne": ano}
+                 for m, n, kind, ano in sorted(poset.comparable_pairs())]
     return {
         "datum": {"type": poset.datum.type_label, "rank": poset.datum.rank},
         "element_count": len(elements),
@@ -126,9 +118,9 @@ def mbs_to_json(E, include_action=False):
         "datum": {"type": poset.datum.type_label, "rank": poset.datum.rank},
         "dims": dims,
     }
+    spell = _per_object(matrix_to_json)     # each shared map object formatted once
     for side, key in enumerate(MAP_KEYS):
-        doc[key] = [{"from": xi_id(poset, m), "to": xi_id(poset, n),
-                     "matrix": matrix_to_json(mat)}
+        doc[key] = [{"from": xi_id(poset, m), "to": xi_id(poset, n), "matrix": spell(mat)}
                     for (m, n), mat in sorted(E.maps(side).items())]
     if include_action:
         # point permutations per group element, for sheaves carrying an action
@@ -165,23 +157,24 @@ def mbs_from_json(doc):
         dims[m] = d
     if any(d is None for d in dims):
         raise ParseError("$.dims: missing cells")
-    return MixedBruhatSheaf(poset, dims, _maps_from_json(doc, PRIME, poset, dims),
-                            _maps_from_json(doc, SECOND, poset, dims))
+    parsed = {}
+    return MixedBruhatSheaf(poset, dims, _maps_from_json(doc, PRIME, poset, dims, parsed),
+                            _maps_from_json(doc, SECOND, poset, dims, parsed))
 
 
-def _maps_from_json(doc, side, poset, dims):
+def _maps_from_json(doc, side, poset, dims, parsed):
     """The covering matrices of one side, listed under its key, by (from, to) cell index.
 
     A dprime matrix maps E(from) -> E(to), a dsecond matrix E(to) -> E(from),
-    and from must cover to in that order.
+    and from must cover to in that order.  Equal matrices are one object: each
+    is parsed and checked, then interned in ``parsed`` by its shape and entry text.
     """
     key = MAP_KEYS[side]
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise ParseError(f"$.{key}: must be a list")
     covers = poset.cov[side]
-    maps = {}
-    first = {}
+    maps, first = {}, {}
     for k, entry in enumerate(entries):
         path = f"$.{key}[{k}]"
         if not isinstance(entry, dict):
@@ -200,7 +193,8 @@ def _maps_from_json(doc, side, poset, dims):
             raise ParseError(f"{path}: duplicate of {first[(m, n)]} (same from and to cells)")
         first[(m, n)] = path
         src, dst = arrow(side, m, n)
-        maps[(m, n)] = matrix_from_json(entry["matrix"], dims[dst], dims[src], path)
+        got = matrix_from_json(entry["matrix"], dims[dst], dims[src], path)
+        maps[(m, n)] = parsed.setdefault((got.shape, tuple(map(tuple, entry["matrix"]))), got)
     return maps
 
 
@@ -265,12 +259,9 @@ def loads(text):
 
 
 def poly_dump(poset, polys, report):
-    table = {}
-    for m in range(len(poset.elements)):
-        table[xi_id(poset, m)] = list(polys[m])
     return {
         "datum": {"type": poset.datum.type_label, "rank": poset.datum.rank},
-        "polynomials": table,
+        "polynomials": {xi_id(poset, m): list(polys[m]) for m in range(len(poset.elements))},
         "properties": "PASS" if report.ok else "FAIL",
         "failures": [repr(f) for f in report.failures],
     }

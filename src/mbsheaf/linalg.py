@@ -207,16 +207,14 @@ class RationalMatrix:
     def identity(cls, n):
         got = _IDENTITY_CACHE.get(n)
         if got is None:
-            got = _make(tuple(((i, 1),) for i in range(n)), n, n)
-            _IDENTITY_CACHE[n] = got
+            got = _IDENTITY_CACHE[n] = _make(tuple(((i, 1),) for i in range(n)), n, n)
         return got
 
     @classmethod
     def zeros(cls, nrows, ncols):
         got = _ZEROS_CACHE.get((nrows, ncols))
         if got is None:
-            got = _make(((),) * nrows, nrows, ncols)
-            _ZEROS_CACHE[(nrows, ncols)] = got
+            got = _ZEROS_CACHE[(nrows, ncols)] = _make(((),) * nrows, nrows, ncols)
         return got
 
     @classmethod

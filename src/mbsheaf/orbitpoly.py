@@ -38,14 +38,9 @@ def poly_str(p):
 def dim_orbit(poset, m):
     """Dimension of the orbit: |roots| minus the roots nonnegative on both faces."""
     c, d = poset.elements[m].pair
-    nonneg_both = 0
-    for sc, sd in zip(c.sign_vector, d.sign_vector):
-        if sc >= 0 and sd >= 0:
-            nonneg_both += 1
-        if sc <= 0 and sd <= 0:
-            nonneg_both += 1
-    n_roots = 2 * len(poset.datum.positive_roots)
-    return n_roots - nonneg_both
+    nonneg_both = sum((sc >= 0 and sd >= 0) + (sc <= 0 and sd <= 0)
+                      for sc, sd in zip(c.sign_vector, d.sign_vector))
+    return 2 * len(poset.datum.positive_roots) - nonneg_both
 
 
 def dim_flag(datum, members):
@@ -59,10 +54,7 @@ def dim_flag(datum, members):
 def is_compact(poset, m):
     """Orbit compactness: no root separates the two faces strictly."""
     c, d = poset.elements[m].pair
-    for sc, sd in zip(c.sign_vector, d.sign_vector):
-        if (sc > 0 and sd < 0) or (sc < 0 and sd > 0):
-            return False
-    return True
+    return not any(sc * sd < 0 for sc, sd in zip(c.sign_vector, d.sign_vector))
 
 
 def orbit_poly(poset, m):

@@ -322,26 +322,18 @@ def bicube(E):
     cx = poset.complex
     zero = cx.zero_face()
     subsets = cx.subsets
-    m_prime = {}
-    m_diag = {}
-    m_second = {}
-    for I in subsets:
-        ki = cx.dominant_face(I)
-        m_prime[I] = poset.xi_orbit(zero, ki).index
-        m_diag[I] = poset.xi_orbit(ki, ki).index
-        m_second[I] = poset.xi_orbit(ki, zero).index
+    ki = {I: cx.dominant_face(I) for I in subsets}
+    m_prime = {I: poset.xi_orbit(zero, k).index for I, k in ki.items()}
+    m_diag = {I: poset.xi_orbit(k, k).index for I, k in ki.items()}
+    m_second = {I: poset.xi_orbit(k, zero).index for I, k in ki.items()}
     # E(m''_I) -> E(m_I) -> E(m'_I) = Q_I, the inverse of phi_I
     phi_inv = {I: transport(E, [m_second[I], m_diag[I], m_prime[I]]) for I in subsets}
     phi = {I: x.inverse() for I, x in phi_inv.items()}   # Q_I -> E(m''_I)
     spaces = {I: E.dims[m_prime[I]] for I in subsets}
-    v = {}
-    u = {}
-    for I in subsets:
-        for J in subsets:
-            if not set(I) <= set(J):
-                continue
-            u[(I, J)] = compose_second(E, m_prime[I], m_prime[J])
-            v[(I, J)] = phi_inv[J] @ compose_prime(E, m_second[I], m_second[J]) @ phi[I]
+    v, u = {}, {}
+    for I, J in ((I, J) for I in subsets for J in subsets if set(I) <= set(J)):
+        u[(I, J)] = compose_second(E, m_prime[I], m_prime[J])
+        v[(I, J)] = phi_inv[J] @ compose_prime(E, m_second[I], m_second[J]) @ phi[I]
     return BicubeData(spaces, v, u)
 
 

@@ -19,8 +19,13 @@ of every cell, ``up_covers[side]`` every cell covering it, ``downs(side)``
 every cell below it and ``ups(side)`` every cell above it.  The relation
 listings, the axiom checks and the Cousin stalks walk these tables instead
 of contracting over all type subsets.
-Contractions, the joint order and the point projections (``pi_map``) read
-the face complex's coarsening tables.
+Contractions and the joint order read the face complex's coarsening tables.
+A cell's points are read off its coset table (``coset_tables``, one per
+distinct table: 34 for A3's 281 cells): ``at[w]``, the position of w.x0
+(x0 = points[0]), and ``reps[k]``, the last w with w.x0 = x_k.  A point
+projection commutes with W, so the image of x0 fixes it: ``cov_base`` keeps
+that image for each covering, and ``pi_map`` and ``point_action`` read the
+rest off the tables.
 
 A cell's flat depends only on its Hor type: the sign rule of the Tits
 product gives zero(C) & zero(D) = zero(C o D), and C o D, of type Hor, is
@@ -80,7 +85,7 @@ class XiElement:
     """Canonical W-orbit of a face pair, with cached readings and flat."""
 
     __slots__ = ("index", "pair", "typeIJ", "points", "point_index",
-                 "orbit_size", "hor", "ver", "flat")
+                 "orbit_size", "hor", "ver", "flat", "table")
 
     def __init__(self, index, pair, typeIJ, points):
         self.index = index
@@ -89,9 +94,8 @@ class XiElement:
         self.points = points          # sorted tuple of (face_idx, face_idx)
         self.point_index = {p: k for k, p in enumerate(points)}
         self.orbit_size = len(points)
-        self.hor = None
-        self.ver = None
-        self.flat = None
+        # the readings, the flat and the index of the cell's coset table
+        self.hor = self.ver = self.flat = self.table = None
 
     def __repr__(self):
         return f"Xi(I={self.typeIJ[0]}, J={self.typeIJ[1]}, #={self.orbit_size})"
@@ -103,8 +107,7 @@ class XiPoset:
     def __init__(self, complex_):
         self.complex = complex_
         self.datum = complex_.datum
-        self._downs = {}
-        self._ups = {}
+        self._downs, self._ups = {}, {}
         self._second_up_sets = None    # frozensets of ups(SECOND), for sup
         self._flats = {}               # canonical roots -> FlatOrbit, by first cell
         self._type_flats = {}          # type -> FlatOrbit
@@ -118,19 +121,27 @@ class XiPoset:
         cols = tuple(zip(*cx.action))     # cols[f][w] = w . f
         self.elements = []
         self.pair_to_elem = {}
+        tables = {}                       # at -> its index in coset_tables
         # Orbits are numbered in the order of their first pair (c, d).  The
         # orbit of (w K_I, d) holds (K_I, w^-1 d), and the dominant face K_I
         # comes first among the faces of type I, so every first pair has a
-        # dominant c: the other faces start no orbit.
+        # dominant c: the other faces start no orbit.  The loop over d meets
+        # the least d with (c, d) in its orbit first, so (c, d) is the base point.
         for c in (cx.dominant_face(I).index for I in cx.subsets):
             for d in range(len(cx.faces)):
                 if (c, d) in self.pair_to_elem:
                     continue
-                orbit = tuple(sorted(set(zip(cols[c], cols[d]))))
+                moved = tuple(zip(cols[c], cols[d]))     # w . (c, d), by w
                 idx = len(self.elements)
-                cf, df = cx.faces[orbit[0][0]], cx.faces[orbit[0][1]]
-                self.elements.append(XiElement(idx, (cf, df), (cf.type_I, df.type_I), orbit))
-                self.pair_to_elem.update(dict.fromkeys(orbit, idx))
+                cf, df = cx.faces[c], cx.faces[d]
+                e = XiElement(idx, (cf, df), (cf.type_I, df.type_I), tuple(sorted(set(moved))))
+                e.table = tables.setdefault(tuple(map(e.point_index.__getitem__, moved)),
+                                            len(tables))
+                self.elements.append(e)
+                self.pair_to_elem.update(dict.fromkeys(e.points, idx))
+        order = range(self.datum.order)
+        self.coset_tables = tuple((at, tuple(dict(sorted(zip(at, order))).values()))
+                                  for at in tables)
 
     def _build_structure(self):
         cx = self.complex
@@ -140,14 +151,20 @@ class XiPoset:
             e.hor = cx.tits_product(c, d).type_I
             e.ver = cx.tits_product(d, c).type_I
             e.flat = self.flat_of_type(e.hor)
-        # covering relations: one-generator contractions in each coordinate
-        self.cov = ([], [])       # per side, per element: tuple of (s, target index)
+        # covering relations: one-generator contractions in each coordinate,
+        # per side, per element: tuple of (s, target index), and in cov_base
+        # the position in each target of the image of the base point
+        self.cov, self.cov_base = ([], []), ([], [])
         for e in self.elements:
             for side in (PRIME, SECOND):
-                K = e.typeIJ[side]
-                self.cov[side].append(tuple(
-                    (s, self.phi(e.index, side, tuple(sorted(K + (s,)))))
-                    for s in range(rank) if s not in K))
+                K, cov, base = e.typeIJ[side], [], []
+                for s in range(rank):
+                    if s not in K:
+                        p = self._contract(e.index, side, tuple(sorted(K + (s,))))
+                        cov.append((s, self.pair_to_elem[p]))
+                        base.append(self.elements[cov[-1][1]].point_index[p])
+                self.cov[side].append(tuple(cov))
+                self.cov_base[side].append(tuple(base))
 
     def flat_of_type(self, K):
         """The W-orbit of flats spanned by the faces of type K."""
@@ -171,13 +188,17 @@ class XiPoset:
 
     def phi(self, m, side, K):
         """Contraction of coordinate `side` of m into type K: Xi(K, J) or Xi(I, K)."""
+        return self.pair_to_elem[self._contract(m, side, K)]
+
+    def _contract(self, m, side, K):
+        """m's base point with coordinate `side` contracted into type K."""
         e = self.elements[m]
-        coarse = self.complex.coarsen_table(K)[e.pair[side].index]
+        coarse = self.complex.coarsen_table(K)[e.points[0][side]]
         if coarse is None:
             raise OrderError(f"cannot contract {('first', 'second')[side]} type "
                              f"{e.typeIJ[side]} to {K}")
-        c, d = e.pair
-        return self.pair_to_elem[(coarse, d.index) if side == PRIME else (c.index, coarse)]
+        c, d = e.points[0]
+        return (coarse, d) if side == PRIME else (c, coarse)
 
     def leq_side(self, side, n, m):
         """True iff m >= n on `side`: n is m contracted into n's type there."""
@@ -189,9 +210,13 @@ class XiPoset:
 
         Coarsening commutes with the W-action, so any pair of m will do.
         """
-        (c, d), (I, J) = self.elements[m].pair, self.elements[n].typeIJ
-        pair = (self.complex.coarsen_table(I)[c.index], self.complex.coarsen_table(J)[d.index])
-        return None not in pair and self.pair_to_elem[pair] == n
+        return self._base_image(m, n) is not None
+
+    def _base_image(self, m, n):
+        """The position in n's points of m's base point coarsened into n's types, or None."""
+        (c, d), en = self.elements[m].points[0], self.elements[n]
+        left, right = map(self.complex.coarsen_table, en.typeIJ)
+        return en.point_index.get((left[c], right[d]))
 
     def downs(self, side):
         """downs[m] = all n with m >= n on `side`, m first, then by target type.
@@ -238,27 +263,33 @@ class XiPoset:
                 for _s, n in self.cov[side][m]:
                     yield side, m, n
 
+    def based_coverings(self):
+        """coverings() as (side, m, n, j), with j = pi_base(m, n) read off cov_base."""
+        for m in range(len(self.elements)):
+            for side in (PRIME, SECOND):
+                for (_s, n), j in zip(self.cov[side][m], self.cov_base[side][m]):
+                    yield side, m, n, j
+
     def pi_map(self, m, n):
-        """Point-level surjection m -> n for m >= n, as a list over m.points."""
-        return self._pi(m, n, self.elements[m].points)
+        """Point-level surjection m -> n for m >= n, as a list over m.points:
+        x_k = g_k.x0 goes to g_k g.x0', where g.x0' (g in n's reps) is x0's image."""
+        at, reps = self.coset_tables[self.elements[n].table]
+        g, mul = reps[self.pi_base(m, n)], self.datum.tables["mul"]
+        return [at[mul[h][g]] for h in self.coset_tables[self.elements[m].table][1]]
 
     def pi_base(self, m, n):
         """pi_map(m, n)[0], the image of m's base point, alone; it raises
         pi_map's OrderError."""
-        return self._pi(m, n, self.elements[m].points[:1])[0]
-
-    def _pi(self, m, n, points):
-        if not self.leq(n, m):
+        j = self._base_image(m, n)
+        if j is None:
             raise OrderError(f"pi_map requires m >= n, not {xi_id(self, m)} and {xi_id(self, n)}")
-        en = self.elements[n]
-        left, right = map(self.complex.coarsen_table, en.typeIJ)
-        index = en.point_index
-        return [index[(left[c], right[d])] for c, d in points]
+        return j
 
     def point_action(self, w, m):
-        """Where w sends each point of cell m, as positions in m's points."""
-        act, e = self.complex.action[w], self.elements[m]
-        return [e.point_index[(act[c], act[d])] for c, d in e.points]
+        """Where w sends each point of cell m, as positions in m's points: w.x_k = (w g_k).x0."""
+        at, reps = self.coset_tables[self.elements[m].table]
+        row = self.datum.tables["mul"][w]
+        return [at[row[g]] for g in reps]
 
     def is_anodyne(self, m, n):
         """Same-stratum test for a comparable pair, via orbit sizes."""

@@ -2,13 +2,14 @@
 
 ``CoxeterDatum`` holds the product table ``tables["mul"]`` and the coset
 minima ``coset_minima(I)``; ``FaceComplex`` holds ``face_of_coset``,
-``action`` and ``coarsen_table(J)``; ``XiPoset.pi_map`` reads two coarsening
-tables per call, and ``RationalMatrix.pushforward`` is built from the
-fibres.  ``mul_idx`` and ``coarsen`` read those tables one entry at a
-time.  The other functions here are the routines they replaced: a product by
-walking the reduced word of the right factor, a coset minimum by stepping
-down right descents, the W-action and coarsening through those two, a
-point projection coarsening every point, the joint order by two
+``action`` and ``coarsen_table(J)``; ``XiPoset.pi_map`` and
+``point_action`` read the image of one base point off the coset tables,
+and ``RationalMatrix.pushforward`` is built from the fibres.  ``mul_idx``
+and ``coarsen`` read those tables one entry at a time.  The other functions
+here are the routines they replaced: a product by walking the reduced word
+of the right factor, a coset minimum by stepping down right descents, the
+W-action and coarsening through those two, a point projection coarsening
+every point, the point action moving every point, the joint order by two
 contractions, and the pushforward as the transpose of the pullback.  Tests
 compare both on every supported type (see test_tables_differential.py).
 """
@@ -101,6 +102,12 @@ def point_loop_pi_map(xi, coarsen, m, n):
     en = xi.elements[n]
     I2, J2 = en.typeIJ
     return [en.point_index[(coarsen(c, I2), coarsen(d, J2))] for c, d in xi.elements[m].points]
+
+
+def point_loop_action(xi, w, m):
+    """Where w sends each point of cell m: both faces moved by the face action."""
+    act, e = xi.complex.action[w], xi.elements[m]
+    return [e.point_index[(act[c], act[d])] for c, d in e.points]
 
 
 def transposed_pullback(f, n):

@@ -19,6 +19,7 @@ from mbsheaf.linalg import RationalMatrix
 from mbsheaf.orbitpoly import property_suite, validate_counts
 from mbsheaf.sheaf import bicube, braid_loops, check_mbs, phi_psi, transport
 from mbsheaf.xi import enumerate_xi
+from test_shared_maps import counted_build_e1
 
 _POSETS = {}
 _EQ = {}
@@ -100,18 +101,21 @@ def test_criterion_02_contingency_counts():
     report_line(2, "|Xi(A)| equals contingency-matrix counts (n = 2, 3, 4)", elapsed, 10.0)
 
 
-def test_criterion_03_e1_axioms():
+def test_criterion_03_e1_axioms(monkeypatch):
     t0 = time.time()
     for label, rank in SUPPORTED:
-        E = build_e1(poset_for(label, rank))
+        E, built, _pis = counted_build_e1(monkeypatch, poset_for(label, rank))
         report = check_mbs(E)
         assert report.ok, f"{label}{rank}: {report.summary()}"
         if (label, rank) == ("A", 4):
             # entry for entry the per-covering construction, which builds
-            # every covering anew (test_shared_maps.py: the other types)
+            # every covering anew (test_shared_maps.py: the other types),
+            # one matrix per key and one object per distinct matrix
             dims, *maps = _orbit_functions(E.poset, 1)
             assert list(E.dims) == dims
             assert all(dict(E.maps(side)) == maps[side] for side in (0, 1))
+            assert (len(E.poset.elements), len(E.poset.coset_tables), built) == (2961, 413, 4300)
+            assert len({id(mat) for side in (0, 1) for mat in E.maps(side).values()}) == 3847
     elapsed = time.time() - t0
     assert elapsed < 60.0
     report_line(3, "check_mbs(E_1) empty on A1, A2, A3, A4, B2, B3, C3, G2", elapsed, 60.0)

@@ -285,6 +285,12 @@ EXAMPLE_DUMP_SHA256 = [
      "343283044afba40d8a49ceffc64da3eef5cb0b85346d85ba2b5238e455da148e"),
     (["e1", "--type", "A", "--rank", "2", "--with-action"],
      "00eb0fea184662c182c7ae96f0025422c634e979cbaf3e820b5123b6f3b6f54e"),
+    # group_action is XiPoset.point_action at every w and cell, recorded while
+    # it moved every point's two faces; the coset tables must keep them
+    (["e1", "--type", "G", "--rank", "2", "--with-action"],
+     "6c48879fe1904a60c0c30202ab624ea1f51830ae0eda10debb0dc4ed38fcf4d1"),
+    (["e1", "--type", "A", "--rank", "3", "--with-action"],
+     "d41437f798837cd3b41350f7727f5cd5c703943533993c47f2154b163da7ea03"),
     # the other types, whose maps build_e1 shares one object per distinct map:
     # B2 and G2 as bench/workloads.py pins them, B3 (a 67 MB file) as CI does
     (["e1", "--type", "B", "--rank", "2"],

@@ -8,8 +8,15 @@ entry for entry with constructions that build every covering anew
 (``e1v_reference._orbit_functions`` and
 ``dense_reference.per_covering_subsheaf``); E_1(A4) is compared inside
 acceptance criterion 3, which builds it anyway.
+
+build_e1 keys each map by (side, coset table of m, coset table of n, g),
+g.x0 the image of m's base point in n: on A3, 279 keys for 1,110 coverings
+and 34 tables for 281 cells, with no ``pi_map`` call.  The file carries the
+sharing on: ``mbs_to_json`` formats each map object once, and
+``mbs_from_json`` interns equal matrices.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -18,10 +25,11 @@ from dense_reference import per_covering_subsheaf
 from e1v_reference import _orbit_functions
 from mbsheaf.coxeter import SUPPORTED, build_coxeter
 from mbsheaf.f1 import build_e1
+from mbsheaf import io
 from mbsheaf.fq import b_invariant_sub, build_eq
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.sheaf import check_mbs, generated_sub, subsheaf
-from mbsheaf.xi import arrow, enumerate_xi
+from mbsheaf.xi import XiPoset, arrow, enumerate_xi
 
 
 @lru_cache(maxsize=None)
@@ -32,6 +40,29 @@ def poset_for(label, rank):
 @lru_cache(maxsize=None)
 def eq_for(n, q):
     return build_eq(n, q)
+
+
+def count_calls(monkeypatch, owner, *names):
+    """Wrap each named function or classmethod of owner to count its calls."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(owner, name)
+
+        def wrapped(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        is_classmethod = isinstance(vars(owner).get(name), classmethod)
+        monkeypatch.setattr(owner, name, staticmethod(wrapped) if is_classmethod else wrapped)
+    return calls
+
+
+def counted_build_e1(monkeypatch, poset):
+    """build_e1(poset) and its count of built matrices and of pi_map calls."""
+    with monkeypatch.context() as patch:
+        built = count_calls(patch, RationalMatrix, "pushforward", "pullback")
+        pis = count_calls(patch, XiPoset, "pi_map")
+        E = build_e1(poset)
+    return E, built.total(), pis.total()
 
 
 def covering_maps(E):
@@ -53,6 +84,30 @@ def test_build_e1_matches_the_per_covering_construction(label, rank):
     assert list(E.dims) == dims
     for side in (0, 1):
         assert dict(E.maps(side)) == maps[side], (label, rank, side)
+
+
+def test_build_e1_builds_one_matrix_per_key(monkeypatch):
+    poset = poset_for("A", 3)
+    assert (len(poset.elements), len(poset.coset_tables)) == (281, 34)
+    assert len({e.table for e in poset.elements}) == 34
+    E, built, pis = counted_build_e1(monkeypatch, poset)
+    assert (built, pis) == (279, 0)
+    assert counts(E) == (1110, 224, 224)
+
+
+def test_the_file_keeps_one_object_per_distinct_map(monkeypatch):
+    """E_1(B3): 371 matrix_to_json calls for its 2,082 coverings, and the
+    parsed sheaf holds 371 objects, the same matrices: each of the 2,082
+    entries is parsed to a new object, then interned (the document's rows
+    are parsed as they are, without the 67 MB of text between)."""
+    E = build_e1(poset_for("B", 3))
+    calls = count_calls(monkeypatch, io, "matrix_to_json", "matrix_from_json")
+    doc = io.mbs_to_json(E)
+    assert calls["matrix_to_json"] == 371
+    parsed = io.mbs_from_json(doc)
+    assert calls["matrix_from_json"] == 2082
+    assert counts(parsed) == (2082, 371, 371)
+    assert all(dict(parsed.maps(side)) == dict(E.maps(side)) for side in (0, 1))
 
 
 SHARING = [

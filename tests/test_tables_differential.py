@@ -1,12 +1,14 @@
 """Index tables against the per-call routines they replaced.
 
 The datum's product table, inverses and coset minima, the face complex's
-W-action and coarsening tables, ``XiPoset.pi_map`` and
+W-action and coarsening tables, ``XiPoset.pi_map``, ``point_action`` and
 ``RationalMatrix.pushforward`` must give what the word walks, descent walks
 and point loops of ``tables_reference`` give: every entry on all eight
-supported types, and ``pi_map`` and ``pi_base``, its value at the base
-point, on every comparable pair of the types of rank at most 3.  A property test draws a group element and a covering of
-E_1 and checks that the covering map commutes with the W-action at both
+supported types (``point_action`` for every w at every cell), and ``pi_map``
+and ``pi_base``, its value at the base point, on every comparable pair of
+the types of rank at most 3 and on every covering of A4, with ``cov_base``
+on every covering.  A property test draws a group element and a covering
+of E_1 and checks that the covering map commutes with the W-action at both
 ends, on every type of rank 2 and 3: it guards the face action that the
 action matrices read.
 """
@@ -23,8 +25,8 @@ from mbsheaf.faces import subsets_sorted
 from mbsheaf.linalg import RationalMatrix
 from mbsheaf.xi import arrow, enumerate_xi
 from tables_reference import (
-    WalkCoarsen, coarsen, descent_walk_min, face_positions, point_loop_pi_map, transposed_pullback,
-    phi_leq, walk_action, word_walk_inv, word_walk_mul,
+    WalkCoarsen, coarsen, descent_walk_min, face_positions, point_loop_action, point_loop_pi_map,
+    transposed_pullback, phi_leq, walk_action, word_walk_inv, word_walk_mul,
 )
 
 EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -94,6 +96,27 @@ def test_pi_map_matches_point_loop(label, rank):
         assert xi.pi_base(m, n) == want[0]
     for m in range(len(xi.elements)):
         assert xi.pi_map(m, m) == list(range(xi.elements[m].orbit_size))
+    # each covering's base image, recorded where the contraction coarsens it
+    for _side, m, n, j in xi.based_coverings():
+        assert j == point_loop_pi_map(xi, coarsen, m, n)[0]
+
+
+def test_pi_map_matches_point_loop_on_a4_coverings():
+    """A4's 15,912 coverings (its 177,376 comparable pairs take about 15 s),
+    each point coarsened through the table that test_face_tables_match_walks
+    holds to the descent walk."""
+    xi = poset_for("A", 4)
+    for _side, m, n, j in xi.based_coverings():
+        want = point_loop_pi_map(xi, partial(coarsen, xi.complex), m, n)
+        assert xi.pi_map(m, n) == want and xi.pi_base(m, n) == j == want[0]
+
+
+@pytest.mark.parametrize("label,rank", SUPPORTED)
+def test_point_action_matches_point_loop(label, rank):
+    xi = poset_for(label, rank)
+    for w in range(xi.datum.order):
+        for m in range(len(xi.elements)):
+            assert xi.point_action(w, m) == point_loop_action(xi, w, m), (w, m)
 
 
 @pytest.mark.parametrize("label,rank", [t for t in SUPPORTED if t[1] <= 2] + [("A", 3)])
